@@ -14,11 +14,25 @@ Identifiers are the variables u, v, w, declared parameter names, and the
 unary functions sin cos tan sinh cosh tanh sech exp log sqrt atan abs.
 Vectors (arity 2 to 4) appear only at the root.  Exponents must be
 constant: number literals, parameters, or arithmetic on those.
+
+Jets are evaluated by compiling each expression once.  On first use an
+`Expr` hash-conses its syntax tree into a DAG (structurally equal
+subtrees, and constants with equal bit patterns, become one node) and
+lowers it to a topologically ordered instruction list, kept on the
+`Expr` as `tape`.  Every `eval_jet` call runs that list over `taylor`
+series: each distinct subexpression is evaluated once, sin/cos and
+sinh/cosh of one argument share one evaluation of the pair, and each
+intermediate is released after its last use.  The operations and their
+operands are those of a recursive walk of the tree, so the jets agree
+with one bit for bit (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13).
 """
 
 import math
 import re
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -226,6 +240,14 @@ class Expr:
         if not isinstance(other, Expr):
             return NotImplemented
         return self.root == other.root and self.params == other.params
+
+    def __hash__(self):  # like __eq__, blind to the source spelling
+        return hash((self.root, self.params))
+
+    @cached_property
+    def tape(self):
+        """The jet program of a vector expression, compiled on first use."""
+        return _Tape(self.root, self.param_dict())
 
 
 # --- parser -------------------------------------------------------------
@@ -540,51 +562,119 @@ def _pack_jet(components, space, shape, abs_flag):
     )
 
 
-def _eval_node(node, space, vars_, params, flags):
-    if isinstance(node, Num):
-        return space.const(node.value)
-    if isinstance(node, Param):
-        return space.const(params[node.name])
-    if isinstance(node, Var):
-        if node.index >= len(vars_):
-            raise ValueError(f"expression uses '{node.name}' but no value was supplied")
-        return vars_[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, space, vars_, params, flags)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.lhs, space, vars_, params, flags)
-        b = _eval_node(node.rhs, space, vars_, params, flags)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+def _bits(x):
+    """Hash-consing key of a float: its bit pattern, so 0.0 and -0.0 (or
+    two NaN payloads) never share a slot the way `==` would let them."""
+    return struct.pack("<d", x)
+
+
+class _Tape:
+    """A vector expression lowered to a straight-line jet program.
+
+    Each distinct subexpression is one instruction ``(op, args, aux, node,
+    dead)``: `args` are the slots (instruction indices) it reads, `aux` its
+    constant operand, `node` the syntax node whose source an error names,
+    and `dead` the slots whose last reader it is.  The order is the
+    post-order of the tree with repeats dropped, so the first instruction
+    that fails is the subexpression a recursive walk would fail on first.
+    sin/cos and sinh/cosh of one argument read one shared "pair" slot.
+    """
+
+    __slots__ = ("code", "outputs")
+
+    def __init__(self, root, params):
+        code = []
+        slots = {}
+
+        def emit(key, op, args=(), aux=None, node=None):
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(code)
+                code.append((op, args, aux, node))
+            return slot
+
+        def visit(node):
+            if isinstance(node, (Num, Param)):
+                value = node.value if isinstance(node, Num) else params[node.name]
+                return emit(("const", _bits(value)), "const", aux=value)
+            if isinstance(node, Var):
+                return emit(("var", node.index), "var", aux=node.index, node=node)
+            if isinstance(node, Neg):
+                a = visit(node.arg)
+                return emit(("neg", a), "neg", (a,))
+            if isinstance(node, BinOp):
+                a, b = visit(node.lhs), visit(node.rhs)
+                return emit((node.op, a, b), node.op, (a, b), node=node)
+            if isinstance(node, PowOp):
+                a = visit(node.base)
+                e = node.exponent
+                if e.is_integer():
+                    return emit(("powi", a, int(e)), "powi", (a,), int(e), node)
+                return emit(("powr", a, _bits(e)), "powr", (a,), e, node)
+            if isinstance(node, Call):
+                a = visit(node.arg)
+                kind = taylor.pair_kind(node.fn)
+                if kind is None:
+                    return emit((node.fn, a), node.fn, (a,), node=node)
+                pair = emit((kind, a), "pair", (a,), kind)
+                return emit((node.fn, a), node.fn, (a, pair), node=node)
+            raise TypeError(f"cannot evaluate {node!r}")
+
+        self.outputs = tuple(visit(c) for c in root.components)
+        last = {}
+        for i, (_, args, _, _) in enumerate(code):
+            for a in args:
+                last[a] = i
+        dead = [[] for _ in code]
+        for slot, i in last.items():
+            if slot not in self.outputs:
+                dead[i].append(slot)
+        self.code = tuple(
+            (op, args, aux, node, tuple(d)) for (op, args, aux, node), d in zip(code, dead)
+        )
+
+    def run(self, space, vars_):
+        """Component series and the abs-at-zero flag at the given variables."""
+        regs = [None] * len(self.code)
+        abs_hit = False
         try:
-            return a / b
+            for i, (op, args, aux, node, dead) in enumerate(self.code):
+                x = regs[args[0]] if args else None
+                if op == "const":
+                    r = space.const(aux)
+                elif op == "var":
+                    if aux >= len(vars_):
+                        raise ValueError(
+                            f"expression uses '{node.name}' but no value was supplied"
+                        )
+                    r = vars_[aux]
+                elif op == "*":
+                    r = x * regs[args[1]]
+                elif op == "+":
+                    r = x + regs[args[1]]
+                elif op == "-":
+                    r = x - regs[args[1]]
+                elif op == "/":
+                    r = x / regs[args[1]]
+                elif op == "neg":
+                    r = -x
+                elif op == "powi":
+                    r = x.powi(aux)
+                elif op == "powr":
+                    r = x.powr(aux)
+                elif op == "pair":
+                    r = taylor.pair_values(aux, x.c[0])
+                elif op == "abs":
+                    r, hit = taylor.apply_abs(x)
+                    abs_hit = abs_hit or hit
+                else:
+                    r = taylor.apply_function(op, x, regs[args[1]] if len(args) > 1 else None)
+                regs[i] = r
+                for j in dead:
+                    regs[j] = None
         except ExprDomainError as err:
             raise ExprDomainError(err.args[0], source=to_source(node)) from None
-    if isinstance(node, PowOp):
-        base = _eval_node(node.base, space, vars_, params, flags)
-        e = node.exponent
-        try:
-            if float(e).is_integer():
-                return base.powi(int(e))
-            return base.powr(e)
-        except ExprDomainError as err:
-            raise ExprDomainError(err.args[0], source=to_source(node)) from None
-    if isinstance(node, Call):
-        arg = _eval_node(node.arg, space, vars_, params, flags)
-        try:
-            if node.fn == "abs":
-                out, hit = taylor.apply_abs(arg)
-                if hit:
-                    flags["abs_at_zero"] = True
-                return out
-            return taylor.apply_function(node.fn, arg)
-        except ExprDomainError as err:
-            raise ExprDomainError(err.args[0], source=to_source(node)) from None
-    raise TypeError(f"cannot evaluate {node!r}")
+        return [regs[k] for k in self.outputs], abs_hit
 
 
 def eval_jet(e, u, v, order, w=None):
@@ -595,8 +685,7 @@ def eval_jet(e, u, v, order, w=None):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order!r}")
-    root = e.root if isinstance(e, Expr) else e
-    if not isinstance(root, Vector):
+    if not isinstance(e.root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
     nvars = 2 if w is None else 3
     shapes = [np.shape(u), np.shape(v)] + ([np.shape(w)] if w is not None else [])
@@ -605,10 +694,8 @@ def eval_jet(e, u, v, order, w=None):
     vars_ = [space.var(0, u), space.var(1, v)]
     if w is not None:
         vars_.append(space.var(2, w))
-    params = e.param_dict() if isinstance(e, Expr) else {}
-    flags = {"abs_at_zero": False}
-    comps = [_eval_node(c, space, vars_, params, flags) for c in root.components]
-    return _pack_jet(comps, space, shape, flags["abs_at_zero"])
+    comps, abs_hit = e.tape.run(space, vars_)
+    return _pack_jet(comps, space, shape, abs_hit)
 
 
 def finite_difference_jet(callback, u, v, order, h=None):

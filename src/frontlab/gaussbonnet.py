@@ -169,7 +169,20 @@ def integrate_K_dAhat(front, grid=2048, nodes=16, rule="gl"):
 
 
 def _panel_values(front, batch, nodes):
-    """Per-panel sgn(lambda) quadrature, mixed mask, and plain det integral."""
+    """Per-panel sgn(lambda) quadrature, mixed mask, and plain det integral.
+
+    Panels go in blocks of one `_eval_fields` chunk of nodes, so the node
+    arrays and their per-panel temporaries stay chunk-sized.
+    """
+    step = max(1, _CHUNK // (nodes * nodes))
+    parts = [
+        _panel_block(front, batch[k : k + step], nodes)
+        for k in range(0, len(batch), step)
+    ]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _panel_block(front, batch, nodes):
     U, V, W = _panel_nodes(batch, nodes)
     det, lam = _eval_fields(front, U, V)
     P = len(batch)

@@ -172,7 +172,7 @@ def _transversality_rate(front, uv, T, eta, delta):
         q = _newton(front, q, 1.0, tol=1e-12)
         if q is None:
             return 0.0, False
-        jf, _ = front.jets(q[0], q[1], 1, 0)
+        jf = front.map_jet(q[0], q[1], 1)
         eta_n, _ = _null_direction(jf)
         if float(eta_n @ np.asarray(eta)) < 0:
             eta_n = -eta_n
@@ -418,7 +418,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
         qm = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
         if qm is None:
             return None
-        jf, _ = front.jets(qm[0], qm[1], 1, 0)
+        jf = front.map_jet(qm[0], qm[1], 1)
         eta, _ = _null_direction(jf)
         if float(eta @ eta_ref) < 0:
             eta = -eta
@@ -428,7 +428,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
         dm = _cross2(T, eta)
         if abs(dm) < 1e-10:
             return qm
-        jfa, _ = front.jets(qa[0], qa[1], 1, 0)
+        jfa = front.map_jet(qa[0], qa[1], 1)
         eta_a, _ = _null_direction(jfa)
         if float(eta_a @ eta_ref) < 0:
             eta_a = -eta_a
@@ -442,7 +442,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
 
 
 def _image_point(front, q):
-    jf, _ = front.jets(q[0], q[1], 1, 0)
+    jf = front.map_jet(q[0], q[1], 1)
     return np.asarray(jf.value, dtype=float)
 
 
@@ -535,7 +535,7 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
             T = prev_T if prev_T is not None else np.array([1.0, 0.0])
         elif prev_T is not None and float(T @ prev_T) < 0:
             T = -T
-        jf, _ = front.jets(q[0], q[1], 1, 0)
+        jf = front.map_jet(q[0], q[1], 1)
         eta, _ = _null_direction(jf)
         if prev_eta is not None and float(eta @ prev_eta) < 0:
             eta = -eta
@@ -602,7 +602,7 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
 
 
 def _eta_of(front, q):
-    jf, _ = front.jets(q[0], q[1], 1, 0)
+    jf = front.map_jet(q[0], q[1], 1)
     eta, _ = _null_direction(jf)
     return eta
 
@@ -642,7 +642,7 @@ def singular_curvature(front, point, h=None):
 
     def tangent_at(ds):
         # land on the curve at image distance |ds| from q0 (secant on the step)
-        jf, _ = front.jets(q0[0], q0[1], 1, 0)
+        jf = front.map_jet(q0[0], q0[1], 1)
         speed = np.linalg.norm(
             T0[0] * np.asarray(jf.f_u) + T0[1] * np.asarray(jf.f_v)
         )
@@ -662,7 +662,7 @@ def singular_curvature(front, point, h=None):
             raise TraceError("degenerate point while differencing tangents")
         if float(T @ T0) < 0:
             T = -T
-        jf2, _ = front.jets(q[0], q[1], 1, 0)
+        jf2 = front.map_jet(q[0], q[1], 1)
         g1 = T[0] * np.asarray(jf2.f_u) + T[1] * np.asarray(jf2.f_v)
         return g1 / np.linalg.norm(g1)
 
@@ -729,7 +729,7 @@ def kappa_s_measure(front, curve):
     vals = []
     for p in curve.samples:
         if p.kind == SingularClass.CUSPIDAL_EDGE:
-            jf, _ = front.jets(p.uv[0], p.uv[1], 1, 0)
+            jf = front.map_jet(p.uv[0], p.uv[1], 1)
             g1 = (
                 p.singular_dir[0] * np.asarray(jf.f_u)
                 + p.singular_dir[1] * np.asarray(jf.f_v)
@@ -814,7 +814,7 @@ def _probe_sign_delta(front, point, side, t):
     p_in = q + t * eta
     p_out = q - t * eta
     jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
-    jf_out, _ = front.jets(p_out[0], p_out[1], 0, 0)
+    jf_out = front.map_jet(p_out[0], p_out[1], 0)
     val = -float(
         np.asarray(jn_in.value)
         @ (np.asarray(jf_out.value) - np.asarray(jf_in.value))
@@ -1030,7 +1030,7 @@ def sign_meaning_check(front, point, tol=1e-10):
             f"singular curvature {point.kappa_s:.3e} too small to carry a sign"
         )
     eta = np.asarray(point.null_dir, dtype=float)
-    jf, _ = front.jets(point.uv[0], point.uv[1], 3, 2)
+    jf = front.map_jet(point.uv[0], point.uv[1], 3)
     sigma_dd = (
         eta[0] * eta[0] * np.asarray(jf.f_uu)
         + 2.0 * eta[0] * eta[1] * np.asarray(jf.f_uv)

@@ -202,16 +202,16 @@ def _compose(series, d):
 
 # --- derivative tables --------------------------------------------------
 # Each returns [g(c), g'(c), ..., g^(n)(c)]; domain violations raise for
-# scalar arguments and turn into NaN entries for array arguments.
+# scalar arguments and turn into NaN entries for array arguments.  The
+# tables of sin/cos and sinh/cosh take the pair (g(c), g'(c)) instead of c,
+# so one evaluation of the pair serves both functions of one argument.
 
 
-def _d_sin(c, n):
-    s, co = np.sin(c), np.cos(c)
+def _d_sin(s, co, n):
     return [s, co, -s, -co][: n + 1]
 
 
-def _d_cos(c, n):
-    s, co = np.sin(c), np.cos(c)
+def _d_cos(s, co, n):
     return [co, -s, -co, s][: n + 1]
 
 
@@ -221,13 +221,11 @@ def _d_tan(c, n):
     return [t, q, 2.0 * t * q, q * (2.0 + 6.0 * t * t)][: n + 1]
 
 
-def _d_sinh(c, n):
-    s, co = np.sinh(c), np.cosh(c)
+def _d_sinh(s, co, n):
     return [s, co, s, co][: n + 1]
 
 
-def _d_cosh(c, n):
-    s, co = np.sinh(c), np.cosh(c)
+def _d_cosh(s, co, n):
     return [co, s, co, s][: n + 1]
 
 
@@ -310,12 +308,15 @@ def _d_pow(c, r, n):
     return out
 
 
+_PAIRED = {
+    "sin": ("sincos", _d_sin),
+    "cos": ("sincos", _d_cos),
+    "sinh": ("sinhcosh", _d_sinh),
+    "cosh": ("sinhcosh", _d_cosh),
+}
+
 _TABLES = {
-    "sin": _d_sin,
-    "cos": _d_cos,
     "tan": _d_tan,
-    "sinh": _d_sinh,
-    "cosh": _d_cosh,
     "tanh": _d_tanh,
     "sech": _d_sech,
     "exp": _d_exp,
@@ -324,12 +325,35 @@ _TABLES = {
     "atan": _d_atan,
 }
 
-FUNCTION_NAMES = frozenset(_TABLES) | {"abs"}
+FUNCTION_NAMES = frozenset(_TABLES) | frozenset(_PAIRED) | {"abs"}
 
 
-def apply_function(name, series):
-    """Apply a named unary function through the chain rule."""
-    d = _TABLES[name](series.c[0], series.space.order)
+def pair_kind(name):
+    """'sincos' or 'sinhcosh' for a function that shares its pair, else None."""
+    entry = _PAIRED.get(name)
+    return entry[0] if entry else None
+
+
+def pair_values(kind, c):
+    """(sin c, cos c) or (sinh c, cosh c) for `pair_kind` `kind`."""
+    if kind == "sincos":
+        return np.sin(c), np.cos(c)
+    return np.sinh(c), np.cosh(c)
+
+
+def apply_function(name, series, pair=None):
+    """Apply a named unary function through the chain rule.
+
+    For sin, cos, sinh and cosh, `pair` may carry the precomputed
+    `pair_values` of the series' value.
+    """
+    c = series.c[0]
+    n = series.space.order
+    if name in _PAIRED:
+        kind, table = _PAIRED[name]
+        d = table(*(pair_values(kind, c) if pair is None else pair), n)
+    else:
+        d = _TABLES[name](c, n)
     return _compose(series, d)
 
 
