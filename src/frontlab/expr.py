@@ -134,7 +134,12 @@ class Num(Node):
         self.pos = pos
 
     def _key(self):
-        return (self.value,)
+        # by bit pattern, as the tape keys constants: 0.0 and -0.0 give
+        # jets of different signs, and a NaN constant must equal itself
+        return (_bits(self.value),)
+
+    def __repr__(self):
+        return f"Num({self.value!r})"
 
 
 class Param(Node):

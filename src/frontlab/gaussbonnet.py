@@ -17,6 +17,7 @@ from .errors import FrontlabError, InapplicableError
 from .front import det3, lambda_value
 from .singular import (
     SingularClass,
+    _curvatures,
     _lambda_blocks,
     _wrapped_delta,
     lambda_jets,
@@ -336,45 +337,6 @@ def integrate_K_dA(front, grid=2048, nodes=16, max_depth=8, abs_tol=1e-2):
     return value
 
 
-def _density_batch(front, U, V):
-    """kappa_s times image speed at points on the singular set, vectorized.
-
-    Same pointwise construction as the classifier's curvature formula, but
-    evaluated on whole arrays of Gauss nodes at once: the chart-unit-speed
-    tangent T = (lambda_v, -lambda_u)/|grad lambda|, its derivative along
-    itself, and the image acceleration Hess_f(T, T) + f_* T'.  The measure
-    kappa_s |f_* T| stays bounded at peaks even as |f_* T| -> 0.
-    """
-    jf, jn = front.jets(U, V, 3, 2)
-    lam, lu, lv, luu, luv, lvv = _lambda_blocks(jf, jn, 2)
-    g = np.hypot(lu, lv)
-    T0, T1 = lv / g, -lu / g
-    jv0 = luv * T0 + lvv * T1
-    jv1 = -luu * T0 - luv * T1
-    s = T0 * jv0 + T1 * jv1
-    Td0 = (jv0 - s * T0) / g
-    Td1 = (jv1 - s * T1) / g
-    g1 = T0[..., None] * jf.f_u + T1[..., None] * jf.f_v
-    hess = (
-        (T0 * T0)[..., None] * jf.f_uu
-        + (2.0 * T0 * T1)[..., None] * jf.f_uv
-        + (T1 * T1)[..., None] * jf.f_vv
-    )
-    g2 = hess + Td0[..., None] * jf.f_u + Td1[..., None] * jf.f_v
-    # null direction from the degenerate first fundamental form, oriented
-    # so that (T, eta) is a positive chart frame
-    E = np.einsum("...i,...i->...", jf.f_u, jf.f_u)
-    F = np.einsum("...i,...i->...", jf.f_u, jf.f_v)
-    G = np.einsum("...i,...i->...", jf.f_v, jf.f_v)
-    use_E = E >= G
-    eta0 = np.where(use_E, -F, -G)
-    eta1 = np.where(use_E, E, F)
-    flip = np.sign(T0 * eta1 - T1 * eta0)
-    sgn = np.sign(lu * eta0 + lv * eta1) * flip
-    speed_sq = np.einsum("...i,...i->...", g1, g1)
-    return sgn * det3(g1, g2, jn.value) / speed_sq
-
-
 def integrate_kappa_s(front, curves, nodes=8, newton_iters=8):
     """Line integral of kappa_s over traced singular curves.
 
@@ -425,7 +387,8 @@ def integrate_kappa_s(front, curves, nodes=8, newton_iters=8):
             f"lost the singular curve while integrating near "
             f"({U[k]:.6g}, {V[k]:.6g})"
         )
-    dens = _density_batch(front, U, V).reshape(len(A), nodes)
+    jf, jn = front.jets(U, V, 3, 2)
+    dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0].reshape(len(A), nodes)
     contrib = (dens * w[None, :]) * L[:, None]
     return math.fsum(contrib.ravel().tolist())
 

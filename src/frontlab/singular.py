@@ -3,9 +3,23 @@
 The signed area density lambda = det(f_u, f_v, nu) vanishes exactly on the
 singular set.  Where d(lambda) != 0 that set is a regular curve in the chart;
 points on it are classified by the angle between the curve's tangent and the
-kernel direction of df.  Curvature of the singular image curve is computed
-two independent ways: from exact jets at a point, and by differencing exact
-tangents along a traced curve.
+kernel direction of df.
+
+The tracer is batch-first: every step that is independent across points is
+one array jet evaluation.  Seeding bisects all sign-changing edges of a grid
+of lambda values together and Newton-polishes their midpoints as one masked
+array.  Each traced curve then takes one array jet for the tangents and null
+directions that locate swallowtail candidates, and one more, after those
+are inserted, for the neighbour transversality rates, classification,
+curvatures and arclengths.  Only the predictor-corrector march, which must
+follow the curve step by step, and the bisection of each transversality sign
+change run point by point.
+
+Classification has one per-point decision (`_decide`) and curvature one
+kernel (`_curvatures`); `classify` feeds both from scalar jets, `trace` from
+a curve's arrays, and `integrate_kappa_s` calls the kernel on arrays of
+quadrature nodes.  `singular_curvature` computes kappa_s independently, by
+differencing exact tangents along the curve.
 """
 
 import dataclasses
@@ -121,42 +135,57 @@ def _cross2(a, b):
 
 
 def _null_direction(jf):
-    """Kernel direction of df and the singular values of (f_u f_v)."""
+    """Kernel direction of df and the singular values of (f_u f_v).
+
+    Works point by point over any leading shape of the jet.
+    """
     A = np.stack([np.asarray(jf.f_u), np.asarray(jf.f_v)], axis=-1)
     _, sig, vt = np.linalg.svd(A, full_matrices=False)
-    return vt[1], sig
+    return vt[..., 1, :], sig
 
 
-def _pointwise_curvatures(front, u, v, eta):
-    """kappa_s and kappa_nu at a cuspidal edge from third-order jets.
+def _curvatures(jf, jn, blocks):
+    """Singular curvature data at cuspidal edges from (3, 2)-order jets.
 
-    The singular curve is parametrized by unit chart speed along
-    T = (lambda_v, -lambda_u)/|grad lambda|; its image acceleration is
-    Hess_f(T,T) + f_*(dT), with dT the curve derivative of the unit tangent.
-    `eta` must already complete (T, eta) to a positive frame.
+    The one curvature kernel: `classify` feeds it scalar jets, `trace` a
+    whole curve's arrays and `integrate_kappa_s` arrays of Gauss nodes.
+    `blocks` is `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by
+    the chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|;
+    its image velocity is g1 = f_* T and its image acceleration
+    g2 = Hess_f(T, T) + f_* T', with T' the derivative of T along itself.
+    Returns (density, kappa_s, kappa_nu, g1, g2), where the length density
+    kappa_s |g1| stays bounded at peaks even as |g1| -> 0.
     """
-    jf, jn = front.jets(u, v, 3, 2)
-    lam, lam_u, lam_v, lam_uu, lam_uv, lam_vv = _lambda_blocks(jf, jn, 2)
-    V = np.array([lam_v, -lam_u])
-    nV = math.hypot(V[0], V[1])
-    T = V / nV
-    JV = np.array([[lam_uv, lam_vv], [-lam_uu, -lam_uv]])
-    W = JV @ T
-    Tdot = (W - T * float(T @ W)) / nV
-    fu, fv = np.asarray(jf.f_u), np.asarray(jf.f_v)
-    g1 = T[0] * fu + T[1] * fv
+    lam, lu, lv, luu, luv, lvv = blocks
+    g = np.hypot(lu, lv)
+    T0, T1 = lv / g, -lu / g
+    jv0 = luv * T0 + lvv * T1
+    jv1 = -luu * T0 - luv * T1
+    s = T0 * jv0 + T1 * jv1
+    Td0 = (jv0 - s * T0) / g
+    Td1 = (jv1 - s * T1) / g
+    g1 = T0[..., None] * jf.f_u + T1[..., None] * jf.f_v
     hess = (
-        T[0] * T[0] * np.asarray(jf.f_uu)
-        + 2.0 * T[0] * T[1] * np.asarray(jf.f_uv)
-        + T[1] * T[1] * np.asarray(jf.f_vv)
+        (T0 * T0)[..., None] * jf.f_uu
+        + (2.0 * T0 * T1)[..., None] * jf.f_uv
+        + (T1 * T1)[..., None] * jf.f_vv
     )
-    g2 = hess + Tdot[0] * fu + Tdot[1] * fv
-    dlam_eta = lam_u * eta[0] + lam_v * eta[1]
-    sgn = 1.0 if dlam_eta > 0 else -1.0
-    speed = math.sqrt(float(g1 @ g1))
-    kappa_s = sgn * float(det3(g1, g2, jn.value)) / speed**3
-    kappa_nu = float(g2 @ np.asarray(jn.value)) / speed**2
-    return kappa_s, kappa_nu, g1, g2
+    g2 = hess + Td0[..., None] * jf.f_u + Td1[..., None] * jf.f_v
+    # null direction from the degenerate first fundamental form, oriented
+    # so that (T, eta) is a positive chart frame
+    E = dot(jf.f_u, jf.f_u)
+    F = dot(jf.f_u, jf.f_v)
+    G = dot(jf.f_v, jf.f_v)
+    use_E = E >= G
+    eta0 = np.where(use_E, -F, -G)
+    eta1 = np.where(use_E, E, F)
+    flip = np.sign(T0 * eta1 - T1 * eta0)
+    sgn = np.sign(lu * eta0 + lv * eta1) * flip
+    speed_sq = dot(g1, g1)
+    density = sgn * det3(g1, g2, jn.value) / speed_sq
+    kappa_s = density / np.sqrt(speed_sq)
+    kappa_nu = dot(g2, jn.value) / speed_sq
+    return density, kappa_s, kappa_nu, g1, g2
 
 
 def _transversality_rate(front, uv, T, eta, delta):
@@ -169,14 +198,14 @@ def _transversality_rate(front, uv, T, eta, delta):
     vals = []
     for sgn in (-1.0, 1.0):
         q = np.asarray(uv) + sgn * delta * np.asarray(T)
-        q = _newton(front, q, 1.0, tol=1e-12)
-        if q is None:
+        hit = _newton(front, q, 1.0, tol=1e-12)
+        if hit is None:
             return 0.0, False
+        q, (lu, lv) = hit
         jf = front.map_jet(q[0], q[1], 1)
         eta_n, _ = _null_direction(jf)
         if float(eta_n @ np.asarray(eta)) < 0:
             eta_n = -eta_n
-        _, lu, lv = lambda_jets(front, q[0], q[1], order=1)
         g = math.hypot(lu, lv)
         if g == 0.0:
             return 0.0, False
@@ -187,53 +216,54 @@ def _transversality_rate(front, uv, T, eta, delta):
     return (vals[1] - vals[0]) / (2.0 * delta), True
 
 
-def classify(front, uv, det_rate=None, rate_step=None):
-    """Classify a singular point and, on cuspidal edges, attach curvatures.
+def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, rate_step,
+            curvature):
+    """Classify the singular point (u, v) from its first-order data.
 
-    `det_rate`, when given, is the d/dt of det(singular_dir, null_dir) along
-    an already-traced curve; otherwise it is estimated by stepping along the
-    curve from scratch.  Thresholds are relative: the transversality
-    determinant is between unit vectors, the degeneracy cutoff is scaled by
-    the differential's largest singular value.
+    The one decision behind `classify` (scalar jets) and `trace` (a curve's
+    arrays): `lam` and its gradient, the null direction `eta` of df and
+    df's singular values `sig`.  `det_rate` is d/dt of
+    det(singular_dir, null_dir) along the curve, or None to estimate it by
+    stepping `rate_step` along the curve; `curvature()` returns
+    (density, kappa_s, kappa_nu) and is called at cuspidal edges only.
     """
-    u, v = float(uv[0]), float(uv[1])
-    jf, jn = front.jets(u, v, 1, 0)
-    eta, sig = _null_direction(jf)
     if sig[0] > 0.0 and sig[1] / sig[0] > RANK_TOL:
         raise FrontContractError(
             f"point ({u:.6g}, {v:.6g}) is not singular: df has rank 2 "
             f"(singular values {sig[0]:.3e}, {sig[1]:.3e})"
         )
-    lam, lam_u, lam_v = lambda_jets(front, u, v, order=1)
+    lam, lam_u, lam_v = float(lam), float(lam_u), float(lam_v)
     grad = math.hypot(lam_u, lam_v)
     scale = max(1.0, float(sig[0]))
     if grad <= DEGENERATE_TOL * scale:
         return SingularPoint(
-            uv=(u, v), lam=float(lam), grad_lambda=(float(lam_u), float(lam_v)),
+            uv=(u, v), lam=lam, grad_lambda=(lam_u, lam_v),
             null_dir=(float(eta[0]), float(eta[1])), singular_dir=(0.0, 0.0),
             kind=SingularClass.DEGENERATE, kappa_s=math.nan, kappa_nu=math.nan,
             transversality=math.nan,
         )
-    T = np.array([lam_v, -lam_u]) / grad
+    T = (lam_v / grad, -lam_u / grad)
+    eta = (float(eta[0]), float(eta[1]))
     if _cross2(T, eta) < 0.0:
-        eta = -eta
+        eta = (-eta[0], -eta[1])
     det_te = _cross2(T, eta)
     common = dict(
-        uv=(u, v), lam=float(lam), grad_lambda=(float(lam_u), float(lam_v)),
-        null_dir=(float(eta[0]), float(eta[1])),
-        singular_dir=(float(T[0]), float(T[1])), transversality=float(det_te),
+        uv=(u, v), lam=lam, grad_lambda=(lam_u, lam_v), null_dir=eta,
+        singular_dir=T, transversality=det_te,
     )
     if abs(det_te) > TRANSVERSAL_TOL:
-        kappa_s, kappa_nu, g1, _ = _pointwise_curvatures(front, u, v, eta)
+        density, kappa_s, kappa_nu = curvature()
         return SingularPoint(
-            kind=SingularClass.CUSPIDAL_EDGE, kappa_s=kappa_s, kappa_nu=kappa_nu,
-            density=kappa_s * math.sqrt(float(g1 @ g1)), **common,
+            kind=SingularClass.CUSPIDAL_EDGE, kappa_s=float(kappa_s),
+            kappa_nu=float(kappa_nu), density=float(density), **common,
         )
     if det_rate is None:
         delta = rate_step if rate_step is not None else 1e-4 * max(
             1.0, abs(u), abs(v)
         )
-        det_rate, ok = _transversality_rate(front, (u, v), T, eta, delta)
+        det_rate, ok = _transversality_rate(
+            front, (u, v), np.array(T), np.array(eta), delta
+        )
         if not ok:
             det_rate = 0.0
     rank_one = sig[0] > RANK_TOL * scale
@@ -246,17 +276,41 @@ def classify(front, uv, det_rate=None, rate_step=None):
     )
 
 
+def classify(front, uv, det_rate=None, rate_step=None):
+    """Classify a singular point and, on cuspidal edges, attach curvatures.
+
+    `det_rate`, when given, is the d/dt of det(singular_dir, null_dir) along
+    an already-traced curve; otherwise it is estimated by stepping along the
+    curve from scratch.  Thresholds are relative: the transversality
+    determinant is between unit vectors, the degeneracy cutoff is scaled by
+    the differential's largest singular value.  One scalar jet evaluation
+    serves the decision and the curvatures.
+    """
+    u, v = float(uv[0]), float(uv[1])
+    jf, jn = front.jets(u, v, 3, 2)
+    blocks = _lambda_blocks(jf, jn, 2)
+    eta, sig = _null_direction(jf)
+    return _decide(
+        front, u, v, *blocks[:3], eta, sig, det_rate, rate_step,
+        lambda: _curvatures(jf, jn, blocks)[:3],
+    )
+
+
 # ---------------------------------------------------------------------------
 # curve tracing
 
 
 def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
-    """Project q onto {lambda = 0}; None if lost or the gradient collapses."""
+    """Project q onto {lambda = 0}.
+
+    Returns (q, (lambda_u, lambda_v)) with the gradient at the accepted
+    point, or None if the iteration is lost or the gradient collapses.
+    """
     q = np.array([float(q[0]), float(q[1])])
     for _ in range(max_iter):
         lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
         if abs(lam) < tol * lam_scale:
-            return q
+            return q, (lu, lv)
         g2 = lu * lu + lv * lv
         if g2 < 1e-28:
             return None
@@ -267,31 +321,64 @@ def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
     return None
 
 
-def _tangent(front, q):
-    _, lu, lv = lambda_jets(front, q[0], q[1], order=1)
+def _newton_batch(front, Q, lam_scale, tol=1e-12, max_iter=50):
+    """`_newton` on an (n, 2) array of points as one masked iteration.
+
+    Each point gets the same arithmetic as in `_newton`; the points still
+    iterating share one array jet evaluation per step.  Returns the final
+    points and the mask of those that converged.
+    """
+    Q = np.array(Q, dtype=float)
+    ok = np.zeros(len(Q), dtype=bool)
+    todo = np.arange(len(Q))
+    for _ in range(max_iter):
+        if not todo.size:
+            break
+        lam, lu, lv = lambda_jets(front, Q[todo, 0], Q[todo, 1], order=1)
+        done = np.abs(lam) < tol * lam_scale
+        ok[todo[done]] = True
+        g2 = lu * lu + lv * lv
+        move = ~done & ~(g2 < 1e-28)
+        idx = todo[move]
+        step = lam[move] / g2[move]
+        Q[idx, 0] = Q[idx, 0] - step * lu[move]
+        Q[idx, 1] = Q[idx, 1] - step * lv[move]
+        todo = idx[np.isfinite(Q[idx]).all(axis=1)]
+    return Q, ok
+
+
+def _unit_tangent(lu, lv):
     g = math.hypot(lu, lv)
     if g < 1e-14:
         return None
     return np.array([lv, -lu]) / g
 
 
+def _tangent(front, q):
+    _, lu, lv = lambda_jets(front, q[0], q[1], order=1)
+    return _unit_tangent(lu, lv)
+
+
 def _wrapped_delta(dom, a, b):
+    """a - b over the last axis, periodic coordinates folded to the short way."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if dom.periodic_u:
         span = dom.u1 - dom.u0
-        d[0] = (d[0] + 0.5 * span) % span - 0.5 * span
+        d[..., 0] = (d[..., 0] + 0.5 * span) % span - 0.5 * span
     if dom.periodic_v:
         span = dom.v1 - dom.v0
-        d[1] = (d[1] + 0.5 * span) % span - 0.5 * span
+        d[..., 1] = (d[..., 1] + 0.5 * span) % span - 0.5 * span
     return d
 
 
 def _inside(dom, q, slack=0.0):
-    ok = True
+    """Whether q (or each row of q) lies in the domain, up to `slack`."""
+    q = np.asarray(q)
+    ok = np.ones(q.shape[:-1], dtype=bool)
     if not dom.periodic_u:
-        ok &= dom.u0 - slack <= q[0] <= dom.u1 + slack
+        ok &= (dom.u0 - slack <= q[..., 0]) & (q[..., 0] <= dom.u1 + slack)
     if not dom.periodic_v:
-        ok &= dom.v0 - slack <= q[1] <= dom.v1 + slack
+        ok &= (dom.v0 - slack <= q[..., 1]) & (q[..., 1] <= dom.v1 + slack)
     return ok
 
 
@@ -306,16 +393,21 @@ def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
         else:
             hi = mid
     q = q_in + lo * (q_out - q_in)
-    q = _newton(front, q, lam_scale, tol=1e-10)
-    if q is None or not _inside(dom, q, slack=1e-9 * dom.scale):
+    hit = _newton(front, q, lam_scale, tol=1e-10)
+    if hit is None or not _inside(dom, hit[0], slack=1e-9 * dom.scale):
         return None
+    q = hit[0]
     return np.clip(
         q, [dom.u0, dom.v0], [dom.u1, dom.v1]
     ) if not (dom.periodic_u or dom.periodic_v) else q
 
 
 def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
-    """Predictor-corrector continuation from q0 in direction T0."""
+    """Predictor-corrector continuation from q0 in direction T0.
+
+    T0 must be the unit tangent at q0 (either orientation); it also decides
+    whether the curve has come back to q0.
+    """
     pts = [np.array(q0)]
     q = np.array(q0)
     T = np.array(T0)
@@ -327,10 +419,11 @@ def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
         accepted = False
         while h >= h_min:
             cand = q + h * T
-            qn = _newton(front, cand, lam_scale, tol=1e-10)
-            if qn is None:
+            hit = _newton(front, cand, lam_scale, tol=1e-10)
+            if hit is None:
                 h *= 0.5
                 continue
+            qn, grad = hit
             if not _inside(dom, qn):
                 qb = _clip_to_boundary(front, q, qn, dom, lam_scale)
                 if qb is not None and np.linalg.norm(qb - q) > 1e-12:
@@ -339,7 +432,7 @@ def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
             if np.linalg.norm(qn - cand) > 0.75 * h + 1e-12:
                 h *= 0.5
                 continue
-            Tn = _tangent(front, qn)
+            Tn = _unit_tangent(*grad)
             if Tn is None:
                 h *= 0.5
                 continue
@@ -359,85 +452,102 @@ def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
         h = min(1.4 * h, cell)
         if travelled > 3.0 * cell:
             d = np.linalg.norm(_wrapped_delta(dom, q, pts[0]))
-            if d < 0.9 * h:
-                t0 = _tangent(front, pts[0])
-                if t0 is not None and abs(float(T @ t0)) > 0.9:
-                    closed = True
-                    pts.pop()  # endpoint duplicates the start
-                    break
+            if d < 0.9 * h and abs(float(T @ T0)) > 0.9:
+                closed = True
+                pts.pop()  # endpoint duplicates the start
+                break
     return pts, closed
 
 
-def _seed_points(front, dom, grid, lam, uu, vv, lam_scale):
-    """Newton-polished midpoints of grid edges where lambda changes sign."""
-    seeds = []
+def _grid_edges(dom, lam, uu, vv):
+    """Endpoints and lambda values of every grid edge, periodic ones too.
 
-    def edge(p0, l0, p1, l1):
-        if not (np.isfinite(l0) and np.isfinite(l1)) or l0 * l1 > 0:
-            return
-        a, b = np.array(p0), np.array(p1)
-        fa = l0
-        for _ in range(25):
-            m = 0.5 * (a + b)
-            fm = lambda_value(front, m[0], m[1])
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        q = _newton(front, 0.5 * (a + b), lam_scale)
-        if q is not None and _inside(dom, q, slack=0.5 * dom.scale / grid):
-            seeds.append(q)
-
+    Ordered as a sweep over grid nodes (i, j) that takes the u-edge, then
+    the v-edge leaving each node.
+    """
     nu_, nv_ = lam.shape
-    for i in range(nu_):
-        for j in range(nv_):
-            if i + 1 < nu_:
-                edge((uu[i, j], vv[i, j]), lam[i, j],
-                     (uu[i + 1, j], vv[i + 1, j]), lam[i + 1, j])
-            elif dom.periodic_u:
-                edge((uu[i, j], vv[i, j]), lam[i, j],
-                     (uu[i, j] + (dom.u1 - dom.u0) / nu_, vv[i, j]), lam[0, j])
-            if j + 1 < nv_:
-                edge((uu[i, j], vv[i, j]), lam[i, j],
-                     (uu[i, j + 1], vv[i, j + 1]), lam[i, j + 1])
-            elif dom.periodic_v:
-                edge((uu[i, j], vv[i, j]), lam[i, j],
-                     (uu[i, j], vv[i, j] + (dom.v1 - dom.v0) / nv_), lam[i, 0])
-    seeds.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
+    P = np.stack([uu, vv], axis=-1)
+    # u-edges (i, j) -> (i + 1, j); from the last row they exist only on a
+    # periodic axis, and end one grid step past the node
+    Pu = np.roll(P, -1, axis=0)
+    Pu[-1] = P[-1]
+    Pu[-1, :, 0] += (dom.u1 - dom.u0) / nu_
+    ok_u = np.ones(lam.shape, dtype=bool)
+    ok_u[-1] = dom.periodic_u
+    Pv = np.roll(P, -1, axis=1)
+    Pv[:, -1] = P[:, -1]
+    Pv[:, -1, 1] += (dom.v1 - dom.v0) / nv_
+    ok_v = np.ones(lam.shape, dtype=bool)
+    ok_v[:, -1] = dom.periodic_v
+    P0 = np.repeat(P.reshape(-1, 2), 2, axis=0)
+    L0 = np.repeat(lam.ravel(), 2)
+    P1 = np.stack([Pu, Pv], axis=2).reshape(-1, 2)
+    L1 = np.stack([np.roll(lam, -1, axis=0), np.roll(lam, -1, axis=1)], axis=2).ravel()
+    keep = np.stack([ok_u, ok_v], axis=2).ravel()
+    return P0[keep], L0[keep], P1[keep], L1[keep]
+
+
+def _seed_points(front, dom, grid, lam, uu, vv, lam_scale):
+    """Newton-polished midpoints of grid edges where lambda changes sign.
+
+    All sign-changing edges are bisected together, 25 array evaluations of
+    lambda in all, and their midpoints are polished by one masked Newton
+    iteration.
+    """
+    a, fa, b, fb = _grid_edges(dom, lam, uu, vv)
+    change = np.isfinite(fa) & np.isfinite(fb) & ~(fa * fb > 0)
+    a, fa, b = a[change], fa[change], b[change]
+    for _ in range(25):
+        m = 0.5 * (a + b)
+        fm = lambda_value(front, m[:, 0], m[:, 1])
+        left = fa * fm <= 0
+        b = np.where(left[:, None], m, b)
+        a = np.where(left[:, None], a, m)
+        fa = np.where(left, fa, fm)
+    Q, ok = _newton_batch(front, 0.5 * (a + b), lam_scale)
+    ok &= _inside(dom, Q, slack=0.5 * dom.scale / grid)
+    seeds = sorted(Q[ok], key=lambda p: (round(p[0], 9), round(p[1], 9)))
     kept = []
     min_gap = 0.25 * dom.scale / grid
     for s in seeds:
-        if all(np.linalg.norm(_wrapped_delta(dom, s, k)) > min_gap for k in kept):
+        if not kept or _distances(dom, kept, s).min() > min_gap:
             kept.append(s)
     return kept
 
 
+def _distances(dom, rows, q):
+    return np.linalg.norm(_wrapped_delta(dom, rows, q), axis=-1)
+
+
+def _oriented_det(front, q, T, eta_ref):
+    """det(T, eta) at q with the null direction eta aligned to `eta_ref`."""
+    eta, _ = _null_direction(front.map_jet(q[0], q[1], 1))
+    if float(eta @ eta_ref) < 0:
+        eta = -eta
+    return _cross2(T, eta)
+
+
 def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
     """Zero of det(T, eta) on the curve segment between qa and qb."""
+    Ta = _tangent(front, qa)
+    if Ta is None:
+        return None
+    da = _oriented_det(front, qa, Ta, eta_ref)
     for _ in range(60):
-        qm = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
-        if qm is None:
+        hit = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
+        if hit is None:
             return None
-        jf = front.map_jet(qm[0], qm[1], 1)
-        eta, _ = _null_direction(jf)
-        if float(eta @ eta_ref) < 0:
-            eta = -eta
-        T = _tangent(front, qm)
+        qm, grad = hit
+        T = _unit_tangent(*grad)
         if T is None:
             return None
-        dm = _cross2(T, eta)
+        dm = _oriented_det(front, qm, T, eta_ref)
         if abs(dm) < 1e-10:
             return qm
-        jfa = front.map_jet(qa[0], qa[1], 1)
-        eta_a, _ = _null_direction(jfa)
-        if float(eta_a @ eta_ref) < 0:
-            eta_a = -eta_a
-        Ta = _tangent(front, qa)
-        da = _cross2(Ta, eta_a)
         if da * dm <= 0:
             qb = qm
         else:
-            qa = qm
+            qa, da = qm, dm
     return qm
 
 
@@ -465,21 +575,15 @@ def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
     seeds = _seed_points(front, dom, grid, lam_grid, uu, vv, lam_scale)
     cell = min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid
     curves = []
-    claimed = []  # np arrays of traced samples, for seed deduplication
+    claimed = np.empty((0, 2))  # traced samples, for seed deduplication
     for seed in seeds:
-        if any(
-            min(
-                np.linalg.norm(_wrapped_delta(dom, row, seed))
-                for row in arr
-            ) < 1.5 * cell
-            for arr in claimed
-        ):
+        if len(claimed) and _distances(dom, claimed, seed).min() < 1.5 * cell:
             continue
         T0 = _tangent(front, seed)
         if T0 is None:
             point = classify(front, seed)
             curves.append(SingularCurve(samples=(point,), closed=False, peaks=(0,)))
-            claimed.append(np.array([seed]))
+            claimed = np.vstack([claimed, seed])
             continue
         fwd, closed = _march(front, seed, T0, cell, lam_scale, dom, max_steps)
         if closed:
@@ -493,7 +597,7 @@ def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
                 SingularCurve(samples=(point,), closed=False,
                               peaks=(0,) if point.kind != SingularClass.CUSPIDAL_EDGE else ())
             )
-            claimed.append(np.array([seed]))
+            claimed = np.vstack([claimed, seed])
             continue
         pts = _canonical_order(dom, pts, closed)
         samples = _build_samples(front, dom, pts, closed, lam_scale, peak_guard)
@@ -502,7 +606,7 @@ def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
             if p.kind != SingularClass.CUSPIDAL_EDGE
         )
         curves.append(SingularCurve(samples=samples, closed=closed, peaks=peaks))
-        claimed.append(np.array([p.uv for p in samples]))
+        claimed = np.vstack([claimed, [p.uv for p in samples]])
     curves.sort(key=lambda c: (c.samples[0].uv[0], c.samples[0].uv[1]))
     return curves
 
@@ -521,100 +625,115 @@ def _canonical_order(dom, pts, closed):
     return pts
 
 
-def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
-    """Classify every traced point with curve context and fill arclengths."""
-    n = len(pts)
-    tangents = []
-    etas = []
-    dets = []
-    prev_T = None
-    prev_eta = None
-    for q in pts:
-        T = _tangent(front, q)
+def _swallowtail_inserts(front, pts, closed, lam_scale):
+    """Transversality zeros between consecutive samples, as (index, point).
+
+    The tangents and null directions of all samples come from one array
+    jet evaluation; each is flipped to continue its predecessor, so the
+    determinant det(T, eta) may change sign along the curve.
+    """
+    P = np.array(pts)
+    jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
+    _, lu, lv = _lambda_blocks(jf, jn, 1)
+    eta_raw, _ = _null_direction(jf)
+    etas, dets = [], []
+    prev_T = prev_eta = None
+    for lu_i, lv_i, eta in zip(lu.tolist(), lv.tolist(), eta_raw):
+        T = _unit_tangent(lu_i, lv_i)
         if T is None:
             T = prev_T if prev_T is not None else np.array([1.0, 0.0])
         elif prev_T is not None and float(T @ prev_T) < 0:
             T = -T
-        jf = front.map_jet(q[0], q[1], 1)
-        eta, _ = _null_direction(jf)
         if prev_eta is not None and float(eta @ prev_eta) < 0:
             eta = -eta
         elif prev_eta is None and _cross2(T, eta) < 0:
             eta = -eta
-        tangents.append(T)
         etas.append(eta)
         dets.append(_cross2(T, eta))
         prev_T, prev_eta = T, eta
-
-    # swallowtail candidates between consecutive samples
-    inserts = []
-    for i in range(n - 1):
-        if dets[i] * dets[i + 1] < 0 and abs(dets[i]) > 1e-10 and abs(dets[i + 1]) > 1e-10:
-            qs = _bisect_transversality(front, pts[i], pts[i + 1], etas[i], lam_scale)
-            if qs is not None:
-                inserts.append((i + 1, qs))
-    if closed and n > 1 and dets[-1] * dets[0] < 0:
-        qs = _bisect_transversality(front, pts[-1], pts[0], etas[-1], lam_scale)
-        if qs is not None:
-            inserts.append((n, qs))
-    for offset, (idx, qs) in enumerate(inserts):
-        pts.insert(idx + offset, np.asarray(qs))
-
-    # classification pass with curve-context transversality rates
     n = len(pts)
-    raw = []
-    for i, q in enumerate(pts):
-        lo, hi = max(0, i - 1), min(n - 1, i + 1)
-        if closed:
-            lo, hi = (i - 1) % n, (i + 1) % n
-        dt = np.linalg.norm(_wrapped_delta(dom, pts[hi], pts[lo]))
-        rate = None
-        if dt > 0:
-            da = _signed_det(front, pts[lo])
-            db = _signed_det(front, pts[hi])
-            if da is not None and db is not None:
-                ra = da if float(_eta_of(front, pts[lo]) @ _eta_of(front, pts[i])) >= 0 else -da
-                rb = db if float(_eta_of(front, pts[hi]) @ _eta_of(front, pts[i])) >= 0 else -db
-                rate = (rb - ra) / dt
-        raw.append(classify(front, q, det_rate=rate))
+    pairs = [
+        (i, i + 1) for i in range(n - 1)
+        if dets[i] * dets[i + 1] < 0 and abs(dets[i]) > 1e-10 and abs(dets[i + 1]) > 1e-10
+    ]
+    if closed and n > 1 and dets[-1] * dets[0] < 0:
+        pairs.append((n - 1, 0))
+    inserts = []
+    for i, j in pairs:
+        qs = _bisect_transversality(front, pts[i], pts[j], etas[i], lam_scale)
+        if qs is not None:
+            inserts.append((i + 1, qs))
+    return inserts
+
+
+def _neighbour_rates(dom, P, lu, lv, eta, closed):
+    """d/dt of det(T, eta) at each sample from its two neighbours.
+
+    Central differences over the chart distance between the neighbours,
+    with each neighbour's |det(T, eta)| signed by whether its null
+    direction agrees with the sample's.  Returns the rates and the mask of
+    samples whose neighbours both have a tangent and do not coincide.
+    """
+    n = len(P)
+    i = np.arange(n)
+    if closed:
+        lo, hi = (i - 1) % n, (i + 1) % n
+    else:
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+    dt = np.linalg.norm(_wrapped_delta(dom, P[hi], P[lo]), axis=-1)
+    g = np.hypot(lu, lv)
+    valid = (dt > 0) & (g[lo] >= 1e-14) & (g[hi] >= 1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
+        det = np.where(cross < 0, -cross, cross)
+        ra = np.where(dot(eta[lo], eta) >= 0, det[lo], -det[lo])
+        rb = np.where(dot(eta[hi], eta) >= 0, det[hi], -det[hi])
+        return (rb - ra) / dt, valid
+
+
+def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
+    """Classify every traced point with curve context and fill arclengths.
+
+    One array jet evaluation of the whole curve (after swallowtail points
+    are inserted) feeds the neighbour transversality rates, the per-point
+    decision, the curvature kernel and the image arclengths.
+    """
+    for offset, (idx, qs) in enumerate(
+        _swallowtail_inserts(front, pts, closed, lam_scale)
+    ):
+        pts.insert(idx + offset, np.asarray(qs))
+    P = np.array(pts)
+    jf, jn = front.jets(P[:, 0], P[:, 1], 3, 2)
+    blocks = _lambda_blocks(jf, jn, 2)
+    lam, lu, lv = blocks[:3]
+    eta, sig = _null_direction(jf)
+    rates, has_rate = _neighbour_rates(dom, P, lu, lv, eta, closed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curv = np.stack(_curvatures(jf, jn, blocks)[:3], axis=-1)
+    raw = [
+        _decide(front, float(P[i, 0]), float(P[i, 1]), lam[i], lu[i], lv[i],
+                eta[i], sig[i], float(rates[i]) if has_rate[i] else None,
+                None, lambda i=i: curv[i])
+        for i in range(len(P))
+    ]
 
     # image arclength and peak guard flags
-    imgs = [_image_point(front, q) for q in pts]
-    s = [0.0]
-    for i in range(1, n):
-        s.append(s[-1] + float(np.linalg.norm(imgs[i] - imgs[i - 1])))
-    peak_s = [s[i] for i, p in enumerate(raw) if p.kind != SingularClass.CUSPIDAL_EDGE]
+    seg = np.linalg.norm(np.diff(jf.value, axis=0), axis=-1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    cusp = np.array([p.kind == SingularClass.CUSPIDAL_EDGE for p in raw])
     guard = peak_guard * dom.scale
+    near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < guard).any(axis=1)
     out = []
     for i, p in enumerate(raw):
-        near = any(abs(s[i] - ps) < guard for ps in peak_s) and (
-            p.kind == SingularClass.CUSPIDAL_EDGE
-        )
         st_sign = None
         if p.kind == SingularClass.SWALLOWTAIL:
             try:
                 st_sign = swallowtail_sign(front, p)
             except FrontlabError:
                 st_sign = None
-        out.append(dataclasses.replace(p, s=s[i], near_peak=near,
+        out.append(dataclasses.replace(p, s=float(s[i]), near_peak=bool(near[i]),
                                        swallowtail_sign=st_sign))
     return tuple(out)
-
-
-def _eta_of(front, q):
-    jf = front.map_jet(q[0], q[1], 1)
-    eta, _ = _null_direction(jf)
-    return eta
-
-
-def _signed_det(front, q):
-    T = _tangent(front, q)
-    if T is None:
-        return None
-    eta = _eta_of(front, q)
-    if _cross2(T, eta) < 0:
-        eta = -eta
-    return _cross2(T, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +767,16 @@ def singular_curvature(front, point, h=None):
         )
         t = ds / max(speed, 1e-12)
         img0 = _image_point(front, q0)
-        q = q0
         for _ in range(4):
-            q = _newton(front, q0 + t * T0, lam_scale)
-            if q is None:
+            hit = _newton(front, q0 + t * T0, lam_scale)
+            if hit is None:
                 raise TraceError("lost the curve while differencing tangents")
+            q, grad = hit
             d = float(np.linalg.norm(_image_point(front, q) - img0))
             if abs(d - abs(ds)) < 1e-12 * max(1.0, abs(ds)):
                 break
             t *= abs(ds) / max(d, 1e-300)
-        T = _tangent(front, q)
+        T = _unit_tangent(*grad)
         if T is None:
             raise TraceError("degenerate point while differencing tangents")
         if float(T @ T0) < 0:
@@ -723,20 +842,14 @@ def kappa_s_measure(front, curve):
     """Length density of the singular curvature per traced sample.
 
     Density = kappa_s * |image speed| with respect to the chart-unit-speed
-    curve parameter; finite and continuous across non-degenerate peaks, where
-    the stored samples carry no value and the neighbor average fills in.
+    curve parameter, as the curvature kernel left it on each cuspidal
+    sample; finite and continuous across non-degenerate peaks, where the
+    stored samples carry no value and the neighbor average fills in.
     """
-    vals = []
-    for p in curve.samples:
-        if p.kind == SingularClass.CUSPIDAL_EDGE:
-            jf = front.map_jet(p.uv[0], p.uv[1], 1)
-            g1 = (
-                p.singular_dir[0] * np.asarray(jf.f_u)
-                + p.singular_dir[1] * np.asarray(jf.f_v)
-            )
-            vals.append(p.kappa_s * float(np.linalg.norm(g1)))
-        else:
-            vals.append(math.nan)
+    vals = [
+        p.density if p.kind == SingularClass.CUSPIDAL_EDGE else math.nan
+        for p in curve.samples
+    ]
     out = np.array(vals)
     n = len(out)
     for i in range(n):
@@ -877,9 +990,10 @@ def _swallowtail_sign_delta(front, point, lambda_side):
     votes = []
     for delta in (5e-3 * scale, 1e-2 * scale):
         for sgn in (-1.0, 1.0):
-            q = _newton(front, q0 + sgn * delta * T, 1.0)
-            if q is None:
+            hit = _newton(front, q0 + sgn * delta * T, 1.0)
+            if hit is None:
                 continue
+            q = hit[0]
             try:
                 nb = classify(front, q)
             except FrontContractError:
@@ -1030,15 +1144,13 @@ def sign_meaning_check(front, point, tol=1e-10):
             f"singular curvature {point.kappa_s:.3e} too small to carry a sign"
         )
     eta = np.asarray(point.null_dir, dtype=float)
-    jf = front.map_jet(point.uv[0], point.uv[1], 3)
+    jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
     sigma_dd = (
         eta[0] * eta[0] * np.asarray(jf.f_uu)
         + 2.0 * eta[0] * eta[1] * np.asarray(jf.f_uv)
         + eta[1] * eta[1] * np.asarray(jf.f_vv)
     )
-    _, _, g1, g2 = _pointwise_curvatures(
-        front, point.uv[0], point.uv[1], eta
-    )
+    _, _, _, g1, g2 = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))
     speed2 = float(g1 @ g1)
     k_vec = (g2 - (float(g2 @ g1) / speed2) * g1) / speed2
     val = float(sigma_dd @ k_vec)

@@ -201,24 +201,46 @@ def _compose(series, d):
 
 
 # --- derivative tables --------------------------------------------------
-# Each returns [g(c), g'(c), ..., g^(n)(c)]; domain violations raise for
-# scalar arguments and turn into NaN entries for array arguments.  The
-# tables of sin/cos and sinh/cosh take the pair (g(c), g'(c)) instead of c,
-# so one evaluation of the pair serves both functions of one argument.
+# Each returns [g(c), g'(c), ..., g^(n)(c)], computing no entry past n;
+# domain violations raise for scalar arguments and turn into NaN entries
+# for array arguments.  The tables of sin/cos and sinh/cosh take the pair
+# (g(c), g'(c)) instead of c, so one evaluation of the pair serves both
+# functions of one argument.
 
 
 def _d_sin(s, co, n):
-    return [s, co, -s, -co][: n + 1]
+    if n == 0:
+        return [s]
+    d = [s, co]
+    if n >= 2:
+        d.append(-s)
+    if n >= 3:
+        d.append(-co)
+    return d
 
 
 def _d_cos(s, co, n):
-    return [co, -s, -co, s][: n + 1]
+    if n == 0:
+        return [co]
+    d = [co, -s]
+    if n >= 2:
+        d.append(-co)
+    if n >= 3:
+        d.append(s)
+    return d
 
 
 def _d_tan(c, n):
     t = np.tan(c)
+    if n == 0:
+        return [t]
     q = 1.0 + t * t
-    return [t, q, 2.0 * t * q, q * (2.0 + 6.0 * t * t)][: n + 1]
+    d = [t, q]
+    if n >= 2:
+        d.append(2.0 * t * q)
+    if n >= 3:
+        d.append(q * (2.0 + 6.0 * t * t))
+    return d
 
 
 def _d_sinh(s, co, n):
@@ -231,14 +253,28 @@ def _d_cosh(s, co, n):
 
 def _d_tanh(c, n):
     t = np.tanh(c)
+    if n == 0:
+        return [t]
     q = 1.0 - t * t
-    return [t, q, -2.0 * t * q, q * (6.0 * t * t - 2.0)][: n + 1]
+    d = [t, q]
+    if n >= 2:
+        d.append(-2.0 * t * q)
+    if n >= 3:
+        d.append(q * (6.0 * t * t - 2.0))
+    return d
 
 
 def _d_sech(c, n):
-    t = np.tanh(c)
     s = 1.0 / np.cosh(c)
-    return [s, -s * t, s * (2.0 * t * t - 1.0), s * t * (5.0 - 6.0 * t * t)][: n + 1]
+    if n == 0:
+        return [s]
+    t = np.tanh(c)
+    d = [s, -s * t]
+    if n >= 2:
+        d.append(s * (2.0 * t * t - 1.0))
+    if n >= 3:
+        d.append(s * t * (5.0 - 6.0 * t * t))
+    return d
 
 
 def _d_exp(c, n):
@@ -247,20 +283,35 @@ def _d_exp(c, n):
 
 
 def _d_atan(c, n):
+    if n == 0:
+        return [np.arctan(c)]
     q = 1.0 / (1.0 + c * c)
-    return [np.arctan(c), q, -2.0 * c * q * q, (6.0 * c * c - 2.0) * q * q * q][: n + 1]
+    d = [np.arctan(c), q]
+    if n >= 2:
+        d.append(-2.0 * c * q * q)
+    if n >= 3:
+        d.append((6.0 * c * c - 2.0) * q * q * q)
+    return d
 
 
 def _d_log(c, n):
     if np.ndim(c) == 0:
         if not c > 0:
             raise ExprDomainError(f"log of non-positive value {float(c)!r}")
-        inv = 1.0 / c
-        return [math.log(c), inv, -inv * inv, 2.0 * inv**3][: n + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe = np.where(c > 0, c, np.nan)
-        inv = 1.0 / safe
-        return [np.log(safe), inv, -inv * inv, 2.0 * inv**3][: n + 1]
+        safe, value = c, math.log(c)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            safe = np.where(c > 0, c, np.nan)
+            value = np.log(safe)
+    if n == 0:
+        return [value]
+    inv = 1.0 / safe
+    d = [value, inv]
+    if n >= 2:
+        d.append(-inv * inv)
+    if n >= 3:
+        d.append(2.0 * inv**3)
+    return d
 
 
 def _d_sqrt(c, n):
@@ -269,16 +320,19 @@ def _d_sqrt(c, n):
             raise ExprDomainError(f"sqrt of negative value {float(c)!r}")
         if c == 0 and n >= 1:
             raise ExprDomainError("sqrt is not differentiable at 0")
-        r = math.sqrt(c)
-        if n == 0:
-            return [r]
-        return [r, 0.5 / r, -0.25 / r**3, 0.375 / r**5][: n + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.sqrt(np.where(c >= 0, c, np.nan))
-        if n == 0:
-            return [value]
-        r = np.sqrt(np.where(c > 0, c, np.nan))
-        return [value, 0.5 / r, -0.25 / r**3, 0.375 / r**5][: n + 1]
+        value = r = math.sqrt(c)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.sqrt(np.where(c >= 0, c, np.nan))
+            r = np.sqrt(np.where(c > 0, c, np.nan)) if n else None
+    if n == 0:
+        return [value]
+    d = [value, 0.5 / r]
+    if n >= 2:
+        d.append(-0.25 / r**3)
+    if n >= 3:
+        d.append(0.375 / r**5)
+    return d
 
 
 def _d_reciprocal(c, n):
@@ -289,7 +343,14 @@ def _d_reciprocal(c, n):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.nan)
-    return [inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4][: n + 1]
+    d = [inv]
+    if n >= 1:
+        d.append(-inv * inv)
+    if n >= 2:
+        d.append(2.0 * inv**3)
+    if n >= 3:
+        d.append(-6.0 * inv**4)
+    return d
 
 
 def _d_pow(c, r, n):

@@ -1,0 +1,361 @@
+"""Test-only oracle: the point-at-a-time singular-curve tracer.
+
+This is the tracer `frontlab.singular.trace` had before it evaluated its
+independent per-point steps as array jets: every grid edge is bisected
+with scalar `lambda_value` calls, every seed is polished by its own Newton
+iteration, and every traced sample recomputes its tangent, null direction
+and neighbour transversality rates from scalar jets before a scalar
+`classify`.  The batched tracer must land on the same sample positions bit
+for bit, so this module keeps the scalar arithmetic it replaced; the
+library's march, clipping and ordering helpers are shared where they never
+changed.
+
+`pointwise_curvatures` is the scalar singular-curvature formula that the
+shared curvature kernel replaced, kept as an independent check of it.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+
+from frontlab.errors import FrontlabError
+from frontlab.front import det3, lambda_value
+from frontlab.singular import (
+    SingularClass,
+    SingularCurve,
+    _canonical_order,
+    _clip_to_boundary,
+    _cross2,
+    _image_point,
+    _inside,
+    _lambda_blocks,
+    _null_direction,
+    _wrapped_delta,
+    classify,
+    lambda_jets,
+    swallowtail_sign,
+)
+
+
+def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
+    """Project q onto {lambda = 0}; None if lost or the gradient collapses."""
+    q = np.array([float(q[0]), float(q[1])])
+    for _ in range(max_iter):
+        lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
+        if abs(lam) < tol * lam_scale:
+            return q
+        g2 = lu * lu + lv * lv
+        if g2 < 1e-28:
+            return None
+        step = lam / g2
+        q = q - step * np.array([lu, lv])
+        if not np.all(np.isfinite(q)):
+            return None
+    return None
+
+
+def _tangent(front, q):
+    _, lu, lv = lambda_jets(front, q[0], q[1], order=1)
+    g = math.hypot(lu, lv)
+    if g < 1e-14:
+        return None
+    return np.array([lv, -lu]) / g
+
+
+def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
+    """Predictor-corrector continuation from q0 in direction T0."""
+    pts = [np.array(q0)]
+    q = np.array(q0)
+    T = np.array(T0)
+    h = 0.5 * cell
+    h_min = 1e-9 * dom.scale
+    closed = False
+    travelled = 0.0
+    for _ in range(max_steps):
+        accepted = False
+        while h >= h_min:
+            cand = q + h * T
+            qn = _newton(front, cand, lam_scale, tol=1e-10)
+            if qn is None:
+                h *= 0.5
+                continue
+            if not _inside(dom, qn):
+                qb = _clip_to_boundary(front, q, qn, dom, lam_scale)
+                if qb is not None and np.linalg.norm(qb - q) > 1e-12:
+                    pts.append(qb)
+                return pts, False
+            if np.linalg.norm(qn - cand) > 0.75 * h + 1e-12:
+                h *= 0.5
+                continue
+            Tn = _tangent(front, qn)
+            if Tn is None:
+                h *= 0.5
+                continue
+            if float(Tn @ T) < 0:
+                Tn = -Tn
+            if float(Tn @ T) < math.cos(0.2):
+                h *= 0.5
+                continue
+            accepted = True
+            break
+        if not accepted:
+            return pts, False
+        step = np.linalg.norm(qn - q)
+        travelled += step
+        pts.append(qn)
+        q, T = qn, Tn
+        h = min(1.4 * h, cell)
+        if travelled > 3.0 * cell:
+            d = np.linalg.norm(_wrapped_delta(dom, q, pts[0]))
+            if d < 0.9 * h:
+                t0 = _tangent(front, pts[0])
+                if t0 is not None and abs(float(T @ t0)) > 0.9:
+                    closed = True
+                    pts.pop()
+                    break
+    return pts, closed
+
+
+def _seed_points(front, dom, grid, lam, uu, vv, lam_scale):
+    """Newton-polished midpoints of grid edges where lambda changes sign."""
+    seeds = []
+
+    def edge(p0, l0, p1, l1):
+        if not (np.isfinite(l0) and np.isfinite(l1)) or l0 * l1 > 0:
+            return
+        a, b = np.array(p0), np.array(p1)
+        fa = l0
+        for _ in range(25):
+            m = 0.5 * (a + b)
+            fm = lambda_value(front, m[0], m[1])
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        q = _newton(front, 0.5 * (a + b), lam_scale)
+        if q is not None and _inside(dom, q, slack=0.5 * dom.scale / grid):
+            seeds.append(q)
+
+    nu_, nv_ = lam.shape
+    for i in range(nu_):
+        for j in range(nv_):
+            if i + 1 < nu_:
+                edge((uu[i, j], vv[i, j]), lam[i, j],
+                     (uu[i + 1, j], vv[i + 1, j]), lam[i + 1, j])
+            elif dom.periodic_u:
+                edge((uu[i, j], vv[i, j]), lam[i, j],
+                     (uu[i, j] + (dom.u1 - dom.u0) / nu_, vv[i, j]), lam[0, j])
+            if j + 1 < nv_:
+                edge((uu[i, j], vv[i, j]), lam[i, j],
+                     (uu[i, j + 1], vv[i, j + 1]), lam[i, j + 1])
+            elif dom.periodic_v:
+                edge((uu[i, j], vv[i, j]), lam[i, j],
+                     (uu[i, j], vv[i, j] + (dom.v1 - dom.v0) / nv_), lam[i, 0])
+    seeds.sort(key=lambda p: (round(p[0], 9), round(p[1], 9)))
+    kept = []
+    min_gap = 0.25 * dom.scale / grid
+    for s in seeds:
+        if all(np.linalg.norm(_wrapped_delta(dom, s, k)) > min_gap for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
+    """Zero of det(T, eta) on the curve segment between qa and qb."""
+    for _ in range(60):
+        qm = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
+        if qm is None:
+            return None
+        jf = front.map_jet(qm[0], qm[1], 1)
+        eta, _ = _null_direction(jf)
+        if float(eta @ eta_ref) < 0:
+            eta = -eta
+        T = _tangent(front, qm)
+        if T is None:
+            return None
+        dm = _cross2(T, eta)
+        if abs(dm) < 1e-10:
+            return qm
+        jfa = front.map_jet(qa[0], qa[1], 1)
+        eta_a, _ = _null_direction(jfa)
+        if float(eta_a @ eta_ref) < 0:
+            eta_a = -eta_a
+        Ta = _tangent(front, qa)
+        da = _cross2(Ta, eta_a)
+        if da * dm <= 0:
+            qb = qm
+        else:
+            qa = qm
+    return qm
+
+
+def _eta_of(front, q):
+    jf = front.map_jet(q[0], q[1], 1)
+    eta, _ = _null_direction(jf)
+    return eta
+
+
+def _signed_det(front, q):
+    T = _tangent(front, q)
+    if T is None:
+        return None
+    eta = _eta_of(front, q)
+    if _cross2(T, eta) < 0:
+        eta = -eta
+    return _cross2(T, eta)
+
+
+def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
+    """Classify every traced point with curve context and fill arclengths."""
+    n = len(pts)
+    etas = []
+    dets = []
+    prev_T = None
+    prev_eta = None
+    for q in pts:
+        T = _tangent(front, q)
+        if T is None:
+            T = prev_T if prev_T is not None else np.array([1.0, 0.0])
+        elif prev_T is not None and float(T @ prev_T) < 0:
+            T = -T
+        eta = _eta_of(front, q)
+        if prev_eta is not None and float(eta @ prev_eta) < 0:
+            eta = -eta
+        elif prev_eta is None and _cross2(T, eta) < 0:
+            eta = -eta
+        etas.append(eta)
+        dets.append(_cross2(T, eta))
+        prev_T, prev_eta = T, eta
+
+    inserts = []
+    for i in range(n - 1):
+        if dets[i] * dets[i + 1] < 0 and abs(dets[i]) > 1e-10 and abs(dets[i + 1]) > 1e-10:
+            qs = _bisect_transversality(front, pts[i], pts[i + 1], etas[i], lam_scale)
+            if qs is not None:
+                inserts.append((i + 1, qs))
+    if closed and n > 1 and dets[-1] * dets[0] < 0:
+        qs = _bisect_transversality(front, pts[-1], pts[0], etas[-1], lam_scale)
+        if qs is not None:
+            inserts.append((n, qs))
+    for offset, (idx, qs) in enumerate(inserts):
+        pts.insert(idx + offset, np.asarray(qs))
+
+    n = len(pts)
+    raw = []
+    for i, q in enumerate(pts):
+        lo, hi = max(0, i - 1), min(n - 1, i + 1)
+        if closed:
+            lo, hi = (i - 1) % n, (i + 1) % n
+        dt = np.linalg.norm(_wrapped_delta(dom, pts[hi], pts[lo]))
+        rate = None
+        if dt > 0:
+            da = _signed_det(front, pts[lo])
+            db = _signed_det(front, pts[hi])
+            if da is not None and db is not None:
+                ra = da if float(_eta_of(front, pts[lo]) @ _eta_of(front, pts[i])) >= 0 else -da
+                rb = db if float(_eta_of(front, pts[hi]) @ _eta_of(front, pts[i])) >= 0 else -db
+                rate = (rb - ra) / dt
+        raw.append(classify(front, q, det_rate=rate))
+
+    imgs = [_image_point(front, q) for q in pts]
+    s = [0.0]
+    for i in range(1, n):
+        s.append(s[-1] + float(np.linalg.norm(imgs[i] - imgs[i - 1])))
+    peak_s = [s[i] for i, p in enumerate(raw) if p.kind != SingularClass.CUSPIDAL_EDGE]
+    guard = peak_guard * dom.scale
+    out = []
+    for i, p in enumerate(raw):
+        near = any(abs(s[i] - ps) < guard for ps in peak_s) and (
+            p.kind == SingularClass.CUSPIDAL_EDGE
+        )
+        st_sign = None
+        if p.kind == SingularClass.SWALLOWTAIL:
+            try:
+                st_sign = swallowtail_sign(front, p)
+            except FrontlabError:
+                st_sign = None
+        out.append(dataclasses.replace(p, s=s[i], near_peak=near,
+                                       swallowtail_sign=st_sign))
+    return tuple(out)
+
+
+def scalar_trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
+    """`trace` with every step evaluated one point at a time."""
+    dom = front.domain
+    uu, vv = dom.grid(grid)
+    lam_grid = lambda_value(front, uu, vv)
+    lam_scale = max(1.0, float(np.nanmax(np.abs(lam_grid))))
+    seeds = _seed_points(front, dom, grid, lam_grid, uu, vv, lam_scale)
+    cell = min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid
+    curves = []
+    claimed = []
+    for seed in seeds:
+        if any(
+            min(np.linalg.norm(_wrapped_delta(dom, row, seed)) for row in arr)
+            < 1.5 * cell
+            for arr in claimed
+        ):
+            continue
+        T0 = _tangent(front, seed)
+        if T0 is None:
+            point = classify(front, seed)
+            curves.append(SingularCurve(samples=(point,), closed=False, peaks=(0,)))
+            claimed.append(np.array([seed]))
+            continue
+        fwd, closed = _march(front, seed, T0, cell, lam_scale, dom, max_steps)
+        if closed:
+            pts = fwd
+        else:
+            bwd, _ = _march(front, seed, -T0, cell, lam_scale, dom, max_steps)
+            pts = list(reversed(bwd[1:])) + fwd
+        if len(pts) < 2 and not closed:
+            point = classify(front, seed)
+            curves.append(
+                SingularCurve(samples=(point,), closed=False,
+                              peaks=(0,) if point.kind != SingularClass.CUSPIDAL_EDGE else ())
+            )
+            claimed.append(np.array([seed]))
+            continue
+        pts = _canonical_order(dom, pts, closed)
+        samples = _build_samples(front, dom, pts, closed, lam_scale, peak_guard)
+        peaks = tuple(
+            i for i, p in enumerate(samples)
+            if p.kind != SingularClass.CUSPIDAL_EDGE
+        )
+        curves.append(SingularCurve(samples=samples, closed=closed, peaks=peaks))
+        claimed.append(np.array([p.uv for p in samples]))
+    curves.sort(key=lambda c: (c.samples[0].uv[0], c.samples[0].uv[1]))
+    return curves
+
+
+def pointwise_curvatures(front, u, v, eta):
+    """kappa_s and kappa_nu at a cuspidal edge from third-order jets.
+
+    The singular curve is parametrized by unit chart speed along
+    T = (lambda_v, -lambda_u)/|grad lambda|; its image acceleration is
+    Hess_f(T,T) + f_*(dT), with dT the curve derivative of the unit tangent.
+    `eta` must already complete (T, eta) to a positive frame.
+    """
+    jf, jn = front.jets(u, v, 3, 2)
+    lam, lam_u, lam_v, lam_uu, lam_uv, lam_vv = _lambda_blocks(jf, jn, 2)
+    V = np.array([lam_v, -lam_u])
+    nV = math.hypot(V[0], V[1])
+    T = V / nV
+    JV = np.array([[lam_uv, lam_vv], [-lam_uu, -lam_uv]])
+    W = JV @ T
+    Tdot = (W - T * float(T @ W)) / nV
+    fu, fv = np.asarray(jf.f_u), np.asarray(jf.f_v)
+    g1 = T[0] * fu + T[1] * fv
+    hess = (
+        T[0] * T[0] * np.asarray(jf.f_uu)
+        + 2.0 * T[0] * T[1] * np.asarray(jf.f_uv)
+        + T[1] * T[1] * np.asarray(jf.f_vv)
+    )
+    g2 = hess + Tdot[0] * fu + Tdot[1] * fv
+    dlam_eta = lam_u * eta[0] + lam_v * eta[1]
+    sgn = 1.0 if dlam_eta > 0 else -1.0
+    speed = math.sqrt(float(g1 @ g1))
+    kappa_s = sgn * float(det3(g1, g2, jn.value)) / speed**3
+    kappa_nu = float(g2 @ np.asarray(jn.value)) / speed**2
+    return kappa_s, kappa_nu

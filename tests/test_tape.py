@@ -153,3 +153,15 @@ def test_expr_hash_agrees_with_eq():
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert parse("(u, v, 1)") not in {a}
+
+
+def test_expr_eq_keys_constants_by_bit_pattern():
+    def expr(c):
+        return Expr(Vector([Num(c, 0), Var("u", 0)], 0), (), "")
+
+    assert expr(0.0) != expr(-0.0)
+    assert len({expr(0.0), expr(-0.0)}) == 2
+    nan = expr(float("nan"))
+    assert nan == expr(float("nan"))
+    assert hash(nan) == hash(expr(float("nan")))
+    assert expr(float("nan")) in {nan}
