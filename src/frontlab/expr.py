@@ -10,7 +10,7 @@ Grammar::
     power  := atom ["^" atom]
     atom   := number | ident | ident "(" sum ")" | "(" sum ")"
 
-Identifiers are the variables u, v, w, declared parameter names, and the
+Identifiers are the chart variables u and v, declared parameter names, and the
 unary functions sin cos tan sinh cosh tanh sech exp log sqrt atan abs.
 Vectors (arity 2 to 4) appear only at the root.  Exponents must be
 constant: number literals, parameters, or arithmetic on those.
@@ -39,9 +39,7 @@ import numpy as np
 from . import taylor
 from .errors import ExprDomainError, FrontlabError
 
-VARIABLES = ("u", "v", "w")
-
-_EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
+VARIABLES = ("u", "v")
 
 
 class ParseError(FrontlabError):
@@ -464,18 +462,17 @@ def to_source(expr):
 
 # --- jets ---------------------------------------------------------------
 
-_BLOCK_ALPHAS = {
-    (nv, deg): tuple(taylor._compositions(nv, deg)) for nv in (1, 2, 3) for deg in (1, 2, 3)
-}
+_BLOCK_ALPHAS = {deg: tuple(taylor._compositions(2, deg)) for deg in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and partial derivatives of a vector map at one point (or grid).
+    """Value and partial derivatives of a vector map of (u, v) at one point
+    (or grid).
 
-    Arrays have shape broadcast(u, v[, w]) + (ncomponents,).  `d1` holds
-    first partials in variable order; `d2` and `d3` hold the graded-lex
-    blocks (for two variables: uu, uv, vv and uuu, uuv, uvv, vvv).
+    Arrays have shape broadcast(u, v) + (ncomponents,).  `d1` holds
+    f_u, f_v; `d2` and `d3` hold the graded-lex blocks uu, uv, vv and
+    uuu, uuv, uvv, vvv.
     """
 
     value: np.ndarray
@@ -483,7 +480,6 @@ class Jet2:
     d2: tuple
     d3: tuple
     order: int
-    nvars: int
     abs_at_zero: bool = False
 
     def _block(self, deg):
@@ -492,14 +488,6 @@ class Jet2:
             raise ValueError(f"jet order {deg} was not evaluated (order={self.order})")
         return block
 
-    def partial(self, alpha):
-        alpha = tuple(alpha)
-        deg = sum(alpha)
-        if deg == 0:
-            return self.value
-        return self._block(deg)[_BLOCK_ALPHAS[self.nvars, deg].index(alpha)]
-
-    # named accessors for the two-variable case
     @property
     def f_u(self):
         return self._block(1)[0]
@@ -507,10 +495,6 @@ class Jet2:
     @property
     def f_v(self):
         return self._block(1)[1]
-
-    @property
-    def f_w(self):
-        return self._block(1)[2]
 
     @property
     def f_uu(self):
@@ -522,7 +506,7 @@ class Jet2:
 
     @property
     def f_vv(self):
-        return self._block(2)[2 if self.nvars == 2 else 3]
+        return self._block(2)[2]
 
     @property
     def f_uuu(self):
@@ -540,6 +524,26 @@ class Jet2:
     def f_vvv(self):
         return self._block(3)[3]
 
+    def along(self, d, k=1):
+        """Directional derivative (d0 d/du + d1 d/dv)^k f for k = 1, 2, 3.
+
+        d0 and d1 are scalars or arrays of the jet's leading shape.
+        """
+        d0 = np.asarray(d[0])[..., None]
+        d1 = np.asarray(d[1])[..., None]
+        if k == 1:
+            return d0 * self.f_u + d1 * self.f_v
+        if k == 2:
+            return (d0 * d0) * self.f_uu + (2.0 * d0 * d1) * self.f_uv + (d1 * d1) * self.f_vv
+        if k == 3:
+            return (
+                (d0 * d0 * d0) * self.f_uuu
+                + (3.0 * d0 * d0 * d1) * self.f_uuv
+                + (3.0 * d0 * d1 * d1) * self.f_uvv
+                + (d1 * d1 * d1) * self.f_vvv
+            )
+        raise ValueError(f"derivative order must be 1, 2 or 3, got {k!r}")
+
 
 def _stack(values, shape):
     if shape == ():
@@ -552,9 +556,8 @@ def _pack_jet(components, space, shape, abs_flag):
     value = _stack([s.value for s in components], shape)
     blocks = [None, None, None]
     for deg in range(1, space.order + 1):
-        alphas = _BLOCK_ALPHAS[space.nvars, deg]
         blocks[deg - 1] = tuple(
-            _stack([s.partial(a) for s in components], shape) for a in alphas
+            _stack([s.partial(a) for s in components], shape) for a in _BLOCK_ALPHAS[deg]
         )
     return Jet2(
         value=value,
@@ -562,7 +565,6 @@ def _pack_jet(components, space, shape, abs_flag):
         d2=blocks[1],
         d3=blocks[2],
         order=space.order,
-        nvars=space.nvars,
         abs_at_zero=abs_flag,
     )
 
@@ -603,7 +605,7 @@ class _Tape:
                 value = node.value if isinstance(node, Num) else params[node.name]
                 return emit(("const", _bits(value)), "const", aux=value)
             if isinstance(node, Var):
-                return emit(("var", node.index), "var", aux=node.index, node=node)
+                return emit(("var", node.index), "var", aux=node.index)
             if isinstance(node, Neg):
                 a = visit(node.arg)
                 return emit(("neg", a), "neg", (a,))
@@ -648,10 +650,6 @@ class _Tape:
                 if op == "const":
                     r = space.const(aux)
                 elif op == "var":
-                    if aux >= len(vars_):
-                        raise ValueError(
-                            f"expression uses '{node.name}' but no value was supplied"
-                        )
                     r = vars_[aux]
                 elif op == "*":
                     r = x * regs[args[1]]
@@ -682,62 +680,17 @@ class _Tape:
         return [regs[k] for k in self.outputs], abs_hit
 
 
-def eval_jet(e, u, v, order, w=None):
-    """Evaluate `e` and its exact partials up to `order` at (u, v[, w]).
+def eval_jet(e, u, v, order):
+    """Evaluate `e` and its exact partials up to `order` at (u, v).
 
-    u, v (and w) may be floats or broadcastable numpy arrays; with arrays,
+    u and v may be floats or broadcastable numpy arrays; with arrays,
     domain violations surface as NaN entries rather than exceptions.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order!r}")
     if not isinstance(e.root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
-    nvars = 2 if w is None else 3
-    shapes = [np.shape(u), np.shape(v)] + ([np.shape(w)] if w is not None else [])
-    shape = np.broadcast_shapes(*shapes)
-    space = taylor.jet_space(nvars, order)
-    vars_ = [space.var(0, u), space.var(1, v)]
-    if w is not None:
-        vars_.append(space.var(2, w))
-    comps, abs_hit = e.tape.run(space, vars_)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    space = taylor.jet_space(2, order)
+    comps, abs_hit = e.tape.run(space, [space.var(0, u), space.var(1, v)])
     return _pack_jet(comps, space, shape, abs_hit)
-
-
-def finite_difference_jet(callback, u, v, order, h=None):
-    """Order-2 central-difference jet of a black-box map at (u, v)."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
-    if h is None:
-        # snap to a power of two so u +/- h stays exactly representable and
-        # the second-difference numerators cancel cleanly
-        h = 2.0 ** round(math.log2(_EPS_CBRT * max(1.0, abs(u), abs(v))))
-    if h <= 0:
-        raise ValueError("step h must be positive")
-
-    def F(uu, vv):
-        return np.asarray(callback(uu, vv), dtype=float)
-
-    f0 = F(u, v)
-    d1 = d2 = d3 = None
-    if order >= 1:
-        fpu, fmu = F(u + h, v), F(u - h, v)
-        fpv, fmv = F(u, v + h), F(u, v - h)
-        d1 = ((fpu - fmu) / (2 * h), (fpv - fmv) / (2 * h))
-    if order >= 2:
-        fpp, fpm = F(u + h, v + h), F(u + h, v - h)
-        fmp, fmm = F(u - h, v + h), F(u - h, v - h)
-        h2 = h * h
-        d2 = (
-            (fpu - 2 * f0 + fmu) / h2,
-            (fpp - fpm - fmp + fmm) / (4 * h2),
-            (fpv - 2 * f0 + fmv) / h2,
-        )
-    if order >= 3:
-        h3 = h * h * h
-        d3 = (
-            (F(u + 2 * h, v) - 2 * fpu + 2 * fmu - F(u - 2 * h, v)) / (2 * h3),
-            (fpp - 2 * fpv + fmp - fpm + 2 * fmv - fmm) / (2 * h3),
-            (fpp - 2 * fpu + fpm - fmp + 2 * fmu - fmm) / (2 * h3),
-            (F(u, v + 2 * h) - 2 * fpv + 2 * fmv - F(u, v - 2 * h)) / (2 * h3),
-        )
-    return Jet2(value=f0, d1=d1, d2=d2, d3=d3, order=order, nvars=2, abs_at_zero=False)

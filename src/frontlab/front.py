@@ -1,8 +1,9 @@
 """Fronts f: U -> R^3 with unit normal: forms, curvature, parallel surfaces.
 
-A `Front` bundles two jet sources (the map and its analytic unit normal), a
-rectangular parameter domain with optional periodicity, and free-form
-metadata (known singular set, Euler characteristic, end growth orders...).
+A `Front` bundles two parsed expressions in (u, v), the map and its unit
+normal, with a rectangular parameter domain with optional periodicity and
+free-form metadata (known singular set, Euler characteristic, end growth
+orders...).
 The ambient space is Euclidean R^3 throughout: the connection is the flat
 derivative and the volume form is the 3x3 determinant.
 """
@@ -14,16 +15,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FrontContractError
-from .expr import (
-    BinOp,
-    Expr,
-    Num,
-    Vector,
-    eval_jet,
-    finite_difference_jet,
-    parse,
-    to_source,
-)
+from .expr import BinOp, Expr, Num, Vector, eval_jet, parse, to_source
+
+# tolerances of the front contract checks
+_FORMS_CHECK_TOL = 1e-9  # relative asymmetry of the second fundamental form
+_REGULAR_TOL = 1e-12  # relative floor of E G - F^2 for a regular point
+_VALIDATE_TOL = 1e-9  # unit-normal and orthogonality deviation
+_RANK_TOL = 1e-9  # second singular value of (f_u f_v nu_u nu_v)
 
 
 def det3(a, b, c):
@@ -73,30 +71,34 @@ class Domain:
         return np.meshgrid(uu, vv, indexing="ij")
 
 
+def require_expr(owner, **fields):
+    """Raise TypeError unless every given field is a parsed `Expr`."""
+    for name, value in fields.items():
+        if not isinstance(value, Expr):
+            raise TypeError(
+                f"{owner}.{name} must be a parsed Expr, got {type(value).__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class Front:
-    map: object  # Expr or callback (u, v) -> 3-vector
-    normal: object
+    map: Expr  # (u, v) -> 3-vector
+    normal: Expr  # (u, v) -> unit 3-vector
     domain: Domain
     label: str = ""
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        require_expr("Front", map=self.map, normal=self.normal)
+
     def map_jet(self, u, v, order):
-        if isinstance(self.map, Expr):
-            return eval_jet(self.map, u, v, order)
-        return finite_difference_jet(self.map, u, v, order)
+        return eval_jet(self.map, u, v, order)
 
     def normal_jet(self, u, v, order):
-        if isinstance(self.normal, Expr):
-            return eval_jet(self.normal, u, v, order)
-        return finite_difference_jet(self.normal, u, v, order)
+        return eval_jet(self.normal, u, v, order)
 
     def jets(self, u, v, order_map=1, order_normal=1):
         return self.map_jet(u, v, order_map), self.normal_jet(u, v, order_normal)
-
-    @property
-    def is_analytic(self):
-        return isinstance(self.map, Expr) and isinstance(self.normal, Expr)
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def lambda_value(front, u, v):
     return det3(jf.f_u, jf.f_v, jn.value)
 
 
-def forms(front, u, v, check_tol=1e-9):
+def forms(front, u, v):
     """First and second fundamental forms at (u, v) (scalars or grids)."""
     jf, jn = front.jets(u, v, 1, 1)
     fu, fv = jf.f_u, jf.f_v
@@ -140,7 +142,7 @@ def forms(front, u, v, check_tol=1e-9):
     M = -dot(fv, nu_u)
     M2 = -dot(fu, nu_v)
     worst = np.max(np.abs(M - M2))
-    if worst > check_tol * max(1.0, float(np.max(np.abs(M)))):
+    if worst > _FORMS_CHECK_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise FrontContractError(
             f"second fundamental form asymmetry {worst:.3e} at (u,v)=({u},{v}): "
             "normal is not compatible with the map"
@@ -149,13 +151,13 @@ def forms(front, u, v, check_tol=1e-9):
     return FundamentalForms(E=E, F=F, G=G, L=L, M=M, N=N)
 
 
-def curvature(front, u, v, tol=1e-12):
+def curvature(front, u, v):
     """Gaussian/mean curvature sample; flags the singular (unbounded) case."""
     fm = forms(front, u, v)
     jf, jn = front.jets(u, v, 1, 0)
     lam = det3(jf.f_u, jf.f_v, jn.value)
     denom = fm.E * fm.G - fm.F * fm.F
-    floor = tol * max(1.0, float(np.max(fm.E + fm.G)) ** 2)
+    floor = _REGULAR_TOL * max(1.0, float(np.max(fm.E + fm.G)) ** 2)
     regular = bool(np.all(denom > floor))
     if regular:
         K = (fm.L * fm.N - fm.M * fm.M) / denom
@@ -182,28 +184,17 @@ def parallel_surface(front, dist, check_grid=48):
             f"parallel_surface input '{front.label}' has singular points "
             f"(min |lambda| = {float(np.min(np.abs(lam))):.3e})"
         )
-    if front.is_analytic:
-        fc = front.map.root.components
-        nc = front.normal.root.components
-        params = dict(front.map.params)
-        for name, value in front.normal.params:
-            if name in params and params[name] != value:
-                raise ValueError(f"parameter {name!r} bound inconsistently")
-            params[name] = value
-        comps = [
-            BinOp("+", f, BinOp("*", Num(float(dist), 0), n, 0), 0)
-            for f, n in zip(fc, nc)
-        ]
-        root = Vector(comps, 0)
-        new_map = Expr(root, tuple(sorted(params.items())), to_source(root))
-    else:
-        fmap, fnormal = front.map, front.normal
-
-        def new_map(u, v, _f=fmap, _n=fnormal, _d=float(dist)):
-            return np.asarray(_f(u, v), dtype=float) + _d * np.asarray(
-                _n(u, v), dtype=float
-            )
-
+    params = dict(front.map.params)
+    for name, value in front.normal.params:
+        if name in params and params[name] != value:
+            raise ValueError(f"parameter {name!r} bound inconsistently")
+        params[name] = value
+    comps = [
+        BinOp("+", f, BinOp("*", Num(float(dist), 0), n, 0), 0)
+        for f, n in zip(front.map.root.components, front.normal.root.components)
+    ]
+    root = Vector(comps, 0)
+    new_map = Expr(root, tuple(sorted(params.items())), to_source(root))
     meta = dict(front.metadata)
     meta["parallel_of"] = front.label
     meta["parallel_dist"] = float(dist)
@@ -233,7 +224,7 @@ class ValidationReport:
         )
 
 
-def validate(front, grid_n=64, tol=1e-9, rank_tol=1e-9):
+def validate(front, grid_n=64):
     """Check the three front invariants on a grid; collect worst violations."""
     uu, vv = front.domain.grid(grid_n)
     jf, jn = front.jets(uu, vv, 1, 1)
@@ -246,11 +237,12 @@ def validate(front, grid_n=64, tol=1e-9, rank_tol=1e-9):
     sing = np.linalg.svd(cols, compute_uv=False)
     min_sigma2 = float(np.min(sing[..., 1]))
     failures = []
+    tol = _VALIDATE_TOL
     if unit_dev > tol:
         failures.append(f"unit normal deviates by {unit_dev:.3e} (tol {tol:.0e})")
     if orth_dev > tol:
         failures.append(f"orthogonality deviates by {orth_dev:.3e} (tol {tol:.0e})")
-    if min_sigma2 <= rank_tol:
+    if min_sigma2 <= _RANK_TOL:
         failures.append(
             f"Legendrian rank condition fails: sigma_2 = {min_sigma2:.3e}"
         )
@@ -270,9 +262,7 @@ _HEADER = "frontlab-front 1"
 
 
 def write_description(front):
-    """Serialize an analytic front to the key-value description format."""
-    if not front.is_analytic:
-        raise ValueError("only expression-backed fronts can be serialized")
+    """Serialize a front to the key-value description format."""
     d = front.domain
     periodic = {(False, False): "none", (True, False): "u",
                 (False, True): "v", (True, True): "uv"}[(d.periodic_u, d.periodic_v)]

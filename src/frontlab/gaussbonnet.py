@@ -27,6 +27,10 @@ from .singular import (
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 16
+_RING_SAMPLES = 2048  # Gauss-image ring points per polar cap
+_REFINE_NODES = 4  # Gauss rule per axis on refined panels (twice that to commit)
+_KAPPA_NODES = 8  # Gauss nodes per panel of the kappa_s line integral
+_KAPPA_NEWTON_ITERS = 8  # projections of those nodes onto lambda = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,7 +79,7 @@ def _panel_counts(dom, budget):
     return n_u, n_v
 
 
-def _cap_terms(front, ring_samples=2048):
+def _cap_terms(front):
     """Curvature contributed by polar caps a truncated chart leaves out.
 
     A capped chart covers the surface except two small disks around the
@@ -92,11 +96,11 @@ def _cap_terms(front, ring_samples=2048):
         raise FrontlabError(
             "cap metadata expects a chart periodic in u with polar edges in v"
         )
-    us = dom.u0 + (dom.u1 - dom.u0) * np.arange(ring_samples) / ring_samples
+    us = dom.u0 + (dom.u1 - dom.u0) * np.arange(_RING_SAMPLES) / _RING_SAMPLES
     out = []
     for edge in (0, 1):
         v = dom.v0 if edge == 0 else dom.v1
-        vs = np.full(ring_samples, v)
+        vs = np.full(_RING_SAMPLES, v)
         jf, jn = front.jets(us, vs, 1, 0)
         lam_sign = 1 if float(np.median(det3(jf.f_u, jf.f_v, jn.value))) > 0 else -1
         # boundary of {v <= v0} runs in -u, boundary of {v >= v1} in +u
@@ -243,11 +247,11 @@ def _curve_reach(front, batch):
     lam0, lam_u, lam_v = lambda_jets(
         front, batch[:, 0] + 0.5 * wu, batch[:, 1] + 0.5 * wv, order=1
     )
-    reach = 0.5 * (np.abs(np.asarray(lam_u)) * wu + np.abs(np.asarray(lam_v)) * wv)
-    return np.abs(np.asarray(lam0)) <= reach
+    reach = 0.5 * (np.abs(lam_u) * wu + np.abs(lam_v) * wv)
+    return np.abs(lam0) <= reach
 
 
-def _K_dA_detail(front, panels, nodes, max_depth, abs_tol, refine_nodes=4):
+def _K_dA_detail(front, panels, nodes, max_depth, abs_tol):
     """sgn(lambda)-weighted curvature integral with dyadic refinement.
 
     Panels the singular curve touches -- both lambda signs at the nodes,
@@ -273,14 +277,14 @@ def _K_dA_detail(front, panels, nodes, max_depth, abs_tol, refine_nodes=4):
         # coarse values of the mixed panels seed the change bookkeeping on
         # the same rule their children will use
         vals = vals.copy()
-        vals[mixed] = _panel_values(front, batch[mixed], refine_nodes)[0]
+        vals[mixed] = _panel_values(front, batch[mixed], _REFINE_NODES)[0]
     levels = 0
     tail = 0.0
     while np.any(mixed) and levels < max_depth:
         levels += 1
         parent_vals = vals[mixed]
         batch = _split4(batch[mixed])
-        vals, mixed, _ = _panel_values(front, batch, refine_nodes)
+        vals, mixed, _ = _panel_values(front, batch, _REFINE_NODES)
         change = np.abs(parent_vals - vals.reshape(-1, 4).sum(axis=1))
         claim = ~mixed
         if np.any(claim):
@@ -289,7 +293,7 @@ def _K_dA_detail(front, panels, nodes, max_depth, abs_tol, refine_nodes=4):
             # rule's own nodes and the reach test both clear it --
             # otherwise it is demoted back into the refinement set
             sub = batch[claim]
-            vals_hi, mixed_hi, _ = _panel_values(front, sub, 2 * refine_nodes)
+            vals_hi, mixed_hi, _ = _panel_values(front, sub, 2 * _REFINE_NODES)
             ok = ~(mixed_hi | _curve_reach(front, sub))
             contributions.extend(vals_hi[ok].tolist())
             demoted = np.nonzero(claim)[0][~ok]
@@ -305,13 +309,11 @@ def _K_dA_detail(front, panels, nodes, max_depth, abs_tol, refine_nodes=4):
         # cut leaves only the curvature of the zero line, O(width^2).
         leaves = batch[mixed]
         wu, wv = leaves[:, 2], leaves[:, 3]
-        step_vals, _, idet = _panel_values(front, leaves, 2 * refine_nodes)
+        step_vals, _, idet = _panel_values(front, leaves, 2 * _REFINE_NODES)
         lam0, lam_u, lam_v = lambda_jets(
             front, leaves[:, 0] + 0.5 * wu, leaves[:, 1] + 0.5 * wv, order=1
         )
-        neg = _negative_fraction(
-            np.asarray(lam0), np.asarray(lam_u), np.asarray(lam_v), wu, wv
-        )
+        neg = _negative_fraction(lam0, lam_u, lam_v, wu, wv)
         cut_vals = idet * (1.0 - 2.0 * neg)
         contributions.extend(cut_vals.tolist())
         floor_term = 0.25 * float(np.abs(cut_vals - step_vals).sum())
@@ -337,7 +339,7 @@ def integrate_K_dA(front, grid=2048, nodes=16, max_depth=8, abs_tol=1e-2):
     return value
 
 
-def integrate_kappa_s(front, curves, nodes=8, newton_iters=8):
+def integrate_kappa_s(front, curves):
     """Line integral of kappa_s over traced singular curves.
 
     Panels run between consecutive trace samples, so Gauss nodes never land
@@ -346,6 +348,7 @@ def integrate_kappa_s(front, curves, nodes=8, newton_iters=8):
     vectorized Newton steps.  Curves containing degenerate samples are
     refused: the identity's hypotheses exclude them.
     """
+    nodes = _KAPPA_NODES
     x, w = _gl_rule(nodes)
     starts, steps, lengths, weights = [], [], [], []
     for curve in curves:
@@ -374,7 +377,7 @@ def integrate_kappa_s(front, curves, nodes=8, newton_iters=8):
     L = np.array(lengths)
     U = (A[:, None, 0] + x[None, :] * D[:, None, 0]).ravel()
     V = (A[:, None, 1] + x[None, :] * D[:, None, 1]).ravel()
-    for _ in range(newton_iters):
+    for _ in range(_KAPPA_NEWTON_ITERS):
         lam, lu, lv = lambda_jets(front, U, V, order=1)
         denom = lu * lu + lv * lv
         U = U - lam * lu / denom

@@ -36,6 +36,12 @@ TRANSVERSAL_TOL = 1e-6
 DEGENERATE_TOL = 1e-8
 RANK_TOL = 1e-6
 
+# tracer limits: march steps per direction, and the image-arclength band
+# (relative to the domain scale) around a peak whose cuspidal samples are
+# flagged `near_peak`
+_MAX_STEPS = 20000
+_PEAK_GUARD = 1e-3
+
 
 class SingularClass(enum.Enum):
     CUSPIDAL_EDGE = "CuspidalEdge"
@@ -139,7 +145,7 @@ def _null_direction(jf):
 
     Works point by point over any leading shape of the jet.
     """
-    A = np.stack([np.asarray(jf.f_u), np.asarray(jf.f_v)], axis=-1)
+    A = np.stack([jf.f_u, jf.f_v], axis=-1)
     _, sig, vt = np.linalg.svd(A, full_matrices=False)
     return vt[..., 1, :], sig
 
@@ -164,13 +170,8 @@ def _curvatures(jf, jn, blocks):
     s = T0 * jv0 + T1 * jv1
     Td0 = (jv0 - s * T0) / g
     Td1 = (jv1 - s * T1) / g
-    g1 = T0[..., None] * jf.f_u + T1[..., None] * jf.f_v
-    hess = (
-        (T0 * T0)[..., None] * jf.f_uu
-        + (2.0 * T0 * T1)[..., None] * jf.f_uv
-        + (T1 * T1)[..., None] * jf.f_vv
-    )
-    g2 = hess + Td0[..., None] * jf.f_u + Td1[..., None] * jf.f_v
+    g1 = jf.along((T0, T1))
+    g2 = jf.along((T0, T1), 2) + Td0[..., None] * jf.f_u + Td1[..., None] * jf.f_v
     # null direction from the degenerate first fundamental form, oriented
     # so that (T, eta) is a positive chart frame
     E = dot(jf.f_u, jf.f_u)
@@ -402,7 +403,7 @@ def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
     ) if not (dom.periodic_u or dom.periodic_v) else q
 
 
-def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
+def _march(front, q0, T0, cell, lam_scale, dom):
     """Predictor-corrector continuation from q0 in direction T0.
 
     T0 must be the unit tangent at q0 (either orientation); it also decides
@@ -415,7 +416,7 @@ def _march(front, q0, T0, cell, lam_scale, dom, max_steps):
     h_min = 1e-9 * dom.scale
     closed = False
     travelled = 0.0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         accepted = False
         while h >= h_min:
             cand = q + h * T
@@ -552,11 +553,10 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
 
 
 def _image_point(front, q):
-    jf = front.map_jet(q[0], q[1], 1)
-    return np.asarray(jf.value, dtype=float)
+    return front.map_jet(q[0], q[1], 1).value
 
 
-def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
+def trace(front, grid=64):
     """Find all singular curves of `front` on its domain.
 
     Marching-squares sign changes of lambda on a `grid` x `grid` sample seed
@@ -585,11 +585,11 @@ def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
             curves.append(SingularCurve(samples=(point,), closed=False, peaks=(0,)))
             claimed = np.vstack([claimed, seed])
             continue
-        fwd, closed = _march(front, seed, T0, cell, lam_scale, dom, max_steps)
+        fwd, closed = _march(front, seed, T0, cell, lam_scale, dom)
         if closed:
             pts = fwd
         else:
-            bwd, _ = _march(front, seed, -T0, cell, lam_scale, dom, max_steps)
+            bwd, _ = _march(front, seed, -T0, cell, lam_scale, dom)
             pts = list(reversed(bwd[1:])) + fwd
         if len(pts) < 2 and not closed:
             point = classify(front, seed)
@@ -600,7 +600,7 @@ def trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
             claimed = np.vstack([claimed, seed])
             continue
         pts = _canonical_order(dom, pts, closed)
-        samples = _build_samples(front, dom, pts, closed, lam_scale, peak_guard)
+        samples = _build_samples(front, dom, pts, closed, lam_scale)
         peaks = tuple(
             i for i, p in enumerate(samples)
             if p.kind != SingularClass.CUSPIDAL_EDGE
@@ -691,7 +691,7 @@ def _neighbour_rates(dom, P, lu, lv, eta, closed):
         return (rb - ra) / dt, valid
 
 
-def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
+def _build_samples(front, dom, pts, closed, lam_scale):
     """Classify every traced point with curve context and fill arclengths.
 
     One array jet evaluation of the whole curve (after swallowtail points
@@ -721,7 +721,7 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
     seg = np.linalg.norm(np.diff(jf.value, axis=0), axis=-1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     cusp = np.array([p.kind == SingularClass.CUSPIDAL_EDGE for p in raw])
-    guard = peak_guard * dom.scale
+    guard = _PEAK_GUARD * dom.scale
     near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < guard).any(axis=1)
     out = []
     for i, p in enumerate(raw):
@@ -758,15 +758,14 @@ def singular_curvature(front, point, h=None):
     if h is None:
         h = 1e-3 * scale
     lam_scale = 1.0
+    jf0, jn0 = front.jets(q0[0], q0[1], 1, 0)
+    img0 = jf0.value
+    tau = jf0.along(T0)
+    speed = np.linalg.norm(tau)
 
     def tangent_at(ds):
         # land on the curve at image distance |ds| from q0 (secant on the step)
-        jf = front.map_jet(q0[0], q0[1], 1)
-        speed = np.linalg.norm(
-            T0[0] * np.asarray(jf.f_u) + T0[1] * np.asarray(jf.f_v)
-        )
         t = ds / max(speed, 1e-12)
-        img0 = _image_point(front, q0)
         for _ in range(4):
             hit = _newton(front, q0 + t * T0, lam_scale)
             if hit is None:
@@ -781,8 +780,7 @@ def singular_curvature(front, point, h=None):
             raise TraceError("degenerate point while differencing tangents")
         if float(T @ T0) < 0:
             T = -T
-        jf2 = front.map_jet(q[0], q[1], 1)
-        g1 = T[0] * np.asarray(jf2.f_u) + T[1] * np.asarray(jf2.f_v)
+        g1 = front.map_jet(q[0], q[1], 1).along(T)
         return g1 / np.linalg.norm(g1)
 
     def second_diff(step):
@@ -791,13 +789,10 @@ def singular_curvature(front, point, h=None):
     d1 = second_diff(h)
     d2 = second_diff(0.5 * h)
     dtau = (4.0 * d2 - d1) / 3.0
-    jf, jn = front.jets(q0[0], q0[1], 1, 0)
-    tau = T0[0] * np.asarray(jf.f_u) + T0[1] * np.asarray(jf.f_v)
-    tau = tau / np.linalg.norm(tau)
     eta = np.asarray(point.null_dir, dtype=float)
     dlam_eta = point.grad_lambda[0] * eta[0] + point.grad_lambda[1] * eta[1]
     sgn = 1.0 if dlam_eta > 0 else -1.0
-    return sgn * float(det3(tau, dtau, jn.value))
+    return sgn * float(det3(tau / speed, dtau, jn0.value))
 
 
 def singular_curvature_intrinsic(front, u, variant="E_vv"):
@@ -820,9 +815,9 @@ def singular_curvature_intrinsic(front, u, variant="E_vv"):
             f"chart is not adapted at u={u:.6g}: lambda={lam:.3e}, "
             f"null direction ({eta[0]:.3e}, {eta[1]:.3e}) not vertical"
         )
-    fu, fv = np.asarray(jf.f_u), np.asarray(jf.f_v)
-    fuu, fuv, fvv = np.asarray(jf.f_uu), np.asarray(jf.f_uv), np.asarray(jf.f_vv)
-    fuuv, fuvv = np.asarray(jf.f_uuv), np.asarray(jf.f_uvv)
+    fu, fv = jf.f_u, jf.f_v
+    fuu, fuv, fvv = jf.f_uu, jf.f_uv, jf.f_vv
+    fuuv, fuvv = jf.f_uuv, jf.f_uvv
     E = float(fu @ fu)
     E_u = 2.0 * float(fuu @ fu)
     F_v = float(fuv @ fv) + float(fu @ fvv)
@@ -844,7 +839,8 @@ def kappa_s_measure(front, curve):
     Density = kappa_s * |image speed| with respect to the chart-unit-speed
     curve parameter, as the curvature kernel left it on each cuspidal
     sample; finite and continuous across non-degenerate peaks, where the
-    stored samples carry no value and the neighbor average fills in.
+    stored samples carry no value and the neighbor average fills in.  An
+    open curve's end samples have one neighbour; a closed curve wraps.
     """
     vals = [
         p.density if p.kind == SingularClass.CUSPIDAL_EDGE else math.nan
@@ -854,10 +850,11 @@ def kappa_s_measure(front, curve):
     n = len(out)
     for i in range(n):
         if math.isnan(out[i]):
+            near = (i - 1, i + 1)
+            if curve.closed:
+                near = [j % n for j in near]
             neighbors = [
-                out[j]
-                for j in ((i - 1) % n, (i + 1) % n)
-                if (curve.closed or 0 <= j < n) and not math.isnan(out[j])
+                out[j] for j in near if 0 <= j < n and not math.isnan(out[j])
             ]
             if neighbors:
                 out[i] = float(np.mean(neighbors))
@@ -905,13 +902,7 @@ def _edge_sign_delta(front, point, side):
     if float(eta @ n) * side < 0:
         eta = -eta
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 1)
-    hess = (
-        eta[0] * eta[0] * np.asarray(jf.f_uu)
-        + 2.0 * eta[0] * eta[1] * np.asarray(jf.f_uv)
-        + eta[1] * eta[1] * np.asarray(jf.f_vv)
-    )
-    dnu = eta[0] * np.asarray(jn.f_u) + eta[1] * np.asarray(jn.f_v)
-    val = -float(hess @ dnu)
+    val = -float(jf.along(eta, 2) @ jn.along(eta))
     if val == 0.0:
         raise InapplicableError("half-space sign degenerate: second form flat")
     return 1 if val > 0 else -1
@@ -928,10 +919,7 @@ def _probe_sign_delta(front, point, side, t):
     p_out = q - t * eta
     jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
     jf_out = front.map_jet(p_out[0], p_out[1], 0)
-    val = -float(
-        np.asarray(jn_in.value)
-        @ (np.asarray(jf_out.value) - np.asarray(jf_in.value))
-    )
+    val = -float(jn_in.value @ (jf_out.value - jf_in.value))
     return 1 if val > 0 else -1
 
 
@@ -965,12 +953,7 @@ def _swallowtail_signs(front, point, side):
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])  # transversal to the singular direction
-    hess = (
-        X[0] * X[0] * np.asarray(jf.f_uu)
-        + 2.0 * X[0] * X[1] * np.asarray(jf.f_uv)
-        + X[1] * X[1] * np.asarray(jf.f_vv)
-    )
-    val = float(hess @ np.asarray(jn.value))
+    val = float(jf.along(X, 2) @ jn.value)
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
     sgn_0 = 1 if val > 0 else -1
@@ -1040,23 +1023,10 @@ def tail_side(front, point, radius=None, samples=256):
     jf, jn = front.jets(q0[0], q0[1], 3, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])
-    e1 = X[0] * np.asarray(jf.f_u) + X[1] * np.asarray(jf.f_v)
+    e1 = jf.along(X)
     e1 = e1 / np.linalg.norm(e1)
-    candidates = [
-        (
-            eta[0] * eta[0] * np.asarray(jf.f_uu)
-            + 2.0 * eta[0] * eta[1] * np.asarray(jf.f_uv)
-            + eta[1] * eta[1] * np.asarray(jf.f_vv)
-        ),
-        (
-            eta[0] ** 3 * np.asarray(jf.f_uuu)
-            + 3.0 * eta[0] ** 2 * eta[1] * np.asarray(jf.f_uuv)
-            + 3.0 * eta[0] * eta[1] ** 2 * np.asarray(jf.f_uvv)
-            + eta[1] ** 3 * np.asarray(jf.f_vvv)
-        ),
-    ]
     e2 = None
-    for c in candidates:
+    for c in (jf.along(eta, 2), jf.along(eta, 3)):
         w = c - float(c @ e1) * e1
         if np.linalg.norm(w) > 1e-8 * max(1.0, np.linalg.norm(c)):
             e2 = w / np.linalg.norm(w)
@@ -1069,7 +1039,7 @@ def tail_side(front, point, radius=None, samples=256):
         pts_u = q0[0] + r * np.cos(theta)
         pts_v = q0[1] + r * np.sin(theta)
         lam = lambda_value(front, pts_u, pts_v)
-        disp = np.asarray(front.map_jet(pts_u, pts_v, 0).value) - img0
+        disp = front.map_jet(pts_u, pts_v, 0).value - img0
         return lam, np.arctan2(disp @ e2, disp @ e1)
 
     for _ in range(3):
@@ -1145,11 +1115,7 @@ def sign_meaning_check(front, point, tol=1e-10):
         )
     eta = np.asarray(point.null_dir, dtype=float)
     jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
-    sigma_dd = (
-        eta[0] * eta[0] * np.asarray(jf.f_uu)
-        + 2.0 * eta[0] * eta[1] * np.asarray(jf.f_uv)
-        + eta[1] * eta[1] * np.asarray(jf.f_vv)
-    )
+    sigma_dd = jf.along(eta, 2)
     _, _, _, g1, g2 = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))
     speed2 = float(g1 @ g1)
     k_vec = (g2 - (float(g2 @ g1) / speed2) * g1) / speed2

@@ -203,9 +203,12 @@ def _compose(series, d):
 # --- derivative tables --------------------------------------------------
 # Each returns [g(c), g'(c), ..., g^(n)(c)], computing no entry past n;
 # domain violations raise for scalar arguments and turn into NaN entries
-# for array arguments.  The tables of sin/cos and sinh/cosh take the pair
-# (g(c), g'(c)) instead of c, so one evaluation of the pair serves both
-# functions of one argument.
+# for array arguments.  Scalar and array arguments go through the same
+# numpy functions and repeated products (Python's `**` and numpy's integer
+# `**` round differently on scalars and on arrays), so a scalar jet equals
+# the matching entry of an array jet bit for bit.  The tables of sin/cos and
+# sinh/cosh take the pair (g(c), g'(c)) instead of c, so one evaluation of
+# the pair serves both functions of one argument.
 
 
 def _d_sin(s, co, n):
@@ -298,7 +301,7 @@ def _d_log(c, n):
     if np.ndim(c) == 0:
         if not c > 0:
             raise ExprDomainError(f"log of non-positive value {float(c)!r}")
-        safe, value = c, math.log(c)
+        safe, value = c, float(np.log(c))
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             safe = np.where(c > 0, c, np.nan)
@@ -310,7 +313,7 @@ def _d_log(c, n):
     if n >= 2:
         d.append(-inv * inv)
     if n >= 3:
-        d.append(2.0 * inv**3)
+        d.append(2.0 * (inv * inv * inv))
     return d
 
 
@@ -329,9 +332,9 @@ def _d_sqrt(c, n):
         return [value]
     d = [value, 0.5 / r]
     if n >= 2:
-        d.append(-0.25 / r**3)
+        d.append(-0.25 / (r * r * r))
     if n >= 3:
-        d.append(0.375 / r**5)
+        d.append(0.375 / (r * r * r * r * r))
     return d
 
 
@@ -347,9 +350,9 @@ def _d_reciprocal(c, n):
     if n >= 1:
         d.append(-inv * inv)
     if n >= 2:
-        d.append(2.0 * inv**3)
+        d.append(2.0 * (inv * inv * inv))
     if n >= 3:
-        d.append(-6.0 * inv**4)
+        d.append(-6.0 * (inv * inv * inv * inv))
     return d
 
 
@@ -361,11 +364,11 @@ def _d_pow(c, r, n):
     else:
         with np.errstate(invalid="ignore"):
             base = np.where(c > 0, c, np.nan)
-    out = [base**r]
+    out = [np.power(base, r)]
     coef = 1.0
     for k in range(1, n + 1):
         coef *= r - (k - 1)
-        out.append(coef * base ** (r - k))
+        out.append(coef * np.power(base, r - k))
     return out
 
 

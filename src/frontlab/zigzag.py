@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FrontContractError, FrontlabError
-from .expr import Expr, eval_jet, finite_difference_jet, parse
-from .front import dot
+from .expr import Expr, eval_jet, parse
+from .front import dot, require_expr
 from .gallery import gallery
 from .singular import SingularClass, classify, lambda_jets, lambda_value
 
@@ -54,29 +54,28 @@ def _dot2(p, q):
 
 
 def _jet(source, t, order):
-    """Jet of a one-parameter source; the parameter rides the u-slot."""
+    """Jet of a one-parameter expression; the parameter rides the u-slot."""
     t = np.asarray(t, dtype=float)
-    v = np.zeros_like(t)
-    if isinstance(source, Expr):
-        return eval_jet(source, t, v, order)
-    return finite_difference_jet(lambda u, w: source(u), t, v, order)
+    return eval_jet(source, t, np.zeros_like(t), order)
 
 
 @dataclass(frozen=True)
 class PlaneFront:
     """Closed cusped curve in the plane with its unit normal.
 
-    Either the curve itself (`gamma`) or its derivative (`gamma_prime`) may be
-    supplied; the letter and rotation machinery only ever consumes
-    derivatives, so curves defined by non-elementary integrals are given
-    through `gamma_prime` and `base`, and their positions are reconstructed by
-    quadrature on demand.  `orientation = -1` traverses the same curve
-    backwards (t -> -t) without re-deriving any formulas.
+    `normal`, `gamma` and `gamma_prime` are parsed 2-vector expressions in
+    the curve parameter, written as the chart variable u.  Either the curve
+    itself (`gamma`) or its derivative (`gamma_prime`) may be supplied; the
+    letter and rotation machinery only ever consumes derivatives, so curves
+    defined by non-elementary integrals are given through `gamma_prime` and
+    `base`, and their positions are reconstructed by quadrature on demand.
+    `orientation = -1` traverses the same curve backwards (t -> -t) without
+    re-deriving any formulas.
     """
 
-    normal: object
-    gamma: object = None
-    gamma_prime: object = None
+    normal: Expr
+    gamma: Expr | None = None
+    gamma_prime: Expr | None = None
     period: float = TWO_PI
     base: tuple = (0.0, 0.0)
     orientation: int = 1
@@ -85,6 +84,9 @@ class PlaneFront:
     def __post_init__(self):
         if self.gamma is None and self.gamma_prime is None:
             raise ValueError("PlaneFront needs gamma or gamma_prime")
+        curve = {"gamma": self.gamma, "gamma_prime": self.gamma_prime}
+        require_expr("PlaneFront", normal=self.normal,
+                     **{k: e for k, e in curve.items() if e is not None})
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if not self.period > 0:
@@ -104,18 +106,16 @@ def _plane_jets(pf, t, second=True):
     ts = s * t
     if pf.gamma_prime is not None:
         jg = _jet(pf.gamma_prime, ts, 1 if second else 0)
-        g1 = np.asarray(jg.value, dtype=float)
-        g2 = np.asarray(jg.f_u, dtype=float) if second else None
+        g1 = jg.value
+        g2 = jg.f_u if second else None
     else:
         jg = _jet(pf.gamma, ts, 2 if second else 1)
-        g1 = np.asarray(jg.f_u, dtype=float)
-        g2 = np.asarray(jg.f_uu, dtype=float) if second else None
+        g1 = jg.f_u
+        g2 = jg.f_uu if second else None
     jn = _jet(pf.normal, ts, 1)
-    n0 = np.asarray(jn.value, dtype=float)
-    n1 = np.asarray(jn.f_u, dtype=float)
     # chain rule for the reversed parameter: odd derivatives pick up the sign,
     # gamma'' gets s^2 = 1
-    return s * g1, g2, n0, s * n1
+    return s * g1, g2, jn.value, s * jn.f_u
 
 
 def _check_plane_contract(pf, t):
@@ -141,7 +141,7 @@ def plane_position(pf, ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if pf.gamma is not None:
         jg = _jet(pf.gamma, float(pf.orientation) * ts, 0)
-        return np.asarray(jg.value, dtype=float).reshape(len(ts), 2)
+        return jg.value.reshape(len(ts), 2)
     x16, w16 = np.polynomial.legendre.leggauss(16)
     out = np.empty((len(ts), 2))
     for i, t in enumerate(ts):
@@ -376,15 +376,20 @@ def normal_rotation_index(pf, samples=512):
 @dataclass(frozen=True)
 class NullLoop:
     """Loop in a front's parameter domain crossing the singular set only at
-    cuspidal edges and only tangent to the null direction."""
+    cuspidal edges and only tangent to the null direction.
 
-    path: object
+    `path` is a parsed 2-vector expression (u, v) of the loop parameter,
+    written as the chart variable u.
+    """
+
+    path: Expr
     period: float = TWO_PI
     crossings: tuple = ()
     orientation: int = 1
     label: str = ""
 
     def __post_init__(self):
+        require_expr("NullLoop", path=self.path)
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if not self.period > 0:
@@ -404,12 +409,11 @@ def _loop_jets(loop, t, order=1):
     t = np.asarray(t, dtype=float)
     s = float(loop.orientation)
     j = _jet(loop.path, s * t, order)
-    uv = np.asarray(j.value, dtype=float)
-    out = [uv]
+    out = [j.value]
     if order >= 1:
-        out.append(s * np.asarray(j.f_u, dtype=float))
+        out.append(s * j.f_u)
     if order >= 2:
-        out.append(np.asarray(j.f_uu, dtype=float))
+        out.append(j.f_uu)
     return tuple(out)
 
 
@@ -475,15 +479,8 @@ def _surface_crossings(front, loop):
         lam_u, lam_v = lambda_jets(front, u, v, order=1)[1:]
         lam_hat_prime = float(lam_u) * s1[0, 0] + float(lam_v) * s1[0, 1]
         jf, jn = front.jets(u, v, order_map=2, order_normal=1)
-        f_u = np.asarray(jf.f_u, dtype=float)
-        f_v = np.asarray(jf.f_v, dtype=float)
-        sig_pp = (np.asarray(jf.f_uu, dtype=float) * s1[0, 0] ** 2
-                  + 2.0 * np.asarray(jf.f_uv, dtype=float) * s1[0, 0] * s1[0, 1]
-                  + np.asarray(jf.f_vv, dtype=float) * s1[0, 1] ** 2
-                  + f_u * s2[0, 0] + f_v * s2[0, 1])
-        nu_p = (np.asarray(jn.f_u, dtype=float) * s1[0, 0]
-                + np.asarray(jn.f_v, dtype=float) * s1[0, 1])
-        crit = float(lam_hat_prime) * float(dot(sig_pp, nu_p))
+        sig_pp = jf.along(s1[0], 2) + jf.along(s2[0])
+        crit = float(lam_hat_prime) * float(dot(sig_pp, jn.along(s1[0])))
         if crit == 0.0:
             raise FrontlabError(
                 f"zig/zag criterion vanishes at loop crossing t={r:.6f}")
@@ -514,11 +511,9 @@ def rotation_number_surface(front, loop, samples=512):
         uv, s1 = _loop_jets(loop, t, order=1)
         jf, jn = front.jets(uv[..., 0], uv[..., 1], order_map=1,
                             order_normal=1)
-        sp = (np.asarray(jf.f_u, dtype=float) * s1[..., 0, None]
-              + np.asarray(jf.f_v, dtype=float) * s1[..., 1, None])
-        npr = (np.asarray(jn.f_u, dtype=float) * s1[..., 0, None]
-               + np.asarray(jn.f_v, dtype=float) * s1[..., 1, None])
-        return dot(sp, sp), dot(sp, npr)
+        d = (s1[..., 0], s1[..., 1])
+        sp = jf.along(d)
+        return dot(sp, sp), dot(sp, jn.along(d))
 
     x0, y0 = pair(np.linspace(0.0, loop.period, samples, endpoint=False))
     pin = 1e-10 * float(np.hypot(x0, y0).max())

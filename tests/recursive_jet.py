@@ -31,8 +31,6 @@ def _eval_node(node, space, vars_, params, flags):
     if isinstance(node, Param):
         return space.const(params[node.name])
     if isinstance(node, Var):
-        if node.index >= len(vars_):
-            raise ValueError(f"expression uses '{node.name}' but no value was supplied")
         return vars_[node.index]
     if isinstance(node, Neg):
         return -_eval_node(node.arg, space, vars_, params, flags)
@@ -72,20 +70,16 @@ def _eval_node(node, space, vars_, params, flags):
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-def recursive_eval_jet(e, u, v, order, w=None):
+def recursive_eval_jet(e, u, v, order):
     """Same contract as `frontlab.eval_jet`, by walking the syntax tree."""
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order!r}")
     root = e.root if isinstance(e, Expr) else e
     if not isinstance(root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
-    nvars = 2 if w is None else 3
-    shapes = [np.shape(u), np.shape(v)] + ([np.shape(w)] if w is not None else [])
-    shape = np.broadcast_shapes(*shapes)
-    space = taylor.jet_space(nvars, order)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    space = taylor.jet_space(2, order)
     vars_ = [space.var(0, u), space.var(1, v)]
-    if w is not None:
-        vars_.append(space.var(2, w))
     params = e.param_dict() if isinstance(e, Expr) else {}
     flags = {"abs_at_zero": False}
     comps = [_eval_node(c, space, vars_, params, flags) for c in root.components]

@@ -5,12 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from finite_difference import finite_difference_jet
 
 from frontlab import (
     ExprDomainError,
     ParseError,
     eval_jet,
-    finite_difference_jet,
+    gallery,
     parse,
     to_source,
 )
@@ -173,7 +174,6 @@ class TestEvalJet:
             - cb(0.4 - h, -0.3 + h) + cb(0.4 - h, -0.3 - h)
         ) / (4 * h * h)
         np.testing.assert_allclose(j.f_uv, duv, atol=5e-7)
-        assert j.partial((1, 1)) is j.f_uv  # single stored coefficient
 
     def test_grid_evaluation_shapes_and_nan(self):
         e = parse("(log(u), sqrt(v), u/v)")
@@ -201,15 +201,6 @@ class TestEvalJet:
         assert j.abs_at_zero and j.f_u[0] == 1.0
         assert not eval_jet(e, 0.5, 1.0, 1).abs_at_zero
 
-    def test_three_variable_jet(self):
-        e = parse("(u*v*w, u+v+w, w^2, u)")
-        j = eval_jet(e, 1.0, 2.0, 2, w=3.0)
-        assert j.nvars == 3 and j.value.shape == (4,)
-        with pytest.raises(ValueError):
-            j.partial((1, 1, 1))  # third-order block was not requested
-        np.testing.assert_array_equal(j.f_w, [2.0, 1.0, 6.0, 0.0])
-        assert j.partial((0, 1, 1))[0] == pytest.approx(1.0)  # d2/dvdw of uvw
-
     def test_concurrent_evaluation_is_deterministic(self):
         e = parse("(sin(u)*cos(v), u*v, exp(u-v))")
         points = [(0.1 * k, -0.05 * k) for k in range(32)]
@@ -222,6 +213,51 @@ class TestEvalJet:
         serial = [run(pt) for pt in points]
         for a, b in zip(parallel, serial):
             np.testing.assert_array_equal(a, b)
+
+
+class TestAlong:
+    """`Jet2.along` against the directional sums it replaced."""
+
+    @staticmethod
+    def _jets():
+        rng = np.random.default_rng(20050309)
+        u, v = rng.uniform(-1.0, 1.0, (2, 50))
+        d = rng.normal(size=(2, 50))
+        for name, field in (("kuen", "map"), ("ellipsoid_parallel", "normal"),
+                            ("standard_swallowtail", "map")):
+            e = getattr(gallery(name), field)
+            yield eval_jet(e, u, v, 3), d
+            for i in range(0, 50, 10):
+                yield eval_jet(e, float(u[i]), float(v[i]), 3), d[:, i]
+
+    def test_first_and_second_order_bit_identical(self):
+        for j, d in self._jets():
+            if d.ndim == 1:  # scalar jet, eta as a 2-vector
+                k1 = d[0] * j.f_u + d[1] * j.f_v
+                k2 = (d[0] * d[0] * j.f_uu + 2.0 * d[0] * d[1] * j.f_uv
+                      + d[1] * d[1] * j.f_vv)
+            else:  # array jet, direction per point
+                t0, t1 = d
+                k1 = t0[..., None] * j.f_u + t1[..., None] * j.f_v
+                k2 = ((t0 * t0)[..., None] * j.f_uu
+                      + (2.0 * t0 * t1)[..., None] * j.f_uv
+                      + (t1 * t1)[..., None] * j.f_vv)
+            assert j.along(d).tobytes() == k1.tobytes()
+            assert j.along((d[0], d[1]), 2).tobytes() == k2.tobytes()
+
+    def test_third_order_matches_explicit_sum(self):
+        for j, d in self._jets():
+            a, b = (x[..., None] for x in d)
+            terms = [a**3 * j.f_uuu, 3.0 * a**2 * b * j.f_uuv,
+                     3.0 * a * b**2 * j.f_uvv, b**3 * j.f_vvv]
+            scale = sum(np.abs(t) for t in terms)
+            np.testing.assert_array_less(
+                np.abs(j.along(d, 3) - sum(terms)), 1e-14 * scale + 1e-300)
+
+    def test_order_out_of_range(self):
+        j = eval_jet(parse("(u, v, u*v)"), 0.1, 0.2, 3)
+        with pytest.raises(ValueError):
+            j.along((1.0, 0.0), 4)
 
 
 class TestFiniteDifferenceJet:

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from finite_difference import finite_difference_jet
 
 from frontlab.errors import FrontContractError, FrontlabError
-from frontlab.expr import eval_jet, finite_difference_jet, parse
+from frontlab.expr import Expr, eval_jet, parse
 from frontlab.front import (
     Domain,
     Front,
@@ -24,8 +25,7 @@ from frontlab.front import (
     write_description,
 )
 from frontlab.gallery import gallery, gallery_names
-
-ANALYTIC_NAMES = sorted(n for n in gallery_names() if gallery(n).is_analytic)
+from frontlab.zigzag import NullLoop, PlaneFront
 
 
 class TestDomain:
@@ -72,7 +72,7 @@ class TestAreaDensity:
         assert abs(got - want) < 1e-12 * want, f"lambda(0,0.5) = {got}, want {want}"
 
     @pytest.mark.parametrize(
-        "name", [n for n in ANALYTIC_NAMES if "lambda" in gallery(n).metadata]
+        "name", [n for n in gallery_names() if "lambda" in gallery(n).metadata]
     )
     def test_density_matches_closed_form(self, name):
         f = gallery(name)
@@ -242,7 +242,7 @@ class TestParallelSurface:
 
     def test_offset_is_analytic_with_metadata(self):
         off = parallel_surface(gallery("sphere"), 0.25)
-        assert off.is_analytic
+        assert isinstance(off.map, Expr)
         assert off.metadata["parallel_dist"] == 0.25
         assert "parallel" in off.label
 
@@ -300,7 +300,7 @@ class TestValidate:
 class TestDescriptionFiles:
     """Key-value serialization for analytic fronts."""
 
-    @pytest.mark.parametrize("name", ANALYTIC_NAMES)
+    @pytest.mark.parametrize("name", gallery_names())
     def test_bit_exact_round_trip(self, name):
         f = gallery(name)
         text = write_description(f)
@@ -313,14 +313,29 @@ class TestDescriptionFiles:
         with pytest.raises(ValueError):
             read_description("not a description\nmap = (u, v, 0)\n")
 
-    def test_callback_front_rejected(self):
-        f = Front(
-            map=lambda u, v: np.array([u, v, 0.0]),
-            normal=lambda u, v: np.array([0.0, 0.0, 1.0]),
-            domain=Domain(-1.0, 1.0, -1.0, 1.0),
-        )
-        with pytest.raises(ValueError):
-            write_description(f)
+
+def _callback(u, v):
+    return np.array([u, v, 0.0])
+
+
+_PLANE = parse("(cos(u), sin(u))")
+_CALLBACK_FIELDS = {
+    "Front.map": lambda: Front(map=_callback, normal=parse("(0, 0, 1)"),
+                               domain=Domain(-1.0, 1.0, -1.0, 1.0)),
+    "Front.normal": lambda: Front(map=parse("(u, v, 0)"), normal=_callback,
+                                  domain=Domain(-1.0, 1.0, -1.0, 1.0)),
+    "PlaneFront.normal": lambda: PlaneFront(normal=_callback, gamma=_PLANE),
+    "PlaneFront.gamma": lambda: PlaneFront(normal=_PLANE, gamma=_callback),
+    "PlaneFront.gamma_prime": lambda: PlaneFront(normal=_PLANE, gamma_prime=_callback),
+    "NullLoop.path": lambda: NullLoop(path=_callback),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CALLBACK_FIELDS))
+def test_callback_rejected_at_construction(field):
+    """Fronts, plane fronts and null loops are parsed expressions only."""
+    with pytest.raises(TypeError, match=field.replace(".", r"\.")):
+        _CALLBACK_FIELDS[field]()
 
 
 class TestGallery:
@@ -350,7 +365,7 @@ class TestGallery:
         got = lambda_value(f, uu, vv)
         assert np.max(np.abs(want - got)) < 1e-9 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("name", ANALYTIC_NAMES)
+    @pytest.mark.parametrize("name", gallery_names())
     @pytest.mark.parametrize("fr_u,fr_v", [(0.31, 0.57), (0.73, 0.22)])
     def test_expressions_match_finite_differences(self, name, fr_u, fr_v):
         f = gallery(name)

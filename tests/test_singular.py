@@ -31,7 +31,12 @@ from frontlab import (
     tail_side,
     trace,
 )
-from frontlab.singular import SingularClass, _probe_sign_delta
+from frontlab.singular import (
+    SingularClass,
+    SingularCurve,
+    SingularPoint,
+    _probe_sign_delta,
+)
 
 
 def parabola_kappa_s(a, b, u):
@@ -437,6 +442,32 @@ class TestMeasureAndNormalCurvature:
         assert abs(dens[i] + 2.0) < 0.05, f"peak density {dens[i]}"
         window = dens[max(0, i - 3): i + 4]
         assert np.max(np.abs(np.diff(window))) < 0.1
+
+    @staticmethod
+    def _curve(densities, closed):
+        def point(d):
+            kind = (SingularClass.NONDEGENERATE_PEAK_OTHER if math.isnan(d)
+                    else SingularClass.CUSPIDAL_EDGE)
+            return SingularPoint(
+                uv=(0.0, 0.0), lam=0.0, grad_lambda=(1.0, 0.0), null_dir=(1.0, 0.0),
+                singular_dir=(0.0, -1.0), kind=kind, kappa_s=d, kappa_nu=0.0,
+                transversality=1.0, density=d,
+            )
+
+        samples = tuple(point(d) for d in densities)
+        peaks = tuple(i for i, d in enumerate(densities) if math.isnan(d))
+        return SingularCurve(samples=samples, closed=closed, peaks=peaks)
+
+    @pytest.mark.parametrize("densities,closed,want", [
+        ((math.nan, 1.0, 5.0), False, [1.0, 1.0, 5.0]),
+        ((1.0, 5.0, math.nan), False, [1.0, 5.0, 5.0]),
+        ((math.nan, 1.0, 5.0), True, [3.0, 1.0, 5.0]),
+        ((1.0, 5.0, math.nan), True, [1.0, 5.0, 3.0]),
+    ])
+    def test_peak_fill_uses_only_curve_neighbours(self, densities, closed, want):
+        # an open curve's end has one neighbour; a closed curve wraps around
+        curve = self._curve(densities, closed)
+        assert kappa_s_measure(None, curve).tolist() == want
 
     def test_limiting_normal_curvature_generic(self):
         front = gallery("cuspidal_parabola")
