@@ -25,7 +25,11 @@ sinh/cosh of one argument share one evaluation of the pair, and each
 intermediate is released after its last use.  The operations and their
 operands are those of a recursive walk of the tree, so the jets agree
 with one bit for bit (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., ch. 13).
+ed., ch. 13).  Several vector expressions evaluated at the same points
+`join` into one expression, whose program computes what they share once;
+since `taylor` gives the low-degree coefficients the same bits at every
+order, `Jet2.take` cuts each one's jet back out, at its own order, equal
+bit for bit to the jet of its own tape.
 """
 
 import math
@@ -472,7 +476,8 @@ class Jet2:
 
     Arrays have shape broadcast(u, v) + (ncomponents,).  `d1` holds
     f_u, f_v; `d2` and `d3` hold the graded-lex blocks uu, uv, vv and
-    uuu, uuv, uvv, vvv.
+    uuu, uuv, uvv, vvv.  `abs_hits` flags, per component, an abs whose
+    argument was exactly 0 (empty: none was).
     """
 
     value: np.ndarray
@@ -480,7 +485,24 @@ class Jet2:
     d2: tuple
     d3: tuple
     order: int
-    abs_at_zero: bool = False
+    abs_hits: tuple = ()
+
+    @property
+    def abs_at_zero(self):
+        """Whether any component went through abs at exactly 0."""
+        return any(self.abs_hits)
+
+    def take(self, components, order):
+        """The jet of the components `components` (a slice), truncated
+        to `order`."""
+        if order > self.order:
+            raise ValueError(f"jet order {order} was not evaluated (order={self.order})")
+        blocks = [
+            tuple(b[..., components] for b in block) if deg <= order else None
+            for deg, block in enumerate((self.d1, self.d2, self.d3), 1)
+        ]
+        return Jet2(self.value[..., components], *blocks, order,
+                    self.abs_hits[components])
 
     def _block(self, deg):
         block = (self.d1, self.d2, self.d3)[deg - 1]
@@ -552,7 +574,7 @@ def _stack(values, shape):
     return np.stack(cols, axis=-1)
 
 
-def _pack_jet(components, space, shape, abs_flag):
+def _pack_jet(components, space, shape, abs_hits):
     value = _stack([s.value for s in components], shape)
     blocks = [None, None, None]
     for deg in range(1, space.order + 1):
@@ -565,7 +587,7 @@ def _pack_jet(components, space, shape, abs_flag):
         d2=blocks[1],
         d3=blocks[2],
         order=space.order,
-        abs_at_zero=abs_flag,
+        abs_hits=tuple(abs_hits),
     )
 
 
@@ -585,9 +607,11 @@ class _Tape:
     post-order of the tree with repeats dropped, so the first instruction
     that fails is the subexpression a recursive walk would fail on first.
     sin/cos and sinh/cosh of one argument read one shared "pair" slot.
+    `abs_deps` lists, per output, the abs instructions it depends on, so
+    an abs at zero flags only the components that read it.
     """
 
-    __slots__ = ("code", "outputs")
+    __slots__ = ("code", "outputs", "abs_deps")
 
     def __init__(self, root, params):
         code = []
@@ -629,9 +653,12 @@ class _Tape:
 
         self.outputs = tuple(visit(c) for c in root.components)
         last = {}
-        for i, (_, args, _, _) in enumerate(code):
+        deps = []
+        for i, (op, args, _, _) in enumerate(code):
             for a in args:
                 last[a] = i
+            deps.append(frozenset({i} if op == "abs" else ()).union(*(deps[a] for a in args)))
+        self.abs_deps = tuple(deps[k] for k in self.outputs)
         dead = [[] for _ in code]
         for slot, i in last.items():
             if slot not in self.outputs:
@@ -641,9 +668,9 @@ class _Tape:
         )
 
     def run(self, space, vars_):
-        """Component series and the abs-at-zero flag at the given variables."""
+        """Component series and their abs-at-zero flags at the given variables."""
         regs = [None] * len(self.code)
-        abs_hit = False
+        abs_hit = set()
         try:
             for i, (op, args, aux, node, dead) in enumerate(self.code):
                 x = regs[args[0]] if args else None
@@ -669,7 +696,8 @@ class _Tape:
                     r = taylor.pair_values(aux, x.c[0])
                 elif op == "abs":
                     r, hit = taylor.apply_abs(x)
-                    abs_hit = abs_hit or hit
+                    if hit:
+                        abs_hit.add(i)
                 else:
                     r = taylor.apply_function(op, x, regs[args[1]] if len(args) > 1 else None)
                 regs[i] = r
@@ -677,7 +705,7 @@ class _Tape:
                     regs[j] = None
         except ExprDomainError as err:
             raise ExprDomainError(err.args[0], source=to_source(node)) from None
-        return [regs[k] for k in self.outputs], abs_hit
+        return [regs[k] for k in self.outputs], [bool(d & abs_hit) for d in self.abs_deps]
 
 
 def eval_jet(e, u, v, order):
@@ -692,5 +720,40 @@ def eval_jet(e, u, v, order):
         raise ValueError("eval_jet needs a vector-valued expression")
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
     space = taylor.jet_space(2, order)
-    comps, abs_hit = e.tape.run(space, [space.var(0, u), space.var(1, v)])
-    return _pack_jet(comps, space, shape, abs_hit)
+    comps, abs_hits = e.tape.run(space, [space.var(0, u), space.var(1, v)])
+    return _pack_jet(comps, space, shape, abs_hits)
+
+
+def join(*exprs):
+    """One vector expression listing the components of `exprs` in turn.
+
+    Parameters keep their names.  Where an expression binds a name to
+    another value than an earlier one did, its uses of that name become
+    the constant, so every component keeps the value it was parsed with.
+    """
+    params = {}
+    comps = []
+    for e in exprs:
+        clash = {k: x for k, x in e.params if k in params and _bits(params[k]) != _bits(x)}
+        for k, x in e.params:
+            params.setdefault(k, x)
+        comps += _inline(e.root, clash).components
+    root = Vector(comps, 0)
+    return Expr(root, tuple(sorted(params.items())), to_source(root))
+
+
+def _inline(node, values):
+    """`node` with each parameter named in `values` replaced by its value."""
+    if not values or isinstance(node, (Num, Var)):
+        return node
+    if isinstance(node, Param):
+        return Num(values[node.name], node.pos) if node.name in values else node
+    if isinstance(node, Neg):
+        return Neg(_inline(node.arg, values), node.pos)
+    if isinstance(node, Call):
+        return Call(node.fn, _inline(node.arg, values), node.pos)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _inline(node.lhs, values), _inline(node.rhs, values), node.pos)
+    if isinstance(node, PowOp):
+        return PowOp(_inline(node.base, values), node.exponent, node.pos)
+    return Vector([_inline(c, values) for c in node.components], node.pos)

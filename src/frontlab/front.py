@@ -3,7 +3,9 @@
 A `Front` bundles two parsed expressions in (u, v), the map and its unit
 normal, with a rectangular parameter domain with optional periodicity and
 free-form metadata (known singular set, Euler characteristic, end growth
-orders...).
+orders...).  Map and normal are also joined into one six-component
+expression, so `Front.jets` evaluates what they share (a parallel
+surface's map contains its whole normal) and their sin/cos pairs once.
 The ambient space is Euclidean R^3 throughout: the connection is the flat
 derivative and the volume form is the 3x3 determinant.
 """
@@ -11,11 +13,12 @@ derivative and the volume form is the 3x3 determinant.
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrontContractError
-from .expr import BinOp, Expr, Num, Vector, eval_jet, parse, to_source
+from .expr import BinOp, Expr, Num, Vector, eval_jet, join, parse, to_source
 
 # tolerances of the front contract checks
 _FORMS_CHECK_TOL = 1e-9  # relative asymmetry of the second fundamental form
@@ -25,8 +28,21 @@ _RANK_TOL = 1e-9  # second singular value of (f_u f_v nu_u nu_v)
 
 
 def det3(a, b, c):
-    """Scalar triple product det(a, b, c) over the last axis."""
-    return np.einsum("...i,...i->...", np.asarray(a), np.cross(b, c))
+    """Scalar triple product det(a, b, c) over the last axis.
+
+    a . (b x c), with the cross product's terms in numpy's operand order
+    and the three products summed in the order einsum sums them, so it
+    equals einsum(a, cross(b, c)) bit for bit without their per-call
+    overhead.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    x0 = b1 * c2 - b2 * c1
+    x1 = b2 * c0 - b0 * c2
+    x2 = b0 * c1 - b1 * c0
+    return (a0 * x0 + a2 * x2) + a1 * x1
 
 
 def dot(a, b):
@@ -82,6 +98,12 @@ def require_expr(owner, **fields):
 
 @dataclass(frozen=True)
 class Front:
+    """A map (u, v) -> R^3 and its unit normal over `domain`.
+
+    `jets` evaluates both through `joint`, one program for the six
+    components; `map_jet` runs the map's own program.
+    """
+
     map: Expr  # (u, v) -> 3-vector
     normal: Expr  # (u, v) -> unit 3-vector
     domain: Domain
@@ -91,14 +113,22 @@ class Front:
     def __post_init__(self):
         require_expr("Front", map=self.map, normal=self.normal)
 
+    @cached_property
+    def joint(self):
+        """Map and normal components as one expression, built on first use."""
+        return join(self.map, self.normal)
+
     def map_jet(self, u, v, order):
         return eval_jet(self.map, u, v, order)
 
-    def normal_jet(self, u, v, order):
-        return eval_jet(self.normal, u, v, order)
-
     def jets(self, u, v, order_map=1, order_normal=1):
-        return self.map_jet(u, v, order_map), self.normal_jet(u, v, order_normal)
+        """Map jet at `order_map` and normal jet at `order_normal`.
+
+        One run of the joint program at the higher order gives both, each
+        equal bit for bit to its own expression's jet at its own order.
+        """
+        j = eval_jet(self.joint, u, v, max(order_map, order_normal))
+        return j.take(slice(0, 3), order_map), j.take(slice(3, 6), order_normal)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ from .singular import (
 )
 
 TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13
 _RING_SAMPLES = 2048  # Gauss-image ring points per polar cap
 _REFINE_NODES = 4  # Gauss rule per axis on refined panels (twice that to commit)
 _KAPPA_NODES = 8  # Gauss nodes per panel of the kappa_s line integral
 _KAPPA_NEWTON_ITERS = 8  # projections of those nodes onto lambda = 0
+_NO_CUSPS = "a singular curve carries no cuspidal edges"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,20 +204,27 @@ def _negative_fraction(lam0, lu, lv, wu, wv, slices=256):
 
     The half-plane cut of each rectangle is sliced along the axis with the
     larger gradient extent; each slice contributes a clipped linear run.
+    Rectangles go in blocks of `_CHUNK // slices`, so the per-slice
+    temporaries stay chunk-sized; each row's mean is its own.
     """
     swap = np.abs(lu) * wu < np.abs(lv) * wv
-    a = np.where(swap, lv, lu)
-    b = np.where(swap, lu, lv)
-    wa = np.where(swap, wv, wu)
-    wb = np.where(swap, wu, wv)
+    a = np.where(swap, lv, lu)[:, None]
+    b = np.where(swap, lu, lv)[:, None]
+    wa = np.where(swap, wv, wu)[:, None]
+    wb = np.where(swap, wu, wv)[:, None]
     t = (np.arange(slices) + 0.5) / slices - 0.5  # slice centers, in wb units
-    ell = lam0[:, None] + b[:, None] * (wb[:, None] * t[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = 0.5 - ell / (a[:, None] * wa[:, None])
-    frac = np.clip(cut, 0.0, 1.0)
-    frac = np.where(a[:, None] > 0.0, frac, 1.0 - frac)
-    frac = np.where((a == 0.0)[:, None], (ell < 0.0).astype(float), frac)
-    return frac.mean(axis=1)
+    out = np.empty(len(lam0))
+    step = max(1, _CHUNK // slices)
+    for k in range(0, len(out), step):
+        sl = slice(k, k + step)
+        ell = lam0[sl, None] + b[sl] * (wb[sl] * t[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = 0.5 - ell / (a[sl] * wa[sl])
+        frac = np.clip(cut, 0.0, 1.0)
+        frac = np.where(a[sl] > 0.0, frac, 1.0 - frac)
+        frac = np.where(a[sl] == 0.0, (ell < 0.0).astype(float), frac)
+        out[sl] = frac.mean(axis=1)
+    return out
 
 
 def _split4(batch):
@@ -345,18 +353,19 @@ def integrate_kappa_s(front, curves):
     Panels run between consecutive trace samples, so Gauss nodes never land
     on a peak; the density kappa_s |image speed| stays bounded there.  The
     chord nodes are projected back onto the zero set of lambda by a few
-    vectorized Newton steps.  Curves containing degenerate samples are
-    refused: the identity's hypotheses exclude them.
+    vectorized Newton steps.  Curves containing degenerate samples, or
+    no cuspidal edge at all, are refused: the identity's hypotheses
+    exclude them.
     """
+    reason = _excluded(curves)
+    if reason:
+        raise InapplicableError(
+            f"{reason}; the curvature measure is not defined there"
+        )
     nodes = _KAPPA_NODES
     x, w = _gl_rule(nodes)
-    starts, steps, lengths, weights = [], [], [], []
+    starts, steps, lengths = [], [], []
     for curve in curves:
-        if any(p.kind is SingularClass.DEGENERATE for p in curve.samples):
-            raise InapplicableError(
-                "singular curve contains degenerate points; the curvature "
-                "measure is not defined there"
-            )
         pts = [np.asarray(p.uv) for p in curve.samples]
         n = len(pts)
         if n < 2:
@@ -394,6 +403,18 @@ def integrate_kappa_s(front, curves):
     dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0].reshape(len(A), nodes)
     contrib = (dens * w[None, :]) * L[:, None]
     return math.fsum(contrib.ravel().tolist())
+
+
+def _excluded(curves):
+    """Why the identities' hypotheses exclude `curves`, or ''."""
+    if any(p.kind is SingularClass.DEGENERATE for c in curves for p in c.samples):
+        return "degenerate singular points present"
+    if any(
+        all(p.kind is not SingularClass.CUSPIDAL_EDGE for p in c.samples)
+        for c in curves
+    ):
+        return _NO_CUSPS
+    return ""
 
 
 def _region_euler(cells, periodic_u, periodic_v):
@@ -552,16 +573,9 @@ def euler_report(front, curves=None, grid=256, panels=2048, trace_grid=96,
             "global identities need a closed front or a complete front with "
             "end metadata; plain chart pieces have uncontrolled boundary terms"
         )
-    reason = ""
-    if any(p.kind is SingularClass.DEGENERATE for c in curves for p in c.samples):
-        reason = "degenerate singular points present"
-    elif any(
-        all(p.kind is not SingularClass.CUSPIDAL_EDGE for p in c.samples)
-        for c in curves
-    ):
-        reason = "a singular curve carries no cuspidal edges"
-        if "cone_angle" in meta:
-            reason += f"; cone angle {meta['cone_angle']!r}"
+    reason = _excluded(curves)
+    if reason == _NO_CUSPS and "cone_angle" in meta:
+        reason += f"; cone angle {meta['cone_angle']!r}"
     applicable = reason == ""
 
     int_hat = integrate_K_dAhat(front, panels, nodes)

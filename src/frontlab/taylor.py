@@ -5,6 +5,13 @@ convention) of one scalar quantity at a point, in one to three variables.
 Coefficients may be python floats or numpy arrays, so a single sweep can
 evaluate jets on a whole grid.  `JetSpace` instances are cached and carry the
 monomial bookkeeping shared by every series of the same shape.
+
+A coefficient nothing was ever written to is the `_ZERO` sentinel: products
+skip it, sums pass the other operand through unchanged, and the first
+product into a coefficient is assigned rather than added to 0.0.  A
+coefficient of degree k is therefore computed by the same operations on the
+same operands at every order >= k, so the low-degree part of a jet is the
+same bits whatever order it was evaluated at, signed zeros included.
 """
 
 import math
@@ -114,7 +121,10 @@ class Series:
     def __add__(self, other):
         sp = self.space
         if isinstance(other, Series):
-            return Series(sp, [a + b for a, b in zip(self.c, other.c)])
+            return Series(sp, [
+                b if a is _ZERO else a if b is _ZERO else a + b
+                for a, b in zip(self.c, other.c)
+            ])
         out = list(self.c)
         out[0] = out[0] + other
         return Series(sp, out)
@@ -123,7 +133,10 @@ class Series:
 
     def __sub__(self, other):
         if isinstance(other, Series):
-            return Series(self.space, [a - b for a, b in zip(self.c, other.c)])
+            return Series(self.space, [
+                a if b is _ZERO else -b if a is _ZERO else a - b
+                for a, b in zip(self.c, other.c)
+            ])
         out = list(self.c)
         out[0] = out[0] - other
         return Series(self.space, out)
@@ -145,7 +158,9 @@ class Series:
             bj = b[j]
             if ai is _ZERO or bj is _ZERO:
                 continue
-            out[k] = out[k] + ai * bj
+            term = ai * bj
+            acc = out[k]
+            out[k] = term if acc is _ZERO else acc + term
         return Series(sp, out)
 
     __rmul__ = __mul__

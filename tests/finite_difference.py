@@ -53,4 +53,4 @@ def finite_difference_jet(callback, u, v, order, h=None):
             (fpp - 2 * fpu + fpm - fmp + 2 * fmu - fmm) / (2 * h3),
             (F(u, v + 2 * h) - 2 * fpv + 2 * fmv - F(u, v - 2 * h)) / (2 * h3),
         )
-    return Jet2(value=f0, d1=d1, d2=d2, d3=d3, order=order, abs_at_zero=False)
+    return Jet2(value=f0, d1=d1, d2=d2, d3=d3, order=order)

@@ -81,6 +81,9 @@ def recursive_eval_jet(e, u, v, order):
     space = taylor.jet_space(2, order)
     vars_ = [space.var(0, u), space.var(1, v)]
     params = e.param_dict() if isinstance(e, Expr) else {}
-    flags = {"abs_at_zero": False}
-    comps = [_eval_node(c, space, vars_, params, flags) for c in root.components]
-    return _pack_jet(comps, space, shape, flags["abs_at_zero"])
+    comps, hits = [], []
+    for c in root.components:
+        flags = {"abs_at_zero": False}
+        comps.append(_eval_node(c, space, vars_, params, flags))
+        hits.append(flags["abs_at_zero"])
+    return _pack_jet(comps, space, shape, hits)

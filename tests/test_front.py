@@ -17,6 +17,7 @@ from frontlab.front import (
     Domain,
     Front,
     curvature,
+    det3,
     forms,
     lambda_value,
     parallel_surface,
@@ -106,6 +107,25 @@ class TestAreaDensity:
         lam = lambda_value(f, t, -6.0 * t * t)
         assert np.max(np.abs(lam)) < 1e-12
 
+    @pytest.mark.parametrize("shapes", [
+        [(3,)] * 3,
+        [(500, 3)] * 3,
+        [(3,), (500, 3), (1, 3)],
+        [(7, 1, 3), (1, 5, 3), (5, 3)],
+    ])
+    def test_det3_equals_einsum_of_cross(self, shapes):
+        # det3 keeps the bits of the einsum-of-cross form it replaced
+        rng = np.random.default_rng(len(shapes[0]) + len(shapes[1]))
+        vecs = [rng.standard_normal(s) for s in shapes]
+        vecs[1].flat[::4] = 0.0
+        vecs[2].flat[::5] = -0.0
+        strided = [np.repeat(x, 2, axis=-1)[..., ::2] for x in vecs]
+        want = np.einsum("...i,...i->...", vecs[0], np.cross(vecs[1], vecs[2]))
+        for args in (vecs, strided):
+            got = det3(*args)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestForms:
     """First/second fundamental forms and their compatibility contract."""
@@ -194,7 +214,7 @@ class TestCurvature:
         # independent route: second fundamental form from g(f_xx, nu) with
         # finite-difference second derivatives of the map alone
         f = gallery(name)
-        jn = f.normal_jet(u, v, 0)
+        jn = f.jets(u, v, 0, 0)[1]
 
         def cb(a, b):
             return eval_jet(f.map, a, b, order=0).value

@@ -24,7 +24,7 @@ from frontlab import (
     swallowtail_signs,
     trace,
 )
-from frontlab.gaussbonnet import _cap_terms, _negative_fraction
+from frontlab.gaussbonnet import _CHUNK, _cap_terms, _negative_fraction
 from frontlab.singular import SingularCurve
 
 FOUR_PI = 4.0 * math.pi
@@ -178,6 +178,31 @@ class TestUnsignedIntegral:
             f"fraction {frac[0]} for linear ({lam0}, {lu}, {lv})"
         )
 
+    def test_blocked_fractions_equal_one_pass(self):
+        # the whole (leaves, slices) computation in one pass, as reference
+        def one_pass(lam0, lu, lv, wu, wv, slices=256):
+            swap = np.abs(lu) * wu < np.abs(lv) * wv
+            a = np.where(swap, lv, lu)
+            b = np.where(swap, lu, lv)
+            wa = np.where(swap, wv, wu)
+            wb = np.where(swap, wu, wv)
+            t = (np.arange(slices) + 0.5) / slices - 0.5
+            ell = lam0[:, None] + b[:, None] * (wb[:, None] * t[None, :])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cut = 0.5 - ell / (a[:, None] * wa[:, None])
+            frac = np.clip(cut, 0.0, 1.0)
+            frac = np.where(a[:, None] > 0.0, frac, 1.0 - frac)
+            frac = np.where((a == 0.0)[:, None], (ell < 0.0).astype(float), frac)
+            return frac.mean(axis=1)
+
+        n = 3 * (_CHUNK // 256) + 17
+        rng = np.random.default_rng(7)
+        lam0, lu, lv = rng.standard_normal((3, n)) * 0.1
+        lu[::9] = lv[::9] = 0.0
+        wu, wv = rng.uniform(0.01, 0.2, (2, n))
+        got = _negative_fraction(lam0, lu, lv, wu, wv)
+        assert got.tobytes() == one_pass(lam0, lu, lv, wu, wv).tobytes()
+
 
 class TestSingularCurveIntegral:
     """Line integral of the singular-curvature measure."""
@@ -204,6 +229,11 @@ class TestSingularCurveIntegral:
         )
         with pytest.raises(InapplicableError, match="degenerate"):
             integrate_kappa_s(front, [bad])
+
+    def test_curves_without_cuspidal_edges_refused(self):
+        cone = gallery("cone")
+        with pytest.raises(InapplicableError, match="no cuspidal edges"):
+            integrate_kappa_s(cone, trace(cone, grid=32))
 
     def test_no_curves_is_zero(self, sphere):
         assert integrate_kappa_s(sphere, ()) == 0.0

@@ -175,3 +175,67 @@ class TestJetSpace:
             taylor.JetSpace(4, 2)
         with pytest.raises(ValueError):
             taylor.JetSpace(2, 5)
+
+
+class TestSentinelArithmetic:
+    """`*`, `+` and `-` against plain loops that treat a never-written
+    coefficient as absent, signed zeros included."""
+
+    _ZERO = taylor._ZERO
+
+    def _random_coeffs(self, space, rng):
+        pool = [self._ZERO, 0.0, -0.0, 1.5, -0.25,
+                np.array([0.0, -0.0, 2.0, -3.5]), np.array([-0.0, 1.0, 0.0, -0.0])]
+        return [pool[i] for i in rng.integers(0, len(pool), space.ncoef)]
+
+    def _same(self, got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is self._ZERO:
+                assert g is self._ZERO
+            else:
+                assert g is not self._ZERO
+                assert np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def _product(self, space, a, b):
+        out = [self._ZERO] * space.ncoef
+        for i, mi in enumerate(space.monomials):
+            for j, mj in enumerate(space.monomials):
+                k = space.index.get(tuple(x + y for x, y in zip(mi, mj)))
+                if k is None or a[i] is self._ZERO or b[j] is self._ZERO:
+                    continue
+                term = a[i] * b[j]
+                out[k] = term if out[k] is self._ZERO else out[k] + term
+        return out
+
+    def _sum(self, a, b, sign):
+        out = []
+        for x, y in zip(a, b):
+            if y is self._ZERO:
+                out.append(x)
+            elif x is self._ZERO:
+                out.append(y if sign > 0 else -y)
+            else:
+                out.append(x + y if sign > 0 else x - y)
+        return out
+
+    @pytest.mark.parametrize("nvars,order", [(1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_against_loops(self, nvars, order):
+        space = taylor.jet_space(nvars, order)
+        rng = np.random.default_rng(10 * nvars + order)
+        for _ in range(200):
+            a = self._random_coeffs(space, rng)
+            b = self._random_coeffs(space, rng)
+            x, y = taylor.Series(space, a), taylor.Series(space, b)
+            self._same((x * y).c, self._product(space, a, b))
+            self._same((x + y).c, self._sum(a, b, +1))
+            self._same((x - y).c, self._sum(a, b, -1))
+
+    def test_negative_zero_survives(self):
+        space = taylor.jet_space(2, 2)
+        prod = space.const(-0.0) * space.var(0, 1.0)
+        assert np.signbit(prod.value) and np.signbit(prod.partial((1, 0)))
+        for order in range(4):
+            sine = taylor.apply_function("sin", taylor.jet_space(2, order).var(0, -0.0))
+            assert np.signbit(sine.value), order

@@ -3,7 +3,9 @@
 Both apply the same `taylor` operations to the same operands, so every
 jet must agree bit for bit, and every error must name the same
 subexpression.  A scalar jet must also equal the matching entry of an
-array jet bit for bit.
+array jet bit for bit, a jet truncated to a lower order the jet evaluated
+at that order, and each field of a front's joint jets that field's own
+jet.
 """
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from recursive_jet import recursive_eval_jet
 
 from frontlab import (
+    Domain,
     ExprDomainError,
+    Front,
     ParseError,
     eval_jet,
     gallery,
@@ -61,14 +65,22 @@ INPUTS = {
 }
 
 
+def _blocks(j):
+    blocks = [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]
+    return [np.asarray(b).tobytes() for b in blocks], j.abs_at_zero, j.order
+
+
+def _error(err):
+    return type(err), str(err), getattr(err, "source", None)
+
+
 def _outcome(evaluate, e, uv, order):
     """Jet bytes and abs flag, or the error's type, message and source."""
     try:
         j = evaluate(e, *uv, order)
     except (ExprDomainError, ValueError) as err:
-        return type(err), str(err), getattr(err, "source", None)
-    blocks = [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]
-    return [np.asarray(b).tobytes() for b in blocks], j.abs_at_zero, j.order
+        return _error(err)
+    return _blocks(j)
 
 
 def _assert_same(e, uv, order):
@@ -98,6 +110,78 @@ def test_scalar_jets_equal_array_jets(name, e, box):
         one = _outcome(eval_jet, e, (float(u[i]), float(v[i])), 3)[0]
         got = [b[i * k:(i + 1) * k] for b, k in zip(blocks, width)]
         assert one == got, (name, float(u[i]), float(v[i]))
+
+
+def _front_inputs(front):
+    d = front.domain
+    rng = np.random.default_rng(sum(map(ord, front.label)))
+    chart = (rng.uniform(d.u0, d.u1, (4, 3)), rng.uniform(d.v0, d.v1, (4, 3)))
+    return dict(INPUTS, chart=chart)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_front_jets_equal_each_field_on_its_own(name):
+    front = gallery(name)
+    for kind, uv in _front_inputs(front).items():
+        for om in range(4):
+            for on in range(4):
+                want = [_outcome(eval_jet, front.map, uv, om),
+                        _outcome(eval_jet, front.normal, uv, on)]
+                try:
+                    got = [_blocks(j) for j in front.jets(*uv, om, on)]
+                except (ExprDomainError, ValueError) as err:
+                    # the joint program fails where the first failing field does
+                    got = [_error(err)]
+                    want = [w for w in want if not isinstance(w[0], list)][:1]
+                assert got == want, (kind, om, on)
+
+
+_ZERO_INPUTS = {
+    "origin": (0.0, 0.0),
+    "zeros": (np.array([0.0, -0.0, 0.5]), np.array([-0.0, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name,e,box", GALLERY_EXPRS, ids=GALLERY_IDS)
+def test_truncated_jets_equal_lower_order_jets(name, e, box):
+    # signed zeros included: the low-degree coefficients do not depend on
+    # the order they were evaluated at
+    for kind, uv in dict(INPUTS, **_ZERO_INPUTS).items():
+        for n in range(1, 4):
+            try:
+                high = eval_jet(e, *uv, n)
+            except (ExprDomainError, ValueError):
+                continue
+            for m in range(n):
+                got = _blocks(high.take(slice(None), m))
+                assert got == _outcome(eval_jet, e, uv, m), (kind, n, m)
+
+
+def test_abs_flag_is_per_field():
+    def front(map_src, normal_src):
+        return Front(parse(map_src), parse(normal_src), Domain(-1.0, 1.0, -1.0, 1.0))
+
+    normal_only = front("(u, v, u*v)", "(0, abs(u), 1)")
+    shared = front("(abs(u), v, 0)", "(0, abs(u), 1)")
+    for uv in [(0.0, 0.5), (np.array([0.5, 0.0]), np.array([0.1, 0.2]))]:
+        jf, jn = normal_only.jets(*uv, 2, 1)
+        assert (jf.abs_at_zero, jn.abs_at_zero) == (False, True)
+        jf, jn = shared.jets(*uv, 0, 3)
+        assert (jf.abs_at_zero, jn.abs_at_zero) == (True, True)
+    jf, jn = shared.jets(0.5, 0.5, 1, 1)
+    assert (jf.abs_at_zero, jn.abs_at_zero) == (False, False)
+
+
+def test_fields_may_bind_one_parameter_differently():
+    f = Front(
+        parse("(a*u, v, a*sin(u))", {"a": 2.0}),
+        parse("(0, a*sin(u), a)", {"a": -0.0}),
+        Domain(-1.0, 1.0, -1.0, 1.0),
+    )
+    assert f.joint.param_dict() == {"a": 2.0}
+    for uv in [(0.3, 0.4), (_U, _V)]:
+        got = [_blocks(j) for j in f.jets(*uv, 3, 2)]
+        assert got == [_outcome(eval_jet, f.map, uv, 3), _outcome(eval_jet, f.normal, uv, 2)]
 
 
 def test_parallel_surface_jets_bit_identical():
@@ -168,6 +252,8 @@ def test_abs_flag_survives_sharing():
 def test_ellipsoid_parallel_map_is_compact():
     front = gallery("ellipsoid_parallel")
     assert len(front.map.tape.code) < 60
+    # the map contains the whole normal, so joining them adds nothing
+    assert len(front.joint.tape.code) == len(front.map.tape.code) <= 49
 
 
 def test_expr_hash_agrees_with_eq():
