@@ -1,11 +1,12 @@
 """Total curvature, Euler characteristics, and the two global identities.
 
-The signed form integrates det(nu_u, nu_v, nu) du dv, which extends smoothly
-across the singular set; the unsigned form weights it by sgn(lambda) and is
-handled with dyadically refined Gauss-Legendre panels near the zero set.
-Combined with the singular-curvature line integral and cell-complex Euler
-characteristics of the two chart regions, the module assembles the unsigned
-and signed identity residuals and the degree bookkeeping.
+The signed form det(nu_u, nu_v, nu) du dv is smooth across the singular
+set.  The unsigned one weights it by sgn(lambda), so its integral is the
+signed one less twice the spherical area nu sweeps over {lambda < 0}: by
+Stokes, a line integral along the Gauss image of that region's boundary.
+One line rule serves it, the singular-curvature integral and the polar
+caps.  With cell-complex Euler characteristics of the two chart regions,
+the module assembles both identities' residuals and the degree bookkeeping.
 """
 
 import dataclasses
@@ -26,11 +27,14 @@ from .singular import (
 )
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
 _CHUNK = 1 << 13
-_RING_SAMPLES = 2048  # Gauss-image ring points per polar cap
-_REFINE_NODES = 4  # Gauss rule per axis on refined panels (twice that to commit)
-_KAPPA_NODES = 8  # Gauss nodes per panel of the kappa_s line integral
-_KAPPA_NEWTON_ITERS = 8  # projections of those nodes onto lambda = 0
+_TRACE_GRID = 96  # trace grid of integrate_K_dA and euler_report's default
+_LINE_NODES = 8  # Gauss nodes per line panel; half of them for the error estimate
+_NEWTON_ITERS = 8  # projections of the line nodes onto lambda = 0
+_RING_PANELS = 64  # line panels around each polar-cap ring
+_SNAP = 1e-9  # chart distance, per domain scale, below which two points are one
+_DEGENERATE = "degenerate singular points present"
 _NO_CUSPS = "a singular curve carries no cuspidal edges"
 
 
@@ -60,24 +64,48 @@ def _gl_rule(n):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
 
 
-def _eval_fields(front, U, V):
-    """det(nu_u, nu_v, nu) and lambda at flattened points, chunked."""
-    det = np.empty(U.size)
-    lam = np.empty(U.size)
-    for k in range(0, U.size, _CHUNK):
-        sl = slice(k, k + _CHUNK)
-        jf, jn = front.jets(U[sl], V[sl], 1, 1)
-        det[sl] = det3(jn.f_u, jn.f_v, jn.value)
-        lam[sl] = det3(jf.f_u, jf.f_v, jn.value)
-    return det, lam
+def _line_rule(front, A, D, on_curve, nodes):
+    """Gauss nodes on chord panels A + x D, x in (0, 1), with exact tangents.
+
+    Nodes of panels flagged `on_curve` (between consecutive samples of a
+    singular curve) solve lambda(A + x D + mu N) = 0 for mu by Newton, N
+    the chord's unit normal; the panel is a graph over its chord with
+    tangent dq/dx = D + mu' N, mu' = -(grad lambda . D) / (grad lambda . N).
+    Returns nodes U, V (S, nodes), tangents Q (S, nodes, 2), weights, and
+    lambda and grad lambda . N at the nodes.
+    """
+    x, w = _gl_rule(nodes)
+    N = np.stack([-D[:, 1], D[:, 0]], axis=-1) / np.hypot(D[:, 0], D[:, 1])[:, None]
+    X = A[:, None, :] + x[None, :, None] * D[:, None, :]
+    mu = np.zeros(X.shape[:2])
+    idx = np.nonzero(on_curve)[0]
+    for _ in range(_NEWTON_ITERS if idx.size else 0):
+        P = X[idx] + mu[idx, :, None] * N[idx, None, :]
+        lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
+        mu[idx] -= lam / (lu * N[idx, None, 0] + lv * N[idx, None, 1])
+    P = X + mu[..., None] * N[:, None, :]
+    lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
+    lam_n = lu * N[:, None, 0] + lv * N[:, None, 1]
+    drift = np.abs(lam[idx]) / np.hypot(lu[idx], lv[idx])
+    if drift.size and not float(drift.max()) <= 1e-9 * front.domain.scale:  # or NaN
+        q = P[idx].reshape(-1, 2)[int(drift.argmax())]
+        raise FrontlabError(
+            f"lost the singular curve while integrating near "
+            f"({q[0]:.6g}, {q[1]:.6g})"
+        )
+    slope = np.zeros_like(lam)
+    slope[idx] = -(lu[idx] * D[idx, None, 0] + lv[idx] * D[idx, None, 1]) / lam_n[idx]
+    Q = D[:, None, :] + slope[..., None] * N[:, None, :]
+    return P[..., 0], P[..., 1], Q, w, lam, lam_n
 
 
-def _panel_counts(dom, budget):
-    """Split a total panel budget so panels are roughly square."""
-    aspect = (dom.u1 - dom.u0) / (dom.v1 - dom.v0)
-    n_u = max(4, round(math.sqrt(budget * aspect)))
-    n_v = max(4, budget // n_u)
-    return n_u, n_v
+def _alpha(pole, jn, Q):
+    """alpha = (1 - cos theta) dphi = pole . (nu x dnu) / (1 + pole . nu)
+    on the chart tangents Q, theta the angle from `pole`; d alpha is the
+    sphere's area form, and alpha is singular only at -pole."""
+    nu = jn.value
+    dnu = jn.along((Q[..., 0], Q[..., 1]))
+    return det3(pole, nu, dnu) / (1.0 + nu @ pole)
 
 
 def _cap_terms(front):
@@ -86,7 +114,7 @@ def _cap_terms(front):
     A capped chart covers the surface except two small disks around the
     poles.  Over each disk the signed curvature form integrates to the
     signed spherical area enclosed by the Gauss image of the chart-edge
-    ring; that area comes from a fan of spherical triangles.  Returns
+    ring, the line integral of alpha about the ring's mean normal.  Returns
     (signed area, lambda sign at the ring) per cap; the unsigned integral
     weighs each area by that constant sign, since the cap is regular.
     """
@@ -97,22 +125,21 @@ def _cap_terms(front):
         raise FrontlabError(
             "cap metadata expects a chart periodic in u with polar edges in v"
         )
-    us = dom.u0 + (dom.u1 - dom.u0) * np.arange(_RING_SAMPLES) / _RING_SAMPLES
+    h = (dom.u1 - dom.u0) / _RING_PANELS
+    us = dom.u0 + h * np.arange(1, _RING_PANELS + 1)
     out = []
-    for edge in (0, 1):
-        v = dom.v0 if edge == 0 else dom.v1
-        vs = np.full(_RING_SAMPLES, v)
-        jf, jn = front.jets(us, vs, 1, 0)
-        lam_sign = 1 if float(np.median(det3(jf.f_u, jf.f_v, jn.value))) > 0 else -1
+    for v, step in ((dom.v0, -h), (dom.v1, h)):
         # boundary of {v <= v0} runs in -u, boundary of {v >= v1} in +u
-        P = jn.value[::-1] if edge == 0 else jn.value
-        c = P.mean(axis=0)
-        c /= np.linalg.norm(c)
-        Q = np.roll(P, -1, axis=0)
-        num = det3(np.broadcast_to(c, P.shape), P, Q)
-        den = 1.0 + P @ c + (P * Q).sum(axis=1) + Q @ c
-        area = float(np.sum(2.0 * np.arctan2(num, den)))
-        out.append((area, lam_sign))
+        A = np.stack([us - max(step, 0.0), np.full(_RING_PANELS, v)], axis=-1)
+        D = np.tile([step, 0.0], (_RING_PANELS, 1))
+        U, V, Q, w, lam, _ = _line_rule(
+            front, A, D, np.zeros(_RING_PANELS, dtype=bool), _LINE_NODES
+        )
+        _, jn = front.jets(U, V, 0, 1)
+        pole = jn.value.reshape(-1, 3).mean(axis=0)
+        pole /= np.linalg.norm(pole)
+        area = math.fsum((w * _alpha(pole, jn, Q)).ravel().tolist())
+        out.append((area, 1 if float(np.median(lam)) > 0 else -1))
     return tuple(out)
 
 
@@ -133,6 +160,14 @@ def _panel_nodes(panels, nodes):
     return U.ravel(), V.ravel(), W
 
 
+def _panel_counts(dom, budget):
+    """Split a total panel budget so panels are roughly square."""
+    aspect = (dom.u1 - dom.u0) / (dom.v1 - dom.v0)
+    n_u = max(4, round(math.sqrt(budget * aspect)))
+    n_v = max(4, budget // n_u)
+    return n_u, n_v
+
+
 def _panel_grid(dom, budget):
     n_u, n_v = _panel_counts(dom, budget)
     du = (dom.u1 - dom.u0) / n_u
@@ -146,269 +181,222 @@ def _panel_grid(dom, budget):
     )
 
 
-def integrate_K_dAhat(front, grid=2048, nodes=16, rule="gl"):
+def _panel_sums(front, grid, nodes):
+    """The signed integral and its coarse sgn(lambda)-weighted counterpart.
+
+    One pass over the Gauss panels of the chart, in blocks of one `_CHUNK`
+    of nodes, plus the polar caps.  The coarse value is kinked on the
+    singular set and only picks the branch of the unsigned integral.
+    """
+    batch = _panel_grid(front.domain, grid)
+    step = max(1, _CHUNK // (nodes * nodes))
+    plain, signed = [], []
+    for k in range(0, len(batch), step):
+        U, V, W = _panel_nodes(batch[k : k + step], nodes)
+        jf, jn = front.jets(U, V, 1, 1)
+        det = det3(jn.f_u, jn.f_v, jn.value).reshape(W.shape)
+        lam = det3(jf.f_u, jf.f_v, jn.value).reshape(W.shape)
+        plain.extend((det * W).sum(axis=(1, 2)).tolist())
+        signed.extend((np.sign(lam) * det * W).sum(axis=(1, 2)).tolist())
+    caps = _cap_terms(front)
+    return (
+        math.fsum(plain + [area for (area, _) in caps]),
+        math.fsum(signed + [s * area for (area, s) in caps]),
+    )
+
+
+def integrate_K_dAhat(front, grid=2048, nodes=16):
     """Integral of the smooth signed curvature form det(nu_u, nu_v, nu).
 
-    `grid` is the total panel budget; `rule` picks Gauss-Legendre or
-    midpoint nodes per panel (the latter exists as an independent
-    cross-check of the former).
+    `grid` is the total panel budget; each panel takes `nodes` Gauss
+    nodes per axis.
     """
-    if rule not in ("gl", "midpoint"):
-        raise ValueError(f"rule must be 'gl' or 'midpoint', got {rule!r}")
-    batch = _panel_grid(front.domain, grid)
-    if rule == "gl":
-        U, V, W = _panel_nodes(batch, nodes)
-    else:
-        x = (np.arange(nodes) + 0.5) / nodes
-        w = np.full(nodes, 1.0 / nodes)
-        u = batch[:, 0, None] + batch[:, 2, None] * x[None, :]
-        v = batch[:, 1, None] + batch[:, 3, None] * x[None, :]
-        U = np.repeat(u[:, :, None], nodes, axis=2).ravel()
-        V = np.repeat(v[:, None, :], nodes, axis=1).ravel()
-        W = (w[None, :, None] * w[None, None, :]) * (
-            batch[:, 2] * batch[:, 3]
-        )[:, None, None]
-    det, _ = _eval_fields(front, U, V)
-    per_panel = (det.reshape(len(batch), nodes, nodes) * W).sum(axis=(1, 2))
-    caps = [area for (area, _) in _cap_terms(front)]
-    return math.fsum(per_panel.tolist() + caps)
+    return _panel_sums(front, grid, nodes)[0]
 
 
-def _panel_values(front, batch, nodes):
-    """Per-panel sgn(lambda) quadrature, mixed mask, and plain det integral.
+def _curve_panels(dom, curves):
+    """Chord panels between consecutive samples of each curve.
 
-    Panels go in blocks of one `_eval_fields` chunk of nodes, so the node
-    arrays and their per-panel temporaries stay chunk-sized.
+    Returns starts, steps and the index of the owning curve; a closed curve
+    wraps.  Steps shorter than `_SNAP` are left out: their chords carry no
+    direction (a seed polished just outside the chart sits that close to
+    the curve's clipped end).
     """
-    step = max(1, _CHUNK // (nodes * nodes))
-    parts = [
-        _panel_block(front, batch[k : k + step], nodes)
-        for k in range(0, len(batch), step)
-    ]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    A, D, owner = [np.empty((0, 2))], [np.empty((0, 2))], [np.empty(0, dtype=int)]
+    for i, curve in enumerate(curves):
+        P = np.array([p.uv for p in curve.samples], dtype=float)
+        nxt = np.roll(P, -1, axis=0) if curve.closed else P[1:]
+        step = _wrapped_delta(dom, nxt, P[: len(nxt)])
+        keep = np.hypot(step[:, 0], step[:, 1]) > _SNAP * dom.scale
+        A.append(P[: len(nxt)][keep])
+        D.append(step[keep])
+        owner.append(np.full(int(keep.sum()), i))
+    return np.concatenate(A), np.concatenate(D), np.concatenate(owner)
 
 
-def _panel_block(front, batch, nodes):
-    U, V, W = _panel_nodes(batch, nodes)
-    det, lam = _eval_fields(front, U, V)
-    P = len(batch)
-    det = det.reshape(P, nodes, nodes)
-    lam = lam.reshape(P, nodes, nodes)
-    vals = (np.sign(lam) * det * W).sum(axis=(1, 2))
-    mixed = (lam.min(axis=(1, 2)) < 0.0) & (lam.max(axis=(1, 2)) > 0.0)
-    return vals, mixed, (det * W).sum(axis=(1, 2))
+def _boundary_pieces(front, curves, grid):
+    """Chord panels of the boundary of M-, before orientation.
 
-
-def _negative_fraction(lam0, lu, lv, wu, wv, slices=256):
-    """Area fraction of {lam0 + lu x + lv y < 0} on [-wu/2, wu/2] x [-..].
-
-    The half-plane cut of each rectangle is sliced along the axis with the
-    larger gradient extent; each slice contributes a clipped linear run.
-    Rectangles go in blocks of `_CHUNK // slices`, so the per-slice
-    temporaries stay chunk-sized; each row's mean is its own.
+    The singular curves' panels, owned by their curve's index, and panels
+    along each chart edge that bounds the surface (non-periodic, without a
+    polar cap), owned by -1.  Edge panels run counter-clockwise around the
+    chart, split at the panel grid's lines and at the open curves' ends,
+    so lambda keeps one sign on each.  Degenerate samples are refused, and
+    so is an open curve that ends off those edges: M- would have a gap.
     """
-    swap = np.abs(lu) * wu < np.abs(lv) * wv
-    a = np.where(swap, lv, lu)[:, None]
-    b = np.where(swap, lu, lv)[:, None]
-    wa = np.where(swap, wv, wu)[:, None]
-    wb = np.where(swap, wu, wv)[:, None]
-    t = (np.arange(slices) + 0.5) / slices - 0.5  # slice centers, in wb units
-    out = np.empty(len(lam0))
-    step = max(1, _CHUNK // slices)
-    for k in range(0, len(out), step):
-        sl = slice(k, k + step)
-        ell = lam0[sl, None] + b[sl] * (wb[sl] * t[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cut = 0.5 - ell / (a[sl] * wa[sl])
-        frac = np.clip(cut, 0.0, 1.0)
-        frac = np.where(a[sl] > 0.0, frac, 1.0 - frac)
-        frac = np.where(a[sl] == 0.0, (ell < 0.0).astype(float), frac)
-        out[sl] = frac.mean(axis=1)
-    return out
-
-
-def _split4(batch):
-    u0, v0 = batch[:, 0], batch[:, 1]
-    hu, hv = 0.5 * batch[:, 2], 0.5 * batch[:, 3]
-    quads = [
-        (u0, v0), (u0 + hu, v0), (u0, v0 + hv), (u0 + hu, v0 + hv)
-    ]
-    out = np.empty((4 * len(batch), 4))
-    for k, (a, b) in enumerate(quads):
-        out[k::4, 0] = a
-        out[k::4, 1] = b
-        out[k::4, 2] = hu
-        out[k::4, 3] = hv
-    return out
-
-
-def _curve_reach(front, batch):
-    """Panels the singular curve can enter despite one-signed node values.
-
-    Linearizes lambda at each panel center; the zero line reaches into
-    the panel when |lambda| there is within the linear variation over the
-    half-widths.  Node signs alone miss a curve clipping a corner between
-    the outermost nodes, and those misses do not refine away: they recur
-    at every depth and their one-sided kink errors accumulate.
-    """
-    wu, wv = batch[:, 2], batch[:, 3]
-    lam0, lam_u, lam_v = lambda_jets(
-        front, batch[:, 0] + 0.5 * wu, batch[:, 1] + 0.5 * wv, order=1
-    )
-    reach = 0.5 * (np.abs(lam_u) * wu + np.abs(lam_v) * wv)
-    return np.abs(lam0) <= reach
-
-
-def _K_dA_detail(front, panels, nodes, max_depth, abs_tol):
-    """sgn(lambda)-weighted curvature integral with dyadic refinement.
-
-    Panels the singular curve touches -- both lambda signs at the nodes,
-    or the linearized zero line within reach of the center -- are split
-    in four, at most `max_depth` generations deep, so the leaf width
-    scales with the panel grid and refining the grid refines the leaves
-    with it.  Leaves that bottom out still touched are resolved by a
-    linear cut: the tangent line of lambda at the leaf center splits the
-    leaf into signed area fractions weighting the leaf-mean integrand.
-    The reported uncertainty is twice the latest value change attributed
-    to panels whose children are still touched (the changes decay
-    roughly geometrically with depth, so the tail is bounded by the last
-    term), plus a quarter of the total linear-cut correction, which
-    dominates the cut's own second-order remainder.  Refined panels use
-    a lighter Gauss rule: they are small and their count grows like the
-    inverse width.
-    """
-    batch = _panel_grid(front.domain, panels)
-    vals, mixed, _ = _panel_values(front, batch, nodes)
-    mixed |= _curve_reach(front, batch)
-    contributions = vals[~mixed].tolist()
-    if np.any(mixed):
-        # coarse values of the mixed panels seed the change bookkeeping on
-        # the same rule their children will use
-        vals = vals.copy()
-        vals[mixed] = _panel_values(front, batch[mixed], _REFINE_NODES)[0]
-    levels = 0
-    tail = 0.0
-    while np.any(mixed) and levels < max_depth:
-        levels += 1
-        parent_vals = vals[mixed]
-        batch = _split4(batch[mixed])
-        vals, mixed, _ = _panel_values(front, batch, _REFINE_NODES)
-        change = np.abs(parent_vals - vals.reshape(-1, 4).sum(axis=1))
-        claim = ~mixed
-        if np.any(claim):
-            # the coarse rule only steers; committed values get a
-            # higher-order rule, and a child is committed only once that
-            # rule's own nodes and the reach test both clear it --
-            # otherwise it is demoted back into the refinement set
-            sub = batch[claim]
-            vals_hi, mixed_hi, _ = _panel_values(front, sub, 2 * _REFINE_NODES)
-            ok = ~(mixed_hi | _curve_reach(front, sub))
-            contributions.extend(vals_hi[ok].tolist())
-            demoted = np.nonzero(claim)[0][~ok]
-            mixed[demoted] = True
-            vals[demoted] = vals_hi[~ok]
-        tail = 2.0 * float(change[mixed.reshape(-1, 4).any(axis=1)].sum())
-    floor_term = 0.0
-    if np.any(mixed):
-        # leaves still straddling the curve at the depth cap: cut each by
-        # the tangent line of lambda at the panel center and weight the
-        # panel-mean integrand by the signed area split.  Nodewise-sign
-        # quadrature carries a one-sided O(width) kink error; the linear
-        # cut leaves only the curvature of the zero line, O(width^2).
-        leaves = batch[mixed]
-        wu, wv = leaves[:, 2], leaves[:, 3]
-        step_vals, _, idet = _panel_values(front, leaves, 2 * _REFINE_NODES)
-        lam0, lam_u, lam_v = lambda_jets(
-            front, leaves[:, 0] + 0.5 * wu, leaves[:, 1] + 0.5 * wv, order=1
+    if _excluded(curves) == _DEGENERATE:
+        raise InapplicableError(
+            f"{_DEGENERATE}; the boundary of the negative region is not a "
+            "curve there"
         )
-        neg = _negative_fraction(lam0, lam_u, lam_v, wu, wv)
-        cut_vals = idet * (1.0 - 2.0 * neg)
-        contributions.extend(cut_vals.tolist())
-        floor_term = 0.25 * float(np.abs(cut_vals - step_vals).sum())
-    unresolved = tail + floor_term
-    if unresolved > abs_tol:
+    dom = front.domain
+    tol = _SNAP * dom.scale
+    spans = ((dom.u0, dom.u1, dom.periodic_u), (dom.v0, dom.v1, dom.periodic_v))
+    capped = bool(front.metadata and front.metadata.get("caps"))
+    edges = [
+        (k, value, sense)
+        for k, (lo, hi, periodic) in enumerate(spans) if not (periodic or capped)
+        for value, sense in ((lo, 2 * k - 1), (hi, 1 - 2 * k))
+    ]
+    ends = [c.samples[i].uv for c in curves if not c.closed for i in (0, -1)]
+    for q in ends:
+        if not any(abs(q[k] - value) <= tol for k, value, _ in edges):
+            raise FrontlabError(
+                f"open singular curve ends at ({q[0]:.6g}, {q[1]:.6g}), off "
+                "the chart edges: the boundary of the negative region has a gap"
+            )
+    A, D, owner = ([x] for x in _curve_panels(dom, curves))
+    counts = _panel_counts(dom, grid)
+    for k, value, sense in edges:
+        j = 1 - k
+        cuts = [q[j] for q in ends if abs(q[k] - value) <= tol]
+        t = np.unique(np.concatenate([np.linspace(*spans[j][:2], counts[j] + 1), cuts]))
+        P = np.insert(t[::sense, None], k, value, axis=1)  # along the edge
+        A.append(P[:-1])
+        D.append(np.diff(P, axis=0))
+        owner.append(np.full(len(t) - 1, -1))
+    A, D, owner = (np.concatenate(x) for x in (A, D, owner))
+    keep = np.hypot(D[:, 0], D[:, 1]) > tol
+    return A[keep], D[keep], owner[keep]
+
+
+def _minus_area(front, pieces, nodes, pole=None):
+    """Integral of alpha along the Gauss image of the boundary of M-.
+
+    A singular curve's panels are oriented so that M- lies on their left,
+    by the sign of grad lambda . N; that sign changes along a curve only
+    through a point where grad lambda vanishes, which is refused.  Edge
+    panels count where lambda < 0 at their nodes; they are oriented
+    counter-clockwise around the chart.  alpha is taken about `pole`, by
+    default the axis among +-e1, +-e2, +-e3 farthest from every -nu on the
+    boundary.  Returns (value, pole).
+    """
+    A, D, owner = pieces
+    on_curve = owner >= 0
+    U, V, Q, w, lam, lam_n = _line_rule(front, A, D, on_curve, nodes)
+    side = np.sign(lam_n)
+    for i in np.unique(owner[on_curve]):
+        if np.ptp(side[owner == i]) != 0.0:
+            raise InapplicableError(
+                f"{_DEGENERATE}: grad lambda vanishes between the samples of "
+                "a traced curve"
+            )
+    negative = lam[~on_curve] < 0.0
+    if np.any(negative.any(axis=1) & ~negative.all(axis=1)):
         raise FrontlabError(
-            f"unsigned curvature quadrature tolerance not met: estimated "
-            f"error {unresolved:.3e} > {abs_tol:.3e} at maximum refinement"
+            "lambda changes sign on a chart edge away from the traced curve "
+            "ends: the boundary of the negative region has a gap"
         )
-    contributions.extend(s * area for (area, s) in _cap_terms(front))
-    return math.fsum(contributions), unresolved, levels
+    keep = on_curve.copy()
+    keep[~on_curve] = negative.all(axis=1)
+    if not keep.any():
+        return 0.0, pole
+    _, jn = front.jets(U[keep], V[keep], 0, 1)
+    if pole is None:
+        nu = jn.value.reshape(-1, 3)
+        k = int(np.concatenate([1.0 + nu.min(axis=0), 1.0 - nu.max(axis=0)]).argmax())
+        pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
+    orient = np.where(on_curve[keep, None], -side[keep], 1.0)
+    vals = orient * w * _alpha(pole, jn, Q[keep])
+    return math.fsum(vals.ravel().tolist()), pole
 
 
-def integrate_K_dA(front, grid=2048, nodes=16, max_depth=8, abs_tol=1e-2):
+def _branch(line, coarse):
+    """The value line + 4 pi k nearest the coarse estimate of A-.
+
+    The line integral fixes A- only modulo 4 pi; a coarse estimate farther
+    than pi from every candidate leaves the branch ambiguous.
+    """
+    k = round((coarse - line) / FOUR_PI)
+    miss = abs(coarse - line - FOUR_PI * k)
+    if miss > math.pi:
+        raise FrontlabError(
+            f"ambiguous branch of the negative region's spherical area: the "
+            f"coarse estimate {coarse:.6g} is {miss:.3g} from the nearest "
+            f"value {line:.6g} + 4 pi k"
+        )
+    return line + FOUR_PI * k
+
+
+def _unsigned(front, curves, grid, nodes):
+    """(int K dA, int K dAhat, error estimate) by int K dAhat - 2 A-.
+
+    The error estimate is twice the change of A- between the line rule and
+    its half-node rule.
+    """
+    hat, coarse = _panel_sums(front, grid, nodes)
+    pieces = _boundary_pieces(front, curves, grid)
+    line, pole = _minus_area(front, pieces, _LINE_NODES)
+    half, _ = _minus_area(front, pieces, _LINE_NODES // 2, pole)
+    minus = _branch(line, 0.5 * (hat - coarse))
+    return hat - 2.0 * minus, hat, 2.0 * abs(line - half)
+
+
+def integrate_K_dA(front, grid=2048, nodes=16):
     """Integral of K against the unsigned area form |lambda| du dv.
 
-    The integrand sgn(lambda) det(nu_u, nu_v, nu) is bounded but kinked on
-    the singular set; mixed-sign panels are split dyadically through at
-    most `max_depth` generations.  `grid` is the total panel budget before
-    refinement.
+    K dA = sgn(lambda) K dAhat, so the integral is int K dAhat less twice
+    the spherical area A- that nu sweeps over M- = {lambda < 0}: the
+    integral of alpha along nu of the boundary of M- (singular curves,
+    traced at `_TRACE_GRID`, and chart edges where lambda < 0), modulo
+    4 pi.  A coarse sgn(lambda) sum over the `grid` panels of int K dAhat
+    picks the branch.  Degenerate singular points, open curves ending
+    inside the chart and an ambiguous branch are refused.
     """
-    value, _, _ = _K_dA_detail(front, grid, nodes, max_depth, abs_tol)
-    return value
+    return _unsigned(front, trace(front, grid=_TRACE_GRID), grid, nodes)[0]
 
 
 def integrate_kappa_s(front, curves):
     """Line integral of kappa_s over traced singular curves.
 
-    Panels run between consecutive trace samples, so Gauss nodes never land
-    on a peak; the density kappa_s |image speed| stays bounded there.  The
-    chord nodes are projected back onto the zero set of lambda by a few
-    vectorized Newton steps.  Curves containing degenerate samples, or
-    no cuspidal edge at all, are refused: the identity's hypotheses
-    exclude them.
+    The line rule's panels run between consecutive trace samples, so Gauss
+    nodes never land on a peak; the density kappa_s |image speed| stays
+    bounded there.  Each node carries the weight w |dq/dx| of the exact
+    tangent of its panel.  Curves containing degenerate samples, or no
+    cuspidal edge at all, are refused: the identity's hypotheses exclude
+    them.
     """
     reason = _excluded(curves)
     if reason:
         raise InapplicableError(
             f"{reason}; the curvature measure is not defined there"
         )
-    nodes = _KAPPA_NODES
-    x, w = _gl_rule(nodes)
-    starts, steps, lengths = [], [], []
-    for curve in curves:
-        pts = [np.asarray(p.uv) for p in curve.samples]
-        n = len(pts)
-        if n < 2:
-            continue
-        last = n if curve.closed else n - 1
-        for i in range(last):
-            step = _wrapped_delta(front.domain, pts[(i + 1) % n], pts[i])
-            length = float(np.linalg.norm(step))
-            if length == 0.0:
-                continue
-            starts.append(pts[i])
-            steps.append(step)
-            lengths.append(length)
-    if not starts:
+    A, D, _ = _curve_panels(front.domain, curves)
+    if not len(A):
         return 0.0
-    A = np.array(starts)  # (S, 2)
-    D = np.array(steps)
-    L = np.array(lengths)
-    U = (A[:, None, 0] + x[None, :] * D[:, None, 0]).ravel()
-    V = (A[:, None, 1] + x[None, :] * D[:, None, 1]).ravel()
-    for _ in range(_KAPPA_NEWTON_ITERS):
-        lam, lu, lv = lambda_jets(front, U, V, order=1)
-        denom = lu * lu + lv * lv
-        U = U - lam * lu / denom
-        V = V - lam * lv / denom
-    lam, lu, lv = lambda_jets(front, U, V, order=1)
-    drift = np.abs(lam) / np.hypot(lu, lv)
-    if float(drift.max()) > 1e-9 * front.domain.scale:
-        k = int(drift.argmax())
-        raise FrontlabError(
-            f"lost the singular curve while integrating near "
-            f"({U[k]:.6g}, {V[k]:.6g})"
-        )
+    U, V, Q, w, _, _ = _line_rule(
+        front, A, D, np.ones(len(A), dtype=bool), _LINE_NODES
+    )
     jf, jn = front.jets(U, V, 3, 2)
-    dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0].reshape(len(A), nodes)
-    contrib = (dens * w[None, :]) * L[:, None]
+    dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0]
+    contrib = (dens * w) * np.hypot(Q[..., 0], Q[..., 1])
     return math.fsum(contrib.ravel().tolist())
 
 
 def _excluded(curves):
     """Why the identities' hypotheses exclude `curves`, or ''."""
     if any(p.kind is SingularClass.DEGENERATE for c in curves for p in c.samples):
-        return "degenerate singular points present"
+        return _DEGENERATE
     if any(
         all(p.kind is not SingularClass.CUSPIDAL_EDGE for p in c.samples)
         for c in curves
@@ -552,12 +540,14 @@ def _end_epsilons(front, grid=64):
     return tuple(out)
 
 
-def euler_report(front, curves=None, grid=256, panels=2048, trace_grid=96,
-                 k_f=0, abs_tol=1e-2, nodes=16, max_depth=8):
+def euler_report(front, curves=None, grid=256, panels=2048,
+                 trace_grid=_TRACE_GRID, k_f=0, nodes=16):
     """Assemble both global identities and their residuals for one front.
 
     `curves` come from `trace`; when omitted the singular set is traced
-    here at `trace_grid`.  Compact fronts (capped charts) get the degree
+    here at `trace_grid`.  They serve both line integrals, and one pass
+    over `panels` Gauss panels gives int K dAhat and int K dA's branch (see
+    `integrate_K_dA`).  Compact fronts (capped charts) get the degree
     bookkeeping and the LLR inequality; complete fronts contribute end
     growth orders instead.  Degenerate singular points, or singular curves
     with no cuspidal edges at all (cones), mark the report inapplicable:
@@ -578,17 +568,17 @@ def euler_report(front, curves=None, grid=256, panels=2048, trace_grid=96,
         reason += f"; cone angle {meta['cone_angle']!r}"
     applicable = reason == ""
 
-    int_hat = integrate_K_dAhat(front, panels, nodes)
-    int_dA, unresolved, levels = _K_dA_detail(front, panels, nodes,
-                                              max_depth, abs_tol)
+    if reason == _DEGENERATE:
+        int_dA = unresolved = math.nan
+        int_hat = integrate_K_dAhat(front, panels, nodes)
+    else:
+        int_dA, int_hat, unresolved = _unsigned(front, curves, panels, nodes)
     chi_M, chi_p, chi_m = euler_characteristics(front, grid)
     ends = _end_epsilons(front)
     provenance = {
         "chi_grid": grid,
         "panels": panels,
         "nodes": nodes,
-        "max_depth": max_depth,
-        "refinement_levels": levels,
         "K_dA_unresolved": unresolved,
         "n_curves": len(curves),
     }

@@ -301,8 +301,8 @@ def classify(front, uv, det_rate=None, rate_step=None):
 # curve tracing
 
 
-def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
-    """Project q onto {lambda = 0}.
+def _newton(front, q, lam_scale, tol=1e-12, max_iter=50, axis=None):
+    """Project q onto {lambda = 0}, along grad lambda or the chart `axis`.
 
     Returns (q, (lambda_u, lambda_v)) with the gradient at the accepted
     point, or None if the iteration is lost or the gradient collapses.
@@ -312,11 +312,12 @@ def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
         lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
         if abs(lam) < tol * lam_scale:
             return q, (lu, lv)
-        g2 = lu * lu + lv * lv
-        if g2 < 1e-28:
+        d = np.array([lu, lv]) if axis is None else np.eye(2)[axis]
+        g2 = lu * d[0] + lv * d[1]
+        if abs(g2) < 1e-28:
             return None
         step = lam / g2
-        q = q - step * np.array([lu, lv])
+        q = q - step * d
         if not np.all(np.isfinite(q)):
             return None
     return None
@@ -384,7 +385,8 @@ def _inside(dom, q, slack=0.0):
 
 
 def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
-    """Final on-boundary sample for a step that left a non-periodic axis."""
+    """Final on-boundary sample for a step that left a non-periodic axis:
+    the crossed coordinate is pinned to the edge, Newton runs in the other."""
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -394,7 +396,10 @@ def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
         else:
             hi = mid
     q = q_in + lo * (q_out - q_in)
-    hit = _newton(front, q, lam_scale, tol=1e-10)
+    out = q_in + hi * (q_out - q_in)
+    k = 0 if not (dom.periodic_u or dom.u0 <= out[0] <= dom.u1) else 1
+    q[k] = min(max(out[k], (dom.u0, dom.v0)[k]), (dom.u1, dom.v1)[k])
+    hit = _newton(front, q, lam_scale, tol=1e-10, axis=1 - k)
     if hit is None or not _inside(dom, hit[0], slack=1e-9 * dom.scale):
         return None
     q = hit[0]
