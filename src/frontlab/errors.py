@@ -24,7 +24,7 @@ class FrontContractError(FrontlabError):
 
 
 class TraceError(FrontlabError):
-    """Singular-curve continuation could not proceed."""
+    """Singular-curve tracing could not proceed."""
 
 
 class InapplicableError(FrontlabError):

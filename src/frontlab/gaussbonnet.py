@@ -18,8 +18,10 @@ from .errors import FrontlabError, InapplicableError
 from .front import det3, lambda_value
 from .singular import (
     SingularClass,
+    _chord_normals,
     _curvatures,
     _lambda_blocks,
+    _project,
     _wrapped_delta,
     lambda_jets,
     tail_side,
@@ -31,7 +33,6 @@ FOUR_PI = 4.0 * math.pi
 _CHUNK = 1 << 13
 _TRACE_GRID = 96  # trace grid of integrate_K_dA and euler_report's default
 _LINE_NODES = 8  # Gauss nodes per line panel; half of them for the error estimate
-_NEWTON_ITERS = 8  # projections of the line nodes onto lambda = 0
 _RING_PANELS = 64  # line panels around each polar-cap ring
 _SNAP = 1e-9  # chart distance, per domain scale, below which two points are one
 _DEGENERATE = "degenerate singular points present"
@@ -68,21 +69,20 @@ def _line_rule(front, A, D, on_curve, nodes):
     """Gauss nodes on chord panels A + x D, x in (0, 1), with exact tangents.
 
     Nodes of panels flagged `on_curve` (between consecutive samples of a
-    singular curve) solve lambda(A + x D + mu N) = 0 for mu by Newton, N
-    the chord's unit normal; the panel is a graph over its chord with
-    tangent dq/dx = D + mu' N, mu' = -(grad lambda . D) / (grad lambda . N).
+    singular curve) solve lambda(A + x D + mu N) = 0 for mu by Newton
+    (`singular._project`), N the chord's unit normal; the panel is a graph
+    over its chord with tangent dq/dx = D + mu' N,
+    mu' = -(grad lambda . D) / (grad lambda . N).
     Returns nodes U, V (S, nodes), tangents Q (S, nodes, 2), weights, and
     lambda and grad lambda . N at the nodes.
     """
     x, w = _gl_rule(nodes)
-    N = np.stack([-D[:, 1], D[:, 0]], axis=-1) / np.hypot(D[:, 0], D[:, 1])[:, None]
+    N = _chord_normals(D)
     X = A[:, None, :] + x[None, :, None] * D[:, None, :]
     mu = np.zeros(X.shape[:2])
     idx = np.nonzero(on_curve)[0]
-    for _ in range(_NEWTON_ITERS if idx.size else 0):
-        P = X[idx] + mu[idx, :, None] * N[idx, None, :]
-        lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
-        mu[idx] -= lam / (lu * N[idx, None, 0] + lv * N[idx, None, 1])
+    if idx.size:
+        mu[idx] = _project(front, X[idx], N[idx, None, :])
     P = X + mu[..., None] * N[:, None, :]
     lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
     lam_n = lu * N[:, None, 0] + lv * N[:, None, 1]
@@ -219,8 +219,8 @@ def _curve_panels(dom, curves):
 
     Returns starts, steps and the index of the owning curve; a closed curve
     wraps.  Steps shorter than `_SNAP` are left out: their chords carry no
-    direction (a seed polished just outside the chart sits that close to
-    the curve's clipped end).
+    direction (crossings of grid edges that meet at a node where the
+    curve passes within rounding of it sit that close together).
     """
     A, D, owner = [np.empty((0, 2))], [np.empty((0, 2))], [np.empty(0, dtype=int)]
     for i, curve in enumerate(curves):

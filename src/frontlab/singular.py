@@ -5,15 +5,14 @@ singular set.  Where d(lambda) != 0 that set is a regular curve in the chart;
 points on it are classified by the angle between the curve's tangent and the
 kernel direction of df.
 
-The tracer is batch-first: every step that is independent across points is
-one array jet evaluation.  Seeding bisects all sign-changing edges of a grid
-of lambda values together and Newton-polishes their midpoints as one masked
-array.  Each traced curve then takes one array jet for the tangents and null
-directions that locate swallowtail candidates, and one more, after those
-are inserted, for the neighbour transversality rates, classification,
-curvatures and arclengths.  Only the predictor-corrector march, which must
-follow the curve step by step, and the bisection of each transversality sign
-change run point by point.
+The tracer contours the singular set from a grid of lambda values
+(marching squares): one masked bisection places the crossings on the grid
+edges, each crossed cell links its two crossings into a chain, and array
+rounds insert projected midpoints until the samples resolve the curve.
+Each traced curve then takes one array jet for the tangents and null
+directions that locate swallowtail candidates, one masked bisection for
+all of them, and one more array jet, after they are inserted, for the
+neighbour transversality rates, classification, curvatures and arclengths.
 
 Classification has one per-point decision (`_decide`) and curvature one
 kernel (`_curvatures`); `classify` feeds both from scalar jets, `trace` from
@@ -36,10 +35,15 @@ TRANSVERSAL_TOL = 1e-6
 DEGENERATE_TOL = 1e-8
 RANK_TOL = 1e-6
 
-# tracer limits: march steps per direction, and the image-arclength band
-# (relative to the domain scale) around a peak whose cuspidal samples are
-# flagged `near_peak`
-_MAX_STEPS = 20000
+# tracer settings: Newton steps of a projection onto lambda = 0, halvings
+# of a bracket (2^-64 of its width, or its last bit), the largest tangent
+# turn between neighbouring samples (radians) and rounds of refinement;
+# and the image-arclength band (relative to the domain scale) around a peak
+# whose cuspidal samples are flagged `near_peak`
+_PROJECT_ITERS = 8
+_BISECT_ROUNDS = 64
+_TURN = 0.2
+_REFINE_ROUNDS = 40
 _PEAK_GUARD = 1e-3
 
 
@@ -199,7 +203,7 @@ def _transversality_rate(front, uv, T, eta, delta):
     vals = []
     for sgn in (-1.0, 1.0):
         q = np.asarray(uv) + sgn * delta * np.asarray(T)
-        hit = _newton(front, q, 1.0, tol=1e-12)
+        hit = _newton(front, q)
         if hit is None:
             return 0.0, False
         q, (lu, lv) = hit
@@ -301,8 +305,8 @@ def classify(front, uv, det_rate=None, rate_step=None):
 # curve tracing
 
 
-def _newton(front, q, lam_scale, tol=1e-12, max_iter=50, axis=None):
-    """Project q onto {lambda = 0}, along grad lambda or the chart `axis`.
+def _newton(front, q, tol=1e-12, max_iter=50):
+    """Project q onto {lambda = 0} along grad lambda.
 
     Returns (q, (lambda_u, lambda_v)) with the gradient at the accepted
     point, or None if the iteration is lost or the gradient collapses.
@@ -310,55 +314,67 @@ def _newton(front, q, lam_scale, tol=1e-12, max_iter=50, axis=None):
     q = np.array([float(q[0]), float(q[1])])
     for _ in range(max_iter):
         lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
-        if abs(lam) < tol * lam_scale:
+        if abs(lam) < tol:
             return q, (lu, lv)
-        d = np.array([lu, lv]) if axis is None else np.eye(2)[axis]
-        g2 = lu * d[0] + lv * d[1]
-        if abs(g2) < 1e-28:
+        g2 = lu * lu + lv * lv
+        if g2 < 1e-28:
             return None
-        step = lam / g2
-        q = q - step * d
+        q = q - lam / g2 * np.array([lu, lv])
         if not np.all(np.isfinite(q)):
             return None
     return None
 
 
-def _newton_batch(front, Q, lam_scale, tol=1e-12, max_iter=50):
-    """`_newton` on an (n, 2) array of points as one masked iteration.
+def _project(front, X, N):
+    """Offsets mu that move the points X along the unit vectors N onto
+    lambda = 0.
 
-    Each point gets the same arithmetic as in `_newton`; the points still
-    iterating share one array jet evaluation per step.  Returns the final
-    points and the mask of those that converged.
+    `_PROJECT_ITERS` Newton steps on lambda(X + mu N) = 0 from mu = 0, over
+    arrays of any leading shape.  The line rule projects its Gauss nodes
+    with it, `trace` the midpoints of its gaps and transversality brackets.
     """
-    Q = np.array(Q, dtype=float)
-    ok = np.zeros(len(Q), dtype=bool)
-    todo = np.arange(len(Q))
-    for _ in range(max_iter):
+    mu = np.zeros(X.shape[:-1])
+    for _ in range(_PROJECT_ITERS):
+        P = X + mu[..., None] * N
+        lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
+        mu -= lam / (lu * N[..., 0] + lv * N[..., 1])
+    return mu
+
+
+def _chord_normals(D):
+    """Unit normals (-D_v, D_u)/|D| of the chords D, one per row."""
+    return np.stack([-D[:, 1], D[:, 0]], axis=-1) / np.hypot(D[:, 0], D[:, 1])[:, None]
+
+
+def _bisect(value, neg, pos, midpoint=None, small=0.0, rounds=_BISECT_ROUNDS):
+    """Masked bisection of the brackets between `neg` and `pos`.
+
+    The ends are stacked on the first axis, numbers or points; `value` is
+    negative at each `neg` end and not negative at each `pos` end.  Each
+    round calls `value(m, open)` once, on the midpoints m of the brackets
+    still open (indices `open`), and moves the end on each midpoint's side.
+    A bracket closes onto its midpoint where |value| <= small or is not
+    finite, and as it stands where the midpoint equals one of its ends (no
+    float lies between them).  `midpoint(a, b)` replaces the plain average.
+    Returns the final ends.
+    """
+    neg = np.array(neg, dtype=float)
+    pos = np.array(pos, dtype=float)
+    todo = np.arange(len(neg))
+    for _ in range(rounds):
         if not todo.size:
             break
-        lam, lu, lv = lambda_jets(front, Q[todo, 0], Q[todo, 1], order=1)
-        done = np.abs(lam) < tol * lam_scale
-        ok[todo[done]] = True
-        g2 = lu * lu + lv * lv
-        move = ~done & ~(g2 < 1e-28)
-        idx = todo[move]
-        step = lam[move] / g2[move]
-        Q[idx, 0] = Q[idx, 0] - step * lu[move]
-        Q[idx, 1] = Q[idx, 1] - step * lv[move]
-        todo = idx[np.isfinite(Q[idx]).all(axis=1)]
-    return Q, ok
-
-
-def _unit_tangent(lu, lv):
-    g = math.hypot(lu, lv)
-    if g < 1e-14:
-        return None
-    return np.array([lv, -lu]) / g
-
-
-def _tangent(front, q):
-    _, lu, lv = lambda_jets(front, q[0], q[1], order=1)
-    return _unit_tangent(lu, lv)
+        a, b = neg[todo], pos[todo]
+        m = 0.5 * (a + b) if midpoint is None else midpoint(a, b)
+        f = value(m, todo)
+        below = f < 0
+        neg[todo[below]] = m[below]
+        pos[todo[~below]] = m[~below]
+        hit = ~(np.abs(f) > small)
+        neg[todo[hit]] = pos[todo[hit]] = m[hit]
+        flat = [(m == end).reshape(len(m), -1).all(axis=1) for end in (a, b)]
+        todo = todo[~(hit | flat[0] | flat[1])]
+    return neg, pos
 
 
 def _wrapped_delta(dom, a, b):
@@ -373,188 +389,145 @@ def _wrapped_delta(dom, a, b):
     return d
 
 
-def _inside(dom, q, slack=0.0):
-    """Whether q (or each row of q) lies in the domain, up to `slack`."""
-    q = np.asarray(q)
-    ok = np.ones(q.shape[:-1], dtype=bool)
-    if not dom.periodic_u:
-        ok &= (dom.u0 - slack <= q[..., 0]) & (q[..., 0] <= dom.u1 + slack)
-    if not dom.periodic_v:
-        ok &= (dom.v0 - slack <= q[..., 1]) & (q[..., 1] <= dom.v1 + slack)
-    return ok
-
-
-def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
-    """Final on-boundary sample for a step that left a non-periodic axis:
-    the crossed coordinate is pinned to the edge, Newton runs in the other."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        q = q_in + mid * (q_out - q_in)
-        if _inside(dom, q):
-            lo = mid
-        else:
-            hi = mid
-    q = q_in + lo * (q_out - q_in)
-    out = q_in + hi * (q_out - q_in)
-    k = 0 if not (dom.periodic_u or dom.u0 <= out[0] <= dom.u1) else 1
-    q[k] = min(max(out[k], (dom.u0, dom.v0)[k]), (dom.u1, dom.v1)[k])
-    hit = _newton(front, q, lam_scale, tol=1e-10, axis=1 - k)
-    if hit is None or not _inside(dom, hit[0], slack=1e-9 * dom.scale):
+def _unit_tangent(lu, lv):
+    g = math.hypot(lu, lv)
+    if g < 1e-14:
         return None
-    q = hit[0]
-    return np.clip(
-        q, [dom.u0, dom.v0], [dom.u1, dom.v1]
-    ) if not (dom.periodic_u or dom.periodic_v) else q
+    return np.array([lv, -lu]) / g
 
 
-def _march(front, q0, T0, cell, lam_scale, dom):
-    """Predictor-corrector continuation from q0 in direction T0.
-
-    T0 must be the unit tangent at q0 (either orientation); it also decides
-    whether the curve has come back to q0.
-    """
-    pts = [np.array(q0)]
-    q = np.array(q0)
-    T = np.array(T0)
-    h = 0.5 * cell
-    h_min = 1e-9 * dom.scale
-    closed = False
-    travelled = 0.0
-    for _ in range(_MAX_STEPS):
-        accepted = False
-        while h >= h_min:
-            cand = q + h * T
-            hit = _newton(front, cand, lam_scale, tol=1e-10)
-            if hit is None:
-                h *= 0.5
-                continue
-            qn, grad = hit
-            if not _inside(dom, qn):
-                qb = _clip_to_boundary(front, q, qn, dom, lam_scale)
-                if qb is not None and np.linalg.norm(qb - q) > 1e-12:
-                    pts.append(qb)
-                return pts, False
-            if np.linalg.norm(qn - cand) > 0.75 * h + 1e-12:
-                h *= 0.5
-                continue
-            Tn = _unit_tangent(*grad)
-            if Tn is None:
-                h *= 0.5
-                continue
-            if float(Tn @ T) < 0:
-                Tn = -Tn
-            if float(Tn @ T) < math.cos(0.2):
-                h *= 0.5
-                continue
-            accepted = True
-            break
-        if not accepted:
-            return pts, False  # stalled: degenerate point or resolution floor
-        step = np.linalg.norm(qn - q)
-        travelled += step
-        pts.append(qn)
-        q, T = qn, Tn
-        h = min(1.4 * h, cell)
-        if travelled > 3.0 * cell:
-            d = np.linalg.norm(_wrapped_delta(dom, q, pts[0]))
-            if d < 0.9 * h and abs(float(T @ T0)) > 0.9:
-                closed = True
-                pts.pop()  # endpoint duplicates the start
-                break
-    return pts, closed
+def _wrap(dom, P):
+    return np.stack(dom.wrap(P[..., 0], P[..., 1]), axis=-1)
 
 
-def _grid_edges(dom, lam, uu, vv):
-    """Endpoints and lambda values of every grid edge, periodic ones too.
+def _crossings(front, dom, uu, vv, lam):
+    """Marching squares on the sign of lambda over the grid.
 
-    Ordered as a sweep over grid nodes (i, j) that takes the u-edge, then
-    the v-edge leaving each node.
+    A node is inside where lambda < 0 and outside otherwise (lambda = 0
+    included), so every cell has 0, 2 or 4 crossed edges; an edge with a
+    non-finite end is never crossed.  One masked bisection of all crossed
+    edges places each crossing on its edge to the last bit, and an outside
+    end where lambda is exactly 0 is the crossing itself.  Crossings on a
+    wrap edge fold back into the chart; those on the edges of a
+    non-periodic axis lie on the chart edge.  Each crossing links to the
+    other crossing of the cell its tangent (lambda_v, -lambda_u) points
+    into.  Returns the crossings and nxt, the index of each one's successor
+    (-1 where the chain ends).
     """
     nu_, nv_ = lam.shape
-    P = np.stack([uu, vv], axis=-1)
-    # u-edges (i, j) -> (i + 1, j); from the last row they exist only on a
-    # periodic axis, and end one grid step past the node
-    Pu = np.roll(P, -1, axis=0)
-    Pu[-1] = P[-1]
-    Pu[-1, :, 0] += (dom.u1 - dom.u0) / nu_
-    ok_u = np.ones(lam.shape, dtype=bool)
-    ok_u[-1] = dom.periodic_u
-    Pv = np.roll(P, -1, axis=1)
-    Pv[:, -1] = P[:, -1]
-    Pv[:, -1, 1] += (dom.v1 - dom.v0) / nv_
-    ok_v = np.ones(lam.shape, dtype=bool)
-    ok_v[:, -1] = dom.periodic_v
-    P0 = np.repeat(P.reshape(-1, 2), 2, axis=0)
-    L0 = np.repeat(lam.ravel(), 2)
-    P1 = np.stack([Pu, Pv], axis=2).reshape(-1, 2)
-    L1 = np.stack([np.roll(lam, -1, axis=0), np.roll(lam, -1, axis=1)], axis=2).ravel()
-    keep = np.stack([ok_u, ok_v], axis=2).ravel()
-    return P0[keep], L0[keep], P1[keep], L1[keep]
+    cu = nu_ if dom.periodic_u else nu_ - 1  # u-edges along a grid line, and cells
+    cv = nv_ if dom.periodic_v else nv_ - 1
+    iu, iv = (np.arange(cu) + 1) % nu_, (np.arange(cv) + 1) % nv_
+    inside, fin = lam < 0, np.isfinite(lam)
+    # u-edges (i, j) -> (i + 1, j) are numbered i * nv_ + j, then the
+    # v-edges (i, j) -> (i, j + 1) as cu * nv_ + i * cv + j
+    crossed = np.concatenate([
+        (fin[:cu] & fin[iu] & (inside[:cu] != inside[iu])).ravel(),
+        (fin[:, :cv] & fin[:, iv] & (inside[:, :cv] != inside[:, iv])).ravel(),
+    ])
+    ids_u = np.arange(cu * nv_).reshape(cu, nv_)
+    ids_v = cu * nv_ + np.arange(nu_ * cv).reshape(nu_, cv)
+    cells = np.stack([ids_u[:, :cv], ids_u[:, iv], ids_v[:cu], ids_v[iu]], axis=-1)
+    hit = crossed[cells]
+    count = hit.sum(axis=-1)
+    if (count == 4).any():
+        i, j = np.argwhere(count == 4)[0]
+        raise TraceError(
+            f"grid cell ({i}, {j}) at ({uu[i, j]:.6g}, {vv[i, j]:.6g}) has four "
+            "crossed edges: the singular set is ambiguous there"
+        )
+    # the crossed edges of each two-edge cell, in a border of -1 for the
+    # cells beyond a non-periodic chart edge
+    pair = np.full((cu + 2, cv + 2, 2), -1)
+    pair[1:-1, 1:-1][count == 2] = cells[count == 2][hit[count == 2]].reshape(-1, 2)
+
+    idx = np.nonzero(crossed)[0]
+    is_u = idx < cu * nv_
+    i, j = np.where(is_u, np.divmod(idx, nv_), np.divmod(idx - cu * nv_, cv))
+    i1, j1 = np.where(is_u, (i + 1) % nu_, i), np.where(is_u, j, (j + 1) % nv_)
+    a_neg = inside[i, j]
+    # the tangent leaves a u-edge towards -v when lambda grows along +u,
+    # and a v-edge towards +u when lambda grows along +v
+    ci = i - (~is_u & ~a_neg)
+    cj = j - (is_u & a_neg)
+    ci, cj = (ci % cu if dom.periodic_u else ci), (cj % cv if dom.periodic_v else cj)
+    p = pair[ci + 1, cj + 1]
+    succ = np.where(p[:, 0] == idx, p[:, 1], p[:, 0])
+
+    # a wrap edge ends one period on
+    A = np.stack([uu[i, j], vv[i, j]], axis=-1)
+    B = np.stack([uu[i1, j1] + (i1 < i) * (dom.u1 - dom.u0),
+                  vv[i1, j1] + (j1 < j) * (dom.v1 - dom.v0)], axis=-1)
+    neg, pos = np.where(a_neg[:, None], A, B), np.where(a_neg[:, None], B, A)
+    todo = np.where(a_neg, lam[i1, j1], lam[i, j]) != 0.0
+    _, pos[todo] = _bisect(
+        lambda m, _: lambda_value(front, m[:, 0], m[:, 1]), neg[todo], pos[todo]
+    )
+    return _wrap(dom, pos), np.where(succ >= 0, (np.cumsum(crossed) - 1)[succ], -1)
 
 
-def _seed_points(front, dom, grid, lam, uu, vv, lam_scale):
-    """Newton-polished midpoints of grid edges where lambda changes sign.
+def _critical_points(front, Q):
+    """Newton on grad lambda = 0 from the points Q, `_PROJECT_ITERS` steps."""
+    for _ in range(_PROJECT_ITERS):
+        _, lu, lv, luu, luv, lvv = lambda_jets(front, Q[:, 0], Q[:, 1], order=2)
+        det = luu * lvv - luv * luv
+        Q = Q - np.stack([lvv * lu - luv * lv, luu * lv - luv * lu], axis=-1) / det[:, None]
+    return Q
 
-    All sign-changing edges are bisected together, 25 array evaluations of
-    lambda in all, and their midpoints are polished by one masked Newton
-    iteration.
+
+def _refine(front, dom, P, nxt, cell):
+    """Insert projected midpoints until every gap meets the continuation
+    rules: no longer than `cell`, unit tangents turning by at most `_TURN`.
+
+    P holds the samples of all curves and nxt[i] the sample after i (-1
+    at an open end); new samples are appended and linked in.  Each round
+    projects the midpoints of all failing gaps along their chord normals at
+    once.  A projection that moves by more than 0.75 of the half gap marks
+    a corner of the zero set, which sits at a zero of grad lambda: Newton
+    on grad lambda from the midpoint finds it.  A gap whose corner search
+    fails, or that is shorter than 1e-9 of the domain, stays as it is.
     """
-    a, fa, b, fb = _grid_edges(dom, lam, uu, vv)
-    change = np.isfinite(fa) & np.isfinite(fb) & ~(fa * fb > 0)
-    a, fa, b = a[change], fa[change], b[change]
-    for _ in range(25):
-        m = 0.5 * (a + b)
-        fm = lambda_value(front, m[:, 0], m[:, 1])
-        left = fa * fm <= 0
-        b = np.where(left[:, None], m, b)
-        a = np.where(left[:, None], a, m)
-        fa = np.where(left, fa, fm)
-    Q, ok = _newton_batch(front, 0.5 * (a + b), lam_scale)
-    ok &= _inside(dom, Q, slack=0.5 * dom.scale / grid)
-    seeds = sorted(Q[ok], key=lambda p: (round(p[0], 9), round(p[1], 9)))
-    kept = []
-    min_gap = 0.25 * dom.scale / grid
-    for s in seeds:
-        if not kept or _distances(dom, kept, s).min() > min_gap:
-            kept.append(s)
-    return kept
-
-
-def _distances(dom, rows, q):
-    return np.linalg.norm(_wrapped_delta(dom, rows, q), axis=-1)
-
-
-def _oriented_det(front, q, T, eta_ref):
-    """det(T, eta) at q with the null direction eta aligned to `eta_ref`."""
-    eta, _ = _null_direction(front.map_jet(q[0], q[1], 1))
-    if float(eta @ eta_ref) < 0:
-        eta = -eta
-    return _cross2(T, eta)
-
-
-def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
-    """Zero of det(T, eta) on the curve segment between qa and qb."""
-    Ta = _tangent(front, qa)
-    if Ta is None:
-        return None
-    da = _oriented_det(front, qa, Ta, eta_ref)
-    for _ in range(60):
-        hit = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
-        if hit is None:
-            return None
-        qm, grad = hit
-        T = _unit_tangent(*grad)
-        if T is None:
-            return None
-        dm = _oriented_det(front, qm, T, eta_ref)
-        if abs(dm) < 1e-10:
-            return qm
-        if da * dm <= 0:
-            qb = qm
-        else:
-            qa, da = qm, dm
-    return qm
+    _, lu, lv = lambda_jets(front, P[:, 0], P[:, 1], order=1)
+    G = np.stack([lu, lv], axis=-1)
+    corner = ~(np.hypot(lu, lv) > 0.0)
+    stuck = np.zeros(len(P), dtype=bool)  # the gap after sample i cannot split
+    for _ in range(_REFINE_ROUNDS):
+        i = np.nonzero((nxt >= 0) & ~stuck)[0]
+        j = nxt[i]
+        D = _wrapped_delta(dom, P[j], P[i])
+        half = 0.5 * np.hypot(D[:, 0], D[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = np.stack([G[:, 1], -G[:, 0]], axis=-1) / np.hypot(G[:, 0], G[:, 1])[:, None]
+        turn = (np.abs(dot(T[i], T[j])) < math.cos(_TURN)) & ~corner[i] & ~corner[j]
+        # a gap of one grid step is not longer than `cell` by its rounding
+        split = (half > 0.5e-9 * dom.scale) & ((half > (0.5 + 1e-12) * cell) | turn)
+        if not split.any():
+            break
+        i, j, D, half = i[split], j[split], D[split], half[split]
+        M, N = P[i] + 0.5 * D, _chord_normals(D)
+        mu = _project(front, M, N)
+        Q = M + mu[:, None] * N
+        lam, *grad = lambda_jets(front, Q[:, 0], Q[:, 1], order=1)
+        Gq = np.stack(grad, axis=-1)
+        ok = (np.abs(mu) <= 0.75 * half) & (np.abs(lam) <= 1e-9 * dom.scale * np.hypot(*grad))
+        at = ~ok  # at a corner
+        if at.any():
+            C = _critical_points(front, M[at])
+            lam_c, *grad = lambda_jets(front, C[:, 0], C[:, 1], order=1)
+            moved = _wrapped_delta(dom, C, M[at])
+            ok[at] = (np.hypot(moved[:, 0], moved[:, 1]) <= 4.0 * half[at]) & (
+                np.abs(lam_c) <= 1e-8 * np.abs(lambda_value(front, M[at, 0], M[at, 1]))
+            )
+            Q[at], Gq[at] = C, np.stack(grad, axis=-1)
+        stuck[i[~ok]] = True
+        i, j = i[ok], j[ok]
+        nxt = np.concatenate([nxt, j])
+        nxt[i] = len(P) + np.arange(len(i))
+        P = np.concatenate([P, _wrap(dom, Q[ok])])
+        G = np.concatenate([G, Gq[ok]])
+        corner = np.concatenate([corner, at[ok]])
+        stuck = np.concatenate([stuck, np.zeros(len(i), dtype=bool)])
+    return P, nxt
 
 
 def _image_point(front, q):
@@ -564,54 +537,46 @@ def _image_point(front, q):
 def trace(front, grid=64):
     """Find all singular curves of `front` on its domain.
 
-    Marching-squares sign changes of lambda on a `grid` x `grid` sample seed
-    Newton projections onto the zero set; predictor-corrector continuation
-    follows each curve to closure, the domain boundary, or a degenerate
-    point.  Swallowtail candidates between samples are located by bisecting
-    the transversality determinant.  Isolated degenerate zeros come back as
-    single-sample curves.
+    Marching squares on the sign of lambda over a `grid` x `grid` sample
+    gives the curves: each crossed cell links the crossings on two of its
+    edges, and the chains of crossings close up or end on the chart's
+    edges.  Array rounds then insert projected midpoints until samples
+    are at most one cell apart and the tangent turns by at most 0.2 rad
+    between neighbours; a corner of the zero set, where grad lambda
+    vanishes, becomes a sample of its own.  One masked bisection of the
+    transversality determinant locates the swallowtails between samples.
+    An isolated zero of lambda at a grid node comes back as a
+    single-sample curve.
     """
     if grid < 16:
         raise ValueError(f"grid must be at least 16 per axis, got {grid}")
     dom = front.domain
     uu, vv = dom.grid(grid)
-    lam_grid = lambda_value(front, uu, vv)
-    lam_scale = max(1.0, float(np.nanmax(np.abs(lam_grid))))
-    seeds = _seed_points(front, dom, grid, lam_grid, uu, vv, lam_scale)
-    cell = min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid
+    P, nxt = _crossings(front, dom, uu, vv, lambda_value(front, uu, vv))
+    if not len(P):
+        return []
+    P, nxt = _refine(front, dom, P, nxt, min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid)
+    seen = np.zeros(len(P), dtype=bool)
     curves = []
-    claimed = np.empty((0, 2))  # traced samples, for seed deduplication
-    for seed in seeds:
-        if len(claimed) and _distances(dom, claimed, seed).min() < 1.5 * cell:
+    heads = np.bincount(nxt[nxt >= 0], minlength=len(P)) == 0
+    for head in np.nonzero(heads)[0].tolist() + list(range(len(P))):
+        pts, k = [], head  # open chains from their first sample, then cycles
+        while k >= 0 and not seen[k]:
+            seen[k] = True
+            if not pts or (P[k] != pts[-1]).any():  # crossings at one node repeat
+                pts.append(P[k])
+            k = nxt[k]
+        if not pts:
             continue
-        T0 = _tangent(front, seed)
-        if T0 is None:
-            point = classify(front, seed)
-            curves.append(SingularCurve(samples=(point,), closed=False, peaks=(0,)))
-            claimed = np.vstack([claimed, seed])
-            continue
-        fwd, closed = _march(front, seed, T0, cell, lam_scale, dom)
-        if closed:
-            pts = fwd
-        else:
-            bwd, _ = _march(front, seed, -T0, cell, lam_scale, dom)
-            pts = list(reversed(bwd[1:])) + fwd
-        if len(pts) < 2 and not closed:
-            point = classify(front, seed)
-            curves.append(
-                SingularCurve(samples=(point,), closed=False,
-                              peaks=(0,) if point.kind != SingularClass.CUSPIDAL_EDGE else ())
-            )
-            claimed = np.vstack([claimed, seed])
-            continue
-        pts = _canonical_order(dom, pts, closed)
-        samples = _build_samples(front, dom, pts, closed, lam_scale)
+        closed = bool(k == head) and len(pts) > 1
+        if closed and (pts[-1] == pts[0]).all():
+            pts.pop()
+        samples = _build_samples(front, dom, _canonical_order(dom, pts, closed), closed)
         peaks = tuple(
             i for i, p in enumerate(samples)
             if p.kind != SingularClass.CUSPIDAL_EDGE
         )
         curves.append(SingularCurve(samples=samples, closed=closed, peaks=peaks))
-        claimed = np.vstack([claimed, [p.uv for p in samples]])
     curves.sort(key=lambda c: (c.samples[0].uv[0], c.samples[0].uv[1]))
     return curves
 
@@ -630,12 +595,16 @@ def _canonical_order(dom, pts, closed):
     return pts
 
 
-def _swallowtail_inserts(front, pts, closed, lam_scale):
+def _swallowtail_inserts(front, dom, pts, closed):
     """Transversality zeros between consecutive samples, as (index, point).
 
     The tangents and null directions of all samples come from one array
     jet evaluation; each is flipped to continue its predecessor, so the
-    determinant det(T, eta) may change sign along the curve.
+    determinant det(T, eta) may change sign along the curve.  One masked
+    bisection then serves every sign change: each round projects the
+    brackets' midpoints onto the curve along their chord normals and
+    evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad lambda|,
+    until |det| < 1e-10 or 60 rounds.
     """
     P = np.array(pts)
     jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
@@ -658,26 +627,47 @@ def _swallowtail_inserts(front, pts, closed, lam_scale):
         prev_T, prev_eta = T, eta
     n = len(pts)
     pairs = [
-        (i, i + 1) for i in range(n - 1)
-        if dets[i] * dets[i + 1] < 0 and abs(dets[i]) > 1e-10 and abs(dets[i + 1]) > 1e-10
+        (i, (i + 1) % n) for i in range(n if closed else n - 1)
+        if dets[i] * dets[(i + 1) % n] < 0
+        and min(abs(dets[i]), abs(dets[(i + 1) % n])) > 1e-10
     ]
-    if closed and n > 1 and dets[-1] * dets[0] < 0:
-        pairs.append((n - 1, 0))
-    inserts = []
-    for i, j in pairs:
-        qs = _bisect_transversality(front, pts[i], pts[j], etas[i], lam_scale)
-        if qs is not None:
-            inserts.append((i + 1, qs))
-    return inserts
+    if not pairs:
+        return []
+    i, j = np.array(pairs).T
+    eta_ref = np.array(etas)[i]
+
+    def det(m, todo):
+        jf, jn = front.jets(m[:, 0], m[:, 1], 2, 1)
+        _, lu, lv = _lambda_blocks(jf, jn, 1)
+        eta, _ = _null_direction(jf)
+        eta = np.where((dot(eta, eta_ref[todo]) < 0)[:, None], -eta, eta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.hypot(lu, lv)
+            return _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
+
+    def midpoint(a, b):
+        D = _wrapped_delta(dom, b, a)
+        M, N = a + 0.5 * D, _chord_normals(D)
+        return M + _project(front, M, N)[:, None] * N
+
+    a_neg = (det(P[i], np.arange(len(i))) < 0)[:, None]
+    _, q = _bisect(
+        det, np.where(a_neg, P[i], P[j]), np.where(a_neg, P[j], P[i]),
+        midpoint, small=1e-10, rounds=60,
+    )
+    q = _wrap(dom, q)
+    return [(a + 1, b) for a, b in zip(i.tolist(), q) if np.isfinite(b).all()]
 
 
 def _neighbour_rates(dom, P, lu, lv, eta, closed):
     """d/dt of det(T, eta) at each sample from its two neighbours.
 
-    Central differences over the chart distance between the neighbours,
-    with each neighbour's |det(T, eta)| signed by whether its null
-    direction agrees with the sample's.  Returns the rates and the mask of
-    samples whose neighbours both have a tangent and do not coincide.
+    Central differences over the chart distance between the neighbours of
+    det(T, eta), T = (lambda_v, -lambda_u)/|grad lambda| and each
+    neighbour's null direction turned to agree with the sample's, so the
+    determinant changes sign through a swallowtail.  Returns the rates and
+    the mask of samples whose neighbours both have a tangent and do not
+    coincide.
     """
     n = len(P)
     i = np.arange(n)
@@ -689,24 +679,21 @@ def _neighbour_rates(dom, P, lu, lv, eta, closed):
     g = np.hypot(lu, lv)
     valid = (dt > 0) & (g[lo] >= 1e-14) & (g[hi] >= 1e-14)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
-        det = np.where(cross < 0, -cross, cross)
+        det = _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
         ra = np.where(dot(eta[lo], eta) >= 0, det[lo], -det[lo])
         rb = np.where(dot(eta[hi], eta) >= 0, det[hi], -det[hi])
         return (rb - ra) / dt, valid
 
 
-def _build_samples(front, dom, pts, closed, lam_scale):
+def _build_samples(front, dom, pts, closed):
     """Classify every traced point with curve context and fill arclengths.
 
     One array jet evaluation of the whole curve (after swallowtail points
     are inserted) feeds the neighbour transversality rates, the per-point
     decision, the curvature kernel and the image arclengths.
     """
-    for offset, (idx, qs) in enumerate(
-        _swallowtail_inserts(front, pts, closed, lam_scale)
-    ):
-        pts.insert(idx + offset, np.asarray(qs))
+    for offset, (idx, qs) in enumerate(_swallowtail_inserts(front, dom, pts, closed)):
+        pts.insert(idx + offset, qs)
     P = np.array(pts)
     jf, jn = front.jets(P[:, 0], P[:, 1], 3, 2)
     blocks = _lambda_blocks(jf, jn, 2)
@@ -762,7 +749,6 @@ def singular_curvature(front, point, h=None):
     scale = front.domain.scale
     if h is None:
         h = 1e-3 * scale
-    lam_scale = 1.0
     jf0, jn0 = front.jets(q0[0], q0[1], 1, 0)
     img0 = jf0.value
     tau = jf0.along(T0)
@@ -772,7 +758,7 @@ def singular_curvature(front, point, h=None):
         # land on the curve at image distance |ds| from q0 (secant on the step)
         t = ds / max(speed, 1e-12)
         for _ in range(4):
-            hit = _newton(front, q0 + t * T0, lam_scale)
+            hit = _newton(front, q0 + t * T0)
             if hit is None:
                 raise TraceError("lost the curve while differencing tangents")
             q, grad = hit
@@ -978,7 +964,7 @@ def _swallowtail_sign_delta(front, point, lambda_side):
     votes = []
     for delta in (5e-3 * scale, 1e-2 * scale):
         for sgn in (-1.0, 1.0):
-            hit = _newton(front, q0 + sgn * delta * T, 1.0)
+            hit = _newton(front, q0 + sgn * delta * T)
             if hit is None:
                 continue
             q = hit[0]

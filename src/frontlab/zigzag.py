@@ -32,7 +32,7 @@ from .errors import FrontContractError, FrontlabError
 from .expr import Expr, eval_jet, parse
 from .front import dot, require_expr
 from .gallery import gallery
-from .singular import SingularClass, classify, lambda_jets, lambda_value
+from .singular import SingularClass, _bisect, classify, lambda_jets, lambda_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,8 +166,10 @@ def plane_position(pf, ts):
 def _simple_roots(fn, period, samples, what):
     """Simple zeros of a periodic scalar function by sign scan + bisection.
 
-    Zeros that the scan grid hits exactly are taken as-is; a touching zero
-    (no sign change) is rejected as non-generic.
+    Zeros that the scan grid hits exactly are taken as-is; the sign changes
+    between samples go through one masked bisection (`singular._bisect`),
+    one evaluation of `fn` per round for all of them.  A touching zero (no
+    sign change) is rejected as non-generic.
     """
     t = np.linspace(0.0, period, samples, endpoint=False)
     vals = np.asarray(fn(t), dtype=float)
@@ -175,25 +177,14 @@ def _simple_roots(fn, period, samples, what):
     if scale == 0.0:
         raise FrontlabError(f"{what} vanishes identically on the loop")
     exact = vals == 0.0
-    roots = [float(x) for x in t[exact]]
     n = samples
-    for i in range(n):
-        j = (i + 1) % n
-        if exact[i] or exact[j] or vals[i] * vals[j] > 0.0:
-            continue
-        lo, hi = t[i], t[i] + period / n
-        flo = vals[i]
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fmid = float(fn(np.array([mid]))[0])
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi) % period)
+    i = np.nonzero(~exact & ~np.roll(exact, -1) & ~(vals * np.roll(vals, -1) > 0.0))[0]
+    lo, hi = t[i], t[i] + period / n
+    neg, pos = _bisect(
+        lambda m, _: np.asarray(fn(m), dtype=float),
+        np.where(vals[i] < 0.0, lo, hi), np.where(vals[i] < 0.0, hi, lo),
+    )
+    roots = [float(x) for x in t[exact]] + (0.5 * (neg + pos) % period).tolist()
     # a zero that touches without changing sign hides between samples as a
     # deep |fn| dip; refine such dips by golden section and reject tangency
     for i in range(n):

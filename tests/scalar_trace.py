@@ -1,14 +1,18 @@
 """Test-only oracle: the point-at-a-time singular-curve tracer.
 
-This is the tracer `frontlab.singular.trace` had before it evaluated its
+This is the tracer `frontlab.singular.trace` had before it became a
+contour tracer over the lambda grid, and before it evaluated its
 independent per-point steps as array jets: every grid edge is bisected
 with scalar `lambda_value` calls, every seed is polished by its own Newton
-iteration, and every traced sample recomputes its tangent, null direction
-and neighbour transversality rates from scalar jets before a scalar
-`classify`.  The batched tracer must land on the same sample positions bit
-for bit, so this module keeps the scalar arithmetic it replaced; the
-library's march, clipping and ordering helpers are shared where they never
-changed.
+iteration and claims the seeds near the curve it traces, a
+predictor-corrector march follows each curve and clips it at the chart
+edge, and every traced sample recomputes its tangent, null direction and
+neighbour transversality rates from scalar jets before a scalar
+`classify`.  The library now places its samples elsewhere, so it is
+compared with this tracer by structure (curve counts, closed flags, peak
+kinds, swallowtail signs) and by integrals; the march, clipping and seeding
+it needs live here, and it shares the library's ordering and
+classification, which did not change.
 
 `pointwise_curvatures` is the scalar singular-curvature formula that the
 shared curvature kernel replaced, kept as an independent check of it.
@@ -25,10 +29,8 @@ from frontlab.singular import (
     SingularClass,
     SingularCurve,
     _canonical_order,
-    _clip_to_boundary,
     _cross2,
     _image_point,
-    _inside,
     _lambda_blocks,
     _null_direction,
     _wrapped_delta,
@@ -53,6 +55,58 @@ def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
         if not np.all(np.isfinite(q)):
             return None
     return None
+
+
+def _axis_newton(front, q, lam_scale, tol, axis):
+    """Newton on lambda = 0 along the chart `axis` only; None if lost."""
+    q = np.array([float(q[0]), float(q[1])])
+    for _ in range(50):
+        lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
+        if abs(lam) < tol * lam_scale:
+            return q
+        d = np.eye(2)[axis]
+        g2 = lu * d[0] + lv * d[1]
+        if abs(g2) < 1e-28:
+            return None
+        step = lam / g2
+        q = q - step * d
+        if not np.all(np.isfinite(q)):
+            return None
+    return None
+
+
+def _inside(dom, q, slack=0.0):
+    """Whether q (or each row of q) lies in the domain, up to `slack`."""
+    q = np.asarray(q)
+    ok = np.ones(q.shape[:-1], dtype=bool)
+    if not dom.periodic_u:
+        ok &= (dom.u0 - slack <= q[..., 0]) & (q[..., 0] <= dom.u1 + slack)
+    if not dom.periodic_v:
+        ok &= (dom.v0 - slack <= q[..., 1]) & (q[..., 1] <= dom.v1 + slack)
+    return ok
+
+
+def _clip_to_boundary(front, q_in, q_out, dom, lam_scale):
+    """Final on-boundary sample for a step that left a non-periodic axis:
+    the crossed coordinate is pinned to the edge, Newton runs in the other."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        q = q_in + mid * (q_out - q_in)
+        if _inside(dom, q):
+            lo = mid
+        else:
+            hi = mid
+    q = q_in + lo * (q_out - q_in)
+    out = q_in + hi * (q_out - q_in)
+    k = 0 if not (dom.periodic_u or dom.u0 <= out[0] <= dom.u1) else 1
+    q[k] = min(max(out[k], (dom.u0, dom.v0)[k]), (dom.u1, dom.v1)[k])
+    q = _axis_newton(front, q, lam_scale, 1e-10, 1 - k)
+    if q is None or not _inside(dom, q, slack=1e-9 * dom.scale):
+        return None
+    return np.clip(
+        q, [dom.u0, dom.v0], [dom.u1, dom.v1]
+    ) if not (dom.periodic_u or dom.periodic_v) else q
 
 
 def _tangent(front, q):

@@ -25,7 +25,7 @@ from frontlab import (
     swallowtail_signs,
     trace,
 )
-from frontlab import gaussbonnet
+from frontlab import gaussbonnet, singular
 from frontlab.gaussbonnet import _branch, _cap_terms
 from frontlab.singular import SingularClass, SingularCurve
 
@@ -388,6 +388,21 @@ class TestEulerReport:
             assert abs(rep.residual_unsigned) < 1e-8, (
                 f"panels {rep.provenance['panels']}: {rep.residual_unsigned}"
             )
+
+    def test_curves_across_the_seam_close_the_identity(self):
+        # d=1.3 has swallowtails on curves that cross the periodic u-seam;
+        # their bisection must take the short way across it
+        front = gallery("ellipsoid_parallel", {"d": 1.3})
+        dom = front.domain
+        curves = trace(front, grid=96)
+        cell = min(dom.u1 - dom.u0, dom.v1 - dom.v0) / 96
+        for c in curves:
+            P = np.array([p.uv for p in c.samples])
+            gaps = singular._wrapped_delta(dom, np.roll(P, -1, axis=0), P)
+            assert np.hypot(gaps[:, 0], gaps[:, 1]).max() <= 2.0 * cell
+        rep = euler_report(front, curves=curves)
+        assert rep.applicable
+        assert abs(rep.residual_unsigned) < 1e-8
 
     def test_parallel_band_report(self, ell16_report):
         rep = ell16_report

@@ -13,6 +13,7 @@ from frontlab import (
     FrontContractError,
     FrontlabError,
     InapplicableError,
+    TraceError,
     classify,
     curvature,
     curve_to_csv,
@@ -30,7 +31,10 @@ from frontlab import (
     singular_curvature_intrinsic,
     tail_side,
     trace,
+    validate,
 )
+from frontlab import singular
+from frontlab.gaussbonnet import integrate_kappa_s
 from frontlab.singular import (
     SingularClass,
     SingularCurve,
@@ -298,10 +302,67 @@ class TestTrace:
         for c in curves:
             uv = np.array([p.uv for p in c.samples])
             r = np.hypot(uv[:, 0], uv[:, 1])
-            # each ray lies on v^2 = 6 u^2 and never reaches the origin
+            # each ray lies on v^2 = 6 u^2; where two rays meet, the origin
+            # is a sample of its own and the only degenerate one
             resid = np.abs(uv[:, 1] ** 2 - 6.0 * uv[:, 0] ** 2)
             assert np.max(resid[r > 0.05]) < 1e-6
-            assert np.min(r) > 1e-8
+            degenerate = [p.kind is SingularClass.DEGENERATE for p in c.samples]
+            assert degenerate == list(r < 1e-8)
+            assert any(degenerate)
+
+    @pytest.mark.parametrize("name, grid", [("kuen", 48), ("standard_swallowtail", 32)])
+    def test_open_curves_end_on_chart_edges(self, name, grid):
+        front = gallery(name)
+        dom = front.domain
+        curves = trace(front, grid=grid)
+        assert curves and not any(c.closed for c in curves)
+        for c in curves:
+            for p in (c.samples[0], c.samples[-1]):
+                assert p.uv[0] in (dom.u0, dom.u1) or p.uv[1] in (dom.v0, dom.v1), p.uv
+
+    def test_close_curves_are_both_traced(self):
+        # cuspidal edges at v = +-a, closer together than two grid steps
+        front = Front(
+            map=parse("(u, v^3/3-a^2*v, v^4/4-a^2*v^2/2)", {"a": 0.04}),
+            normal=parse("(0, -v/sqrt(1+v^2), 1/sqrt(1+v^2))"),
+            domain=Domain(-1.0, 1.0, -1.0, 1.0),
+        )
+        validate(front)
+        curves = trace(front, grid=32)
+        assert len(curves) == 2
+        for c, v in zip(sorted(curves, key=lambda c: c.samples[0].uv[1]), (-0.04, 0.04)):
+            assert max(abs(p.uv[1] - v) for p in c.samples) < 1e-12
+
+    def test_lambda_zero_on_grid_nodes(self):
+        # at grid 33 the u-axis, where lambda vanishes, is a row of nodes
+        front = gallery("cuspidal_parabola")
+        uu, vv = front.domain.grid(33)
+        assert (lambda_value(front, uu, vv) == 0.0).sum() == 33
+        curves = trace(front, grid=33)
+        assert len(curves) == 1 and not curves[0].closed
+        assert all(p.uv[1] == 0.0 for p in curves[0].samples)
+        got = integrate_kappa_s(front, curves)
+        assert abs(got - 1.4706289056333368) <= 1e-13
+
+    def test_isolated_zero_at_a_node(self):
+        # lambda = -(u^2 + v^2) vanishes only at the origin, a node at grid 17
+        front = Front(
+            map=parse("(u, -(v^3/3+u^2*v), 0)"), normal=parse("(0, 0, 1)"),
+            domain=Domain(-1.0, 1.0, -1.0, 1.0),
+        )
+        (curve,) = trace(front, grid=17)
+        assert not curve.closed and curve.peaks == (0,)
+        (point,) = curve.samples
+        assert point.uv == (0.0, 0.0) and point.kind is SingularClass.DEGENERATE
+        assert trace(front, grid=16) == []
+
+    def test_saddle_cell_refused(self):
+        dom = Domain(0.0, 1.0, 0.0, 1.0)
+        uu, vv = dom.grid(16)
+        lam = np.ones_like(uu)
+        lam[7, 7] = lam[8, 8] = -1.0
+        with pytest.raises(TraceError, match=r"grid cell \(7, 7\)"):
+            singular._crossings(None, dom, uu, vv, lam)
 
     def test_sphere_has_no_singular_set(self):
         assert trace(gallery("sphere"), grid=16) == []

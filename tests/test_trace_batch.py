@@ -1,10 +1,11 @@
-"""The batch-first tracer against the point-at-a-time oracle it replaced.
+"""The contour tracer against the point-at-a-time oracle it replaced.
 
-`trace` evaluates seeding, tangents, null directions and classification
-as array jets; `scalar_trace.scalar_trace` does every step one point at a
-time.  Sample positions come out of the same per-point arithmetic, so they
-must agree bit for bit; curvatures go through array instead of scalar jets
-and may differ by rounding only.
+`trace` takes its curves from the lambda grid (marching squares, array
+refinement, one masked swallowtail bisection); `scalar_trace.scalar_trace`
+marches each curve one point at a time.  Their samples sit at different
+places on the same curves, so the two are compared by structure and by
+integrals, and the array classification is compared with the oracle's
+scalar one at the oracle's own sample positions.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ import re
 import numpy as np
 import pytest
 import scalar_trace
+
+import frontlab.front
 
 from frontlab import (
     Domain,
@@ -90,26 +93,58 @@ def _seam_fronts():
 SEAM_FRONTS = _seam_fronts()
 
 
+def _peak_kinds(curves):
+    return sorted(c.samples[i].kind.value for c in curves for i in c.peaks)
+
+
+def _swallowtail_signs(curves):
+    return sorted(
+        p.swallowtail_sign for c in curves for p in c.samples
+        if p.kind is SingularClass.SWALLOWTAIL
+    )
+
+
+def _max_gap(front, curve):
+    P = np.array([p.uv for p in curve.samples])
+    nxt = np.roll(P, -1, axis=0) if curve.closed else P[1:]
+    return np.hypot(*singular._wrapped_delta(front.domain, nxt, P[: len(nxt)]).T).max()
+
+
 @pytest.mark.parametrize("name", sorted(SEAM_FRONTS))
-def test_seeds_match_scalar_seeding(name):
-    """Array bisection and Newton polish, sign changes on wrap edges included."""
+def test_seam_fronts_trace_like_unshifted(name):
+    """Curves running across a periodic seam link through the wrap edges
+    and trace to the curves of the unshifted front: the same counts,
+    closed flags, peaks and swallowtail signs, swallowtails at the same
+    points, and no gap longer than a cell."""
     front = SEAM_FRONTS[name]
     dom = front.domain
     uu, vv = dom.grid(GRID)
     lam = lambda_value(front, uu, vv)
     wrap = lam[-1] * lam[0] if dom.periodic_u else lam[:, -1] * lam[:, 0]
     assert (wrap <= 0).sum() >= 2
-    lam_scale = max(1.0, float(np.nanmax(np.abs(lam))))
-    args = (front, dom, GRID, lam, uu, vv, lam_scale)
-    batch = singular._seed_points(*args)
-    scalar = scalar_trace._seed_points(*args)
-    assert np.array(batch).tobytes() == np.array(scalar).tobytes()
+    plain = gallery("ellipsoid_parallel", FRONTS["ellipsoid_parallel"])
+    want, got = trace(plain, grid=GRID), trace(front, grid=GRID)
+    assert [c.closed for c in got] == [c.closed for c in want]
+    assert _peak_kinds(got) == _peak_kinds(want)
+    # swapping u and v reverses the chart, so lambda and with it each
+    # swallowtail's sign change sign
+    flip = 1 if dom.periodic_u else -1
+    assert _swallowtail_signs(got) == sorted(flip * s for s in _swallowtail_signs(want))
+
+    def tails(curves, k):
+        pts = [p.uv[::k] for c in curves for p in c.samples
+               if p.kind is SingularClass.SWALLOWTAIL]
+        return sorted((round(u % (2.0 * math.pi), 7), round(v, 7)) for u, v in pts)
+
+    assert tails(got, flip) == tails(want, 1)
+    cell = min(dom.u1 - dom.u0, dom.v1 - dom.v0) / GRID
+    assert max(_max_gap(front, c) for c in got) <= cell
 
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_neighbour_rates_sign_by_raw_null_directions(closed):
-    """Each neighbour's |det(T, eta)| counts with the sign of its null
-    direction against the sample's, as the point-at-a-time pass did."""
+    """Each neighbour's det(T, eta) counts with its null direction turned
+    to agree with the sample's, T = (lambda_v, -lambda_u)/|grad lambda|."""
     rng = np.random.default_rng(5)
     n = 7
     P = np.cumsum(rng.uniform(0.1, 0.2, (n, 2)), axis=0)
@@ -120,38 +155,59 @@ def test_neighbour_rates_sign_by_raw_null_directions(closed):
     rates, valid = singular._neighbour_rates(dom, P, lu, lv, eta, closed)
     assert valid.all()
 
-    def abs_det(k):
+    def det(k):
         T = np.array([lv[k], -lu[k]]) / math.hypot(lu[k], lv[k])
-        return abs(T[0] * eta[k, 1] - T[1] * eta[k, 0])
+        return T[0] * eta[k, 1] - T[1] * eta[k, 0]
 
     for i in range(n):
         lo, hi = ((i - 1) % n, (i + 1) % n) if closed else (max(i - 1, 0), min(i + 1, n - 1))
-        ra = abs_det(lo) if eta[lo] @ eta[i] >= 0 else -abs_det(lo)
-        rb = abs_det(hi) if eta[hi] @ eta[i] >= 0 else -abs_det(hi)
+        ra = det(lo) if eta[lo] @ eta[i] >= 0 else -det(lo)
+        rb = det(hi) if eta[hi] @ eta[i] >= 0 else -det(hi)
         want = (rb - ra) / np.linalg.norm(P[hi] - P[lo])
         assert abs(rates[i] - want) <= 1e-12 * abs(want), i
 
 
 def test_samples_match_scalar_trace(traced):
+    """The oracle's curves by structure: counts, closed flags, swallowtail
+    signs and peak kinds, with cuspidal edges everywhere else.  On the
+    cone every sample is a peak, so peaks follow the sample count; on the
+    double swallowtail the degenerate origin is now a sample."""
     front, batch, scalar = traced
     assert len(batch) == len(scalar)
-    for cb, cs in zip(batch, scalar):
-        assert cb.closed == cs.closed
-        assert cb.peaks == cs.peaks
-        assert len(cb) == len(cs)
-        for pb, ps in zip(cb.samples, cs.samples):
-            assert [x.hex() for x in pb.uv] == [x.hex() for x in ps.uv]
-            assert pb.kind is ps.kind
-            assert pb.swallowtail_sign == ps.swallowtail_sign
-            assert pb.near_peak == ps.near_peak
+    assert [c.closed for c in batch] == [c.closed for c in scalar]
+    assert _swallowtail_signs(batch) == _swallowtail_signs(scalar)
+    for c in batch:
+        for i, p in enumerate(c.samples):
+            assert (p.kind is SingularClass.CUSPIDAL_EDGE) == (i not in c.peaks), p.uv
+    kinds, want = _peak_kinds(batch), _peak_kinds(scalar)
+    if front.label.startswith("cone"):
+        assert set(kinds) == set(want) == {SingularClass.NONDEGENERATE_PEAK_OTHER.value}
+        assert len(kinds) == sum(len(c) for c in batch)
+    elif front.label == "double swallowtail":
+        assert want == []
+        assert kinds == [SingularClass.DEGENERATE.value] * len(batch)
+    else:
+        assert kinds == want
 
 
 def test_curvatures_match_scalar_trace(traced):
-    front, batch, scalar = traced
-    cusps = list(zip(_cusps(batch), _cusps(scalar)))
-    assert len(cusps) == len(_cusps(scalar))
-    for pb, ps in cusps:
-        _assert_curvatures_close(pb, ps, pb.uv)
+    """At the oracle's own sample positions, the array classification of a
+    whole curve gives the oracle's kinds, swallowtail signs, peak flags
+    and, up to rounding, its curvatures."""
+    front, _, scalar = traced
+    for c in scalar:
+        if len(c) < 2:
+            continue
+        pts = [np.array(p.uv) for p in c.samples]
+        got = singular._build_samples(front, front.domain, pts, c.closed)
+        assert len(got) == len(c)
+        for pb, ps in zip(got, c.samples):
+            assert pb.uv == ps.uv
+            assert pb.kind is ps.kind, pb.uv
+            assert pb.swallowtail_sign == ps.swallowtail_sign, pb.uv
+            assert pb.near_peak == ps.near_peak, pb.uv
+            if ps.kind is SingularClass.CUSPIDAL_EDGE:
+                _assert_curvatures_close(pb, ps, pb.uv)
 
 
 def test_scalar_classify_agrees_with_trace(traced):
@@ -176,8 +232,33 @@ def test_kernel_matches_pointwise_formula(traced):
 
 
 @pytest.mark.parametrize("name", ["cuspidal_parabola", "pseudosphere"])
-def test_kappa_s_integral_is_bit_equal(name):
+def test_kappa_s_integral_matches_scalar_trace(name):
     front = gallery(name)
     batch = integrate_kappa_s(front, trace(front, grid=GRID))
     scalar = integrate_kappa_s(front, scalar_trace.scalar_trace(front, grid=GRID))
-    assert batch.hex() == scalar.hex()
+    assert abs(batch - scalar) <= 1e-13 * abs(scalar)
+
+
+def test_scalar_jets_only_for_tail_sides(monkeypatch):
+    """Tracing is array work: scalar jet calls come from the swallowtails'
+    tail-side sweeps alone, a tenth of what the march needed."""
+    front = gallery("ellipsoid_parallel", FRONTS["ellipsoid_parallel"])
+    counts = {"scalar": 0, "tail": 0}
+    real_jet, real_tail = frontlab.front.eval_jet, singular.tail_side
+
+    def eval_jet(e, u, v, order):
+        counts["scalar"] += np.shape(u) == () and np.shape(v) == ()
+        return real_jet(e, u, v, order)
+
+    def tail_side(*args, **kwargs):
+        before = counts["scalar"]
+        out = real_tail(*args, **kwargs)
+        counts["tail"] += counts["scalar"] - before
+        return out
+
+    monkeypatch.setattr(frontlab.front, "eval_jet", eval_jet)
+    monkeypatch.setattr(singular, "tail_side", tail_side)
+    curves = trace(front, grid=64)
+    assert len(_swallowtail_signs(curves)) == 4
+    assert counts["scalar"] <= 98
+    assert counts["scalar"] == counts["tail"]

@@ -32,6 +32,7 @@ from frontlab import (
     zigzag_surface,
     zigzag_to_dict,
 )
+from frontlab import zigzag
 
 # first zero of J1', reused by the doubled-rose construction
 B_ONE_PAIR = -1.8411837813406593
@@ -350,3 +351,56 @@ class TestResultSerialization:
         second = json.dumps(zigzag_to_dict(
             zigzag_plane(plane_gallery("rose_two_pairs"))), sort_keys=True)
         assert first == second
+
+
+def _scalar_roots(fn, period, samples):
+    """The per-root scalar bisection the masked one replaced, to 1e-12."""
+    t = np.linspace(0.0, period, samples, endpoint=False)
+    vals = np.asarray(fn(t), dtype=float)
+    roots = [float(x) for x in t[vals == 0.0]]
+    for i in range(samples):
+        j = (i + 1) % samples
+        if vals[i] == 0.0 or vals[j] == 0.0 or vals[i] * vals[j] > 0.0:
+            continue
+        lo, hi, flo = t[i], t[i] + period / samples, vals[i]
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            fmid = float(fn(np.array([mid]))[0])
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi) % period)
+    return sorted(roots)
+
+
+def test_roots_match_scalar_bisection(monkeypatch):
+    """Every root scan of the plane and loop galleries lands within 1e-12
+    of the point-at-a-time bisection, and the words do not move."""
+    calls = []
+    real = zigzag._simple_roots
+
+    def spy(fn, period, samples, what):
+        roots = real(fn, period, samples, what)
+        calls.append((fn, period, samples, roots))
+        return roots
+
+    monkeypatch.setattr(zigzag, "_simple_roots", spy)
+    words = {name: zigzag_plane(plane_gallery(name)).word
+             for name in plane_gallery_names()}
+    for name in loop_gallery_names():
+        front, loop = loop_gallery(name)
+        words[name] = zigzag_surface(front, loop).word
+    assert words == {"circle": "", "ellipse_parallel": "aaaa", "rose_one_pair": "ba",
+                     "rose_two_pairs": "baba", "parabola_band": "bb",
+                     "parabola_clear": "", "pseudosphere_waist": "aa"}
+    assert sum(len(roots) for *_, roots in calls) >= 12
+    for fn, period, samples, roots in calls:
+        want = _scalar_roots(fn, period, samples)
+        assert len(roots) == len(want)
+        for got, ref in zip(roots, want):
+            gap = abs(got - ref) % period
+            assert min(gap, period - gap) <= 1e-12, (got, ref)
