@@ -15,23 +15,31 @@ unary functions sin cos tan sinh cosh tanh sech exp log sqrt atan abs.
 Vectors (arity 2 to 4) appear only at the root.  Exponents must be
 constant: number literals, parameters, or arithmetic on those.
 
-Jets are evaluated by compiling each expression once.  On first use an
-`Expr` hash-conses its syntax tree into a DAG (structurally equal
-subtrees, and constants with equal bit patterns, become one node) and
-lowers it to a topologically ordered instruction list, kept on the
-`Expr` as `tape`.  Every `eval_jet` call runs that list over `taylor`
-series: each distinct subexpression is evaluated once, sin/cos and
-sinh/cosh of one argument share one evaluation of the pair, and each
-intermediate is released after its last use.  The operations and their
-operands are those of a recursive walk of the tree, so the jets agree
-with one bit for bit (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., ch. 13).  Several vector expressions evaluated at the same points
-`join` into one expression, whose program computes what they share once;
-since `taylor` gives the low-degree coefficients the same bits at every
-order, `Jet2.take` cuts each one's jet back out, at its own order, equal
-bit for bit to the jet of its own tape.
+Jets are evaluated by source transformation (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 6 and 13).  On first use an `Expr`
+hash-conses its syntax tree into a DAG (structurally equal subtrees, and
+constants with equal bit patterns, become one node) and lowers it to a
+topologically ordered instruction list, kept on the `Expr` as `tape`.
+The tape is then written out once as a straight-line Python function for
+all jet orders, shared by every expression of the same shape (constants
+are its arguments).  `taylor.Series` is the reference arithmetic: the
+function performs exactly the operations a `Series` walk of the tape
+would, on the same operands and in the same order, with the coefficients
+that are structurally zero left out when the code is written, so the jets
+agree bit for bit with a recursive walk of the tree over `Series`.  Each
+distinct subexpression is evaluated once, sin/cos and sinh/cosh of one
+argument share one evaluation of the pair, and each intermediate is
+released after its last use.  Several vector expressions evaluated at the
+same points `join` into one expression, whose program computes what they
+share once; `eval_jet` can split its components into fields with orders
+of their own, and computes each instruction only to the highest order a
+field reading it asks for.  Since `taylor` gives the low-degree
+coefficients the same bits at every order, each field's jet equals bit
+for bit the jet of its own expression.
 """
 
+import itertools
+import linecache
 import math
 import re
 import struct
@@ -253,8 +261,14 @@ class Expr:
 
     @cached_property
     def tape(self):
-        """The jet program of a vector expression, compiled on first use."""
+        """The instruction list of a vector expression, built on first use."""
         return _Tape(self.root, self.param_dict())
+
+    @cached_property
+    def program(self):
+        """The jet program of a vector expression, generated on first use
+        and shared with every expression of the same shape."""
+        return _program(self.tape, self.source)
 
 
 # --- parser -------------------------------------------------------------
@@ -466,8 +480,6 @@ def to_source(expr):
 
 # --- jets ---------------------------------------------------------------
 
-_BLOCK_ALPHAS = {deg: tuple(taylor._compositions(2, deg)) for deg in (1, 2, 3)}
-
 
 @dataclass(frozen=True)
 class Jet2:
@@ -491,18 +503,6 @@ class Jet2:
     def abs_at_zero(self):
         """Whether any component went through abs at exactly 0."""
         return any(self.abs_hits)
-
-    def take(self, components, order):
-        """The jet of the components `components` (a slice), truncated
-        to `order`."""
-        if order > self.order:
-            raise ValueError(f"jet order {order} was not evaluated (order={self.order})")
-        blocks = [
-            tuple(b[..., components] for b in block) if deg <= order else None
-            for deg, block in enumerate((self.d1, self.d2, self.d3), 1)
-        ]
-        return Jet2(self.value[..., components], *blocks, order,
-                    self.abs_hits[components])
 
     def _block(self, deg):
         block = (self.d1, self.d2, self.d3)[deg - 1]
@@ -567,30 +567,6 @@ class Jet2:
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k!r}")
 
 
-def _stack(values, shape):
-    if shape == ():
-        return np.array([float(x) for x in values])
-    cols = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in values]
-    return np.stack(cols, axis=-1)
-
-
-def _pack_jet(components, space, shape, abs_hits):
-    value = _stack([s.value for s in components], shape)
-    blocks = [None, None, None]
-    for deg in range(1, space.order + 1):
-        blocks[deg - 1] = tuple(
-            _stack([s.partial(a) for s in components], shape) for a in _BLOCK_ALPHAS[deg]
-        )
-    return Jet2(
-        value=value,
-        d1=blocks[0],
-        d2=blocks[1],
-        d3=blocks[2],
-        order=space.order,
-        abs_hits=tuple(abs_hits),
-    )
-
-
 def _bits(x):
     """Hash-consing key of a float: its bit pattern, so 0.0 and -0.0 (or
     two NaN payloads) never share a slot the way `==` would let them."""
@@ -598,20 +574,21 @@ def _bits(x):
 
 
 class _Tape:
-    """A vector expression lowered to a straight-line jet program.
+    """A vector expression lowered to a list of instructions.
 
-    Each distinct subexpression is one instruction ``(op, args, aux, node,
-    dead)``: `args` are the slots (instruction indices) it reads, `aux` its
-    constant operand, `node` the syntax node whose source an error names,
-    and `dead` the slots whose last reader it is.  The order is the
-    post-order of the tree with repeats dropped, so the first instruction
-    that fails is the subexpression a recursive walk would fail on first.
-    sin/cos and sinh/cosh of one argument read one shared "pair" slot.
-    `abs_deps` lists, per output, the abs instructions it depends on, so
-    an abs at zero flags only the components that read it.
+    Each distinct subexpression is one instruction ``(op, args, aux,
+    node)``: `args` are the slots (instruction indices) it reads, `aux` its
+    constant operand, and `node` the syntax node whose source an error
+    names.  The order is the post-order of the tree with repeats dropped, so
+    the first instruction that fails is the subexpression a recursive walk
+    would fail on first.  sin/cos and sinh/cosh of one argument read one
+    shared "pair" slot.  `abs_deps` lists, per output, the abs instructions
+    it depends on, so an abs at zero flags only the components that read it.
+    `constants` lists the constants and real exponents in instruction
+    order, and `shape` is everything else, which fixes the jet program.
     """
 
-    __slots__ = ("code", "outputs", "abs_deps")
+    __slots__ = ("code", "outputs", "abs_deps", "constants", "shape")
 
     def __init__(self, root, params):
         code = []
@@ -652,60 +629,348 @@ class _Tape:
             raise TypeError(f"cannot evaluate {node!r}")
 
         self.outputs = tuple(visit(c) for c in root.components)
-        last = {}
+        self.code = tuple(code)
         deps = []
         for i, (op, args, _, _) in enumerate(code):
-            for a in args:
-                last[a] = i
             deps.append(frozenset({i} if op == "abs" else ()).union(*(deps[a] for a in args)))
         self.abs_deps = tuple(deps[k] for k in self.outputs)
-        dead = [[] for _ in code]
-        for slot, i in last.items():
-            if slot not in self.outputs:
-                dead[i].append(slot)
-        self.code = tuple(
-            (op, args, aux, node, tuple(d)) for (op, args, aux, node), d in zip(code, dead)
-        )
+        valued = [op in ("const", "powr") for op, _, _, _ in code]
+        self.constants = tuple(aux for (_, _, aux, _), v in zip(code, valued) if v)
+        self.shape = (tuple((op, args, None if v else aux)
+                            for (op, args, aux, _), v in zip(code, valued)), self.outputs)
 
-    def run(self, space, vars_):
-        """Component series and their abs-at-zero flags at the given variables."""
-        regs = [None] * len(self.code)
-        abs_hit = set()
-        try:
-            for i, (op, args, aux, node, dead) in enumerate(self.code):
-                x = regs[args[0]] if args else None
-                if op == "const":
-                    r = space.const(aux)
-                elif op == "var":
-                    r = vars_[aux]
-                elif op == "*":
-                    r = x * regs[args[1]]
-                elif op == "+":
-                    r = x + regs[args[1]]
-                elif op == "-":
-                    r = x - regs[args[1]]
-                elif op == "/":
-                    r = x / regs[args[1]]
-                elif op == "neg":
-                    r = -x
-                elif op == "powi":
-                    r = x.powi(aux)
-                elif op == "powr":
-                    r = x.powr(aux)
-                elif op == "pair":
-                    r = taylor.pair_values(aux, x.c[0])
-                elif op == "abs":
-                    r, hit = taylor.apply_abs(x)
-                    if hit:
-                        abs_hit.add(i)
-                else:
-                    r = taylor.apply_function(op, x, regs[args[1]] if len(args) > 1 else None)
-                regs[i] = r
-                for j in dead:
-                    regs[j] = None
-        except ExprDomainError as err:
-            raise ExprDomainError(err.args[0], source=to_source(node)) from None
-        return [regs[k] for k in self.outputs], [bool(d & abs_hit) for d in self.abs_deps]
+
+# --- jet programs -------------------------------------------------------
+#
+# A tape becomes one generated Python function, `jet(u, v, n, R, C)`,
+# made once per tape shape: the constants come in `C`.  `n` holds one
+# order per output component, and every instruction is computed to the
+# highest order any output that depends on it asks for: its coefficients
+# of degree d sit under ``if k >= d:``, with k that maximum.  Which
+# coefficients are the `_ZERO` sentinel is known when the code is written
+# (only const, var and abs write it, and none of them looks at values), so
+# no zero test runs; the others are computed by exactly the operations, on
+# the same operands, that `taylor.Series` applies, and the derivative
+# tables are called at run time.  Values used once are inlined where they
+# are used; the others get a variable, dropped after its last use.  The
+# function stores the partial of output j for monomial m in R[m * (number
+# of outputs) + j], leaving 0.0 where a coefficient is structurally zero,
+# and returns the abs-at-zero flag of each output.
+
+_SPACE = taylor.jet_space(3)
+_DEGREE = tuple(a + b for a, b in _SPACE.monomials)
+_NCOEF = (1, 3, 6, 10)  # coefficients of a jet of order 0, 1, 2, 3
+_PRODUCTS = tuple(  # (i, j) with a_i * b_j adding to coefficient k, in Series order
+    tuple((i, j) for i, j, k in _SPACE.triples if k == m) for m in range(_SPACE.ncoef)
+)
+_MAX_INLINE = 24  # nesting depth of one inlined expression, for the parser
+_MAX_PROGRAMS = 256
+_PROGRAMS = {}  # tape shape -> (function, instruction index of each raising line)
+_NAMES = itertools.count()
+
+
+class _Term:
+    """One value in a program being written: a leaf (a literal, an input
+    or a variable a statement assigns) called `name`, or the operation `op`
+    on the terms `args`, computed where it is used or, once it is given a
+    `name`, in the block it was made in.  A "dot" is the sum of the
+    products of its arguments in pairs, added left to right."""
+
+    __slots__ = ("op", "args", "uses", "name", "depth")
+
+    def __init__(self, op, args=(), name=None):
+        self.op = op
+        self.args = args
+        self.uses = 0
+        self.name = name
+        self.depth = 0  # nesting of the expression it is inlined as
+
+
+def _leaf(text):
+    return _Term("leaf", name=text)
+
+
+class _Writer:
+    """Writes the jet function of one tape (see the comment above)."""
+
+    def __init__(self, tape):
+        self.tape = tape
+        self.ncomp = len(tape.outputs)
+        self.blocks = []  # per instruction, per degree: terms and statements
+        self.kvars = {}  # set of outputs -> name of its order
+        users = [set() for _ in tape.code]
+        for j, slot in enumerate(tape.outputs):
+            users[slot].add(j)
+        for i in range(len(tape.code) - 1, -1, -1):
+            for a in tape.code[i][1]:
+                users[a] |= users[i]
+        self.users = users
+
+    # -- building terms, in the instruction order -------------------------
+
+    def _op(self, op, args, deg):
+        if not args:
+            return None
+        for a in args:
+            a.uses += 1
+        t = _Term(op, args)
+        self.block[deg].append(t)
+        return t
+
+    def _call(self, text, read, raising=False):
+        """A statement at degree 0 of the current block; the {} in `text`
+        is the term `read`."""
+        read.uses += 1
+        self.block[0].append(("call", text, read, raising))
+
+    def _mul(self, a, b):
+        out = []
+        for m, pairs in enumerate(_PRODUCTS):
+            # Series adds the products into the coefficient in this order,
+            # assigning the first
+            args = []
+            for p, q in pairs:
+                x, y = a[p], b[q]
+                if x is not None and y is not None:
+                    args += x, y
+            out.append(self._op("dot", args, _DEGREE[m]))
+        return out
+
+    def _add(self, a, b, op):
+        out = []
+        for m, (x, y) in enumerate(zip(a, b)):
+            if y is None:
+                out.append(x)
+            elif x is None:
+                out.append(y if op == "+" else self._op("neg", (y,), _DEGREE[m]))
+            else:
+                out.append(self._op(op, (x, y), _DEGREE[m]))
+        return out
+
+    def _compose(self, x, call, read, raising=False, top=3, extra=""):
+        """Chain rule as `taylor._compose`, with the derivative table d
+        that `call` returns (its entries past `top` are the `_ZERO`
+        sentinel); `extra` names the call's further results."""
+        d = _Term("var", name=f"d{self.i}")
+        self._call(f"{d.name}{extra} = {call}", read, raising)
+        ps = [None] + x[1:]
+        powers = [ps]
+        factors = []
+        for k in range(1, top + 1):
+            if k > 1:
+                powers.append(self._mul(powers[-1], ps))
+            f = self._op("[]", (d, _leaf(str(k))), k)
+            if k > 1:  # d[k] / k!; Series divides d[1] by 1.0, which is exact
+                f = self._op("/", (f, _leaf(f"{math.factorial(k)}.0")), k)
+            factors.append(f)
+        # coefficient m adds pk[m] * d[k] / k! for k = 1, 2, ... in turn
+        return [self._op("[]", (d, _leaf("0")), 0)] + [
+            self._op("dot", tuple(t for pk, f in zip(powers, factors) if pk[m] is not None
+                                  for t in (pk[m], f)), _DEGREE[m])
+            for m in range(1, _SPACE.ncoef)
+        ]
+
+    def _reciprocal(self, x):
+        return self._compose(x, f"taylor._d_reciprocal({{}}, {self._k()})", x[0], True)
+
+    def build(self):
+        coefs = []
+        nconst = 0
+        outputs = {}
+        for j, slot in enumerate(self.tape.outputs):
+            outputs.setdefault(slot, []).append(j)
+        zeros = [None] * (_SPACE.ncoef - 1)
+        for i, (op, args, aux, _) in enumerate(self.tape.code):
+            self.i = i
+            self.block = ([], [], [], [])
+            self.blocks.append(self.block)
+            x = coefs[args[0]] if args else None
+            if op == "const":
+                c = [_leaf(f"c{nconst}")] + zeros
+                nconst += 1
+            elif op == "var":
+                c = [_leaf(VARIABLES[aux])] + zeros
+                c[1 + aux] = _leaf("1.0")
+            elif op == "neg":
+                c = [None if t is None else self._op("neg", (t,), _DEGREE[m])
+                     for m, t in enumerate(x)]
+            elif op in ("+", "-"):
+                c = self._add(x, coefs[args[1]], op)
+            elif op == "*":
+                c = self._mul(x, coefs[args[1]])
+            elif op == "/":
+                c = self._mul(x, self._reciprocal(coefs[args[1]]))
+            elif op == "powi":
+                c = [_leaf("1.0")] + zeros  # Series.powi starts from const(1.0)
+                for _ in range(abs(aux)):
+                    c = self._mul(c, x)
+                if aux < 0:
+                    c = self._reciprocal(c)
+            elif op == "powr":
+                call = f"taylor._d_pow({{}}, c{nconst}, {self._k()})"
+                nconst += 1
+                c = self._compose(x, call, x[0], True)
+            elif op == "pair":
+                c = _Term("var", name=f"p{i}")
+                self._call(f"{c.name} = taylor.pair_values({aux!r}, {{}})", x[0])
+            elif op == "abs":
+                c = self._compose(x, f"taylor._d_abs({{}}, {self._k()})", x[0],
+                                  top=1, extra=f", h{i}")
+            elif taylor.pair_kind(op):
+                table = taylor._PAIRED[op][1].__name__
+                c = self._compose(x, f"taylor.{table}(*{{}}, {self._k()})", coefs[args[1]])
+            else:
+                table = taylor._TABLES[op].__name__
+                c = self._compose(x, f"taylor.{table}({{}}, {self._k()})", x[0],
+                                  op in ("log", "sqrt"))
+            coefs.append(c)
+            for j in outputs.get(i, ()):
+                for deg in range(4):
+                    lo, hi = _NCOEF[deg - 1] if deg else 0, _NCOEF[deg]
+                    if any(c[lo:hi]):
+                        for t in c[lo:hi]:
+                            if t is not None:
+                                t.uses += 1
+                        item = ("R", lo, hi, j, c[lo:hi], _SPACE.factorial[lo:hi])
+                        self.block[deg].append(item)
+
+    def _k(self):
+        """Name of the order the current instruction is computed to."""
+        users = self.users[self.i]
+        if len(users) == 1:
+            return f"n{min(users)}"
+        key = frozenset(users)
+        if key not in self.kvars:
+            self.kvars[key] = f"k{len(self.kvars)}"
+        return self.kvars[key]
+
+    # -- writing the source ------------------------------------------------
+
+    def _text(self, t, prec=0):
+        """`t` as an operand that binds at least as tightly as `prec`
+        (1: sum, 2: product, 3: unary minus, 4: atom)."""
+        name = t.name
+        if name is not None:
+            if t.op != "leaf":
+                self.last[name] = self.i
+            return name
+        op, args = t.op, t.args
+        if op == "dot":
+            products = []
+            for k in range(0, len(args), 2):
+                x, y = args[k], args[k + 1]
+                products.append(f"{x.name or self._text(x, 2)} * {y.name or self._text(y, 3)}")
+                for z in (x, y):
+                    if z.name and z.op != "leaf":
+                        self.last[z.name] = self.i
+            text = " + ".join(products)
+            p = 2 if len(args) == 2 else 1
+        elif op == "[]":
+            return f"{self._text(args[0])}[{args[1].name}]"
+        elif op == "neg":
+            text, p = "-" + self._text(args[0], 4), 3
+        elif op == "/":
+            text, p = f"{self._text(args[0], 2)} / {self._text(args[1], 3)}", 2
+        else:
+            text, p = f"{self._text(args[0], 1)} {op} {self._text(args[1], 2)}", 1
+        return text if p >= prec else f"({text})"
+
+    def source(self):
+        """The function's source and, per line that may raise
+        ExprDomainError, the instruction it evaluates."""
+        self.last = {}
+        bodies = []
+        for i, block in enumerate(self.blocks):
+            self.i = i
+            named = 0
+            levels = []
+            for items in block:
+                rendered = []
+                # arguments come before the terms that read them
+                for item in items:
+                    if type(item) is _Term:
+                        if not item.uses:
+                            continue
+                        depth = 0
+                        for a in item.args:
+                            if a.depth > depth:
+                                depth = a.depth
+                        if item.uses == 1 and depth < _MAX_INLINE:
+                            item.depth = depth + 1
+                            continue
+                        text = self._text(item)
+                        item.name = f"t{i}_{named}"
+                        named += 1
+                        rendered.append((f"{item.name} = {text}", False))
+                    elif item[0] == "R":
+                        _, lo, hi, j, terms, facts = item
+                        values = ", ".join(
+                            "0.0" if t is None else self._text(t) if f == 1
+                            else f"{self._text(t, 2)} * {f}"
+                            for t, f in zip(terms, facts))
+                        nc = self.ncomp
+                        target = (f"R[{lo * nc + j}]" if hi == lo + 1
+                                  else f"R[{lo * nc + j}:{hi * nc}:{nc}]")
+                        rendered.append((f"{target} = {values}", False))
+                    else:
+                        _, text, read, raising = item
+                        rendered.append((text.format(self._text(read)), raising))
+                levels.append(rendered)
+            bodies.append((self._k(), levels, []))
+        for name, i in self.last.items():
+            bodies[i][2].append(name)
+
+        nc = self.ncomp
+        out = ["def jet(u, v, n, R, C):", f"    {''.join(f'n{j}, ' for j in range(nc))}= n"]
+        if self.tape.constants:
+            out.append(f"    {''.join(f'c{j}, ' for j in range(len(self.tape.constants)))}= C")
+        out += [f"    {k} = max({', '.join(f'n{j}' for j in sorted(s))})"
+                for s, k in self.kvars.items()]
+        lines = {}
+        for i, (k, levels, names) in enumerate(bodies):
+            if any(levels):
+                op, args, aux, _ = self.tape.code[i]
+                out.append(f"    # {i}: {op} {list(args) if args else aux!r}")
+            indent = "    "
+            for degree, rendered in enumerate(levels):
+                if not rendered:
+                    continue
+                if degree:
+                    out.append(f"{indent}if {k} >= {degree}:")
+                    indent += "    "
+                for text, raising in rendered:
+                    out.append(indent + text)
+                    if raising:
+                        lines[len(out)] = i
+            if names and i < len(bodies) - 1:
+                out.append("    " + " = ".join(sorted(names)) + " = None")
+        hits = [" or ".join(f"h{i}" for i in sorted(deps)) or "False"
+                for deps in self.tape.abs_deps]
+        out.append(f"    return ({', '.join(hits)},)")
+        return "\n".join(out) + "\n", lines
+
+
+def _program(tape, source):
+    """The jet function of `tape`'s shape and the instruction of each of
+    its lines that may raise ExprDomainError; generated on first use,
+    under a file name showing `source`."""
+    program = _PROGRAMS.get(tape.shape)
+    if program is not None:
+        return program
+    if len(_PROGRAMS) >= _MAX_PROGRAMS:
+        oldest = _PROGRAMS.pop(next(iter(_PROGRAMS)), None)
+        if oldest is not None:
+            linecache.cache.pop(oldest[0].__code__.co_filename, None)
+    writer = _Writer(tape)
+    writer.build()
+    text, lines = writer.source()
+    source = " ".join(source.split())
+    filename = f"<jet {next(_NAMES)}: {source if len(source) <= 60 else source[:57] + '...'}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = {"taylor": taylor}
+    exec(compile(text, filename, "exec"), namespace)
+    program = _PROGRAMS[tape.shape] = (namespace["jet"], lines)
+    return program
 
 
 def eval_jet(e, u, v, order):
@@ -713,15 +978,59 @@ def eval_jet(e, u, v, order):
 
     u and v may be floats or broadcastable numpy arrays; with arrays,
     domain violations surface as NaN entries rather than exceptions.
+    `order` may also be a tuple of ``(count, order)`` fields that split
+    the components, in turn, into jets of their own orders; the result is
+    then the tuple of their jets, each computed no further than its own
+    order.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
+    single = not isinstance(order, tuple)
+    fields = ((e.ncomponents, order),) if single else order
+    orders = ()
+    for count, k in fields:
+        if k not in (0, 1, 2, 3):
+            raise ValueError(f"order must be 0..3, got {k!r}")
+        orders += (k,) * count
     if not isinstance(e.root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    space = taylor.jet_space(2, order)
-    comps, abs_hits = e.tape.run(space, [space.var(0, u), space.var(1, v)])
-    return _pack_jet(comps, space, shape, abs_hits)
+    nc = len(orders)
+    if nc != e.ncomponents:
+        raise ValueError(f"fields cover {nc} of {e.ncomponents} components")
+    run, lines = e.program
+    R = [0.0] * (_NCOEF[max(orders)] * nc)
+    try:
+        hits = run(u, v, orders, R, e.tape.constants)
+    except ExprDomainError as err:
+        # the traceback's second entry is the generated frame, at the line
+        # of the table call that raised
+        node = e.tape.code[lines[err.__traceback__.tb_next.tb_lineno]][3]
+        raise ExprDomainError(err.args[0], source=to_source(node)) from None
+    shape = ()
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    if shape == ():
+        table = np.array(R).reshape(-1, nc)
+    jets = []
+    lo = 0
+    for count, k in fields:
+        if shape == ():
+            rows = list(table[: _NCOEF[k], lo:lo + count])
+        else:
+            rows = []
+            for m in range(_NCOEF[k]):
+                block = np.empty(shape + (count,))
+                for c in range(count):
+                    block[..., c] = R[m * nc + lo + c]
+                rows.append(block)
+        jets.append(Jet2(
+            value=rows[0],
+            d1=tuple(rows[1:3]) if k >= 1 else None,
+            d2=tuple(rows[3:6]) if k >= 2 else None,
+            d3=tuple(rows[6:10]) if k >= 3 else None,
+            order=k,
+            abs_hits=hits[lo:lo + count],
+        ))
+        lo += count
+    return jets[0] if single else tuple(jets)
 
 
 def join(*exprs):

@@ -124,11 +124,12 @@ class Front:
     def jets(self, u, v, order_map=1, order_normal=1):
         """Map jet at `order_map` and normal jet at `order_normal`.
 
-        One run of the joint program at the higher order gives both, each
-        equal bit for bit to its own expression's jet at its own order.
+        One run of the joint program gives both, each equal bit for bit to
+        its own expression's jet at its own order: what only one field reads
+        is computed to that field's order.
         """
-        j = eval_jet(self.joint, u, v, max(order_map, order_normal))
-        return j.take(slice(0, 3), order_map), j.take(slice(3, 6), order_normal)
+        fields = ((self.map.ncomponents, order_map), (self.normal.ncomponents, order_normal))
+        return eval_jet(self.joint, u, v, fields)
 
 
 @dataclass(frozen=True)

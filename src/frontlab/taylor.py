@@ -1,10 +1,15 @@
-"""Truncated multivariate Taylor arithmetic: forward-mode jets up to order 3.
+"""Truncated Taylor arithmetic in (u, v): forward-mode jets up to order 3.
 
 A `Series` holds the Taylor coefficients (derivative / multi-factorial
-convention) of one scalar quantity at a point, in one to three variables.
+convention) of one scalar quantity at a point, in the two chart variables.
 Coefficients may be python floats or numpy arrays, so a single sweep can
 evaluate jets on a whole grid.  `JetSpace` instances are cached and carry the
-monomial bookkeeping shared by every series of the same shape.
+monomial bookkeeping shared by every series of the same order.
+
+`Series` is the reference arithmetic: `frontlab.expr` writes, once per
+expression shape, straight-line code that performs exactly the operations a
+`Series` evaluation would, in the same order, and calls the derivative
+tables below at run time, so its jets equal those of `Series` bit for bit.
 
 A coefficient nothing was ever written to is the `_ZERO` sentinel: products
 skip it, sums pass the other operand through unchanged, and the first
@@ -24,42 +29,34 @@ from .errors import ExprDomainError
 _ZERO = 0.0  # shared sentinel; `is _ZERO` marks coefficients never written to
 
 
-def _compositions(nvars, total):
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _compositions(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return out
-
-
 @lru_cache(maxsize=None)
-def jet_space(nvars, order):
-    return JetSpace(nvars, order)
+def jet_space(order):
+    return JetSpace(order)
 
 
 class JetSpace:
-    """Monomial tables for truncated Taylor series in `nvars` variables."""
+    """Monomial tables for truncated Taylor series in (u, v).
 
-    def __init__(self, nvars, order):
-        if not 1 <= nvars <= 3 or not 0 <= order <= 3:
-            raise ValueError(f"unsupported jet space: {nvars} vars, order {order}")
-        self.nvars = nvars
+    Monomials u^a v^b are listed by degree, and within a degree by
+    decreasing a: 1, u, v, uu, uv, vv, uuu, uuv, uvv, vvv.
+    """
+
+    def __init__(self, order):
+        if not 0 <= order <= 3:
+            raise ValueError(f"unsupported jet order {order}")
         self.order = order
-        monomials = []
-        for total in range(order + 1):
-            monomials.extend(_compositions(nvars, total))
-        self.monomials = tuple(monomials)
+        self.monomials = tuple(
+            (total - b, b) for total in range(order + 1) for b in range(total + 1)
+        )
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoef = len(self.monomials)
         self.factorial = tuple(
-            math.prod(math.factorial(a) for a in m) for m in self.monomials
+            math.factorial(a) * math.factorial(b) for a, b in self.monomials
         )
         triples = []
-        for i, mi in enumerate(self.monomials):
-            for j, mj in enumerate(self.monomials):
-                k = self.index.get(tuple(a + b for a, b in zip(mi, mj)))
+        for i, (ai, bi) in enumerate(self.monomials):
+            for j, (aj, bj) in enumerate(self.monomials):
+                k = self.index.get((ai + aj, bi + bj))
                 if k is not None:
                     triples.append((i, j, k))
         self.triples = tuple(triples)
@@ -73,8 +70,7 @@ class JetSpace:
         c = [_ZERO] * self.ncoef
         c[0] = value
         if self.order >= 1:
-            unit = tuple(1 if j == i else 0 for j in range(self.nvars))
-            c[self.index[unit]] = 1.0
+            c[1 + i] = 1.0  # the monomial u or v
         return Series(self, c)
 
 
@@ -97,22 +93,6 @@ class Series:
         coeff = self.c[k]
         fact = self.space.factorial[k]
         return coeff * fact if fact != 1 else coeff
-
-    def deriv(self, var):
-        """Series of the partial derivative with respect to variable `var`.
-
-        Valid one order lower than `self`; the top-degree coefficients of the
-        result are left at zero.
-        """
-        sp = self.space
-        out = [_ZERO] * sp.ncoef
-        for k, m in enumerate(sp.monomials):
-            src = list(m)
-            src[var] += 1
-            j = sp.index.get(tuple(src))
-            if j is not None and self.c[j] is not _ZERO:
-                out[k] = self.c[j] * (m[var] + 1)
-        return Series(sp, out)
 
     def scale(self, factor):
         out = [ci if ci is _ZERO else ci * factor for ci in self.c]
@@ -371,6 +351,20 @@ def _d_reciprocal(c, n):
     return d
 
 
+def _d_abs(c, n):
+    """The table of abs (right derivative at 0; the second and third
+    derivatives are the `_ZERO` sentinel) and whether c is exactly 0."""
+    if np.ndim(c) == 0:
+        hit = c == 0
+        sign = 1.0 if c >= 0 else -1.0
+        mag = abs(c)
+    else:
+        hit = bool(np.any(c == 0))
+        sign = np.where(c >= 0, 1.0, -1.0)
+        mag = np.abs(c)
+    return [mag, sign, _ZERO, _ZERO][: n + 1], bool(hit)
+
+
 def _d_pow(c, r, n):
     if np.ndim(c) == 0:
         if not c > 0:
@@ -441,17 +435,8 @@ def apply_abs(series):
 
     Returns (result, hit_zero); callers surface `hit_zero` as a diagnostic.
     """
-    c = series.c[0]
-    if np.ndim(c) == 0:
-        hit = c == 0
-        sign = 1.0 if c >= 0 else -1.0
-        mag = abs(c)
-    else:
-        hit = bool(np.any(c == 0))
-        sign = np.where(c >= 0, 1.0, -1.0)
-        mag = np.abs(c)
-    d = [mag, sign, _ZERO, _ZERO][: series.space.order + 1]
-    return _compose(series, d), bool(hit)
+    d, hit = _d_abs(series.c[0], series.space.order)
+    return _compose(series, d), hit
 
 
 def sqrt(series):

@@ -1,9 +1,10 @@
 """Test oracle: the recursive tree-walking jet evaluator.
 
-`frontlab.eval_jet` runs a compiled, hash-consed instruction list.  This
-module keeps the plain recursive walk it replaced, which re-evaluates
-every repeated subtree, so tests can require the two to agree bit for bit:
-both apply the same `taylor` operations to the same operands.
+`frontlab.eval_jet` runs code generated once per expression from its
+hash-consed instruction list.  This module keeps the plain recursive walk
+over `taylor.Series`, which re-evaluates every repeated subtree, so tests
+can require the two to agree bit for bit: the generated code applies the
+operations of `Series` to the same operands.
 """
 
 import numpy as np
@@ -19,10 +20,39 @@ from frontlab.expr import (
     Param,
     PowOp,
     Var,
+    Jet2,
     Vector,
-    _pack_jet,
     to_source,
 )
+
+_BLOCK_ALPHAS = {
+    deg: tuple(m for m in taylor.jet_space(3).monomials if sum(m) == deg)
+    for deg in (1, 2, 3)
+}
+
+
+def _stack(values, shape):
+    if shape == ():
+        return np.array([float(x) for x in values])
+    cols = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in values]
+    return np.stack(cols, axis=-1)
+
+
+def _pack_jet(components, space, shape, abs_hits):
+    value = _stack([s.value for s in components], shape)
+    blocks = [None, None, None]
+    for deg in range(1, space.order + 1):
+        blocks[deg - 1] = tuple(
+            _stack([s.partial(a) for s in components], shape) for a in _BLOCK_ALPHAS[deg]
+        )
+    return Jet2(
+        value=value,
+        d1=blocks[0],
+        d2=blocks[1],
+        d3=blocks[2],
+        order=space.order,
+        abs_hits=tuple(abs_hits),
+    )
 
 
 def _eval_node(node, space, vars_, params, flags):
@@ -78,7 +108,7 @@ def recursive_eval_jet(e, u, v, order):
     if not isinstance(root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    space = taylor.jet_space(2, order)
+    space = taylor.jet_space(order)
     vars_ = [space.var(0, u), space.var(1, v)]
     params = e.param_dict() if isinstance(e, Expr) else {}
     comps, hits = [], []

@@ -34,7 +34,7 @@ def fd_partial(fun, u, v, i, j, h=5e-3):
 
 
 def _series_at(fun_series, u, v, order=3):
-    space = taylor.jet_space(2, order)
+    space = taylor.jet_space(order)
     return fun_series(space.var(0, u), space.var(1, v))
 
 
@@ -77,7 +77,7 @@ class TestSeriesDerivatives:
     def test_third_derivative_tables_frozen_values(self):
         # hand-derived third derivatives at t = 0.4
         t = 0.4
-        space = taylor.jet_space(1, 3)
+        space = taylor.jet_space(3)
         x = space.var(0, t)
         checks = {
             "tan": 2.0 + 8.0 * np.tan(t) ** 2 + 6.0 * np.tan(t) ** 4,
@@ -86,20 +86,11 @@ class TestSeriesDerivatives:
             "sech": (1 / np.cosh(t)) * np.tanh(t) * (5.0 - 6.0 * np.tanh(t) ** 2),
         }
         for name, want in checks.items():
-            got = taylor.apply_function(name, x).partial((3,))
+            got = taylor.apply_function(name, x).partial((3, 0))
             assert got == pytest.approx(want, rel=1e-12), f"{name}''' at {t}"
 
-    def test_deriv_shifts_coefficients(self):
-        space = taylor.jet_space(2, 3)
-        u, v = space.var(0, 0.3), space.var(1, -0.2)
-        s = taylor.apply_function("sin", u * v) + u ** 3
-        ds = s.deriv(0)
-        for alpha in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-            lifted = (alpha[0] + 1, alpha[1])
-            assert ds.partial(alpha) == pytest.approx(s.partial(lifted), rel=1e-13)
-
     def test_array_coefficients_broadcast(self):
-        space = taylor.jet_space(2, 2)
+        space = taylor.jet_space(2)
         uu = np.linspace(-1.0, 1.0, 7)
         vv = np.full(7, 0.25)
         s = taylor.apply_function("exp", space.var(0, uu)) * space.var(1, vv)
@@ -113,68 +104,64 @@ class TestDomainHandling:
     """Scalar domain violations raise; array violations become NaN."""
 
     def test_log_nonpositive_scalar_raises(self):
-        space = taylor.jet_space(1, 2)
+        space = taylor.jet_space(2)
         with pytest.raises(ExprDomainError):
             taylor.apply_function("log", space.var(0, -1.0))
         with pytest.raises(ExprDomainError):
             taylor.apply_function("log", space.var(0, 0.0))
 
     def test_log_nonpositive_array_is_nan(self):
-        space = taylor.jet_space(1, 1)
+        space = taylor.jet_space(1)
         s = taylor.apply_function("log", space.var(0, np.array([1.0, -1.0, np.e])))
-        assert np.isnan(s.value[1]) and np.isnan(s.partial((1,))[1])
+        assert np.isnan(s.value[1]) and np.isnan(s.partial((1, 0))[1])
         assert s.value[2] == pytest.approx(1.0)
 
     def test_sqrt_at_zero(self):
-        space0 = taylor.jet_space(1, 0)
+        space0 = taylor.jet_space(0)
         assert taylor.sqrt(space0.var(0, 0.0)).value == 0.0
-        space1 = taylor.jet_space(1, 1)
+        space1 = taylor.jet_space(1)
         with pytest.raises(ExprDomainError):
             taylor.sqrt(space1.var(0, 0.0))
         arr = taylor.sqrt(space1.var(0, np.array([0.0, 4.0])))
-        assert arr.value[0] == 0.0 and np.isnan(arr.partial((1,))[0])
-        assert arr.partial((1,))[1] == pytest.approx(0.25)
+        assert arr.value[0] == 0.0 and np.isnan(arr.partial((1, 0))[0])
+        assert arr.partial((1, 0))[1] == pytest.approx(0.25)
 
     def test_division_by_zero_scalar_raises(self):
-        space = taylor.jet_space(1, 1)
+        space = taylor.jet_space(1)
         with pytest.raises(ExprDomainError):
             space.var(0, 0.0).reciprocal()
 
     def test_powr_negative_base(self):
-        space = taylor.jet_space(1, 1)
+        space = taylor.jet_space(1)
         with pytest.raises(ExprDomainError):
             space.var(0, -2.0).powr(0.5)
         s = space.var(0, np.array([-2.0, 2.0])).powr(0.5)
         assert np.isnan(s.value[0]) and s.value[1] == pytest.approx(np.sqrt(2.0))
 
     def test_abs_at_zero_flag_and_right_derivative(self):
-        space = taylor.jet_space(1, 2)
+        space = taylor.jet_space(2)
         s, hit = taylor.apply_abs(space.var(0, 0.0))
-        assert hit and s.value == 0.0 and s.partial((1,)) == 1.0
+        assert hit and s.value == 0.0 and s.partial((1, 0)) == 1.0
         s2, hit2 = taylor.apply_abs(space.var(0, -0.7))
-        assert not hit2 and s2.partial((1,)) == -1.0
+        assert not hit2 and s2.partial((1, 0)) == -1.0
 
 
 class TestJetSpace:
     def test_monomial_order_two_vars(self):
-        space = taylor.jet_space(2, 3)
+        space = taylor.jet_space(3)
         assert space.monomials == (
             (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
             (3, 0), (2, 1), (1, 2), (0, 3),
         )
 
-    def test_three_vars_count(self):
-        assert taylor.jet_space(3, 3).ncoef == 20
-        assert taylor.jet_space(3, 2).ncoef == 10
-
     def test_spaces_are_cached(self):
-        assert taylor.jet_space(2, 3) is taylor.jet_space(2, 3)
+        assert taylor.jet_space(3) is taylor.jet_space(3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            taylor.JetSpace(4, 2)
+            taylor.JetSpace(-1)
         with pytest.raises(ValueError):
-            taylor.JetSpace(2, 5)
+            taylor.JetSpace(5)
 
 
 class TestSentinelArithmetic:
@@ -202,7 +189,7 @@ class TestSentinelArithmetic:
         out = [self._ZERO] * space.ncoef
         for i, mi in enumerate(space.monomials):
             for j, mj in enumerate(space.monomials):
-                k = space.index.get(tuple(x + y for x, y in zip(mi, mj)))
+                k = space.index.get((mi[0] + mj[0], mi[1] + mj[1]))
                 if k is None or a[i] is self._ZERO or b[j] is self._ZERO:
                     continue
                 term = a[i] * b[j]
@@ -220,9 +207,9 @@ class TestSentinelArithmetic:
                 out.append(x + y if sign > 0 else x - y)
         return out
 
-    @pytest.mark.parametrize("nvars,order", [(1, 3), (2, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("nvars,order", [(2, 1), (2, 3)])
     def test_against_loops(self, nvars, order):
-        space = taylor.jet_space(nvars, order)
+        space = taylor.jet_space(order)
         rng = np.random.default_rng(10 * nvars + order)
         for _ in range(200):
             a = self._random_coeffs(space, rng)
@@ -233,9 +220,9 @@ class TestSentinelArithmetic:
             self._same((x - y).c, self._sum(a, b, -1))
 
     def test_negative_zero_survives(self):
-        space = taylor.jet_space(2, 2)
+        space = taylor.jet_space(2)
         prod = space.const(-0.0) * space.var(0, 1.0)
         assert np.signbit(prod.value) and np.signbit(prod.partial((1, 0)))
         for order in range(4):
-            sine = taylor.apply_function("sin", taylor.jet_space(2, order).var(0, -0.0))
+            sine = taylor.apply_function("sin", taylor.jet_space(order).var(0, -0.0))
             assert np.signbit(sine.value), order

@@ -8,6 +8,8 @@ at that order, and each field of a front's joint jets that field's own
 jet.
 """
 
+import linecache
+
 import numpy as np
 import pytest
 from recursive_jet import recursive_eval_jet
@@ -23,6 +25,7 @@ from frontlab import (
     parallel_surface,
     parse,
 )
+from frontlab import expr as expr_module
 from frontlab.expr import Expr, Num, Var, Vector
 from frontlab.zigzag import (
     loop_gallery,
@@ -152,8 +155,9 @@ def test_truncated_jets_equal_lower_order_jets(name, e, box):
                 high = eval_jet(e, *uv, n)
             except (ExprDomainError, ValueError):
                 continue
+            blocks, hit, _ = _blocks(high)
             for m in range(n):
-                got = _blocks(high.take(slice(None), m))
+                got = (blocks[:(m + 1) * (m + 2) // 2], hit, m)
                 assert got == _outcome(eval_jet, e, uv, m), (kind, n, m)
 
 
@@ -273,3 +277,53 @@ def test_expr_eq_keys_constants_by_bit_pattern():
     assert nan == expr(float("nan"))
     assert hash(nan) == hash(expr(float("nan")))
     assert expr(float("nan")) in {nan}
+
+
+def test_lower_order_field_may_take_sqrt_at_zero():
+    # what only the map reads is computed to the map's order, so sqrt at
+    # exactly 0 fails only where the map's own jet needs its derivative
+    f = Front(parse("(u, v, sqrt(u*u))"), parse("(0, sin(u), cos(u))"),
+              Domain(-1.0, 1.0, -1.0, 1.0))
+    jf, jn = f.jets(0.0, 0.5, 0, 1)
+    assert _blocks(jf) == _outcome(eval_jet, f.map, (0.0, 0.5), 0)
+    assert _blocks(jn) == _outcome(eval_jet, f.normal, (0.0, 0.5), 1)
+    with pytest.raises(ExprDomainError, match="not differentiable") as info:
+        f.jets(0.0, 0.5, 1, 1)
+    assert info.value.source == "sqrt(u*u)"
+
+
+def test_each_shape_compiles_once(monkeypatch):
+    monkeypatch.setattr(expr_module, "_PROGRAMS", {})
+    made = []
+
+    class Counting(expr_module._Writer):
+        def __init__(self, tape):
+            made.append(tape)
+            super().__init__(tape)
+
+    monkeypatch.setattr(expr_module, "_Writer", Counting)
+
+    def warm(front):
+        for om in range(4):
+            for on in range(4):
+                front.jets(0.3, 1.2, om, on)
+                front.jets(_U, _V, om, on)
+
+    front = gallery("ellipsoid_parallel")  # checks its base ellipsoid's jets
+    made.clear()
+    warm(front)
+    assert made == [front.joint.tape]
+    warm(gallery("ellipsoid_parallel"))
+    warm(gallery("ellipsoid_parallel", {"d": 1.6}))  # another constant, one shape
+    assert len(made) == 1
+    source = "(sin(u)*v, exp(u-v), u)"
+    assert parse(source).program is parse(source).program
+    assert len(made) == 2
+
+
+def test_generated_source_is_in_linecache():
+    run, _ = parse("(sqrt(u*u + 1), u*v, v)").program
+    name = run.__code__.co_filename
+    assert name.startswith("<jet ") and "sqrt(u*u + 1)" in name
+    assert linecache.getline(name, 1).startswith("def jet(")
+    assert linecache.getline(name, run.__code__.co_firstlineno + 1).strip()
