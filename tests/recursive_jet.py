@@ -15,12 +15,12 @@ from frontlab.expr import (
     BinOp,
     Call,
     Expr,
+    Jet2,
     Neg,
     Num,
     Param,
     PowOp,
     Var,
-    Jet2,
     Vector,
     to_source,
 )
