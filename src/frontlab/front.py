@@ -33,12 +33,18 @@ def det3(a, b, c):
     a . (b x c), with the cross product's terms in numpy's operand order
     and the three products summed in the order einsum sums them, so it
     equals einsum(a, cross(b, c)) bit for bit without their per-call
-    overhead.
+    overhead.  Three single points are unpacked to Python floats, which
+    run the same IEEE operations without numpy's per-scalar cost; the
+    result is an np.float64 with the same bits.
     """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    if a.ndim == b.ndim == c.ndim == 1:
+        return np.float64(_triple(*a.tolist(), *b.tolist(), *c.tolist()))
+    return _triple(a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1],
+                   b[..., 2], c[..., 0], c[..., 1], c[..., 2])
+
+
+def _triple(a0, a1, a2, b0, b1, b2, c0, c1, c2):
     x0 = b1 * c2 - b2 * c1
     x1 = b2 * c0 - b0 * c2
     x2 = b0 * c1 - b1 * c0
@@ -80,7 +86,14 @@ class Domain:
         return u, v
 
     def grid(self, n_u, n_v=None):
-        """Sample grid; periodic axes drop the duplicate endpoint."""
+        """Sample grid (uu, vv), indexed [i_u, i_v]; periodic axes drop the
+        duplicate endpoint.
+
+        uu is constant along rows and vv along columns: evaluators pass
+        the column uu[:, :1] and the row vv[:1], which broadcast to the
+        grid, so a jet program computes what depends on one variable once
+        per row or column.
+        """
         n_v = n_u if n_v is None else n_v
         uu = np.linspace(self.u0, self.u1, n_u, endpoint=not self.periodic_u)
         vv = np.linspace(self.v0, self.v1, n_v, endpoint=not self.periodic_v)
@@ -206,7 +219,7 @@ def parallel_surface(front, dist, check_grid=48):
     well be singular - that is the point of the construction.
     """
     uu, vv = front.domain.grid(check_grid)
-    lam = lambda_value(front, uu, vv)
+    lam = lambda_value(front, uu[:, :1], vv[:1])
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0 or float(np.min(np.abs(lam))) < 1e-9 * scale or np.any(
         lam * lam.flat[0] <= 0
@@ -258,7 +271,7 @@ class ValidationReport:
 def validate(front, grid_n=64):
     """Check the three front invariants on a grid; collect worst violations."""
     uu, vv = front.domain.grid(grid_n)
-    jf, jn = front.jets(uu, vv, 1, 1)
+    jf, jn = front.jets(uu[:, :1], vv[:1], 1, 1)
     nu = jn.value
     unit_dev = float(np.max(np.abs(np.sqrt(dot(nu, nu)) - 1.0)))
     orth_u = np.abs(dot(jf.f_u, nu)) / np.maximum(1.0, np.sqrt(dot(jf.f_u, jf.f_u)))

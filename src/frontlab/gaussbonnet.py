@@ -10,6 +10,7 @@ the module assembles both identities' residuals and the degree bookkeeping.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -60,9 +61,16 @@ class GaussBonnetReport:
     provenance: dict = dataclasses.field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_rule(n):
+    """Gauss-Legendre nodes and weights of order `n` mapped to (0, 1).
+
+    Built once per order and shared by every caller, hence read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _line_rule(front, A, D, on_curve, nodes):
@@ -146,18 +154,19 @@ def _cap_terms(front):
 def _panel_nodes(panels, nodes):
     """GL node coordinates and weights for a batch of rectangles.
 
-    panels: array (P, 4) of (u0, v0, wu, wv).  Returns flat U, V of length
-    P*nodes^2 and the per-node weight including the area Jacobian.
+    panels: array (P, 4) of (u0, v0, wu, wv).  The nodes of a panel form
+    a tensor product, so U (P, nodes, 1) and V (P, 1, nodes) are its
+    broadcast factors: a jet program evaluates what depends on u alone
+    once per row and what depends on v alone once per column.  W
+    (P, nodes, nodes) is the per-node weight including the area Jacobian.
     """
     x, w = _gl_rule(nodes)
     u = panels[:, 0, None] + panels[:, 2, None] * x[None, :]  # (P, n)
     v = panels[:, 1, None] + panels[:, 3, None] * x[None, :]
-    U = np.repeat(u[:, :, None], nodes, axis=2)
-    V = np.repeat(v[:, None, :], nodes, axis=1)
     W = (w[None, :, None] * w[None, None, :]) * (
         panels[:, 2] * panels[:, 3]
     )[:, None, None]
-    return U.ravel(), V.ravel(), W
+    return u[:, :, None], v[:, None, :], W
 
 
 def _panel_counts(dom, budget):
@@ -194,8 +203,8 @@ def _panel_sums(front, grid, nodes):
     for k in range(0, len(batch), step):
         U, V, W = _panel_nodes(batch[k : k + step], nodes)
         jf, jn = front.jets(U, V, 1, 1)
-        det = det3(jn.f_u, jn.f_v, jn.value).reshape(W.shape)
-        lam = det3(jf.f_u, jf.f_v, jn.value).reshape(W.shape)
+        det = det3(jn.f_u, jn.f_v, jn.value)
+        lam = det3(jf.f_u, jf.f_v, jn.value)
         plain.extend((det * W).sum(axis=(1, 2)).tolist())
         signed.extend((np.sign(lam) * det * W).sum(axis=(1, 2)).tolist())
     caps = _cap_terms(front)
@@ -438,12 +447,11 @@ def euler_characteristics(front, grid=256):
     """
     dom = front.domain
     uu, vv = dom.grid(grid)
-    lam = np.empty(uu.size)
-    uf, vf = uu.ravel(), vv.ravel()
-    for k in range(0, uf.size, _CHUNK):
-        sl = slice(k, k + _CHUNK)
-        lam[sl] = lambda_value(front, uf[sl], vf[sl])
-    S = np.sign(lam.reshape(uu.shape))
+    lam = np.empty(uu.shape)
+    rows = max(1, _CHUNK // uu.shape[1])
+    for k in range(0, uu.shape[0], rows):
+        lam[k : k + rows] = lambda_value(front, uu[k : k + rows, :1], vv[:1])
+    S = np.sign(lam)
     nu_, nv_ = S.shape
     Cu = nu_ if dom.periodic_u else nu_ - 1
     Cv = nv_ if dom.periodic_v else nv_ - 1

@@ -552,7 +552,8 @@ def trace(front, grid=64):
         raise ValueError(f"grid must be at least 16 per axis, got {grid}")
     dom = front.domain
     uu, vv = dom.grid(grid)
-    P, nxt = _crossings(front, dom, uu, vv, lambda_value(front, uu, vv))
+    lam = lambda_value(front, uu[:, :1], vv[:1])
+    P, nxt = _crossings(front, dom, uu, vv, lam)
     if not len(P):
         return []
     P, nxt = _refine(front, dom, P, nxt, min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from finite_difference import finite_difference_jet
 
+from frontlab import front as front_module
+from frontlab import gaussbonnet, singular
 from frontlab.errors import FrontContractError, FrontlabError
 from frontlab.expr import Expr, eval_jet, parse
 from frontlab.front import (
@@ -26,6 +28,8 @@ from frontlab.front import (
     write_description,
 )
 from frontlab.gallery import gallery, gallery_names
+from frontlab.gaussbonnet import euler_characteristics
+from frontlab.singular import lambda_jets
 from frontlab.zigzag import NullLoop, PlaneFront
 
 
@@ -125,6 +129,94 @@ class TestAreaDensity:
             got = det3(*args)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_det3_single_point_is_a_batch_row(self):
+        # single points run in Python floats: same bits as the batched row,
+        # signed zeros, infinities and NaNs included
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e-308])
+        vecs = rng.standard_normal((3, 4000, 3))
+        hit = rng.random(vecs.shape) < 0.3
+        vecs[hit] = rng.choice(special, size=int(hit.sum()))
+        with np.errstate(all="ignore"):
+            batch = det3(*vecs)
+            for i in range(len(batch)):
+                got = det3(vecs[0, i], vecs[1, i], vecs[2, i])
+                assert type(got) is np.float64
+                assert got.tobytes() == batch[i].tobytes(), i
+
+    @pytest.mark.parametrize("name", ["cuspidal_parabola", "standard_swallowtail"])
+    def test_scalar_lambda_jets_are_an_array_row(self, name):
+        front = gallery(name)
+        rng = np.random.default_rng(2)
+        dom = front.domain
+        u = rng.uniform(dom.u0, dom.u1, 16)
+        v = rng.uniform(dom.v0, dom.v1, 16)
+        rows = lambda_jets(front, u, v, order=2)
+        for i in range(len(u)):
+            one = lambda_jets(front, float(u[i]), float(v[i]), order=2)
+            assert [type(x) for x in one] == [np.float64] * 6
+            assert [x.tobytes() for x in one] == [r[i].tobytes() for r in rows]
+
+
+def _broadcast_calls(monkeypatch, owner, name):
+    """Spy on owner.name(x, u, v, ...); keep the calls whose u is a column
+    and v a row, with the result and the same call on the full grid."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def spy(x, u, v, *rest):
+        out = fn(x, u, v, *rest)
+        if np.ndim(u) == 2 and np.shape(u)[1] == 1 and np.shape(v)[0] == 1:
+            calls.append((out, fn(x, *np.broadcast_arrays(u, v), *rest)))
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _blocks(out):
+    """The arrays of a lambda value or of a (map, normal) jet pair."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    return [b for jet in out for b in (jet.value, *(jet.d1 or ()))]
+
+
+class TestBroadcastGrids:
+    """Evaluators that pass a grid's first column and first row get the bits
+    of the full meshgrid."""
+
+    def _assert_full_grid_bits(self, calls):
+        assert calls
+        for got, want in calls:
+            got, want = _blocks(got), _blocks(want)
+            assert [b.shape for b in got] == [b.shape for b in want]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("name", ["cuspidal_parabola", "kuen", "pseudosphere"])
+    def test_trace(self, monkeypatch, name):
+        calls = _broadcast_calls(monkeypatch, singular, "lambda_value")
+        singular.trace(gallery(name), grid=48)
+        self._assert_full_grid_bits(calls)
+
+    @pytest.mark.parametrize("name", ["sphere", "ellipsoid"])
+    def test_parallel_surface(self, monkeypatch, name):
+        calls = _broadcast_calls(monkeypatch, front_module, "lambda_value")
+        parallel_surface(gallery(name), 0.5)
+        self._assert_full_grid_bits(calls)
+
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_validate(self, monkeypatch, name):
+        calls = _broadcast_calls(monkeypatch, Front, "jets")
+        validate(gallery(name), grid_n=33)
+        self._assert_full_grid_bits(calls)
+
+    @pytest.mark.parametrize("name", ["ellipsoid_parallel", "pseudosphere"])
+    def test_euler_characteristics(self, monkeypatch, name):
+        calls = _broadcast_calls(monkeypatch, gaussbonnet, "lambda_value")
+        euler_characteristics(gallery(name), grid=256)
+        self._assert_full_grid_bits(calls)
+        assert sum(got.size for got, _ in calls) == 256 * 256
 
 
 class TestForms:

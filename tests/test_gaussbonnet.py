@@ -26,6 +26,7 @@ from frontlab import (
     trace,
 )
 from frontlab import gaussbonnet, singular
+from frontlab.front import det3
 from frontlab.gaussbonnet import _branch, _cap_terms
 from frontlab.singular import SingularClass, SingularCurve
 
@@ -135,8 +136,65 @@ def ell20_report(ell20, ell20_curves):
     return euler_report(ell20, ell20_curves)
 
 
+def flat_panel_sums(front, grid, nodes):
+    """`gaussbonnet._panel_sums` on node arrays copied out to one flat point
+    per Gauss node: the oracle of its tensor-product (column x row) nodes."""
+    x, w = gaussbonnet._gl_rule(nodes)
+    batch = gaussbonnet._panel_grid(front.domain, grid)
+    step = max(1, gaussbonnet._CHUNK // (nodes * nodes))
+    plain, signed = [], []
+    for k in range(0, len(batch), step):
+        panels = batch[k : k + step]
+        u = panels[:, 0, None] + panels[:, 2, None] * x[None, :]
+        v = panels[:, 1, None] + panels[:, 3, None] * x[None, :]
+        U = np.repeat(u[:, :, None], nodes, axis=2).ravel()
+        V = np.repeat(v[:, None, :], nodes, axis=1).ravel()
+        W = (w[None, :, None] * w[None, None, :]) * (
+            panels[:, 2] * panels[:, 3]
+        )[:, None, None]
+        jf, jn = front.jets(U, V, 1, 1)
+        det = det3(jn.f_u, jn.f_v, jn.value).reshape(W.shape)
+        lam = det3(jf.f_u, jf.f_v, jn.value).reshape(W.shape)
+        plain.extend((det * W).sum(axis=(1, 2)).tolist())
+        signed.extend((np.sign(lam) * det * W).sum(axis=(1, 2)).tolist())
+    caps = _cap_terms(front)
+    return (
+        math.fsum(plain + [area for (area, _) in caps]),
+        math.fsum(signed + [s * area for (area, s) in caps]),
+    )
+
+
 class TestSmoothFormIntegral:
     """Integral of K against the smooth density det(nu_u, nu_v, nu)."""
+
+    @pytest.mark.parametrize("nodes", [8, 16])
+    @pytest.mark.parametrize(
+        "name", ["sphere", "ellipsoid", "ellipsoid_parallel", "pseudosphere", "cone"]
+    )
+    def test_tensor_nodes_match_flat_nodes(self, name, nodes):
+        # compact (capped) and complete (ended) gallery fronts, bit for bit
+        front = gallery(name)
+        got = gaussbonnet._panel_sums(front, 256, nodes)
+        want = flat_panel_sums(front, 256, nodes)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_gauss_rule_built_once_per_order(self, monkeypatch, sphere):
+        leggauss = np.polynomial.legendre.leggauss
+        builds = []
+
+        def counting(n):
+            builds.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        gaussbonnet._gl_rule.cache_clear()
+        first = integrate_K_dAhat(sphere, grid=64)
+        assert integrate_K_dAhat(sphere, grid=64) == first
+        # 16 panel nodes per axis, 8 line nodes on the polar-cap rings
+        assert sorted(builds) == [gaussbonnet._LINE_NODES, 16]
+        for arr in gaussbonnet._gl_rule(16):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
     def test_sphere_total_area(self, sphere):
         # both polar caps are line integrals exact to rounding
