@@ -253,7 +253,8 @@ def _d_tanh(c, n):
     t = np.tanh(c)
     if n == 0:
         return [t]
-    q = 1.0 - t * t
+    s = 1.0 / np.cosh(c)
+    q = s * s  # 1 - t*t would cancel as |t| nears 1
     d = [t, q]
     if n >= 2:
         d.append(-2.0 * t * q)

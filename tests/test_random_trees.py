@@ -178,8 +178,6 @@ def test_jets_agree_with_sympy(e, u, v):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale), k
 
 
-@pytest.mark.xfail(strict=True, reason="taylor._d_tanh takes tanh' as 1 - tanh^2, "
-                   "which cancels as |tanh| nears 1")
 def test_tanh_table_near_saturation():
     j = eval_jet(parse("(tanh(u), u)"), 8.0, 0.0, 3)
     x = sympy.Rational(8)
