@@ -486,13 +486,18 @@ class Jet2:
     """Value and partial derivatives of a vector map of (u, v) at one point
     (or grid).
 
-    Arrays have shape broadcast(u, v) + (ncomponents,).  `d1` holds
-    f_u, f_v; `d2` and `d3` hold the graded-lex blocks uu, uv, vv and
-    uuu, uuv, uvv, vvv.  `abs_hits` flags, per component, an abs whose
-    argument was exactly 0 (empty: none was).
+    Each of `value`, `f_u`, ..., `f_vvv` is the tuple of its components as
+    the jet program computed them: a float (a structural zero or
+    constant, or any component of a scalar jet), the caller's own u or v,
+    or an array broadcastable to broadcast(u, v), such as the column a
+    component depending on u alone keeps when u is a column and v a row.
+    Components are shared, never copied, so nothing may write into one.
+    `d1` holds f_u, f_v; `d2` and `d3` hold the graded-lex blocks uu, uv,
+    vv and uuu, uuv, uvv, vvv.  `abs_hits` flags, per component, an abs
+    whose argument was exactly 0 (empty: none was).
     """
 
-    value: np.ndarray
+    value: tuple
     d1: tuple
     d2: tuple
     d3: tuple
@@ -510,60 +515,33 @@ class Jet2:
             raise ValueError(f"jet order {deg} was not evaluated (order={self.order})")
         return block
 
-    @property
-    def f_u(self):
-        return self._block(1)[0]
-
-    @property
-    def f_v(self):
-        return self._block(1)[1]
-
-    @property
-    def f_uu(self):
-        return self._block(2)[0]
-
-    @property
-    def f_uv(self):
-        return self._block(2)[1]
-
-    @property
-    def f_vv(self):
-        return self._block(2)[2]
-
-    @property
-    def f_uuu(self):
-        return self._block(3)[0]
-
-    @property
-    def f_uuv(self):
-        return self._block(3)[1]
-
-    @property
-    def f_uvv(self):
-        return self._block(3)[2]
-
-    @property
-    def f_vvv(self):
-        return self._block(3)[3]
+    f_u = property(lambda self: self._block(1)[0])
+    f_v = property(lambda self: self._block(1)[1])
+    f_uu = property(lambda self: self._block(2)[0])
+    f_uv = property(lambda self: self._block(2)[1])
+    f_vv = property(lambda self: self._block(2)[2])
+    f_uuu = property(lambda self: self._block(3)[0])
+    f_uuv = property(lambda self: self._block(3)[1])
+    f_uvv = property(lambda self: self._block(3)[2])
+    f_vvv = property(lambda self: self._block(3)[3])
 
     def along(self, d, k=1):
-        """Directional derivative (d0 d/du + d1 d/dv)^k f for k = 1, 2, 3.
+        """Directional derivative (d0 d/du + d1 d/dv)^k f for k = 1, 2, 3,
+        component by component.
 
-        d0 and d1 are scalars or arrays of the jet's leading shape.
+        d0 and d1 are scalars or arrays broadcastable to the jet's shape.
         """
-        d0 = np.asarray(d[0])[..., None]
-        d1 = np.asarray(d[1])[..., None]
+        d0, d1 = d[0], d[1]
         if k == 1:
-            return d0 * self.f_u + d1 * self.f_v
+            return tuple(d0 * a + d1 * b for a, b in zip(self.f_u, self.f_v))
         if k == 2:
-            return (d0 * d0) * self.f_uu + (2.0 * d0 * d1) * self.f_uv + (d1 * d1) * self.f_vv
+            p, q, r = d0 * d0, 2.0 * d0 * d1, d1 * d1
+            return tuple(p * a + q * b + r * c
+                         for a, b, c in zip(self.f_uu, self.f_uv, self.f_vv))
         if k == 3:
-            return (
-                (d0 * d0 * d0) * self.f_uuu
-                + (3.0 * d0 * d0 * d1) * self.f_uuv
-                + (3.0 * d0 * d1 * d1) * self.f_uvv
-                + (d1 * d1 * d1) * self.f_vvv
-            )
+            p, q, r, s = d0 * d0 * d0, 3.0 * d0 * d0 * d1, 3.0 * d0 * d1 * d1, d1 * d1 * d1
+            return tuple(p * a + q * b + r * c + s * e for a, b, c, e in
+                         zip(self.f_uuu, self.f_uuv, self.f_uvv, self.f_vvv))
         raise ValueError(f"derivative order must be 1, 2 or 3, got {k!r}")
 
 
@@ -1004,23 +982,10 @@ def eval_jet(e, u, v, order):
         # of the table call that raised
         node = e.tape.code[lines[err.__traceback__.tb_next.tb_lineno]][3]
         raise ExprDomainError(err.args[0], source=to_source(node)) from None
-    shape = ()
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    if shape == ():
-        table = np.array(R).reshape(-1, nc)
     jets = []
     lo = 0
     for count, k in fields:
-        if shape == ():
-            rows = list(table[: _NCOEF[k], lo:lo + count])
-        else:
-            rows = []
-            for m in range(_NCOEF[k]):
-                block = np.empty(shape + (count,))
-                for c in range(count):
-                    block[..., c] = R[m * nc + lo + c]
-                rows.append(block)
+        rows = [tuple(R[m * nc + lo:m * nc + lo + count]) for m in range(_NCOEF[k])]
         jets.append(Jet2(
             value=rows[0],
             d1=tuple(rows[1:3]) if k >= 1 else None,

@@ -28,31 +28,48 @@ _RANK_TOL = 1e-9  # second singular value of (f_u f_v nu_u nu_v)
 
 
 def det3(a, b, c):
-    """Scalar triple product det(a, b, c) over the last axis.
+    """Scalar triple product det(a, b, c) of three component triples.
 
     a . (b x c), with the cross product's terms in numpy's operand order
-    and the three products summed in the order einsum sums them, so it
-    equals einsum(a, cross(b, c)) bit for bit without their per-call
-    overhead.  Three single points are unpacked to Python floats, which
-    run the same IEEE operations without numpy's per-scalar cost; the
-    result is an np.float64 with the same bits.
+    and the three products summed in the order einsum sums them: the value
+    of einsum(a, cross(b, c)) on the stacked vectors, bit for bit but for
+    the sign of a zero sum and the payload of a NaN.  The components may
+    be floats or broadcastable arrays; the result has their broadcast
+    shape, as an np.float64 where that shape is ().
     """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.ndim == b.ndim == c.ndim == 1:
-        return np.float64(_triple(*a.tolist(), *b.tolist(), *c.tolist()))
-    return _triple(a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1],
-                   b[..., 2], c[..., 0], c[..., 1], c[..., 2])
-
-
-def _triple(a0, a1, a2, b0, b1, b2, c0, c1, c2):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = c
     x0 = b1 * c2 - b2 * c1
     x1 = b2 * c0 - b0 * c2
     x2 = b0 * c1 - b1 * c0
-    return (a0 * x0 + a2 * x2) + a1 * x1
+    return np.float64((a0 * x0 + a2 * x2) + a1 * x1)
 
 
 def dot(a, b):
-    return np.einsum("...i,...i->...", np.asarray(a), np.asarray(b))
+    """Inner product of two component triples: einsum("...i,...i->...") of
+    the stacked vectors bit for bit but for NaN payloads, its products in
+    its order and added to its zeroed output, so a zero sum is +0.0."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.float64((a0 * b0 + a2 * b2) + a1 * b1 + 0.0)
+
+
+def stack(a):
+    """The components `a` stacked along a last axis, for the numpy calls
+    (@, norm, svd) whose reductions plain arithmetic does not reproduce."""
+    if not any(isinstance(x, np.ndarray) for x in a):
+        return np.array(a)
+    return np.stack(np.broadcast_arrays(*a), axis=-1)
+
+
+def spread(x, u, v):
+    """`x`, computed from jets at (u, v), at the shape of broadcast(u, v),
+    which a value constant along an axis does not reach by itself."""
+    if not (isinstance(u, np.ndarray) or isinstance(v, np.ndarray)):
+        return x
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    return x if np.shape(x) == shape else np.broadcast_to(x, shape).copy()
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,8 @@ class Domain:
         uu is constant along rows and vv along columns: evaluators pass
         the column uu[:, :1] and the row vv[:1], which broadcast to the
         grid, so a jet program computes what depends on one variable once
-        per row or column.
+        per row or column, and a jet component depending on u alone stays
+        a column.
         """
         n_v = n_u if n_v is None else n_v
         uu = np.linspace(self.u0, self.u1, n_u, endpoint=not self.periodic_u)
@@ -114,7 +132,7 @@ class Front:
     """A map (u, v) -> R^3 and its unit normal over `domain`.
 
     `jets` evaluates both through `joint`, one program for the six
-    components; `map_jet` runs the map's own program.
+    components; `map_jet` is the map part of a `jets` call.
     """
 
     map: Expr  # (u, v) -> 3-vector
@@ -132,7 +150,7 @@ class Front:
         return join(self.map, self.normal)
 
     def map_jet(self, u, v, order):
-        return eval_jet(self.map, u, v, order)
+        return self.jets(u, v, order, 0)[0]
 
     def jets(self, u, v, order_map=1, order_normal=1):
         """Map jet at `order_map` and normal jet at `order_normal`.
@@ -171,7 +189,7 @@ class CurvatureSample:
 def lambda_value(front, u, v):
     """Signed area density lambda = det(f_u, f_v, nu)."""
     jf, jn = front.jets(u, v, 1, 0)
-    return det3(jf.f_u, jf.f_v, jn.value)
+    return spread(det3(jf.f_u, jf.f_v, jn.value), u, v)
 
 
 def forms(front, u, v):
@@ -192,14 +210,13 @@ def forms(front, u, v):
             "normal is not compatible with the map"
         )
     N = -dot(fv, nu_v)
-    return FundamentalForms(E=E, F=F, G=G, L=L, M=M, N=N)
+    return FundamentalForms(*(spread(x, u, v) for x in (E, F, G, L, M, N)))
 
 
 def curvature(front, u, v):
     """Gaussian/mean curvature sample; flags the singular (unbounded) case."""
     fm = forms(front, u, v)
-    jf, jn = front.jets(u, v, 1, 0)
-    lam = det3(jf.f_u, jf.f_v, jn.value)
+    lam = lambda_value(front, u, v)
     denom = fm.E * fm.G - fm.F * fm.F
     floor = _REGULAR_TOL * max(1.0, float(np.max(fm.E + fm.G)) ** 2)
     regular = bool(np.all(denom > floor))
@@ -277,7 +294,8 @@ def validate(front, grid_n=64):
     orth_u = np.abs(dot(jf.f_u, nu)) / np.maximum(1.0, np.sqrt(dot(jf.f_u, jf.f_u)))
     orth_v = np.abs(dot(jf.f_v, nu)) / np.maximum(1.0, np.sqrt(dot(jf.f_v, jf.f_v)))
     orth_dev = float(max(np.max(orth_u), np.max(orth_v)))
-    cols = np.stack([jf.f_u, jf.f_v, jn.f_u, jn.f_v], axis=-1)
+    cols = stack((*jf.f_u, *jf.f_v, *jn.f_u, *jn.f_v))
+    cols = cols.reshape(cols.shape[:-1] + (4, 3)).swapaxes(-1, -2)
     sing = np.linalg.svd(cols, compute_uv=False)
     min_sigma2 = float(np.min(sing[..., 1]))
     failures = []

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import FrontlabError, InapplicableError
-from .front import det3, lambda_value
+from .front import det3, lambda_value, stack
 from .singular import (
     SingularClass,
     _chord_normals,
@@ -113,7 +113,7 @@ def _alpha(pole, jn, Q):
     sphere's area form, and alpha is singular only at -pole."""
     nu = jn.value
     dnu = jn.along((Q[..., 0], Q[..., 1]))
-    return det3(pole, nu, dnu) / (1.0 + nu @ pole)
+    return det3(pole, nu, dnu) / (1.0 + stack(nu) @ pole)
 
 
 def _cap_terms(front):
@@ -144,7 +144,7 @@ def _cap_terms(front):
             front, A, D, np.zeros(_RING_PANELS, dtype=bool), _LINE_NODES
         )
         _, jn = front.jets(U, V, 0, 1)
-        pole = jn.value.reshape(-1, 3).mean(axis=0)
+        pole = stack(jn.value).reshape(-1, 3).mean(axis=0)
         pole /= np.linalg.norm(pole)
         area = math.fsum((w * _alpha(pole, jn, Q)).ravel().tolist())
         out.append((area, 1 if float(np.median(lam)) > 0 else -1))
@@ -322,7 +322,7 @@ def _minus_area(front, pieces, nodes, pole=None):
         return 0.0, pole
     _, jn = front.jets(U[keep], V[keep], 0, 1)
     if pole is None:
-        nu = jn.value.reshape(-1, 3)
+        nu = stack(jn.value).reshape(-1, 3)
         k = int(np.concatenate([1.0 + nu.min(axis=0), 1.0 - nu.max(axis=0)]).argmax())
         pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
     orient = np.where(on_curve[keep, None], -side[keep], 1.0)

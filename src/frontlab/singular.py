@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import FrontContractError, FrontlabError, InapplicableError, TraceError
-from .front import det3, dot, lambda_value
+from .front import det3, dot, lambda_value, spread, stack
 
 # classification thresholds (relative; see docstrings for the normalizations)
 TRANSVERSAL_TOL = 1e-6
@@ -137,11 +137,15 @@ def lambda_jets(front, u, v, order=1):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     jf, jn = front.jets(u, v, order + 1, order)
-    return _lambda_blocks(jf, jn, order)
+    return tuple(spread(x, u, v) for x in _lambda_blocks(jf, jn, order))
 
 
 def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot2(a, b):
+    return a[0] * b[0] + a[1] * b[1]
 
 
 def _null_direction(jf):
@@ -149,7 +153,8 @@ def _null_direction(jf):
 
     Works point by point over any leading shape of the jet.
     """
-    A = np.stack([jf.f_u, jf.f_v], axis=-1)
+    A = stack((*jf.f_u, *jf.f_v))
+    A = A.reshape(A.shape[:-1] + (2, 3)).swapaxes(-1, -2)
     _, sig, vt = np.linalg.svd(A, full_matrices=False)
     return vt[..., 1, :], sig
 
@@ -175,7 +180,8 @@ def _curvatures(jf, jn, blocks):
     Td0 = (jv0 - s * T0) / g
     Td1 = (jv1 - s * T1) / g
     g1 = jf.along((T0, T1))
-    g2 = jf.along((T0, T1), 2) + Td0[..., None] * jf.f_u + Td1[..., None] * jf.f_v
+    g2 = tuple(a + Td0 * b + Td1 * c
+               for a, b, c in zip(jf.along((T0, T1), 2), jf.f_u, jf.f_v))
     # null direction from the degenerate first fundamental form, oriented
     # so that (T, eta) is a positive chart frame
     E = dot(jf.f_u, jf.f_u)
@@ -498,7 +504,7 @@ def _refine(front, dom, P, nxt, cell):
         half = 0.5 * np.hypot(D[:, 0], D[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             T = np.stack([G[:, 1], -G[:, 0]], axis=-1) / np.hypot(G[:, 0], G[:, 1])[:, None]
-        turn = (np.abs(dot(T[i], T[j])) < math.cos(_TURN)) & ~corner[i] & ~corner[j]
+        turn = (np.abs(_dot2(T[i].T, T[j].T)) < math.cos(_TURN)) & ~corner[i] & ~corner[j]
         # a gap of one grid step is not longer than `cell` by its rounding
         split = (half > 0.5e-9 * dom.scale) & ((half > (0.5 + 1e-12) * cell) | turn)
         if not split.any():
@@ -531,7 +537,7 @@ def _refine(front, dom, P, nxt, cell):
 
 
 def _image_point(front, q):
-    return front.map_jet(q[0], q[1], 1).value
+    return np.array(front.map_jet(q[0], q[1], 1).value)
 
 
 def trace(front, grid=64):
@@ -641,7 +647,7 @@ def _swallowtail_inserts(front, dom, pts, closed):
         jf, jn = front.jets(m[:, 0], m[:, 1], 2, 1)
         _, lu, lv = _lambda_blocks(jf, jn, 1)
         eta, _ = _null_direction(jf)
-        eta = np.where((dot(eta, eta_ref[todo]) < 0)[:, None], -eta, eta)
+        eta = np.where((_dot2(eta.T, eta_ref[todo].T) < 0)[:, None], -eta, eta)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.hypot(lu, lv)
             return _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
@@ -681,8 +687,8 @@ def _neighbour_rates(dom, P, lu, lv, eta, closed):
     valid = (dt > 0) & (g[lo] >= 1e-14) & (g[hi] >= 1e-14)
     with np.errstate(divide="ignore", invalid="ignore"):
         det = _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
-        ra = np.where(dot(eta[lo], eta) >= 0, det[lo], -det[lo])
-        rb = np.where(dot(eta[hi], eta) >= 0, det[hi], -det[hi])
+        ra = np.where(_dot2(eta[lo].T, eta.T) >= 0, det[lo], -det[lo])
+        rb = np.where(_dot2(eta[hi].T, eta.T) >= 0, det[hi], -det[hi])
         return (rb - ra) / dt, valid
 
 
@@ -711,7 +717,7 @@ def _build_samples(front, dom, pts, closed):
     ]
 
     # image arclength and peak guard flags
-    seg = np.linalg.norm(np.diff(jf.value, axis=0), axis=-1)
+    seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     cusp = np.array([p.kind == SingularClass.CUSPIDAL_EDGE for p in raw])
     guard = _PEAK_GUARD * dom.scale
@@ -751,8 +757,8 @@ def singular_curvature(front, point, h=None):
     if h is None:
         h = 1e-3 * scale
     jf0, jn0 = front.jets(q0[0], q0[1], 1, 0)
-    img0 = jf0.value
-    tau = jf0.along(T0)
+    img0 = np.array(jf0.value)
+    tau = np.array(jf0.along(T0))
     speed = np.linalg.norm(tau)
 
     def tangent_at(ds):
@@ -772,7 +778,7 @@ def singular_curvature(front, point, h=None):
             raise TraceError("degenerate point while differencing tangents")
         if float(T @ T0) < 0:
             T = -T
-        g1 = front.map_jet(q[0], q[1], 1).along(T)
+        g1 = np.array(front.map_jet(q[0], q[1], 1).along(T))
         return g1 / np.linalg.norm(g1)
 
     def second_diff(step):
@@ -807,9 +813,9 @@ def singular_curvature_intrinsic(front, u, variant="E_vv"):
             f"chart is not adapted at u={u:.6g}: lambda={lam:.3e}, "
             f"null direction ({eta[0]:.3e}, {eta[1]:.3e}) not vertical"
         )
-    fu, fv = jf.f_u, jf.f_v
-    fuu, fuv, fvv = jf.f_uu, jf.f_uv, jf.f_vv
-    fuuv, fuvv = jf.f_uuv, jf.f_uvv
+    fu, fv, fuu, fuv, fvv, fuuv, fuvv = (
+        np.array(x) for x in (jf.f_u, jf.f_v, jf.f_uu, jf.f_uv, jf.f_vv, jf.f_uuv, jf.f_uvv)
+    )
     E = float(fu @ fu)
     E_u = 2.0 * float(fuu @ fu)
     F_v = float(fuv @ fv) + float(fu @ fvv)
@@ -894,7 +900,7 @@ def _edge_sign_delta(front, point, side):
     if float(eta @ n) * side < 0:
         eta = -eta
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 1)
-    val = -float(jf.along(eta, 2) @ jn.along(eta))
+    val = -float(np.array(jf.along(eta, 2)) @ np.array(jn.along(eta)))
     if val == 0.0:
         raise InapplicableError("half-space sign degenerate: second form flat")
     return 1 if val > 0 else -1
@@ -911,7 +917,7 @@ def _probe_sign_delta(front, point, side, t):
     p_out = q - t * eta
     jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
     jf_out = front.map_jet(p_out[0], p_out[1], 0)
-    val = -float(jn_in.value @ (jf_out.value - jf_in.value))
+    val = -float(np.array(jn_in.value) @ (np.array(jf_out.value) - np.array(jf_in.value)))
     return 1 if val > 0 else -1
 
 
@@ -945,7 +951,7 @@ def _swallowtail_signs(front, point, side):
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])  # transversal to the singular direction
-    val = float(jf.along(X, 2) @ jn.value)
+    val = float(np.array(jf.along(X, 2)) @ np.array(jn.value))
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
     sgn_0 = 1 if val > 0 else -1
@@ -1015,10 +1021,10 @@ def tail_side(front, point, radius=None, samples=256):
     jf, jn = front.jets(q0[0], q0[1], 3, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])
-    e1 = jf.along(X)
+    e1 = np.array(jf.along(X))
     e1 = e1 / np.linalg.norm(e1)
     e2 = None
-    for c in (jf.along(eta, 2), jf.along(eta, 3)):
+    for c in (np.array(jf.along(eta, 2)), np.array(jf.along(eta, 3))):
         w = c - float(c @ e1) * e1
         if np.linalg.norm(w) > 1e-8 * max(1.0, np.linalg.norm(c)):
             e2 = w / np.linalg.norm(w)
@@ -1031,7 +1037,7 @@ def tail_side(front, point, radius=None, samples=256):
         pts_u = q0[0] + r * np.cos(theta)
         pts_v = q0[1] + r * np.sin(theta)
         lam = lambda_value(front, pts_u, pts_v)
-        disp = front.map_jet(pts_u, pts_v, 0).value - img0
+        disp = stack(front.map_jet(pts_u, pts_v, 0).value) - img0
         return lam, np.arctan2(disp @ e2, disp @ e1)
 
     for _ in range(3):
@@ -1107,8 +1113,8 @@ def sign_meaning_check(front, point, tol=1e-10):
         )
     eta = np.asarray(point.null_dir, dtype=float)
     jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
-    sigma_dd = jf.along(eta, 2)
-    _, _, _, g1, g2 = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))
+    sigma_dd = np.array(jf.along(eta, 2))
+    g1, g2 = (np.array(g) for g in _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[3:])
     speed2 = float(g1 @ g1)
     k_vec = (g2 - (float(g2 @ g1) / speed2) * g1) / speed2
     val = float(sigma_dd @ k_vec)

@@ -249,11 +249,23 @@ def _d_cosh(s, co, n):
     return [co, s, co, s][: n + 1]
 
 
+_COSH_MAX = 710.4758600739439  # the largest double whose cosh is finite
+
+
+def _sech(c):
+    """1 / cosh(c), exactly 0 where cosh(c) overflows, and without numpy's
+    overflow warning there."""
+    if np.ndim(c) == 0:
+        return np.float64(0.0) if abs(c) > _COSH_MAX else 1.0 / np.cosh(c)
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(c)
+
+
 def _d_tanh(c, n):
     t = np.tanh(c)
     if n == 0:
         return [t]
-    s = 1.0 / np.cosh(c)
+    s = _sech(c)
     q = s * s  # 1 - t*t would cancel as |t| nears 1
     d = [t, q]
     if n >= 2:
@@ -264,7 +276,7 @@ def _d_tanh(c, n):
 
 
 def _d_sech(c, n):
-    s = 1.0 / np.cosh(c)
+    s = _sech(c)
     if n == 0:
         return [s]
     t = np.tanh(c)

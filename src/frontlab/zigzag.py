@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import FrontContractError, FrontlabError
 from .expr import Expr, eval_jet, parse
-from .front import dot, require_expr
+from .front import dot, require_expr, stack
 from .gallery import gallery
-from .singular import SingularClass, _bisect, classify, lambda_jets, lambda_value
+from .singular import SingularClass, _bisect, _cross2, _dot2, classify, lambda_jets, lambda_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,16 +41,9 @@ ZIG = "a"
 ZAG = "b"
 
 
-def _det2(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-
-
-def _dot2(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
+def _first(comps):
+    """The first point of components evaluated at a one-point array."""
+    return tuple(np.ravel(c)[0] for c in comps)
 
 
 def _jet(source, t, order):
@@ -115,13 +108,13 @@ def _plane_jets(pf, t, second=True):
     jn = _jet(pf.normal, ts, 1)
     # chain rule for the reversed parameter: odd derivatives pick up the sign,
     # gamma'' gets s^2 = 1
-    return s * g1, g2, jn.value, s * jn.f_u
+    return tuple(s * c for c in g1), g2, jn.value, tuple(s * c for c in jn.f_u)
 
 
 def _check_plane_contract(pf, t):
     g1, _, n0, _ = _plane_jets(pf, t, second=False)
-    speed = np.hypot(g1[..., 0], g1[..., 1])
-    norm_err = np.abs(np.hypot(n0[..., 0], n0[..., 1]) - 1.0)
+    speed = np.hypot(*g1)
+    norm_err = np.abs(np.hypot(*n0) - 1.0)
     worst = float(norm_err.max())
     if worst > 1e-9:
         raise FrontContractError(
@@ -141,7 +134,7 @@ def plane_position(pf, ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if pf.gamma is not None:
         jg = _jet(pf.gamma, float(pf.orientation) * ts, 0)
-        return jg.value.reshape(len(ts), 2)
+        return stack(jg.value).reshape(len(ts), 2)
     x16, w16 = np.polynomial.legendre.leggauss(16)
     out = np.empty((len(ts), 2))
     for i, t in enumerate(ts):
@@ -155,7 +148,7 @@ def plane_position(pf, ts):
         nodes = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
         wts = (half[:, None] * w16[None, :]).ravel()
         g1 = _plane_jets(pf, nodes, second=False)[0]
-        out[i] = np.asarray(pf.base, dtype=float) + wts @ g1
+        out[i] = np.asarray(pf.base, dtype=float) + wts @ stack(g1)
     return out
 
 
@@ -261,18 +254,18 @@ def _plane_cusps(pf, samples):
 
     def lam(t):
         g1, _, n0, _ = _plane_jets(pf, t, second=False)
-        return _det2(g1, n0)
+        return _cross2(g1, n0)
 
     roots = _simple_roots(lam, pf.period, samples,
                           "the plane singularity function det(gamma', nu)")
     cusps = []
     for r in roots:
         g1, g2, n0, n1 = _plane_jets(pf, r)
-        g2mag = float(np.hypot(g2[..., 0], g2[..., 1]))
+        g2mag = float(np.hypot(*g2))
         if g2mag < 1e-8:
             raise FrontlabError(
                 f"cusp at t={r:.6f} has vanishing gamma'': not a 3/2-cusp")
-        lam_prime = float(_det2(g2, n0) + _det2(g1, n1))
+        lam_prime = float(_cross2(g2, n0) + _cross2(g1, n1))
         if abs(lam_prime) < 1e-8 * g2mag:
             raise FrontlabError(
                 f"double zero of the plane singularity function at "
@@ -298,12 +291,12 @@ def classify_cusps_plane(pf, samples=512):
 def _plane_curvature_angle(pf, window):
     def angle(t):
         g1, _, n0, n1 = _plane_jets(pf, t, second=False)
-        lam = _det2(g1, n0)
+        lam = _cross2(g1, n0)
         x_raw = _dot2(g1, g1)
         y_raw = _dot2(g1, n1)
         use_ext = np.abs(lam) < window
         if np.any(use_ext):
-            det_nn = _det2(n0, n1)
+            det_nn = _cross2(n0, n1)
             qn = _dot2(n1, n1)
             stalled = use_ext & (np.abs(det_nn) <= 1e-12 * (1.0 + qn))
             if np.any(stalled):
@@ -336,7 +329,7 @@ def _half_turns_to_rotation(half_turns, what):
 def _plane_winding(pf, samples):
     t0 = np.linspace(0.0, pf.period, samples, endpoint=False)
     g1, _, n0, _ = _plane_jets(pf, t0, second=False)
-    lam_scale = float(np.abs(_det2(g1, n0)).max())
+    lam_scale = float(np.abs(_cross2(g1, n0)).max())
     window = 0.25 * lam_scale if lam_scale > 0.0 else math.inf
     angle = _plane_curvature_angle(pf, window)
     half = _integer_winding(angle, pf.period, samples, math.pi,
@@ -354,7 +347,7 @@ def normal_rotation_index(pf, samples=512):
 
     def angle(t):
         n0 = _plane_jets(pf, t, second=False)[2]
-        return np.arctan2(n0[..., 1], n0[..., 0])
+        return np.arctan2(n0[1], n0[0])
 
     return _integer_winding(angle, pf.period, samples, TWO_PI,
                             0.5 * math.pi, "plane normal field")
@@ -402,7 +395,7 @@ def _loop_jets(loop, t, order=1):
     j = _jet(loop.path, s * t, order)
     out = [j.value]
     if order >= 1:
-        out.append(s * j.f_u)
+        out.append(tuple(s * c for c in j.f_u))
     if order >= 2:
         out.append(j.f_uu)
     return tuple(out)
@@ -432,22 +425,20 @@ def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
 
     def lam(t):
         uv = _loop_jets(probe, t, order=0)[0]
-        return np.asarray(lambda_value(front, uv[..., 0], uv[..., 1]),
-                          dtype=float)
+        return np.asarray(lambda_value(front, *uv), dtype=float)
 
     roots = _simple_roots(lam, period, samples,
                           "the singularity function along the loop")
     for r in roots:
-        uv, s1 = _loop_jets(probe, np.array([r]), order=1)
-        u, v = float(uv[0, 0]), float(uv[0, 1])
+        uv, tangent = map(_first, _loop_jets(probe, np.array([r]), order=1))
+        u, v = float(uv[0]), float(uv[1])
         point = classify(front, (u, v))
         if point.kind != SingularClass.CUSPIDAL_EDGE:
             raise FrontlabError(
                 f"null loop crossing at t={r:.6f} is {point.kind.value}, "
                 "not a cuspidal edge")
         eta = np.asarray(point.null_dir, dtype=float)
-        tangent = s1[0]
-        sin_angle = abs(float(_det2(tangent, eta))) / (
+        sin_angle = abs(float(_cross2(tangent, eta))) / (
             float(np.hypot(*tangent)) * float(np.hypot(*eta)))
         if sin_angle > angle_tol:
             raise FrontContractError(
@@ -460,18 +451,18 @@ def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
 def _surface_crossings(front, loop):
     letters = []
     for r in loop.crossings:
-        uv, s1, s2 = _loop_jets(loop, np.array([r]), order=2)
-        u, v = float(uv[0, 0]), float(uv[0, 1])
+        uv, s1, s2 = map(_first, _loop_jets(loop, np.array([r]), order=2))
+        u, v = float(uv[0]), float(uv[1])
         point = classify(front, (u, v))
         if point.kind != SingularClass.CUSPIDAL_EDGE:
             raise FrontlabError(
                 f"null loop crossing at t={r:.6f} is {point.kind.value}, "
                 "not a cuspidal edge")
         lam_u, lam_v = lambda_jets(front, u, v, order=1)[1:]
-        lam_hat_prime = float(lam_u) * s1[0, 0] + float(lam_v) * s1[0, 1]
+        lam_hat_prime = float(lam_u) * s1[0] + float(lam_v) * s1[1]
         jf, jn = front.jets(u, v, order_map=2, order_normal=1)
-        sig_pp = jf.along(s1[0], 2) + jf.along(s2[0])
-        crit = float(lam_hat_prime) * float(dot(sig_pp, jn.along(s1[0])))
+        sig_pp = tuple(a + b for a, b in zip(jf.along(s1, 2), jf.along(s2)))
+        crit = float(lam_hat_prime) * float(dot(sig_pp, jn.along(s1)))
         if crit == 0.0:
             raise FrontlabError(
                 f"zig/zag criterion vanishes at loop crossing t={r:.6f}")
@@ -500,11 +491,9 @@ def rotation_number_surface(front, loop, samples=512):
 
     def pair(t):
         uv, s1 = _loop_jets(loop, t, order=1)
-        jf, jn = front.jets(uv[..., 0], uv[..., 1], order_map=1,
-                            order_normal=1)
-        d = (s1[..., 0], s1[..., 1])
-        sp = jf.along(d)
-        return dot(sp, sp), dot(sp, jn.along(d))
+        jf, jn = front.jets(*uv, order_map=1, order_normal=1)
+        sp = jf.along(s1)
+        return dot(sp, sp), dot(sp, jn.along(s1))
 
     x0, y0 = pair(np.linspace(0.0, loop.period, samples, endpoint=False))
     pin = 1e-10 * float(np.hypot(x0, y0).max())

@@ -38,6 +38,15 @@ def _stack(values, shape):
     return np.stack(cols, axis=-1)
 
 
+def interleaved(block, shape):
+    """A jet block in this oracle's layout: `eval_jet`'s tuple of
+    components stacked along a last axis at the jet's shape (a block of
+    the oracle's own comes back as it is)."""
+    if isinstance(block, np.ndarray):
+        return block
+    return np.stack([np.broadcast_to(c, shape) for c in block], axis=-1)
+
+
 def _pack_jet(components, space, shape, abs_hits):
     value = _stack([s.value for s in components], shape)
     blocks = [None, None, None]

@@ -9,12 +9,14 @@ from finite_difference import finite_difference_jet
 
 from frontlab import (
     ExprDomainError,
+    Jet2,
     ParseError,
     eval_jet,
     gallery,
     parse,
     to_source,
 )
+from frontlab.front import stack
 
 # expressions in the shape of the built-in surface gallery
 REPRESENTATIVE = [
@@ -180,10 +182,10 @@ class TestEvalJet:
         uu = np.array([[1.0, -1.0], [2.0, 3.0]])
         vv = np.array([[4.0, 1.0], [0.0, 9.0]])
         j = eval_jet(e, uu, vv, 1)
-        assert j.value.shape == (2, 2, 3)
-        assert np.isnan(j.value[0, 1, 0])  # log(-1)
-        assert np.isnan(j.value[1, 0, 2])  # 2/0
-        assert j.value[1, 1, 1] == pytest.approx(3.0)
+        assert [c.shape for c in j.value] == [(2, 2)] * 3
+        assert np.isnan(j.value[0][0, 1])  # log(-1)
+        assert np.isnan(j.value[2][1, 0])  # 2/0
+        assert j.value[1][1, 1] == pytest.approx(3.0)
 
     def test_domain_error_reports_offending_node(self):
         e = parse("(log(u-1), v, 0)")
@@ -216,7 +218,8 @@ class TestEvalJet:
 
 
 class TestAlong:
-    """`Jet2.along` against the directional sums it replaced."""
+    """`Jet2.along` against the directional sums it replaced, written on
+    the (..., 3) arrays jets used to interleave their components in."""
 
     @staticmethod
     def _jets():
@@ -230,29 +233,70 @@ class TestAlong:
             for i in range(0, 50, 10):
                 yield eval_jet(e, float(u[i]), float(v[i]), 3), d[:, i]
 
+    @staticmethod
+    def _interleaved_along(j, d, k):
+        """along as it was written on interleaved blocks."""
+        d0, d1 = (np.asarray(x)[..., None] for x in d)
+        f = {name: stack(getattr(j, name)) for name in
+             ("f_u", "f_v", "f_uu", "f_uv", "f_vv", "f_uuu", "f_uuv", "f_uvv", "f_vvv")}
+        if k == 1:
+            return d0 * f["f_u"] + d1 * f["f_v"]
+        if k == 2:
+            return (d0 * d0) * f["f_uu"] + (2.0 * d0 * d1) * f["f_uv"] + (d1 * d1) * f["f_vv"]
+        return ((d0 * d0 * d0) * f["f_uuu"] + (3.0 * d0 * d0 * d1) * f["f_uuv"]
+                + (3.0 * d0 * d1 * d1) * f["f_uvv"] + (d1 * d1 * d1) * f["f_vvv"])
+
+    def _assert_interleaved_bits(self, j, d):
+        shape = np.broadcast_shapes(*(np.shape(c) for b in j.d1 + j.d2 + j.d3 for c in b),
+                                    np.shape(d[0]), np.shape(d[1]))
+        for k in (1, 2, 3):
+            got = np.stack([np.broadcast_to(c, shape) for c in j.along(d, k)], axis=-1)
+            want = np.broadcast_to(self._interleaved_along(j, d, k), shape + (3,))
+            # a NaN's payload depends on the machine code that made it
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), k
+            assert got[~nan].tobytes() == want[~nan].tobytes(), k
+
     def test_first_and_second_order_bit_identical(self):
         for j, d in self._jets():
-            if d.ndim == 1:  # scalar jet, eta as a 2-vector
-                k1 = d[0] * j.f_u + d[1] * j.f_v
-                k2 = (d[0] * d[0] * j.f_uu + 2.0 * d[0] * d[1] * j.f_uv
-                      + d[1] * d[1] * j.f_vv)
-            else:  # array jet, direction per point
-                t0, t1 = d
-                k1 = t0[..., None] * j.f_u + t1[..., None] * j.f_v
-                k2 = ((t0 * t0)[..., None] * j.f_uu
-                      + (2.0 * t0 * t1)[..., None] * j.f_uv
-                      + (t1 * t1)[..., None] * j.f_vv)
-            assert j.along(d).tobytes() == k1.tobytes()
-            assert j.along((d[0], d[1]), 2).tobytes() == k2.tobytes()
+            self._assert_interleaved_bits(j, d)
+
+    def test_special_values_in_every_shape(self):
+        # random blocks with +-0, +-inf, NaN and 1e308: single points, flat
+        # batches, and columns, rows and constants of a grid
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e-308])
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            hit = rng.random(shape) < 0.3
+            x[hit] = rng.choice(special, size=int(hit.sum()))
+            return x
+
+        def jet(comp):
+            blocks = [tuple(comp(i) for i in range(3)) for _ in range(10)]
+            return Jet2(value=blocks[0], d1=tuple(blocks[1:3]), d2=tuple(blocks[3:6]),
+                        d3=tuple(blocks[6:10]), order=3)
+
+        shapes = [(64, 1), (1, 64), ()]
+        cases = [
+            (jet(lambda i: float(draw(()))), tuple(float(x) for x in draw(2))),
+            (jet(lambda i: draw(4000)), draw((2, 4000))),
+            (jet(lambda i: draw(shapes[i])), (draw((64, 1)), draw((1, 64)))),
+            (jet(lambda i: draw(shapes[i])), (draw(()), draw((64, 64)))),
+        ]
+        with np.errstate(all="ignore"):
+            for j, d in cases:
+                self._assert_interleaved_bits(j, d)
 
     def test_third_order_matches_explicit_sum(self):
         for j, d in self._jets():
             a, b = (x[..., None] for x in d)
-            terms = [a**3 * j.f_uuu, 3.0 * a**2 * b * j.f_uuv,
-                     3.0 * a * b**2 * j.f_uvv, b**3 * j.f_vvv]
+            fuuu, fuuv, fuvv, fvvv = (stack(x) for x in j.d3)
+            terms = [a**3 * fuuu, 3.0 * a**2 * b * fuuv, 3.0 * a * b**2 * fuvv, b**3 * fvvv]
             scale = sum(np.abs(t) for t in terms)
             np.testing.assert_array_less(
-                np.abs(j.along(d, 3) - sum(terms)), 1e-14 * scale + 1e-300)
+                np.abs(stack(j.along(d, 3)) - sum(terms)), 1e-14 * scale + 1e-300)
 
     def test_order_out_of_range(self):
         j = eval_jet(parse("(u, v, u*v)"), 0.1, 0.2, 3)

@@ -20,6 +20,7 @@ from frontlab.front import (
     Front,
     curvature,
     det3,
+    dot,
     forms,
     lambda_value,
     parallel_surface,
@@ -83,7 +84,7 @@ class TestAreaDensity:
         f = gallery(name)
         expr = parse(f"({f.metadata['lambda']}, 0, 0)", dict(f.map.params))
         uu, vv = f.domain.grid(33)
-        want = eval_jet(expr, uu, vv, order=0).value[..., 0]
+        want = eval_jet(expr, uu, vv, order=0).value[0]
         got = lambda_value(f, uu, vv)
         dev = np.nanmax(np.abs(want - got) / np.maximum(1.0, np.abs(want)))
         assert dev < 1e-9, f"{name}: closed-form density deviates by {dev:.3e}"
@@ -126,24 +127,88 @@ class TestAreaDensity:
         strided = [np.repeat(x, 2, axis=-1)[..., ::2] for x in vecs]
         want = np.einsum("...i,...i->...", vecs[0], np.cross(vecs[1], vecs[2]))
         for args in (vecs, strided):
-            got = det3(*args)
+            got = det3(*(np.moveaxis(x, -1, 0) for x in args))
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_det3_single_point_is_a_batch_row(self):
-        # single points run in Python floats: same bits as the batched row,
-        # signed zeros, infinities and NaNs included
-        rng = np.random.default_rng(5)
+    @staticmethod
+    def _special_rows(seed, n=4000):
+        """n random 3-vectors per argument with +-0, +-inf, NaN, 1e308 and
+        -1e-308 in about a third of the entries, interleaved: (3, n, 3)."""
+        rng = np.random.default_rng(seed)
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e-308])
-        vecs = rng.standard_normal((3, 4000, 3))
+        vecs = rng.standard_normal((3, n, 3))
         hit = rng.random(vecs.shape) < 0.3
         vecs[hit] = rng.choice(special, size=int(hit.sum()))
+        return vecs
+
+    @staticmethod
+    def _interleaved_det3(a, b, c):
+        """det3 as it was written on (..., 3) arrays, before jets kept
+        their components apart."""
+        x0 = b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1]
+        x1 = b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2]
+        x2 = b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]
+        return (a[..., 0] * x0 + a[..., 2] * x2) + a[..., 1] * x1
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        # which NaN operand's payload (and sign) a NaN result carries is up
+        # to the machine code: einsum's SIMD loop, and Python float
+        # arithmetic once the interpreter specializes it, pick differently
+        got, want = np.atleast_1d(got), np.atleast_1d(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_det3_single_point_is_a_batch_row(self):
+        # a single point of floats has the bits of its row in a batch, and
+        # the batch those of det3 on the interleaved vectors, signed zeros,
+        # infinities and NaNs included; einsum(a, cross(b, c)) agrees
+        vecs = self._special_rows(5)
         with np.errstate(all="ignore"):
-            batch = det3(*vecs)
+            batch = det3(*(x.T for x in vecs))
+            assert batch.tobytes() == self._interleaved_det3(*vecs).tobytes()
+            self._assert_same_bits(
+                batch, np.einsum("...i,...i->...", vecs[0], np.cross(vecs[1], vecs[2])))
             for i in range(len(batch)):
-                got = det3(vecs[0, i], vecs[1, i], vecs[2, i])
+                got = det3(*(x[i].tolist() for x in vecs))
                 assert type(got) is np.float64
-                assert got.tobytes() == batch[i].tobytes(), i
+                self._assert_same_bits(got, batch[i])
+
+    def test_dot_equals_einsum(self):
+        vecs = self._special_rows(6)
+        with np.errstate(all="ignore"):
+            want = np.einsum("...i,...i->...", vecs[0], vecs[1])
+            batch = dot(vecs[0].T, vecs[1].T)
+            self._assert_same_bits(batch, want)
+            for i in range(len(want)):
+                got = dot(vecs[0, i].tolist(), vecs[1, i].tolist())
+                assert type(got) is np.float64
+                self._assert_same_bits(got, batch[i])
+                self._assert_same_bits(got, np.einsum("...i,...i->...", vecs[0, i], vecs[1, i]))
+
+    def test_vector_helpers_on_a_column_and_a_row(self):
+        # components of one variable alone (a column, a row) or constant,
+        # against the interleaved vectors they broadcast to
+        vecs = self._special_rows(7, 64 * 3)
+        col, row = vecs[:, :64].reshape(3, 64, 1, 3), vecs[:, 64:128].reshape(3, 1, 64, 3)
+        comps = [
+            (col[0, ..., 0], row[0, ..., 1], 2.5),
+            (row[1, ..., 0], -0.0, col[1, ..., 2]),
+            (0.0, col[2, ..., 1], row[2, ..., 2]),
+        ]
+        grid = np.zeros((64, 64))
+        stacked = [np.stack(np.broadcast_arrays(*c, grid)[:3], axis=-1) for c in comps]
+        with np.errstate(all="ignore"):
+            got = det3(*comps)
+            assert got.shape == (64, 64)
+            assert got.tobytes() == self._interleaved_det3(*stacked).tobytes()
+            self._assert_same_bits(
+                got, np.einsum("...i,...i->...", stacked[0], np.cross(stacked[1], stacked[2])))
+            got = dot(comps[1], comps[2])
+            assert got.shape == (64, 64)
+            self._assert_same_bits(got, np.einsum("...i,...i->...", stacked[1], stacked[2]))
 
     @pytest.mark.parametrize("name", ["cuspidal_parabola", "standard_swallowtail"])
     def test_scalar_lambda_jets_are_an_array_row(self, name):
@@ -168,18 +233,21 @@ def _broadcast_calls(monkeypatch, owner, name):
     def spy(x, u, v, *rest):
         out = fn(x, u, v, *rest)
         if np.ndim(u) == 2 and np.shape(u)[1] == 1 and np.shape(v)[0] == 1:
-            calls.append((out, fn(x, *np.broadcast_arrays(u, v), *rest)))
+            full = np.broadcast_arrays(u, v)
+            calls.append((out, fn(x, *full, *rest), full[0].shape))
         return out
 
     monkeypatch.setattr(owner, name, spy)
     return calls
 
 
-def _blocks(out):
-    """The arrays of a lambda value or of a (map, normal) jet pair."""
+def _blocks(out, shape):
+    """The arrays of a lambda value or of a (map, normal) jet pair, each
+    jet component at the full grid's shape."""
     if isinstance(out, np.ndarray):
         return [out]
-    return [b for jet in out for b in (jet.value, *(jet.d1 or ()))]
+    return [np.broadcast_to(c, shape) for jet in out
+            for b in (jet.value, *(jet.d1 or ())) for c in b]
 
 
 class TestBroadcastGrids:
@@ -188,8 +256,8 @@ class TestBroadcastGrids:
 
     def _assert_full_grid_bits(self, calls):
         assert calls
-        for got, want in calls:
-            got, want = _blocks(got), _blocks(want)
+        for got, want, shape in calls:
+            got, want = _blocks(got, shape), _blocks(want, shape)
             assert [b.shape for b in got] == [b.shape for b in want]
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
@@ -216,7 +284,61 @@ class TestBroadcastGrids:
         calls = _broadcast_calls(monkeypatch, gaussbonnet, "lambda_value")
         euler_characteristics(gallery(name), grid=256)
         self._assert_full_grid_bits(calls)
-        assert sum(got.size for got, _ in calls) == 256 * 256
+        assert sum(got.size for got, _, _ in calls) == 256 * 256
+
+    def test_components_of_one_variable_keep_its_shape(self):
+        # pseudosphere: map (sech u cos v, sech u sin v, u - tanh u),
+        # normal (tanh u cos v, tanh u sin v, sech u)
+        f = gallery("pseudosphere")
+        uu, vv = f.domain.grid(9, 11)
+        jf, jn = f.jets(uu[:, :1], vv[:1], 1, 1)
+        for jet in (jf, jn):
+            assert [np.shape(c) for c in jet.value] == [(9, 11), (9, 11), (9, 1)]
+            assert np.shape(jet.f_u[2]) == (9, 1) and jet.f_v[2] == 0.0
+        assert lambda_value(f, uu[:, :1], vv[:1]).shape == (9, 11)
+
+    def test_values_constant_on_the_grid_are_spread_over_it(self):
+        # the plane's lambda and forms are constants of its jets
+        f = gallery("plane")
+        uu, vv = f.domain.grid(5)
+        assert lambda_value(f, uu[:, :1], vv[:1]).shape == (5, 5)
+        fo = forms(f, uu, vv)
+        assert [np.shape(x) for x in vars(fo).values()] == [(5, 5)] * 6
+        assert [np.shape(x) for x in lambda_jets(f, uu[0], vv[0], order=2)] == [(5,)] * 6
+
+
+class TestReadOnlyInputs:
+    """A jet component may be the caller's own u or v, so nothing
+    downstream may write into one."""
+
+    @staticmethod
+    def _frozen(*arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def test_jets_hand_back_the_inputs(self):
+        f = gallery("cuspidal_parabola")  # its map's last component is u
+        u, v = self._frozen(np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 0.5, 7))
+        jf, _ = f.jets(u, v, 1, 1)
+        assert jf.value[2] is u
+
+    @pytest.mark.parametrize("name", ["cuspidal_parabola", "standard_swallowtail", "kuen"])
+    def test_evaluators_accept_read_only_inputs(self, name):
+        f = gallery(name)
+        d = f.domain
+        u, v = self._frozen(np.linspace(d.u0, d.u1, 9)[1:-1], np.linspace(d.v0, d.v1, 9)[1:-1])
+        f.jets(u, v, 3, 2)
+        f.map_jet(u, v, 2)
+        lambda_jets(f, u, v, order=2)
+        forms(f, u, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jf, jn = f.jets(u, v, 3, 2)
+            singular._curvatures(jf, jn, singular._lambda_blocks(jf, jn, 2))
+        uu, vv = d.grid(9)
+        col, row = self._frozen(uu[:, :1].copy(), vv[:1].copy())
+        f.jets(col, row, 1, 1)
+        lambda_value(f, col, row)
 
 
 class TestForms:
@@ -345,11 +467,11 @@ class TestParallelSurface:
         for _ in range(5):
             u = rng.uniform(0.0, 2 * math.pi)
             v = rng.uniform(0.2, math.pi - 0.2)
-            p0 = eval_jet(base.map, u, v, order=0).value
-            n0 = eval_jet(base.normal, u, v, order=0).value
-            p1 = eval_jet(off.map, u, v, order=0).value
+            p0 = np.array(eval_jet(base.map, u, v, order=0).value)
+            n0 = np.array(eval_jet(base.normal, u, v, order=0).value)
+            p1 = np.array(eval_jet(off.map, u, v, order=0).value)
             assert np.max(np.abs(p1 - (p0 + 0.3 * n0))) < 1e-12
-            n1 = eval_jet(off.normal, u, v, order=0).value
+            n1 = np.array(eval_jet(off.normal, u, v, order=0).value)
             assert np.max(np.abs(n1 - n0)) < 1e-15, "offset keeps the normal"
 
     def test_offset_is_analytic_with_metadata(self):
@@ -473,7 +595,7 @@ class TestGallery:
         f = gallery("cuspidal_parabola", {"a": 2.0, "b": 0.5})
         expr = parse(f"({f.metadata['lambda']}, 0, 0)", dict(f.map.params))
         uu, vv = f.domain.grid(17)
-        want = eval_jet(expr, uu, vv, order=0).value[..., 0]
+        want = eval_jet(expr, uu, vv, order=0).value[0]
         got = lambda_value(f, uu, vv)
         assert np.max(np.abs(want - got)) < 1e-9 * max(1.0, np.max(np.abs(want)))
 

@@ -55,7 +55,9 @@ def midpoint_K_dAhat(front, m_u, m_v, rows=32):
     for k in range(0, m_u, rows):
         uu, vv = np.meshgrid(us[k : k + rows], vs, indexing="ij")
         _, jn = front.jets(uu, vv, 0, 1)
-        total += float(np.einsum("...i,...i", np.cross(jn.f_u, jn.f_v), jn.value).sum())
+        nu, nu_u, nu_v = (np.stack(np.broadcast_arrays(*b, uu)[:3], axis=-1)
+                          for b in (jn.value, jn.f_u, jn.f_v))
+        total += float(np.einsum("...i,...i", np.cross(nu_u, nu_v), nu).sum())
     return total * du * dv + sum(area for area, _ in _cap_terms(front))
 
 

@@ -1,5 +1,7 @@
 """Tests for the truncated Taylor (jet) arithmetic engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,31 @@ class TestDomainHandling:
         assert hit and s.value == 0.0 and s.partial((1, 0)) == 1.0
         s2, hit2 = taylor.apply_abs(space.var(0, -0.7))
         assert not hit2 and s2.partial((1, 0)) == -1.0
+
+    @pytest.mark.parametrize("table", [taylor._d_sech, taylor._d_tanh])
+    def test_far_arguments_do_not_warn(self, table):
+        # cosh overflows past |c| = 710.48: sech is exactly +0 there, and
+        # numpy's overflow warning stays inside the table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (800.0, -800.0, np.array([800.0, -800.0])):
+                d = [np.asarray(x) for x in table(c, 3)]
+                assert all((x == 0.0).all() for x in d[1:])
+                sech = d[0] if table is taylor._d_sech else d[1]
+                assert not np.signbit(sech).any()
+                assert table is taylor._d_sech or (d[0] == np.sign(c)).all()
+
+    def test_sech_keeps_its_bits_where_cosh_is_finite(self):
+        c = np.concatenate([np.linspace(-710.0, 710.0, 20001),
+                            [taylor._COSH_MAX, -taylor._COSH_MAX, 0.0, -0.0, np.nan]])
+        want = 1.0 / np.cosh(c)
+        assert np.isfinite(np.cosh(taylor._COSH_MAX))
+        assert taylor._d_sech(c, 0)[0].tobytes() == want.tobytes()
+        assert taylor._d_tanh(c, 1)[1].tobytes() == (want * want).tobytes()
+        for x in c[::97].tolist() + c[-5:].tolist():
+            got = taylor._d_sech(x, 0)[0]
+            assert type(got) is np.float64
+            assert got.tobytes() == (1.0 / np.cosh(x)).tobytes(), x
 
 
 class TestJetSpace:

@@ -17,7 +17,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from recursive_jet import recursive_eval_jet
+from recursive_jet import interleaved, recursive_eval_jet
 
 from frontlab import eval_jet, parse
 from frontlab.expr import BinOp, Neg, Num, Param, PowOp, Var
@@ -59,8 +59,10 @@ def _outcome(evaluate, e, uv, order):
         j = evaluate(e, *uv, order)
     except Exception as err:  # both evaluators must fail alike, whatever the error
         return type(err), str(err), getattr(err, "source", None)
-    blocks = [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]
-    return [(np.shape(b), np.asarray(b).tobytes()) for b in blocks], j.abs_hits, j.order
+    shape = np.broadcast_shapes(np.shape(uv[0]), np.shape(uv[1]))
+    blocks = [interleaved(b, shape)
+              for b in [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]]
+    return [(b.shape, b.tobytes()) for b in blocks], j.abs_hits, j.order
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
