@@ -515,15 +515,41 @@ class Jet2:
             raise ValueError(f"jet order {deg} was not evaluated (order={self.order})")
         return block
 
-    f_u = property(lambda self: self._block(1)[0])
-    f_v = property(lambda self: self._block(1)[1])
-    f_uu = property(lambda self: self._block(2)[0])
-    f_uv = property(lambda self: self._block(2)[1])
-    f_vv = property(lambda self: self._block(2)[2])
-    f_uuu = property(lambda self: self._block(3)[0])
-    f_uuv = property(lambda self: self._block(3)[1])
-    f_uvv = property(lambda self: self._block(3)[2])
-    f_vvv = property(lambda self: self._block(3)[3])
+    @property
+    def f_u(self):
+        return self._block(1)[0]
+
+    @property
+    def f_v(self):
+        return self._block(1)[1]
+
+    @property
+    def f_uu(self):
+        return self._block(2)[0]
+
+    @property
+    def f_uv(self):
+        return self._block(2)[1]
+
+    @property
+    def f_vv(self):
+        return self._block(2)[2]
+
+    @property
+    def f_uuu(self):
+        return self._block(3)[0]
+
+    @property
+    def f_uuv(self):
+        return self._block(3)[1]
+
+    @property
+    def f_uvv(self):
+        return self._block(3)[2]
+
+    @property
+    def f_vvv(self):
+        return self._block(3)[3]
 
     def along(self, d, k=1):
         """Directional derivative (d0 d/du + d1 d/dv)^k f for k = 1, 2, 3,

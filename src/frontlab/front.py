@@ -63,6 +63,12 @@ def stack(a):
     return np.stack(np.broadcast_arrays(*a), axis=-1)
 
 
+def columns(*vectors):
+    """Component triples as the columns of (..., 3, k) matrices, for svd."""
+    m = stack([c for x in vectors for c in x])
+    return m.reshape(m.shape[:-1] + (len(vectors), 3)).swapaxes(-1, -2)
+
+
 def spread(x, u, v):
     """`x`, computed from jets at (u, v), at the shape of broadcast(u, v),
     which a value constant along an axis does not reach by itself."""
@@ -294,9 +300,7 @@ def validate(front, grid_n=64):
     orth_u = np.abs(dot(jf.f_u, nu)) / np.maximum(1.0, np.sqrt(dot(jf.f_u, jf.f_u)))
     orth_v = np.abs(dot(jf.f_v, nu)) / np.maximum(1.0, np.sqrt(dot(jf.f_v, jf.f_v)))
     orth_dev = float(max(np.max(orth_u), np.max(orth_v)))
-    cols = stack((*jf.f_u, *jf.f_v, *jn.f_u, *jn.f_v))
-    cols = cols.reshape(cols.shape[:-1] + (4, 3)).swapaxes(-1, -2)
-    sing = np.linalg.svd(cols, compute_uv=False)
+    sing = np.linalg.svd(columns(jf.f_u, jf.f_v, jn.f_u, jn.f_v), compute_uv=False)
     min_sigma2 = float(np.min(sing[..., 1]))
     failures = []
     tol = _VALIDATE_TOL

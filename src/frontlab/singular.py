@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import FrontContractError, FrontlabError, InapplicableError, TraceError
-from .front import det3, dot, lambda_value, spread, stack
+from .front import columns, det3, dot, lambda_value, spread, stack
 
 # classification thresholds (relative; see docstrings for the normalizations)
 TRANSVERSAL_TOL = 1e-6
@@ -153,9 +153,7 @@ def _null_direction(jf):
 
     Works point by point over any leading shape of the jet.
     """
-    A = stack((*jf.f_u, *jf.f_v))
-    A = A.reshape(A.shape[:-1] + (2, 3)).swapaxes(-1, -2)
-    _, sig, vt = np.linalg.svd(A, full_matrices=False)
+    _, sig, vt = np.linalg.svd(columns(jf.f_u, jf.f_v), full_matrices=False)
     return vt[..., 1, :], sig
 
 
@@ -537,7 +535,7 @@ def _refine(front, dom, P, nxt, cell):
 
 
 def _image_point(front, q):
-    return np.array(front.map_jet(q[0], q[1], 1).value)
+    return stack(front.map_jet(q[0], q[1], 1).value)
 
 
 def trace(front, grid=64):
@@ -757,8 +755,8 @@ def singular_curvature(front, point, h=None):
     if h is None:
         h = 1e-3 * scale
     jf0, jn0 = front.jets(q0[0], q0[1], 1, 0)
-    img0 = np.array(jf0.value)
-    tau = np.array(jf0.along(T0))
+    img0 = stack(jf0.value)
+    tau = stack(jf0.along(T0))
     speed = np.linalg.norm(tau)
 
     def tangent_at(ds):
@@ -778,7 +776,7 @@ def singular_curvature(front, point, h=None):
             raise TraceError("degenerate point while differencing tangents")
         if float(T @ T0) < 0:
             T = -T
-        g1 = np.array(front.map_jet(q[0], q[1], 1).along(T))
+        g1 = stack(front.map_jet(q[0], q[1], 1).along(T))
         return g1 / np.linalg.norm(g1)
 
     def second_diff(step):
@@ -814,7 +812,7 @@ def singular_curvature_intrinsic(front, u, variant="E_vv"):
             f"null direction ({eta[0]:.3e}, {eta[1]:.3e}) not vertical"
         )
     fu, fv, fuu, fuv, fvv, fuuv, fuvv = (
-        np.array(x) for x in (jf.f_u, jf.f_v, jf.f_uu, jf.f_uv, jf.f_vv, jf.f_uuv, jf.f_uvv)
+        stack(x) for x in (jf.f_u, jf.f_v, jf.f_uu, jf.f_uv, jf.f_vv, jf.f_uuv, jf.f_uvv)
     )
     E = float(fu @ fu)
     E_u = 2.0 * float(fuu @ fu)
@@ -900,7 +898,7 @@ def _edge_sign_delta(front, point, side):
     if float(eta @ n) * side < 0:
         eta = -eta
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 1)
-    val = -float(np.array(jf.along(eta, 2)) @ np.array(jn.along(eta)))
+    val = -float(stack(jf.along(eta, 2)) @ stack(jn.along(eta)))
     if val == 0.0:
         raise InapplicableError("half-space sign degenerate: second form flat")
     return 1 if val > 0 else -1
@@ -917,7 +915,7 @@ def _probe_sign_delta(front, point, side, t):
     p_out = q - t * eta
     jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
     jf_out = front.map_jet(p_out[0], p_out[1], 0)
-    val = -float(np.array(jn_in.value) @ (np.array(jf_out.value) - np.array(jf_in.value)))
+    val = -float(stack(jn_in.value) @ (stack(jf_out.value) - stack(jf_in.value)))
     return 1 if val > 0 else -1
 
 
@@ -951,7 +949,7 @@ def _swallowtail_signs(front, point, side):
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])  # transversal to the singular direction
-    val = float(np.array(jf.along(X, 2)) @ np.array(jn.value))
+    val = float(stack(jf.along(X, 2)) @ stack(jn.value))
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
     sgn_0 = 1 if val > 0 else -1
@@ -1021,10 +1019,10 @@ def tail_side(front, point, radius=None, samples=256):
     jf, jn = front.jets(q0[0], q0[1], 3, 0)
     eta = np.asarray(point.null_dir, dtype=float)
     X = np.array([-eta[1], eta[0]])
-    e1 = np.array(jf.along(X))
+    e1 = stack(jf.along(X))
     e1 = e1 / np.linalg.norm(e1)
     e2 = None
-    for c in (np.array(jf.along(eta, 2)), np.array(jf.along(eta, 3))):
+    for c in (stack(jf.along(eta, 2)), stack(jf.along(eta, 3))):
         w = c - float(c @ e1) * e1
         if np.linalg.norm(w) > 1e-8 * max(1.0, np.linalg.norm(c)):
             e2 = w / np.linalg.norm(w)
@@ -1113,8 +1111,8 @@ def sign_meaning_check(front, point, tol=1e-10):
         )
     eta = np.asarray(point.null_dir, dtype=float)
     jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
-    sigma_dd = np.array(jf.along(eta, 2))
-    g1, g2 = (np.array(g) for g in _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[3:])
+    sigma_dd = stack(jf.along(eta, 2))
+    g1, g2 = (stack(g) for g in _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[3:])
     speed2 = float(g1 @ g1)
     k_vec = (g2 - (float(g2 @ g1) / speed2) * g1) / speed2
     val = float(sigma_dd @ k_vec)

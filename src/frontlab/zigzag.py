@@ -41,11 +41,6 @@ ZIG = "a"
 ZAG = "b"
 
 
-def _first(comps):
-    """The first point of components evaluated at a one-point array."""
-    return tuple(np.ravel(c)[0] for c in comps)
-
-
 def _jet(source, t, order):
     """Jet of a one-parameter expression; the parameter rides the u-slot."""
     t = np.asarray(t, dtype=float)
@@ -430,7 +425,7 @@ def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
     roots = _simple_roots(lam, period, samples,
                           "the singularity function along the loop")
     for r in roots:
-        uv, tangent = map(_first, _loop_jets(probe, np.array([r]), order=1))
+        uv, tangent = _loop_jets(probe, r, order=1)
         u, v = float(uv[0]), float(uv[1])
         point = classify(front, (u, v))
         if point.kind != SingularClass.CUSPIDAL_EDGE:
@@ -451,7 +446,7 @@ def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
 def _surface_crossings(front, loop):
     letters = []
     for r in loop.crossings:
-        uv, s1, s2 = map(_first, _loop_jets(loop, np.array([r]), order=2))
+        uv, s1, s2 = _loop_jets(loop, r, order=2)
         u, v = float(uv[0]), float(uv[1])
         point = classify(front, (u, v))
         if point.kind != SingularClass.CUSPIDAL_EDGE:

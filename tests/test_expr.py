@@ -252,10 +252,7 @@ class TestAlong:
         for k in (1, 2, 3):
             got = np.stack([np.broadcast_to(c, shape) for c in j.along(d, k)], axis=-1)
             want = np.broadcast_to(self._interleaved_along(j, d, k), shape + (3,))
-            # a NaN's payload depends on the machine code that made it
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan), k
-            assert got[~nan].tobytes() == want[~nan].tobytes(), k
+            assert got.tobytes() == want.tobytes(), k
 
     def test_first_and_second_order_bit_identical(self):
         for j, d in self._jets():

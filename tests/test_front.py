@@ -153,13 +153,29 @@ class TestAreaDensity:
 
     @staticmethod
     def _assert_same_bits(got, want):
-        # which NaN operand's payload (and sign) a NaN result carries is up
-        # to the machine code: einsum's SIMD loop, and Python float
-        # arithmetic once the interpreter specializes it, pick differently
+        assert np.atleast_1d(got).tobytes() == np.atleast_1d(want).tobytes()
+
+    @staticmethod
+    def _assert_same_but_nan_payloads(got, want):
+        # numpy's cross and einsum loops take a NaN result's payload (and
+        # sign) from another NaN operand than the arithmetic det3 and the
+        # interleaved formula both do
         got, want = np.atleast_1d(got), np.atleast_1d(want)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @staticmethod
+    def _single_points(fn, vecs):
+        """fn on each row of `vecs` as Python floats, after one unchecked
+        pass: CPython's unspecialized float * and + return the second NaN
+        operand, its specialized ones (like numpy) the first, so a NaN's
+        sign depends on whether fn's bytecode is specialized yet; this
+        holds for the interleaved det3 as well."""
+        rows = [[x[i].tolist() for x in vecs] for i in range(vecs.shape[1])]
+        for r in rows:
+            fn(*r)
+        return [fn(*r) for r in rows]
 
     def test_det3_single_point_is_a_batch_row(self):
         # a single point of floats has the bits of its row in a batch, and
@@ -168,24 +184,22 @@ class TestAreaDensity:
         vecs = self._special_rows(5)
         with np.errstate(all="ignore"):
             batch = det3(*(x.T for x in vecs))
-            assert batch.tobytes() == self._interleaved_det3(*vecs).tobytes()
-            self._assert_same_bits(
+            self._assert_same_bits(batch, self._interleaved_det3(*vecs))
+            self._assert_same_but_nan_payloads(
                 batch, np.einsum("...i,...i->...", vecs[0], np.cross(vecs[1], vecs[2])))
-            for i in range(len(batch)):
-                got = det3(*(x[i].tolist() for x in vecs))
+            for i, got in enumerate(self._single_points(det3, vecs)):
                 assert type(got) is np.float64
-                self._assert_same_bits(got, batch[i])
+                assert got.tobytes() == batch[i].tobytes(), i
 
     def test_dot_equals_einsum(self):
-        vecs = self._special_rows(6)
+        vecs = self._special_rows(6)[:2]
         with np.errstate(all="ignore"):
             want = np.einsum("...i,...i->...", vecs[0], vecs[1])
             batch = dot(vecs[0].T, vecs[1].T)
             self._assert_same_bits(batch, want)
-            for i in range(len(want)):
-                got = dot(vecs[0, i].tolist(), vecs[1, i].tolist())
+            for i, got in enumerate(self._single_points(dot, vecs)):
                 assert type(got) is np.float64
-                self._assert_same_bits(got, batch[i])
+                assert got.tobytes() == batch[i].tobytes(), i
                 self._assert_same_bits(got, np.einsum("...i,...i->...", vecs[0, i], vecs[1, i]))
 
     def test_vector_helpers_on_a_column_and_a_row(self):
@@ -203,8 +217,8 @@ class TestAreaDensity:
         with np.errstate(all="ignore"):
             got = det3(*comps)
             assert got.shape == (64, 64)
-            assert got.tobytes() == self._interleaved_det3(*stacked).tobytes()
-            self._assert_same_bits(
+            self._assert_same_bits(got, self._interleaved_det3(*stacked))
+            self._assert_same_but_nan_payloads(
                 got, np.einsum("...i,...i->...", stacked[0], np.cross(stacked[1], stacked[2])))
             got = dot(comps[1], comps[2])
             assert got.shape == (64, 64)
