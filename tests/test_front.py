@@ -170,8 +170,8 @@ class TestAreaDensity:
         """fn on each row of `vecs` as Python floats, after one unchecked
         pass: CPython's unspecialized float * and + return the second NaN
         operand, its specialized ones (like numpy) the first, so a NaN's
-        sign depends on whether fn's bytecode is specialized yet; this
-        holds for the interleaved det3 as well."""
+        sign depends on whether fn's bytecode is specialized yet, which
+        earlier callers in the same process decide."""
         rows = [[x[i].tolist() for x in vecs] for i in range(vecs.shape[1])]
         for r in rows:
             fn(*r)
