@@ -178,15 +178,10 @@ class FundamentalForms:
     M: float
     N: float
 
-    @property
-    def area_density_sq(self):
-        return self.E * self.G - self.F * self.F
-
 
 @dataclass(frozen=True)
 class CurvatureSample:
     K: float
-    K_ext: float  # equals K: Euclidean ambient contributes no sectional term
     H: float
     lam: float
     regular: bool
@@ -232,7 +227,7 @@ def curvature(front, u, v):
     else:
         K = math.inf if np.all(fm.L * fm.N - fm.M * fm.M > 0) else -math.inf
         H = math.nan
-    return CurvatureSample(K=K, K_ext=K, H=H, lam=lam, regular=regular)
+    return CurvatureSample(K=K, H=H, lam=lam, regular=regular)
 
 
 def parallel_surface(front, dist, check_grid=48):

@@ -14,13 +14,15 @@ directions that locate swallowtail candidates, one masked bisection for
 all of them, and one more array jet, after they are inserted, for the
 neighbour transversality rates, classification, curvatures and arclengths.
 
-Classification has one per-point decision (`_decide`) and curvature one
-kernel (`_curvatures`); `classify` feeds both from scalar jets, `trace` from
-a curve's arrays, and `integrate_kappa_s` calls the kernel on arrays of
-quadrature nodes.  `singular_curvature` computes kappa_s independently, by
+Classification has one per-point decision over plain floats (`_decide`)
+and curvature one kernel (`_curvatures`); `classify` feeds both from scalar
+jets, `trace` from a curve's arrays, a row of `.tolist()` columns per
+sample, and `integrate_kappa_s` calls the kernel on arrays of quadrature
+nodes.  `singular_curvature` computes kappa_s independently, by
 differencing exact tangents along the curve.
 """
 
+import contextlib
 import dataclasses
 import enum
 import math
@@ -161,8 +163,9 @@ def _curvatures(jf, jn, blocks):
     """Singular curvature data at cuspidal edges from (3, 2)-order jets.
 
     The one curvature kernel: `classify` feeds it scalar jets, `trace` a
-    whole curve's arrays and `integrate_kappa_s` arrays of Gauss nodes.
-    `blocks` is `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by
+    whole curve's arrays (`_decide` keeps both at cuspidal edges only) and
+    `integrate_kappa_s` arrays of Gauss nodes.  `blocks` is
+    `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by
     the chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|;
     its image velocity is g1 = f_* T and its image acceleration
     g2 = Hess_f(T, T) + f_* T', with T' the derivative of T along itself.
@@ -225,67 +228,46 @@ def _transversality_rate(front, uv, T, eta, delta):
     return (vals[1] - vals[0]) / (2.0 * delta), True
 
 
-def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, rate_step,
-            curvature):
+def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, curv):
     """Classify the singular point (u, v) from its first-order data.
 
     The one decision behind `classify` (scalar jets) and `trace` (a curve's
-    arrays): `lam` and its gradient, the null direction `eta` of df and
-    df's singular values `sig`.  `det_rate` is d/dt of
-    det(singular_dir, null_dir) along the curve, or None to estimate it by
-    stepping `rate_step` along the curve; `curvature()` returns
-    (density, kappa_s, kappa_nu) and is called at cuspidal edges only.
+    arrays, row by row), over Python floats and pairs of them: `lam` and its
+    gradient, the null direction `eta` of df, df's singular values `sig`,
+    and the curvature kernel's (density, kappa_s, kappa_nu) `curv`, kept at
+    cuspidal edges only.  `det_rate` is d/dt of det(singular_dir, null_dir)
+    along the curve, or None to estimate it by stepping along the curve.
+    Returns the `SingularPoint` fields from `uv` to `density`, in order.
     """
     if sig[0] > 0.0 and sig[1] / sig[0] > RANK_TOL:
         raise FrontContractError(
             f"point ({u:.6g}, {v:.6g}) is not singular: df has rank 2 "
             f"(singular values {sig[0]:.3e}, {sig[1]:.3e})"
         )
-    lam, lam_u, lam_v = float(lam), float(lam_u), float(lam_v)
     grad = math.hypot(lam_u, lam_v)
-    scale = max(1.0, float(sig[0]))
+    scale = max(1.0, sig[0])
     if grad <= DEGENERATE_TOL * scale:
-        return SingularPoint(
-            uv=(u, v), lam=lam, grad_lambda=(lam_u, lam_v),
-            null_dir=(float(eta[0]), float(eta[1])), singular_dir=(0.0, 0.0),
-            kind=SingularClass.DEGENERATE, kappa_s=math.nan, kappa_nu=math.nan,
-            transversality=math.nan,
-        )
+        return ((u, v), lam, (lam_u, lam_v), tuple(eta), (0.0, 0.0),
+                SingularClass.DEGENERATE, math.nan, math.nan, math.nan, math.nan)
     T = (lam_v / grad, -lam_u / grad)
-    eta = (float(eta[0]), float(eta[1]))
-    if _cross2(T, eta) < 0.0:
-        eta = (-eta[0], -eta[1])
+    eta = (-eta[0], -eta[1]) if _cross2(T, eta) < 0.0 else (eta[0], eta[1])
     det_te = _cross2(T, eta)
-    common = dict(
-        uv=(u, v), lam=lam, grad_lambda=(lam_u, lam_v), null_dir=eta,
-        singular_dir=T, transversality=det_te,
-    )
-    if abs(det_te) > TRANSVERSAL_TOL:
-        density, kappa_s, kappa_nu = curvature()
-        return SingularPoint(
-            kind=SingularClass.CUSPIDAL_EDGE, kappa_s=float(kappa_s),
-            kappa_nu=float(kappa_nu), density=float(density), **common,
-        )
-    if det_rate is None:
-        delta = rate_step if rate_step is not None else 1e-4 * max(
-            1.0, abs(u), abs(v)
-        )
-        det_rate, ok = _transversality_rate(
-            front, (u, v), np.array(T), np.array(eta), delta
-        )
-        if not ok:
-            det_rate = 0.0
-    rank_one = sig[0] > RANK_TOL * scale
-    if abs(det_rate) > TRANSVERSAL_TOL and rank_one:
-        kind = SingularClass.SWALLOWTAIL
-    else:
-        kind = SingularClass.NONDEGENERATE_PEAK_OTHER
-    return SingularPoint(
-        kind=kind, kappa_s=-math.inf, kappa_nu=math.nan, **common
-    )
+    kind, (density, kappa_s, kappa_nu) = SingularClass.CUSPIDAL_EDGE, curv
+    if not abs(det_te) > TRANSVERSAL_TOL:
+        if det_rate is None:
+            delta = 1e-4 * max(1.0, abs(u), abs(v))
+            det_rate, ok = _transversality_rate(front, (u, v), T, eta, delta)
+            if not ok:
+                det_rate = 0.0
+        if abs(det_rate) > TRANSVERSAL_TOL and sig[0] > RANK_TOL * scale:
+            kind = SingularClass.SWALLOWTAIL
+        else:
+            kind = SingularClass.NONDEGENERATE_PEAK_OTHER
+        density, kappa_s, kappa_nu = math.nan, -math.inf, math.nan
+    return ((u, v), lam, (lam_u, lam_v), eta, T, kind, kappa_s, kappa_nu, det_te, density)
 
 
-def classify(front, uv, det_rate=None, rate_step=None):
+def classify(front, uv, det_rate=None):
     """Classify a singular point and, on cuspidal edges, attach curvatures.
 
     `det_rate`, when given, is the d/dt of det(singular_dir, null_dir) along
@@ -299,10 +281,11 @@ def classify(front, uv, det_rate=None, rate_step=None):
     jf, jn = front.jets(u, v, 3, 2)
     blocks = _lambda_blocks(jf, jn, 2)
     eta, sig = _null_direction(jf)
-    return _decide(
-        front, u, v, *blocks[:3], eta, sig, det_rate, rate_step,
-        lambda: _curvatures(jf, jn, blocks)[:3],
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, lam_u, lam_v, *curv = map(float, blocks[:3] + _curvatures(jf, jn, blocks)[:3])
+    return SingularPoint(*_decide(
+        front, u, v, lam, lam_u, lam_v, eta.tolist(), sig.tolist(), det_rate, curv
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +374,6 @@ def _wrapped_delta(dom, a, b):
         span = dom.v1 - dom.v0
         d[..., 1] = (d[..., 1] + 0.5 * span) % span - 0.5 * span
     return d
-
-
-def _unit_tangent(lu, lv):
-    g = math.hypot(lu, lv)
-    if g < 1e-14:
-        return None
-    return np.array([lv, -lu]) / g
 
 
 def _wrap(dom, P):
@@ -561,22 +537,23 @@ def trace(front, grid=64):
     if not len(P):
         return []
     P, nxt = _refine(front, dom, P, nxt, min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid)
-    seen = np.zeros(len(P), dtype=bool)
-    curves = []
     heads = np.bincount(nxt[nxt >= 0], minlength=len(P)) == 0
+    nxt, seen = nxt.tolist(), [False] * len(P)
+    curves = []
     for head in np.nonzero(heads)[0].tolist() + list(range(len(P))):
-        pts, k = [], head  # open chains from their first sample, then cycles
+        chain, k = [], head  # open chains from their first sample, then cycles
         while k >= 0 and not seen[k]:
             seen[k] = True
-            if not pts or (P[k] != pts[-1]).any():  # crossings at one node repeat
-                pts.append(P[k])
+            chain.append(k)
             k = nxt[k]
-        if not pts:
+        if not chain:
             continue
-        closed = bool(k == head) and len(pts) > 1
-        if closed and (pts[-1] == pts[0]).all():
-            pts.pop()
-        samples = _build_samples(front, dom, _canonical_order(dom, pts, closed), closed)
+        Q = P[chain]
+        Q = Q[np.r_[True, (Q[1:] != Q[:-1]).any(axis=1)]]  # crossings at one node repeat
+        closed = k == head and len(Q) > 1
+        if closed and (Q[-1] == Q[0]).all():
+            Q = Q[:-1]
+        samples = _build_samples(front, dom, _canonical_order(dom, Q, closed), closed)
         peaks = tuple(
             i for i, p in enumerate(samples)
             if p.kind != SingularClass.CUSPIDAL_EDGE
@@ -586,60 +563,62 @@ def trace(front, grid=64):
     return curves
 
 
-def _canonical_order(dom, pts, closed):
-    """Deterministic start point and direction, independent of the seed."""
-    pts = [np.array(dom.wrap(p[0], p[1])) for p in pts]
+def _canonical_order(dom, P, closed):
+    """Deterministic start point and direction, independent of the seed,
+    of the points folded into the chart, as an (n, 2) array."""
+    P = _wrap(dom, np.asarray(P, dtype=float))
     if closed:
-        k = min(range(len(pts)), key=lambda i: (round(pts[i][0], 9), round(pts[i][1], 9)))
-        pts = pts[k:] + pts[:k]
-        if len(pts) > 2 and tuple(pts[1]) > tuple(pts[-1]):
-            pts = [pts[0]] + list(reversed(pts[1:]))
-    else:
-        if tuple(np.round(pts[0], 9)) > tuple(np.round(pts[-1], 9)):
-            pts = list(reversed(pts))
-    return pts
+        P = np.roll(P, -np.lexsort(np.round(P, 9).T[::-1])[0], axis=0)
+        if len(P) > 2 and tuple(P[1]) > tuple(P[-1]):
+            P = np.concatenate([P[:1], P[:0:-1]])
+    elif tuple(np.round(P[0], 9)) > tuple(np.round(P[-1], 9)):
+        P = P[::-1]
+    return P
 
 
-def _swallowtail_inserts(front, dom, pts, closed):
-    """Transversality zeros between consecutive samples, as (index, point).
+def _continuation_signs(d):
+    """Signs, a running product, that turn each row of a curve's vectors to
+    continue the row before; d[i - 1] is the dot product of rows i and
+    i - 1 as they come.  Where d is 0 or NaN a row keeps its orientation."""
+    flips = np.cumsum(np.r_[False, d < 0])
+    keep = np.r_[True, ~((d < 0) | (d > 0))]
+    start = np.maximum.accumulate(np.where(keep, np.arange(len(flips)), 0))
+    return 1.0 - 2.0 * ((flips - flips[start]) % 2)
+
+
+def _insert_swallowtails(front, dom, P, closed):
+    """The samples P of one curve with its transversality zeros inserted.
 
     The tangents and null directions of all samples come from one array
-    jet evaluation; each is flipped to continue its predecessor, so the
-    determinant det(T, eta) may change sign along the curve.  One masked
-    bisection then serves every sign change: each round projects the
-    brackets' midpoints onto the curve along their chord normals and
-    evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad lambda|,
-    until |det| < 1e-10 or 60 rounds.
+    jet evaluation; running sign products turn each to continue its
+    predecessor (a tangent with |grad lambda| < 1e-14 is its
+    predecessor's, or (1, 0)), so the determinant det(T, eta) may change
+    sign along the curve.  One masked bisection then serves every sign
+    change: each round projects the brackets' midpoints onto the curve
+    along their chord normals and evaluates det(T, eta) there with
+    T = (lambda_v, -lambda_u)/|grad lambda|, until |det| < 1e-10 or 60
+    rounds.
     """
-    P = np.array(pts)
     jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
     _, lu, lv = _lambda_blocks(jf, jn, 1)
-    eta_raw, _ = _null_direction(jf)
-    etas, dets = [], []
-    prev_T = prev_eta = None
-    for lu_i, lv_i, eta in zip(lu.tolist(), lv.tolist(), eta_raw):
-        T = _unit_tangent(lu_i, lv_i)
-        if T is None:
-            T = prev_T if prev_T is not None else np.array([1.0, 0.0])
-        elif prev_T is not None and float(T @ prev_T) < 0:
-            T = -T
-        if prev_eta is not None and float(eta @ prev_eta) < 0:
-            eta = -eta
-        elif prev_eta is None and _cross2(T, eta) < 0:
-            eta = -eta
-        etas.append(eta)
-        dets.append(_cross2(T, eta))
-        prev_T, prev_eta = T, eta
-    n = len(pts)
-    pairs = [
-        (i, (i + 1) % n) for i in range(n if closed else n - 1)
-        if dets[i] * dets[(i + 1) % n] < 0
-        and min(abs(dets[i]), abs(dets[(i + 1) % n])) > 1e-10
-    ]
-    if not pairs:
-        return []
-    i, j = np.array(pairs).T
-    eta_ref = np.array(etas)[i]
+    eta, _ = _null_direction(jf)
+    n = len(P)
+    g = np.hypot(lu, lv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = np.stack([np.r_[lv / g, 1.0], np.r_[-lu / g, 0.0]], axis=-1)
+    T = T[np.maximum.accumulate(np.where(g < 1e-14, -1, np.arange(n)))]  # row -1 is (1, 0)
+    T *= _continuation_signs(_dot2(T[1:].T, T[:-1].T))[:, None]
+    if _cross2(T[0], eta[0]) < 0:
+        eta[0] *= -1.0
+    eta *= _continuation_signs(_dot2(eta[1:].T, eta[:-1].T))[:, None]
+    dets = _cross2(T.T, eta.T)
+    i = np.arange(n if closed else n - 1)
+    j = (i + 1) % n
+    pair = (dets[i] * dets[j] < 0) & (np.minimum(np.abs(dets[i]), np.abs(dets[j])) > 1e-10)
+    if not pair.any():
+        return P
+    i, j = i[pair], j[pair]
+    eta_ref = eta[i]
 
     def det(m, todo):
         jf, jn = front.jets(m[:, 0], m[:, 1], 2, 1)
@@ -661,7 +640,8 @@ def _swallowtail_inserts(front, dom, pts, closed):
         midpoint, small=1e-10, rounds=60,
     )
     q = _wrap(dom, q)
-    return [(a + 1, b) for a, b in zip(i.tolist(), q) if np.isfinite(b).all()]
+    found = np.isfinite(q).all(axis=1)
+    return np.insert(P, i[found] + 1, q[found], axis=0)
 
 
 def _neighbour_rates(dom, P, lu, lv, eta, closed):
@@ -690,46 +670,43 @@ def _neighbour_rates(dom, P, lu, lv, eta, closed):
         return (rb - ra) / dt, valid
 
 
-def _build_samples(front, dom, pts, closed):
-    """Classify every traced point with curve context and fill arclengths.
+def _build_samples(front, dom, P, closed):
+    """Classify the samples P of one curve, with its swallowtails inserted.
 
-    One array jet evaluation of the whole curve (after swallowtail points
-    are inserted) feeds the neighbour transversality rates, the per-point
-    decision, the curvature kernel and the image arclengths.
+    One array jet evaluation of the whole curve feeds the neighbour
+    transversality rates, the curvature kernel and the image arclengths;
+    `_decide` takes each sample's row of plain floats.  Each sample is built
+    once, a swallowtail once more with its sign (`tail_side` needs the point).
     """
-    for offset, (idx, qs) in enumerate(_swallowtail_inserts(front, dom, pts, closed)):
-        pts.insert(idx + offset, qs)
-    P = np.array(pts)
+    # a fresh C-ordered copy: numpy's vector loops for exp and cosh can round
+    # differently on a reversed view's columns
+    P = _insert_swallowtails(front, dom, np.array(P, dtype=float), closed)
     jf, jn = front.jets(P[:, 0], P[:, 1], 3, 2)
     blocks = _lambda_blocks(jf, jn, 2)
     lam, lu, lv = blocks[:3]
     eta, sig = _null_direction(jf)
     rates, has_rate = _neighbour_rates(dom, P, lu, lv, eta, closed)
+    rates = [r if ok else None for r, ok in zip(rates.tolist(), has_rate.tolist())]
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = np.stack(_curvatures(jf, jn, blocks)[:3], axis=-1)
-    raw = [
-        _decide(front, float(P[i, 0]), float(P[i, 1]), lam[i], lu[i], lv[i],
-                eta[i], sig[i], float(rates[i]) if has_rate[i] else None,
-                None, lambda i=i: curv[i])
-        for i in range(len(P))
+    cols = (P[:, 0], P[:, 1], lam, lu, lv, eta, sig)
+    fields = [
+        _decide(front, *row)
+        for row in zip(*(x.tolist() for x in cols), rates, curv.tolist())
     ]
 
-    # image arclength and peak guard flags
+    # image arclength and peak guard flags; f[5] is the kind
     seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    cusp = np.array([p.kind == SingularClass.CUSPIDAL_EDGE for p in raw])
-    guard = _PEAK_GUARD * dom.scale
-    near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < guard).any(axis=1)
+    cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f in fields])
+    near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < _PEAK_GUARD * dom.scale).any(axis=1)
     out = []
-    for i, p in enumerate(raw):
-        st_sign = None
-        if p.kind == SingularClass.SWALLOWTAIL:
-            try:
-                st_sign = swallowtail_sign(front, p)
-            except FrontlabError:
-                st_sign = None
-        out.append(dataclasses.replace(p, s=float(s[i]), near_peak=bool(near[i]),
-                                       swallowtail_sign=st_sign))
+    for f, s_i, near_i in zip(fields, s.tolist(), near.tolist()):
+        p = SingularPoint(*f, s_i, near_i)
+        if p.kind is SingularClass.SWALLOWTAIL:
+            with contextlib.suppress(FrontlabError):
+                p = SingularPoint(*f, s_i, near_i, swallowtail_sign(front, p))
+        out.append(p)
     return tuple(out)
 
 
@@ -771,9 +748,10 @@ def singular_curvature(front, point, h=None):
             if abs(d - abs(ds)) < 1e-12 * max(1.0, abs(ds)):
                 break
             t *= abs(ds) / max(d, 1e-300)
-        T = _unit_tangent(*grad)
-        if T is None:
+        g = math.hypot(*grad)
+        if g < 1e-14:
             raise TraceError("degenerate point while differencing tangents")
+        T = np.array([grad[1], -grad[0]]) / g
         if float(T @ T0) < 0:
             T = -T
         g1 = stack(front.map_jet(q[0], q[1], 1).along(T))
@@ -791,16 +769,14 @@ def singular_curvature(front, point, h=None):
     return sgn * float(det3(tau / speed, dtau, jn0.value))
 
 
-def singular_curvature_intrinsic(front, u, variant="E_vv"):
+def singular_curvature_intrinsic(front, u):
     """Singular curvature at (u, 0) from first-fundamental-form data only.
 
     Requires an adapted chart: the u-axis is the singular curve and the null
-    direction there is vertical.  `variant` selects which second-order metric
-    term closes the formula ("E_vv" or "E_v"); the cross-check against the
-    extrinsic value is the arbiter between the two printed forms.
+    direction there is vertical.  The formula closes with E_vv, the second
+    v-derivative of E; the cross-check against the extrinsic value on a
+    sheared edge is what tells it from a reading with E_v in its place.
     """
-    if variant not in ("E_vv", "E_v"):
-        raise ValueError(f"variant must be 'E_vv' or 'E_v', got {variant!r}")
     u = float(u)
     lam, lam_u, lam_v = lambda_jets(front, u, 0.0, order=1)
     jf, jn = front.jets(u, 0.0, 3, 1)
@@ -820,11 +796,8 @@ def singular_curvature_intrinsic(front, u, variant="E_vv"):
     F_uv = (
         float(fuuv @ fv) + float(fuv @ fuv) + float(fuu @ fvv) + float(fu @ fuvv)
     )
-    if variant == "E_vv":
-        tail = 2.0 * float(fuvv @ fu) + 2.0 * float(fuv @ fuv)
-    else:
-        tail = 2.0 * float(fuv @ fu)
-    return (-F_v * E_u + 2.0 * E * F_uv - E * tail) / (
+    E_vv = 2.0 * float(fuvv @ fu) + 2.0 * float(fuv @ fuv)
+    return (-F_v * E_u + 2.0 * E * F_uv - E * E_vv) / (
         2.0 * E**1.5 * lam_v
     )
 

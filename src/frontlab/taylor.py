@@ -353,7 +353,7 @@ def _d_reciprocal(c, n):
         inv = 1.0 / c
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(c != 0, 1.0 / np.where(c != 0, c, 1.0), np.nan)
+            inv = np.where(c != 0, 1.0 / c, np.nan)
     d = [inv]
     if n >= 1:
         d.append(-inv * inv)

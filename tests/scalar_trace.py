@@ -371,7 +371,7 @@ def scalar_trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
             )
             claimed.append(np.array([seed]))
             continue
-        pts = _canonical_order(dom, pts, closed)
+        pts = list(_canonical_order(dom, pts, closed))
         samples = _build_samples(front, dom, pts, closed, lam_scale, peak_guard)
         peaks = tuple(
             i for i, p in enumerate(samples)

@@ -395,7 +395,6 @@ class TestCurvature:
         got = curvature(gallery("cuspidal_parabola"), 0.0, 0.1)
         assert got.regular
         assert abs(got.K - want) < 1e-9 * abs(want), f"K = {got.K}, want {want}"
-        assert got.K_ext == got.K
 
     @pytest.mark.parametrize("name", ["pseudosphere", "kuen"])
     def test_constant_negative_curvature(self, name):

@@ -436,25 +436,16 @@ class TestCurvatureRoutes:
         )
 
     def test_intrinsic_variant_discrimination(self):
-        """Only the second-v-derivative closing term survives a metric shear."""
+        """The second-v-derivative closing term survives a metric shear."""
         front = sheared_edge()
         u = 0.3
         p = classify(front, (u, 0.0))
-        good = singular_curvature_intrinsic(front, u, variant="E_vv")
-        bad = singular_curvature_intrinsic(front, u, variant="E_v")
-        assert abs(good - p.kappa_s) < 1e-10 * max(1.0, abs(p.kappa_s))
-        assert abs(bad - p.kappa_s) > 1e-3, (
-            f"variants should separate here: E_v gives {bad}, extrinsic {p.kappa_s}"
-        )
+        got = singular_curvature_intrinsic(front, u)
+        assert abs(got - p.kappa_s) < 1e-10 * max(1.0, abs(p.kappa_s))
 
     def test_intrinsic_needs_adapted_chart(self):
         with pytest.raises(InapplicableError, match="not adapted"):
             singular_curvature_intrinsic(gallery("standard_swallowtail"), 0.3)
-
-    def test_intrinsic_bad_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            singular_curvature_intrinsic(gallery("cuspidal_parabola"), 0.0,
-                                         variant="G_uu")
 
 
 class TestInvariance:

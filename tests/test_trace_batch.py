@@ -167,6 +167,18 @@ def test_neighbour_rates_sign_by_raw_null_directions(closed):
         assert abs(rates[i] - want) <= 1e-12 * abs(want), i
 
 
+def test_continuation_signs_follow_the_flip_loop():
+    """A row flips against its turned predecessor where their dot product
+    is negative and keeps its own orientation where it is 0 or NaN, as in
+    a loop that turns one row at a time."""
+    d = np.random.default_rng(3).choice([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, math.nan], 300)
+    want = [1.0]
+    for x in d:
+        want.append(-1.0 if want[-1] * x < 0 else 1.0)
+    assert singular._continuation_signs(d).tolist() == want
+    assert singular._continuation_signs(d[:0]).tolist() == [1.0]
+
+
 def test_samples_match_scalar_trace(traced):
     """The oracle's curves by structure: counts, closed flags, swallowtail
     signs and peak kinds, with cuspidal edges everywhere else.  On the
@@ -212,14 +224,36 @@ def test_curvatures_match_scalar_trace(traced):
 
 def test_scalar_classify_agrees_with_trace(traced):
     """One decision and one curvature kernel: scalar jets in `classify`
-    reproduce what the curve's arrays gave inside `trace`."""
+    reproduce bit for bit what the curve's arrays gave inside `trace`."""
     front, batch, _ = traced
+    fields = ("lam", "grad_lambda", "null_dir", "singular_dir", "transversality",
+              "kappa_s", "kappa_nu", "density")
     for p in _cusps(batch):
         q = classify(front, p.uv)
         assert q.kind is p.kind, p.uv
-        for a, b in zip(q.null_dir + q.singular_dir, p.null_dir + p.singular_dir):
-            assert abs(a - b) <= REL, p.uv  # unit vectors
-        _assert_curvatures_close(q, p, p.uv)
+        for name in fields:
+            assert getattr(q, name) == getattr(p, name), (name, p.uv)
+
+
+def _plain(value):
+    if type(value) is tuple:
+        return all(type(x) is float for x in value)
+    return type(value) in (float, bool, int, type(None), SingularClass)
+
+
+def test_sample_fields_are_plain_python(traced):
+    """Every field of a sample from `trace` or `classify` is a Python float,
+    bool, int, None, kind or tuple of floats: under numpy 2 a numpy scalar
+    prints as `np.float64(...)`, so one would change each sample's repr."""
+    front, batch, _ = traced
+    samples = [p for c in batch for p in c.samples]
+    peaks = [c.samples[i] for c in batch for i in c.peaks]
+    points = samples + [classify(front, p.uv) for p in _cusps(batch)[::8] + peaks[:8]]
+    assert len(points) > len(samples)
+    for p in points:
+        for field in dataclasses.fields(p):
+            value = getattr(p, field.name)
+            assert _plain(value), (field.name, type(value), p.uv)
 
 
 def test_kernel_matches_pointwise_formula(traced):
