@@ -12,12 +12,15 @@ rounds insert projected midpoints until the samples resolve the curve.
 Each traced curve then takes one array jet for the tangents and null
 directions that locate swallowtail candidates, one masked bisection for
 all of them, and one more array jet, after they are inserted, for the
-neighbour transversality rates, classification, curvatures and arclengths.
+transversality rates, classification, curvatures and arclengths.
 
-Classification has one per-point decision over plain floats (`_decide`)
-and curvature one kernel (`_curvatures`); `classify` feeds both from scalar
-jets, `trace` from a curve's arrays, a row of `.tolist()` columns per
-sample, and `integrate_kappa_s` calls the kernel on arrays of quadrature
+Classification has one per-point decision over plain floats (`_decide`),
+curvature one kernel (`_curvatures`) and the rate of det(singular_dir,
+null_dir) along the curve, which tells a swallowtail from other peaks,
+one closed form (`_transversality_rates`); all three read the same
+order-3 jet.  `classify` feeds them from scalar jets, `trace` from a
+curve's arrays, a row of `.tolist()` columns per sample, and
+`integrate_kappa_s` calls the curvature kernel on arrays of quadrature
 nodes.  `singular_curvature` computes kappa_s independently, by
 differencing exact tangents along the curve.
 """
@@ -25,6 +28,7 @@ differencing exact tangents along the curve.
 import contextlib
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -159,6 +163,19 @@ def _null_direction(jf):
     return vt[..., 1, :], sig
 
 
+def _tangent_derivative(blocks):
+    """The chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|
+    of the singular curve and T', its derivative along itself, from
+    `_lambda_blocks(jf, jn, 2)`; over any leading shape."""
+    _, lu, lv, luu, luv, lvv = blocks
+    g = np.hypot(lu, lv)
+    T0, T1 = lv / g, -lu / g
+    jv0 = luv * T0 + lvv * T1
+    jv1 = -luu * T0 - luv * T1
+    s = T0 * jv0 + T1 * jv1
+    return (T0, T1), ((jv0 - s * T0) / g, (jv1 - s * T1) / g)
+
+
 def _curvatures(jf, jn, blocks):
     """Singular curvature data at cuspidal edges from (3, 2)-order jets.
 
@@ -172,14 +189,8 @@ def _curvatures(jf, jn, blocks):
     Returns (density, kappa_s, kappa_nu, g1, g2), where the length density
     kappa_s |g1| stays bounded at peaks even as |g1| -> 0.
     """
-    lam, lu, lv, luu, luv, lvv = blocks
-    g = np.hypot(lu, lv)
-    T0, T1 = lv / g, -lu / g
-    jv0 = luv * T0 + lvv * T1
-    jv1 = -luu * T0 - luv * T1
-    s = T0 * jv0 + T1 * jv1
-    Td0 = (jv0 - s * T0) / g
-    Td1 = (jv1 - s * T1) / g
+    lu, lv = blocks[1:3]
+    (T0, T1), (Td0, Td1) = _tangent_derivative(blocks)
     g1 = jf.along((T0, T1))
     g2 = tuple(a + Td0 * b + Td1 * c
                for a, b, c in zip(jf.along((T0, T1), 2), jf.f_u, jf.f_v))
@@ -200,43 +211,43 @@ def _curvatures(jf, jn, blocks):
     return density, kappa_s, kappa_nu, g1, g2
 
 
-def _transversality_rate(front, uv, T, eta, delta):
-    """Central difference of det(T, eta) along the singular curve.
+def _transversality_rates(jf, blocks, eta, sig):
+    """d/dt of det(T, eta) along the singular curve, in closed form.
 
-    Walks +-delta along the curve (predictor along T, Newton back onto
-    lambda = 0) keeping eta continuous, so the determinant is allowed to
-    change sign; returns (rate, ok).
+    The swallowtail criterion of Kokubu-Rossman-Saji-Umehara-Yamada asks
+    for this rate where det(T, eta) vanishes.  T is the unit tangent of
+    `_tangent_derivative`, eta and sig are `_null_direction(jf)` and
+    `blocks` is `_lambda_blocks(jf, jn, 2)`, over any leading shape, like
+    `_curvatures`.  The rate is det(T', eta) + det(T, eta').  eta is the
+    eigenvector of A^T A (A = df) for sig_2^2, so it turns towards the
+    other right singular vector w = (-eta_v, eta_u) at the rate
+    c = ((A' w).(A eta) + (A w).(A' eta)) / (sig_2^2 - sig_1^2),
+    with A' = Hess_f(T, .); and det(T, w) = T.eta.  The sign follows eta's
+    orientation.  Finite where grad lambda is not 0 and sig_1 > sig_2.
     """
-    vals = []
-    for sgn in (-1.0, 1.0):
-        q = np.asarray(uv) + sgn * delta * np.asarray(T)
-        hit = _newton(front, q)
-        if hit is None:
-            return 0.0, False
-        q, (lu, lv) = hit
-        jf = front.map_jet(q[0], q[1], 1)
-        eta_n, _ = _null_direction(jf)
-        if float(eta_n @ np.asarray(eta)) < 0:
-            eta_n = -eta_n
-        g = math.hypot(lu, lv)
-        if g == 0.0:
-            return 0.0, False
-        Tn = np.array([lv, -lu]) / g
-        if float(Tn @ np.asarray(T)) < 0:
-            Tn = -Tn
-        vals.append(_cross2(Tn, eta_n))
-    return (vals[1] - vals[0]) / (2.0 * delta), True
+    (T0, T1), Td = _tangent_derivative(blocks)
+    e0, e1 = eta[..., 0], eta[..., 1]
+    s1, s2 = sig[..., 0], sig[..., 1]
+
+    def hess(x0, x1):  # A' x
+        return tuple(T0 * (x0 * a + x1 * b) + T1 * (x0 * b + x1 * c)
+                     for a, b, c in zip(jf.f_uu, jf.f_uv, jf.f_vv))
+
+    Aw, Ae = jf.along((-e1, e0)), jf.along((e0, e1))
+    c = (dot(hess(-e1, e0), Ae) + dot(Aw, hess(e0, e1))) / (s2 * s2 - s1 * s1)
+    return _cross2(Td, (e0, e1)) + c * (T0 * e0 + T1 * e1)
 
 
-def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, curv):
+def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate):
     """Classify the singular point (u, v) from its first-order data.
 
     The one decision behind `classify` (scalar jets) and `trace` (a curve's
     arrays, row by row), over Python floats and pairs of them: `lam` and its
     gradient, the null direction `eta` of df, df's singular values `sig`,
     and the curvature kernel's (density, kappa_s, kappa_nu) `curv`, kept at
-    cuspidal edges only.  `det_rate` is d/dt of det(singular_dir, null_dir)
-    along the curve, or None to estimate it by stepping along the curve.
+    cuspidal edges only.  `rate()` gives the `_transversality_rates` value
+    of the point; it is called only where det(singular_dir, null_dir)
+    vanishes and df has rank 1, so a cuspidal edge never pays for it.
     Returns the `SingularPoint` fields from `uv` to `density`, in order.
     """
     if sig[0] > 0.0 and sig[1] / sig[0] > RANK_TOL:
@@ -254,12 +265,7 @@ def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, curv):
     det_te = _cross2(T, eta)
     kind, (density, kappa_s, kappa_nu) = SingularClass.CUSPIDAL_EDGE, curv
     if not abs(det_te) > TRANSVERSAL_TOL:
-        if det_rate is None:
-            delta = 1e-4 * max(1.0, abs(u), abs(v))
-            det_rate, ok = _transversality_rate(front, (u, v), T, eta, delta)
-            if not ok:
-                det_rate = 0.0
-        if abs(det_rate) > TRANSVERSAL_TOL and sig[0] > RANK_TOL * scale:
+        if sig[0] > RANK_TOL * scale and abs(rate()) > TRANSVERSAL_TOL:
             kind = SingularClass.SWALLOWTAIL
         else:
             kind = SingularClass.NONDEGENERATE_PEAK_OTHER
@@ -267,15 +273,14 @@ def _decide(front, u, v, lam, lam_u, lam_v, eta, sig, det_rate, curv):
     return ((u, v), lam, (lam_u, lam_v), eta, T, kind, kappa_s, kappa_nu, det_te, density)
 
 
-def classify(front, uv, det_rate=None):
+def classify(front, uv):
     """Classify a singular point and, on cuspidal edges, attach curvatures.
 
-    `det_rate`, when given, is the d/dt of det(singular_dir, null_dir) along
-    an already-traced curve; otherwise it is estimated by stepping along the
-    curve from scratch.  Thresholds are relative: the transversality
-    determinant is between unit vectors, the degeneracy cutoff is scaled by
-    the differential's largest singular value.  One scalar jet evaluation
-    serves the decision and the curvatures.
+    Thresholds are relative: the transversality determinant is between unit
+    vectors, the degeneracy cutoff is scaled by the differential's largest
+    singular value.  One scalar jet evaluation serves the decision, the
+    curvatures and, where the determinant vanishes, its rate along the
+    curve (`_transversality_rates`), which tells a swallowtail.
     """
     u, v = float(uv[0]), float(uv[1])
     jf, jn = front.jets(u, v, 3, 2)
@@ -284,7 +289,8 @@ def classify(front, uv, det_rate=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam, lam_u, lam_v, *curv = map(float, blocks[:3] + _curvatures(jf, jn, blocks)[:3])
     return SingularPoint(*_decide(
-        front, u, v, lam, lam_u, lam_v, eta.tolist(), sig.tolist(), det_rate, curv
+        u, v, lam, lam_u, lam_v, eta.tolist(), sig.tolist(), curv,
+        lambda: _transversality_rates(jf, blocks, eta, sig),
     ))
 
 
@@ -631,6 +637,13 @@ def _insert_swallowtails(front, dom, P, closed):
 
     def midpoint(a, b):
         D = _wrapped_delta(dom, b, a)
+        flat = np.hypot(D[:, 0], D[:, 1]) == 0.0
+        if flat.any():
+            u, v = a[flat][0]
+            raise TraceError(
+                f"the ends of the swallowtail bracket at ({u:.6g}, {v:.6g}) coincide "
+                "in the chart: no chord to project its midpoint along"
+            )
         M, N = a + 0.5 * D, _chord_normals(D)
         return M + _project(front, M, N)[:, None] * N
 
@@ -644,55 +657,34 @@ def _insert_swallowtails(front, dom, P, closed):
     return np.insert(P, i[found] + 1, q[found], axis=0)
 
 
-def _neighbour_rates(dom, P, lu, lv, eta, closed):
-    """d/dt of det(T, eta) at each sample from its two neighbours.
-
-    Central differences over the chart distance between the neighbours of
-    det(T, eta), T = (lambda_v, -lambda_u)/|grad lambda| and each
-    neighbour's null direction turned to agree with the sample's, so the
-    determinant changes sign through a swallowtail.  Returns the rates and
-    the mask of samples whose neighbours both have a tangent and do not
-    coincide.
-    """
-    n = len(P)
-    i = np.arange(n)
-    if closed:
-        lo, hi = (i - 1) % n, (i + 1) % n
-    else:
-        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-    dt = np.linalg.norm(_wrapped_delta(dom, P[hi], P[lo]), axis=-1)
-    g = np.hypot(lu, lv)
-    valid = (dt > 0) & (g[lo] >= 1e-14) & (g[hi] >= 1e-14)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
-        ra = np.where(_dot2(eta[lo].T, eta.T) >= 0, det[lo], -det[lo])
-        rb = np.where(_dot2(eta[hi].T, eta.T) >= 0, det[hi], -det[hi])
-        return (rb - ra) / dt, valid
-
-
 def _build_samples(front, dom, P, closed):
     """Classify the samples P of one curve, with its swallowtails inserted.
 
-    One array jet evaluation of the whole curve feeds the neighbour
-    transversality rates, the curvature kernel and the image arclengths;
-    `_decide` takes each sample's row of plain floats.  Each sample is built
-    once, a swallowtail once more with its sign (`tail_side` needs the point).
+    One array jet evaluation of the whole curve feeds the curvature kernel,
+    the transversality rates and the image arclengths; `_decide` takes each
+    sample's row of plain floats.  The rates are computed for the whole
+    curve when the first row asks for one, so a curve of cuspidal edges
+    never pays for them.  Each sample is built once, a swallowtail once
+    more with its sign (`tail_side` needs the point).
     """
     # a fresh C-ordered copy: numpy's vector loops for exp and cosh can round
     # differently on a reversed view's columns
     P = _insert_swallowtails(front, dom, np.array(P, dtype=float), closed)
     jf, jn = front.jets(P[:, 0], P[:, 1], 3, 2)
     blocks = _lambda_blocks(jf, jn, 2)
-    lam, lu, lv = blocks[:3]
     eta, sig = _null_direction(jf)
-    rates, has_rate = _neighbour_rates(dom, P, lu, lv, eta, closed)
-    rates = [r if ok else None for r, ok in zip(rates.tolist(), has_rate.tolist())]
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = np.stack(_curvatures(jf, jn, blocks)[:3], axis=-1)
-    cols = (P[:, 0], P[:, 1], lam, lu, lv, eta, sig)
+
+    @functools.cache
+    def rates():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _transversality_rates(jf, blocks, eta, sig).tolist()
+
+    cols = (P[:, 0], P[:, 1], *blocks[:3], eta, sig, curv)
     fields = [
-        _decide(front, *row)
-        for row in zip(*(x.tolist() for x in cols), rates, curv.tolist())
+        _decide(*row, lambda k=k: rates()[k])
+        for k, row in enumerate(zip(*(x.tolist() for x in cols)))
     ]
 
     # image arclength and peak guard flags; f[5] is the kind

@@ -6,16 +6,18 @@ independent per-point steps as array jets: every grid edge is bisected
 with scalar `lambda_value` calls, every seed is polished by its own Newton
 iteration and claims the seeds near the curve it traces, a
 predictor-corrector march follows each curve and clips it at the chart
-edge, and every traced sample recomputes its tangent, null direction and
-neighbour transversality rates from scalar jets before a scalar
-`classify`.  The library now places its samples elsewhere, so it is
-compared with this tracer by structure (curve counts, closed flags, peak
-kinds, swallowtail signs) and by integrals; the march, clipping and seeding
-it needs live here, and it shares the library's ordering and
-classification, which did not change.
+edge, and every traced sample recomputes its tangent and null direction
+from scalar jets for the swallowtail bisection before a scalar `classify`.
+The library now places its samples elsewhere, so it is compared with this
+tracer by structure (curve counts, closed flags, peak kinds, swallowtail
+signs) and by integrals; the march, clipping and seeding it needs live
+here, and it shares the library's ordering and classification, which did
+not change.
 
 `pointwise_curvatures` is the scalar singular-curvature formula that the
-shared curvature kernel replaced, kept as an independent check of it.
+shared curvature kernel replaced, and `central_rate` the finite difference
+of det(T, eta) along the curve that the closed-form transversality rate
+replaced; both are kept as independent checks.
 """
 
 import dataclasses
@@ -250,14 +252,32 @@ def _eta_of(front, q):
     return eta
 
 
-def _signed_det(front, q):
-    T = _tangent(front, q)
-    if T is None:
+def central_rate(front, q, T, eta, h):
+    """Central difference of det(T, eta) along the singular curve at q, over
+    steps +-h and +-h/2 with one Richardson step.
+
+    Each step goes along the unit tangent T, `_newton` brings it back onto
+    lambda = 0, and the tangent and null direction there are turned to
+    agree with T and eta; None if a step is lost.
+    """
+
+    def difference(h):
+        dets = []
+        for sgn in (-1.0, 1.0):
+            qn = _newton(front, np.asarray(q) + sgn * h * np.asarray(T), 1.0)
+            Tn = None if qn is None else _tangent(front, qn)
+            if Tn is None:
+                return None
+            eta_n = _eta_of(front, qn)
+            Tn = Tn if float(Tn @ T) >= 0 else -Tn
+            eta_n = eta_n if float(eta_n @ eta) >= 0 else -eta_n
+            dets.append(_cross2(Tn, eta_n))
+        return (dets[1] - dets[0]) / (2.0 * h)
+
+    d1, d2 = difference(h), difference(0.5 * h)
+    if d1 is None or d2 is None:
         return None
-    eta = _eta_of(front, q)
-    if _cross2(T, eta) < 0:
-        eta = -eta
-    return _cross2(T, eta)
+    return (4.0 * d2 - d1) / 3.0
 
 
 def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
@@ -296,21 +316,7 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
         pts.insert(idx + offset, np.asarray(qs))
 
     n = len(pts)
-    raw = []
-    for i, q in enumerate(pts):
-        lo, hi = max(0, i - 1), min(n - 1, i + 1)
-        if closed:
-            lo, hi = (i - 1) % n, (i + 1) % n
-        dt = np.linalg.norm(_wrapped_delta(dom, pts[hi], pts[lo]))
-        rate = None
-        if dt > 0:
-            da = _signed_det(front, pts[lo])
-            db = _signed_det(front, pts[hi])
-            if da is not None and db is not None:
-                ra = da if float(_eta_of(front, pts[lo]) @ _eta_of(front, pts[i])) >= 0 else -da
-                rb = db if float(_eta_of(front, pts[hi]) @ _eta_of(front, pts[i])) >= 0 else -db
-                rate = (rb - ra) / dt
-        raw.append(classify(front, q, det_rate=rate))
+    raw = [classify(front, q) for q in pts]
 
     imgs = [_image_point(front, q) for q in pts]
     s = [0.0]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from frontlab import (
     curve_to_csv,
     curve_to_dict,
     gallery,
+    gallery_names,
     half_space_signs,
     kappa_s_measure,
     lambda_jets,
@@ -196,6 +198,26 @@ class TestClassify:
         assert p.kind is SingularClass.DEGENERATE
         assert math.isnan(p.kappa_s)
 
+    @pytest.mark.parametrize("name, uv, kind", [
+        ("standard_swallowtail", (0.5, -1.5), SingularClass.CUSPIDAL_EDGE),
+        ("standard_swallowtail", (0.0, 0.0), SingularClass.SWALLOWTAIL),
+        ("double_swallowtail", (0.0, 0.0), SingularClass.DEGENERATE),
+    ])
+    def test_one_jet_call(self, monkeypatch, name, uv, kind):
+        """The decision, the curvatures and the transversality rate all
+        come from one scalar jet evaluation, whatever the point's kind."""
+        front = gallery(name)
+        calls = []
+        real = Front.jets
+
+        def jets(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Front, "jets", jets)
+        assert classify(front, uv).kind is kind
+        assert len(calls) == 1
+
     def test_cone_circle_is_peak(self):
         front = gallery("cone")
         for v in (0.3, 2.0, 5.1):
@@ -363,6 +385,29 @@ class TestTrace:
         lam[7, 7] = lam[8, 8] = -1.0
         with pytest.raises(TraceError, match=r"grid cell \(7, 7\)"):
             singular._crossings(None, dom, uu, vv, lam)
+
+    def test_coincident_swallowtail_bracket_refused(self):
+        # at grid 16 one swallowtail bracket of this front closes to two
+        # floats that the periodic fold maps to one chart point
+        front = gallery("ellipsoid_parallel", {"d": 1.1})
+        with pytest.raises(TraceError, match=r"swallowtail bracket at \(0\.15536, 2\.51139\)"):
+            trace(front, grid=16)
+
+    @pytest.mark.parametrize("grid", [16, 32])
+    def test_gallery_traces_or_refuses(self, grid):
+        """Every gallery front, and the parallel ellipsoid's swallowtail
+        regimes, trace to curves or raise a FrontlabError, without a
+        warning on the way."""
+        cases = [(name, None) for name in gallery_names()]
+        cases += [("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.6, 2.0)]
+        for name, params in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    curves = trace(gallery(name, params), grid=grid)
+                except FrontlabError:
+                    continue
+            assert all(len(c) for c in curves), (name, params)
 
     def test_sphere_has_no_singular_set(self):
         assert trace(gallery("sphere"), grid=16) == []

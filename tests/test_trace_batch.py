@@ -141,30 +141,47 @@ def test_seam_fronts_trace_like_unshifted(name):
     assert max(_max_gap(front, c) for c in got) <= cell
 
 
-@pytest.mark.parametrize("closed", [False, True])
-def test_neighbour_rates_sign_by_raw_null_directions(closed):
-    """Each neighbour's det(T, eta) counts with its null direction turned
-    to agree with the sample's, T = (lambda_v, -lambda_u)/|grad lambda|."""
-    rng = np.random.default_rng(5)
-    n = 7
-    P = np.cumsum(rng.uniform(0.1, 0.2, (n, 2)), axis=0)
-    lu, lv = rng.normal(size=n), rng.normal(size=n)
-    eta = rng.normal(size=(n, 2))
-    eta[2] *= -1.0
-    dom = Domain(-10.0, 10.0, -10.0, 10.0)
-    rates, valid = singular._neighbour_rates(dom, P, lu, lv, eta, closed)
-    assert valid.all()
+def _rates(front, P):
+    jf, jn = front.jets(P[..., 0], P[..., 1], 3, 2)
+    eta, sig = singular._null_direction(jf)
+    return singular._transversality_rates(jf, singular._lambda_blocks(jf, jn, 2), eta, sig), eta
 
-    def det(k):
-        T = np.array([lv[k], -lu[k]]) / math.hypot(lu[k], lv[k])
-        return T[0] * eta[k, 1] - T[1] * eta[k, 0]
 
-    for i in range(n):
-        lo, hi = ((i - 1) % n, (i + 1) % n) if closed else (max(i - 1, 0), min(i + 1, n - 1))
-        ra = det(lo) if eta[lo] @ eta[i] >= 0 else -det(lo)
-        rb = det(hi) if eta[hi] @ eta[i] >= 0 else -det(hi)
-        want = (rb - ra) / np.linalg.norm(P[hi] - P[lo])
-        assert abs(rates[i] - want) <= 1e-12 * abs(want), i
+@pytest.mark.parametrize("name, params", [
+    ("standard_swallowtail", None),
+    ("kuen", None),
+    ("cuspidal_parabola", None),
+    ("pseudosphere", None),
+    ("swallowtail_pm", None),
+    ("ellipsoid_parallel", {"d": 2.0}),
+])
+def test_transversality_rates_match_central_differences(name, params):
+    """The closed-form d/dt det(T, eta) against a central difference along
+    the curve at every non-degenerate traced sample.  The first four fronts
+    keep eta constant along their curves, so only det(T', eta) is checked
+    there; the last two turn it.  det(T, eta) is a sine, so the difference
+    also carries a few ulps of 1 over its step."""
+    front = gallery(name, params)
+    checked = 0
+    for c in trace(front, grid=GRID):
+        rates, eta = _rates(front, np.array([p.uv for p in c.samples]))
+        for p, got, e in zip(c.samples, rates.tolist(), eta):
+            if p.kind is SingularClass.DEGENERATE:
+                continue
+            h = 1e-4 * max(1.0, abs(p.uv[0]), abs(p.uv[1]))
+            want = scalar_trace.central_rate(front, p.uv, np.array(p.singular_dir), e, h)
+            assert want is not None, p.uv
+            assert abs(got - want) <= 1e-5 * abs(want) + 4.0 * np.finfo(float).eps / h, p.uv
+            checked += 1
+    assert checked >= 30
+
+
+def test_transversality_rate_at_the_standard_swallowtail():
+    """On v = -6u^2, f_u = 0, so eta = (1, 0) and det(T, eta) =
+    12u/sqrt(1 + 144u^2) in the curve's unit-speed parameter: rate 12."""
+    rate, eta = _rates(gallery("standard_swallowtail"), np.zeros(2))
+    assert eta.tolist() in ([1.0, 0.0], [-1.0, 0.0])
+    assert abs(abs(float(rate)) - 12.0) <= 1e-12 * 12.0
 
 
 def test_continuation_signs_follow_the_flip_loop():
