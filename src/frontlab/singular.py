@@ -15,17 +15,17 @@ all of them, and one more array jet, after they are inserted, for the
 transversality rates, classification, curvatures and arclengths.
 
 Classification has one per-point decision over plain floats (`_decide`),
-curvature one kernel (`_curvatures`) and the rate of det(singular_dir,
+curvature one kernel (`_curvatures`), the rate of det(singular_dir,
 null_dir) along the curve, which tells a swallowtail from other peaks,
-one closed form (`_transversality_rates`); all three read the same
-order-3 jet.  `classify` feeds them from scalar jets, `trace` from a
-curve's arrays, a row of `.tolist()` columns per sample, and
-`integrate_kappa_s` calls the curvature kernel on arrays of quadrature
-nodes.  `singular_curvature` computes kappa_s independently, by
-differencing exact tangents along the curve.
+one closed form (`_transversality_rates`), and the side of a
+swallowtail's tail, which gives its sign, another (`_tail_sides`); all
+four read the same order-3 jet.  `classify` and `tail_side` feed them
+from scalar jets, `trace` from a curve's arrays, a row of `.tolist()`
+columns per sample, and `integrate_kappa_s` calls the curvature kernel on
+arrays of quadrature nodes.  `singular_curvature` computes kappa_s
+independently, by differencing exact tangents along the curve.
 """
 
-import contextlib
 import dataclasses
 import enum
 import functools
@@ -74,6 +74,8 @@ class SingularPoint:
     density: float = math.nan  # kappa_s * |d(f o gamma)/dt|, unit chart speed
     s: float = math.nan  # image arclength along the owning curve
     near_peak: bool = False
+    # set by `trace` at swallowtails; None only where the tail side's
+    # product <f_* grad lambda, g2> is 0 or NaN
     swallowtail_sign: int | None = None
 
 
@@ -602,8 +604,8 @@ def _insert_swallowtails(front, dom, P, closed):
     sign along the curve.  One masked bisection then serves every sign
     change: each round projects the brackets' midpoints onto the curve
     along their chord normals and evaluates det(T, eta) there with
-    T = (lambda_v, -lambda_u)/|grad lambda|, until |det| < 1e-10 or 60
-    rounds.
+    T = (lambda_v, -lambda_u)/|grad lambda|, until |det| <= 1e-10 or 60
+    rounds.  Only the brackets that closed so are inserted.
     """
     jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
     _, lu, lv = _lambda_blocks(jf, jn, 1)
@@ -648,24 +650,25 @@ def _insert_swallowtails(front, dom, P, closed):
         return M + _project(front, M, N)[:, None] * N
 
     a_neg = (det(P[i], np.arange(len(i))) < 0)[:, None]
-    _, q = _bisect(
+    neg, pos = _bisect(
         det, np.where(a_neg, P[i], P[j]), np.where(a_neg, P[j], P[i]),
         midpoint, small=1e-10, rounds=60,
     )
-    q = _wrap(dom, q)
-    found = np.isfinite(q).all(axis=1)
-    return np.insert(P, i[found] + 1, q[found], axis=0)
+    # a bracket whose ends stay apart never reached |det| <= 1e-10: it
+    # holds a jump of det, not a zero
+    found = (neg == pos).all(axis=1) & np.isfinite(pos).all(axis=1)
+    return np.insert(P, i[found] + 1, _wrap(dom, pos[found]), axis=0)
 
 
 def _build_samples(front, dom, P, closed):
     """Classify the samples P of one curve, with its swallowtails inserted.
 
     One array jet evaluation of the whole curve feeds the curvature kernel,
-    the transversality rates and the image arclengths; `_decide` takes each
-    sample's row of plain floats.  The rates are computed for the whole
-    curve when the first row asks for one, so a curve of cuspidal edges
-    never pays for them.  Each sample is built once, a swallowtail once
-    more with its sign (`tail_side` needs the point).
+    the transversality rates, the tail sides and the image arclengths;
+    `_decide` takes each sample's row of plain floats.  The rates are
+    computed for the whole curve when the first row asks for one, so a
+    curve of cuspidal edges never pays for them.  Each sample is built
+    once, a swallowtail with its sign.
     """
     # a fresh C-ordered copy: numpy's vector loops for exp and cosh can round
     # differently on a reversed view's columns
@@ -674,14 +677,15 @@ def _build_samples(front, dom, P, closed):
     blocks = _lambda_blocks(jf, jn, 2)
     eta, sig = _null_direction(jf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        curv = np.stack(_curvatures(jf, jn, blocks)[:3], axis=-1)
+        *curv, _, g2 = _curvatures(jf, jn, blocks)
+        tails = _tail_sides(jf, blocks, g2).tolist()
 
     @functools.cache
     def rates():
         with np.errstate(divide="ignore", invalid="ignore"):
             return _transversality_rates(jf, blocks, eta, sig).tolist()
 
-    cols = (P[:, 0], P[:, 1], *blocks[:3], eta, sig, curv)
+    cols = (P[:, 0], P[:, 1], *blocks[:3], eta, sig, np.stack(curv, axis=-1))
     fields = [
         _decide(*row, lambda k=k: rates()[k])
         for k, row in enumerate(zip(*(x.tolist() for x in cols)))
@@ -692,14 +696,11 @@ def _build_samples(front, dom, P, closed):
     s = np.concatenate([[0.0], np.cumsum(seg)])
     cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f in fields])
     near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < _PEAK_GUARD * dom.scale).any(axis=1)
-    out = []
-    for f, s_i, near_i in zip(fields, s.tolist(), near.tolist()):
-        p = SingularPoint(*f, s_i, near_i)
-        if p.kind is SingularClass.SWALLOWTAIL:
-            with contextlib.suppress(FrontlabError):
-                p = SingularPoint(*f, s_i, near_i, swallowtail_sign(front, p))
-        out.append(p)
-    return tuple(out)
+    return tuple(
+        SingularPoint(*f, s_i, near_i, -int(t) if f[5] is SingularClass.SWALLOWTAIL
+                      and abs(t) > 0.0 else None)
+        for f, s_i, near_i, t in zip(fields, s.tolist(), near.tolist(), tails)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -967,98 +968,46 @@ class TailSide:
     st_sign: int  # +1 for a positive swallowtail (alpha_plus = 2*pi)
 
 
-def tail_side(front, point, radius=None, samples=256):
-    """Find which side of the chart maps to the tail of a swallowtail.
+def _tail_sides(jf, blocks, g2):
+    """The lambda-sign of the chart side whose image is a swallowtail's
+    tail, sign <f_* grad lambda, g2>, with g2 the image acceleration of
+    `_curvatures`; over any leading shape (see `tail_side`)."""
+    return np.sign(dot(jf.along(blocks[1:3]), g2))
 
-    Sweeps a parameter circle, projects the image displacements into the
-    plane spanned by the rank direction and the lowest nonvanishing
-    higher-order direction, and measures the angle swept on each
-    lambda-side: the tail's image pinches to interior angle ~0, the other
-    side opens to ~2*pi.
+
+def tail_side(front, point):
+    """Which side of the chart maps to the tail of a swallowtail.
+
+    At a swallowtail the unit chart tangent T of the singular curve gamma
+    is null, so f o gamma has zero velocity and its acceleration is
+    a = Hess_f(T, T) + f_* T', the curvature kernel's g2.  With eta~ a
+    null vector field, T = eta~ there, and differentiating f_* eta~ = 0
+    along gamma gives Hess_f(T, T) = -f_*(nabla_T eta~); so a lies in the
+    image of df, the line of f_*(grad lambda).  The tail is the side a
+    chart vector X points into where <f_* X, a> > 0: on
+    the normal form (3u^4 + u^2 v, 4u^3 + 2uv, v) it is {v < -6u^2}.  The
+    test is invariant under diffeomorphisms of source and target, because
+    (f o gamma)'(0) = 0.  One order-3 jet gives it; raises FrontlabError
+    where the product is 0 or NaN.
     """
     if point.kind != SingularClass.SWALLOWTAIL:
         raise InapplicableError("tail side is defined at swallowtails only")
-    q0 = np.asarray(point.uv, dtype=float)
-    scale = front.domain.scale
-    r = radius if radius is not None else 1e-2 * scale
-    jf, jn = front.jets(q0[0], q0[1], 3, 0)
-    eta = np.asarray(point.null_dir, dtype=float)
-    X = np.array([-eta[1], eta[0]])
-    e1 = stack(jf.along(X))
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = None
-    for c in (stack(jf.along(eta, 2)), stack(jf.along(eta, 3))):
-        w = c - float(c @ e1) * e1
-        if np.linalg.norm(w) > 1e-8 * max(1.0, np.linalg.norm(c)):
-            e2 = w / np.linalg.norm(w)
-            break
-    if e2 is None:
-        raise FrontlabError("could not span the limiting tangent plane")
-    img0 = _image_point(front, q0)
-
-    def sweep_angles(theta):
-        pts_u = q0[0] + r * np.cos(theta)
-        pts_v = q0[1] + r * np.sin(theta)
-        lam = lambda_value(front, pts_u, pts_v)
-        disp = stack(front.map_jet(pts_u, pts_v, 0).value) - img0
-        return lam, np.arctan2(disp @ e2, disp @ e1)
-
-    for _ in range(3):
-        theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        lam, beta = sweep_angles(theta)
-        # the image angle can burn through its whole sweep inside a
-        # narrow parameter window (adapted charts concentrate the wrap
-        # near the crossings), so densify until each step is resolved
-        for _ in range(12):
-            step = np.angle(np.exp(1j * np.diff(beta, append=beta[:1])))
-            coarse = np.abs(step) > 0.15
-            if not coarse.any() or len(theta) > 16384:
-                break
-            left = np.nonzero(coarse)[0]
-            right = (left + 1) % len(theta)
-            gap = (theta[right] - theta[left]) % (2.0 * math.pi)
-            mids = (theta[left] + 0.5 * gap) % (2.0 * math.pi)
-            theta = np.sort(np.concatenate([theta, mids]))
-            lam, beta = sweep_angles(theta)
-        spans = {}
-        ok = True
-        for sign in (1, -1):
-            mask = np.sign(lam) == sign
-            if not mask.any():
-                ok = False
-                break
-            # rotate so the arc is contiguous in theta
-            idx = np.nonzero(mask)[0]
-            n = len(theta)
-            if idx[0] == 0 and idx[-1] == n - 1 and not mask.all():
-                k = np.nonzero(~mask)[0][-1] + 1
-                order = np.concatenate([np.arange(k, n), np.arange(0, k)])
-                arc = order[mask[order]]
-            else:
-                arc = idx
-            turns = np.angle(np.exp(1j * np.diff(beta[arc])))
-            spans[sign] = float(np.abs(turns).sum())
-        if ok and len(spans) == 2:
-            small = min(spans, key=spans.get)
-            big = -small
-            if spans[small] < math.pi < spans[big]:
-                alpha_plus = 0.0 if small == 1 else 2.0 * math.pi
-                return TailSide(
-                    lambda_sign=small,
-                    alpha_plus=alpha_plus,
-                    st_sign=1 if alpha_plus > math.pi else -1,
-                )
-        r *= 0.25
-    raise FrontlabError(
-        "tail-side sweep is ambiguous: image spans do not separate at "
-        f"radius {r / 0.25**3:.3e} and below"
-    )
+    jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
+    blocks = _lambda_blocks(jf, jn, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        side = float(_tail_sides(jf, blocks, _curvatures(jf, jn, blocks)[4]))
+    if not abs(side) > 0.0:
+        raise FrontlabError(
+            f"tail side at ({point.uv[0]:.6g}, {point.uv[1]:.6g}) is undecided: "
+            "the image acceleration is orthogonal to f_* grad lambda"
+        )
+    return TailSide(int(side), 2.0 * math.pi if side < 0.0 else 0.0, -int(side))
 
 
-def swallowtail_sign(front, point, radius=None):
+def swallowtail_sign(front, point):
     """+1 for a positive swallowtail (the positive side's image wraps 2*pi,
     i.e. the tail is carried by the negative side), else -1."""
-    return tail_side(front, point, radius=radius).st_sign
+    return tail_side(front, point).st_sign
 
 
 def sign_meaning_check(front, point, tol=1e-10):

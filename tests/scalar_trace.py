@@ -17,7 +17,9 @@ not change.
 `pointwise_curvatures` is the scalar singular-curvature formula that the
 shared curvature kernel replaced, and `central_rate` the finite difference
 of det(T, eta) along the curve that the closed-form transversality rate
-replaced; both are kept as independent checks.
+replaced; both are kept as independent checks.  Swallowtail signs come
+from the parameter-circle sweep of `tail_sweep`, not from the library's
+closed form, so the two tracers' signs are independent routes too.
 """
 
 import dataclasses
@@ -38,8 +40,8 @@ from frontlab.singular import (
     _wrapped_delta,
     classify,
     lambda_jets,
-    swallowtail_sign,
 )
+from tail_sweep import swallowtail_sign
 
 
 def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):

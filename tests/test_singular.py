@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+import tail_sweep
 
 from frontlab import (
     Domain,
@@ -31,7 +33,9 @@ from frontlab import (
     sign_meaning_check,
     singular_curvature,
     singular_curvature_intrinsic,
+    swallowtail_sign,
     tail_side,
+    to_source,
     trace,
     validate,
 )
@@ -41,6 +45,8 @@ from frontlab.singular import (
     SingularClass,
     SingularCurve,
     SingularPoint,
+    _curvatures,
+    _lambda_blocks,
     _probe_sign_delta,
 )
 
@@ -90,6 +96,64 @@ def swap_chart(front):
         normal=parse(sw(front.normal.source), dict(front.normal.params)),
         domain=dom,
     )
+
+
+def _swallowtails(curves):
+    return [p for c in curves for p in c.samples if p.kind is SingularClass.SWALLOWTAIL]
+
+
+def _linear_image(front, rows, normal=True):
+    """front followed by the linear map `rows` of R^3 (its normal too)."""
+    def apply(expr):
+        src = ", ".join(
+            " + ".join(f"({r!r})*({c})" for r, c in zip(row, split_components(expr.source)) if r)
+            for row in rows
+        )
+        return parse(f"({src})", dict(expr.params))
+
+    return dataclasses.replace(front, map=apply(front.map),
+                               normal=apply(front.normal) if normal else front.normal)
+
+
+def _rechart(front, u, v, domain):
+    """front in the chart where its (u, v) are the sources `u` and `v`."""
+    def substitute(expr):
+        new = {"u": f"({u})", "v": f"({v})"}
+        return parse(re.sub(r"\b[uv]\b", lambda m: new[m.group()], to_source(expr)),
+                     dict(expr.params))
+
+    return dataclasses.replace(front, map=substitute(front.map),
+                               normal=substitute(front.normal), domain=domain)
+
+
+def _rotation():
+    a, b = 0.7, -1.2
+    rz = np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+                   [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(b), -math.sin(b)],
+                   [0.0, math.sin(b), math.cos(b)]])
+    return (rz @ rx).tolist()
+
+
+def tail_variant(front, name):
+    """The front changed by `name`, a map of its chart points into the new
+    chart, and the sign k that lambda picks up (lambda' = k lambda o phi)."""
+    d, same = front.domain, (lambda q: q)
+    if name == "rotation":
+        return _linear_image(front, _rotation()), same, 1
+    if name.startswith("scale"):
+        c = float(name.split()[1])
+        return _linear_image(front, np.diag([c, c, c]).tolist(), normal=False), same, 1
+    if name == "flipped normal":
+        return negate_normal(front), same, -1
+    if name == "u<->v":
+        return swap_chart(front), lambda q: (q[1], q[0]), -1
+    if name == "u->-u":
+        dom = dataclasses.replace(d, u0=-d.u1, u1=-d.u0)
+        return _rechart(front, "-u", "v", dom), lambda q: (-q[0], q[1]), -1
+    assert name == "(2u,-v)"
+    dom = dataclasses.replace(d, u0=0.5 * d.u0, u1=0.5 * d.u1, v0=-d.v1, v1=-d.v0)
+    return _rechart(front, "2*u", "-v", dom), lambda q: (0.5 * q[0], -q[1]), -1
 
 
 def sheared_edge():
@@ -393,11 +457,35 @@ class TestTrace:
         with pytest.raises(TraceError, match=r"swallowtail bracket at \(0\.15536, 2\.51139\)"):
             trace(front, grid=16)
 
+    def test_unclosed_swallowtail_brackets_not_inserted(self, monkeypatch):
+        # at grid 32, 3 of this front's det(T, eta) sign changes are jumps
+        # of |det| = 0.33 that bisection never closes; only the 4 zeros
+        # of det become samples, each a swallowtail
+        front = gallery("ellipsoid_parallel", {"d": 1.1})
+        real, inserted = singular._insert_swallowtails, []
+
+        def insert_swallowtails(front, dom, P, closed):
+            out = real(front, dom, P, closed)
+            before = set(map(tuple, P.tolist()))
+            inserted.extend(q for q in map(tuple, out.tolist()) if q not in before)
+            return out
+
+        monkeypatch.setattr(singular, "_insert_swallowtails", insert_swallowtails)
+        curves = trace(front, grid=32)
+        assert [len(c) for c in curves] == [215, 214]
+        samples = {p.uv: p for c in curves for p in c.samples}
+        assert len(inserted) == 4
+        for uv in inserted:
+            p = samples[uv]
+            assert p.kind is SingularClass.SWALLOWTAIL, uv
+            assert abs(p.transversality) <= 1e-10, uv
+            assert p.swallowtail_sign == -1, uv
+
     @pytest.mark.parametrize("grid", [16, 32])
     def test_gallery_traces_or_refuses(self, grid):
         """Every gallery front, and the parallel ellipsoid's swallowtail
         regimes, trace to curves or raise a FrontlabError, without a
-        warning on the way."""
+        warning on the way; every traced swallowtail carries its sign."""
         cases = [(name, None) for name in gallery_names()]
         cases += [("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.6, 2.0)]
         for name, params in cases:
@@ -408,6 +496,9 @@ class TestTrace:
                 except FrontlabError:
                     continue
             assert all(len(c) for c in curves), (name, params)
+            for p in (p for c in curves for p in c.samples):
+                if p.kind is SingularClass.SWALLOWTAIL:
+                    assert p.swallowtail_sign in (1, -1), (name, params, p.uv)
 
     def test_sphere_has_no_singular_set(self):
         assert trace(gallery("sphere"), grid=16) == []
@@ -655,6 +746,103 @@ class TestHalfSpaceSigns:
         front = gallery("standard_cuspidal_edge")
         with pytest.raises(InapplicableError, match="not generic"):
             half_space_signs(front, classify(front, (0.0, 0.3)), side=1)
+
+
+class TestTailSide:
+    """The closed-form tail side against the parameter-circle sweep of
+    `tail_sweep`, which shares no step with it."""
+
+    CASES = [(name, None) for name in gallery_names()]
+    CASES += [("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.3, 1.6, 2.0, 2.5)]
+    CASES += [("swallowtail_pm", {"sign": s}) for s in (1.0, -1.0)]
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        """Every traced swallowtail of the gallery and of the parallel
+        ellipsoid's and the swallowtail pair's parameter cases, at grids
+        32 and 64, with its front."""
+        out = []
+        for grid in (32, 64):
+            for name, params in self.CASES:
+                front = gallery(name, params)
+                try:
+                    curves = trace(front, grid=grid)
+                except FrontlabError:
+                    continue
+                out += [(front, p) for p in _swallowtails(curves)]
+        return out
+
+    def test_matches_sweep_on_traced_swallowtails(self, traced):
+        """Both routes give the same side, angle and sign on all 36
+        swallowtails (kuen, the standard swallowtail, the pair at both
+        signs and its default, the parallel ellipsoid at d = 1.1, 1.3 and
+        2, at both grids), and `trace` stores that sign on each."""
+        assert len(traced) == 36
+        for front, p in traced:
+            want = tail_sweep.tail_side(front, p)
+            assert tail_side(front, p) == want, (front.label, p.uv)
+            assert p.swallowtail_sign == want.st_sign, (front.label, p.uv)
+
+    def test_acceleration_is_along_the_rank_direction(self, traced):
+        """The derivation behind the closed form: at a swallowtail the
+        image acceleration g2 is parallel to f_* grad lambda."""
+        for front, p in traced:
+            jf, jn = front.jets(*p.uv, 3, 2)
+            blocks = _lambda_blocks(jf, jn, 2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g2 = np.array(_curvatures(jf, jn, blocks)[4])
+            x = np.array(jf.along(blocks[1:3]))
+            cos = float(x @ g2) / (np.linalg.norm(x) * np.linalg.norm(g2))
+            assert 1.0 - abs(cos) <= 1e-12, (front.label, p.uv, cos)
+
+    VARIANT_CASES = {  # swallowtails at the origin, or traced at grid 32
+        "standard_swallowtail": ("standard_swallowtail", None, None),
+        "swallowtail_pm+1": ("swallowtail_pm", {"sign": 1.0}, None),
+        "swallowtail_pm-1": ("swallowtail_pm", {"sign": -1.0}, None),
+        "kuen": ("kuen", None, 32),
+        "ellipsoid_parallel_d1.3": ("ellipsoid_parallel", {"d": 1.3}, 32),
+        "ellipsoid_parallel_d2": ("ellipsoid_parallel", {"d": 2.0}, 32),
+    }
+
+    @pytest.mark.parametrize("variant", ["rotation", "scale 1e-3", "scale 1e3",
+                                         "flipped normal", "u<->v", "u->-u", "(2u,-v)"])
+    @pytest.mark.parametrize("case", sorted(VARIANT_CASES))
+    def test_changes_of_source_and_target(self, case, variant):
+        """A rigid motion and a uniform scale of R^3 keep lambda's sign, so
+        the tail keeps its lambda-sign and the swallowtail its sign; a
+        flipped normal or a chart change that reverses orientation
+        (u <-> v, u -> -u, (u, v) -> (2u, -v)) negates lambda, so both flip
+        while the tail stays the same set of points.  The sweep agrees
+        with the closed form on each variant."""
+        name, params, grid = self.VARIANT_CASES[case]
+        front = gallery(name, params)
+        points = ([classify(front, (0.0, 0.0))] if grid is None
+                  else _swallowtails(trace(front, grid=grid)))
+        assert points
+        changed, to_new, k = tail_variant(front, variant)
+        for p in points:
+            before = tail_side(front, p)
+            q = classify(changed, to_new(p.uv))
+            assert q.kind is SingularClass.SWALLOWTAIL, (variant, p.uv)
+            after = tail_side(changed, q)
+            assert after.lambda_sign == k * before.lambda_sign, (variant, p.uv)
+            assert after.st_sign == k * before.st_sign, (variant, p.uv)
+            assert swallowtail_sign(changed, q) == after.st_sign
+            assert tail_sweep.tail_side(changed, q) == after, (variant, p.uv)
+
+    def test_needs_a_swallowtail(self):
+        front = gallery("cuspidal_parabola")
+        with pytest.raises(InapplicableError, match="swallowtails only"):
+            tail_side(front, classify(front, (0.0, 0.0)))
+
+    def test_undecided_raises(self):
+        """A point whose acceleration is orthogonal to f_* grad lambda has
+        no tail side: here a cuspidal point of a cylinder over a cusp,
+        relabelled as a swallowtail, where the acceleration vanishes."""
+        front = gallery("standard_cuspidal_edge")
+        p = dataclasses.replace(classify(front, (0.0, 0.2)), kind=SingularClass.SWALLOWTAIL)
+        with pytest.raises(FrontlabError, match="undecided"):
+            tail_side(front, p)
 
 
 class TestSignMeaning:

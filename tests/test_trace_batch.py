@@ -290,26 +290,20 @@ def test_kappa_s_integral_matches_scalar_trace(name):
     assert abs(batch - scalar) <= 1e-13 * abs(scalar)
 
 
-def test_scalar_jets_only_for_tail_sides(monkeypatch):
-    """Tracing is array work: scalar jet calls come from the swallowtails'
-    tail-side sweeps alone, a tenth of what the march needed."""
+def test_trace_makes_no_scalar_jet_calls(monkeypatch):
+    """Tracing is array work: every jet call of `trace` covers a grid or a
+    curve's points, the swallowtail signs included."""
     front = gallery("ellipsoid_parallel", FRONTS["ellipsoid_parallel"])
-    counts = {"scalar": 0, "tail": 0}
-    real_jet, real_tail = frontlab.front.eval_jet, singular.tail_side
+    calls = {"scalar": 0, "all": 0}
+    real_jet = frontlab.front.eval_jet
 
     def eval_jet(e, u, v, order):
-        counts["scalar"] += np.shape(u) == () and np.shape(v) == ()
+        calls["all"] += 1
+        calls["scalar"] += np.shape(u) == () and np.shape(v) == ()
         return real_jet(e, u, v, order)
 
-    def tail_side(*args, **kwargs):
-        before = counts["scalar"]
-        out = real_tail(*args, **kwargs)
-        counts["tail"] += counts["scalar"] - before
-        return out
-
     monkeypatch.setattr(frontlab.front, "eval_jet", eval_jet)
-    monkeypatch.setattr(singular, "tail_side", tail_side)
     curves = trace(front, grid=64)
-    assert len(_swallowtail_signs(curves)) == 4
-    assert counts["scalar"] <= 98
-    assert counts["scalar"] == counts["tail"]
+    assert _swallowtail_signs(curves) == [1, 1, 1, 1]
+    assert calls["all"] > 0
+    assert calls["scalar"] == 0
