@@ -22,11 +22,12 @@ constants with equal bit patterns, become one node) and lowers it to a
 topologically ordered instruction list, kept on the `Expr` as `tape`.
 The tape is then written out once as a straight-line Python function for
 all jet orders, shared by every expression of the same shape (constants
-are its arguments).  `taylor.Series` is the reference arithmetic: the
-function performs exactly the operations a `Series` walk of the tape
+are its arguments).  The reference arithmetic is `Series`, kept with a
+recursive walk of the tree in the test oracle `tests/recursive_jet.py`:
+the function performs exactly the operations a `Series` walk of the tape
 would, on the same operands and in the same order, with the coefficients
 that are structurally zero left out when the code is written, so the jets
-agree bit for bit with a recursive walk of the tree over `Series`.  Each
+agree bit for bit with the oracle's.  Each
 distinct subexpression is evaluated once, sin/cos and sinh/cosh of one
 argument share one evaluation of the pair, and each intermediate is
 released after its last use.  Several vector expressions evaluated at the
@@ -651,11 +652,11 @@ class _Tape:
 # order per output component, and every instruction is computed to the
 # highest order any output that depends on it asks for: its coefficients
 # of degree d sit under ``if k >= d:``, with k that maximum.  Which
-# coefficients are the `_ZERO` sentinel is known when the code is written
-# (only const, var and abs write it, and none of them looks at values), so
+# coefficients are structurally zero is known when the code is written
+# (only const, var and abs leave any, and none of them looks at values), so
 # no zero test runs; the others are computed by exactly the operations, on
-# the same operands, that `taylor.Series` applies, and the derivative
-# tables are called at run time.  Values used once are inlined where they
+# the same operands, that the reference `Series` applies, and `taylor`'s
+# derivative tables are called at run time.  Values used once are inlined where they
 # are used; the others get a variable, dropped after its last use.  The
 # function stores the partial of output j for monomial m in R[m * (number
 # of outputs) + j], leaving 0.0 where a coefficient is structurally zero,
@@ -752,9 +753,9 @@ class _Writer:
         return out
 
     def _compose(self, x, call, read, raising=False, top=3, extra=""):
-        """Chain rule as `taylor._compose`, with the derivative table d
-        that `call` returns (its entries past `top` are the `_ZERO`
-        sentinel); `extra` names the call's further results."""
+        """Chain rule as the reference `_compose`, with the derivative
+        table d that `call` returns (it has no entries past `top`: they are
+        structurally 0); `extra` names the call's further results."""
         d = _Term("var", name=f"d{self.i}")
         self._call(f"{d.name}{extra} = {call}", read, raising)
         ps = [None] + x[1:]

@@ -19,11 +19,13 @@ curvature one kernel (`_curvatures`), the rate of det(singular_dir,
 null_dir) along the curve, which tells a swallowtail from other peaks,
 one closed form (`_transversality_rates`), and the side of a
 swallowtail's tail, which gives its sign, another (`_tail_sides`); all
-four read the same order-3 jet.  `classify` and `tail_side` feed them
-from scalar jets, `trace` from a curve's arrays, a row of `.tolist()`
-columns per sample, and `integrate_kappa_s` calls the curvature kernel on
-arrays of quadrature nodes.  `singular_curvature` computes kappa_s
-independently, by differencing exact tangents along the curve.
+four read the same order-3 jet, and so does the limit of the half-space
+signs at a swallowtail (`_swallowtail_signs`).  `classify` and
+`tail_side` feed them from scalar jets, `trace` from a curve's arrays, a
+row of `.tolist()` columns per sample, and `integrate_kappa_s` calls the
+curvature kernel on arrays of quadrature nodes.  `singular_curvature`
+computes kappa_s independently, by differencing exact tangents along the
+curve, and is the one caller of the scalar Newton projection `_newton`.
 """
 
 import dataclasses
@@ -213,6 +215,30 @@ def _curvatures(jf, jn, blocks):
     return density, kappa_s, kappa_nu, g1, g2
 
 
+def _form(p, q, r, a, b):
+    """The symmetric form with matrix ((p, q), (q, r)) on chart vectors a, b."""
+    return a[0] * (b[0] * p + b[1] * q) + a[1] * (b[0] * q + b[1] * r)
+
+
+def _hessian(jet, a, b):
+    """Hess(a, b) of the field of `jet`, component by component."""
+    return tuple(_form(p, q, r, a, b) for p, q, r in zip(jet.f_uu, jet.f_uv, jet.f_vv))
+
+
+def _null_turn(jf, T, eta, sig):
+    """The rate c at which the null direction eta = `_null_direction(jf)`
+    turns along the chart direction T, towards the other right singular
+    vector w = (-eta_v, eta_u): eta' = c w.  eta is the eigenvector of
+    A^T A (A = df) for sig_2^2, so with A' = Hess_f(T, .),
+    c = ((A' w).(A eta) + (A w).(A' eta)) / (sig_2^2 - sig_1^2), whatever
+    eta's orientation; over any leading shape, finite where sig_1 > sig_2.
+    """
+    e, s1, s2 = (eta[..., 0], eta[..., 1]), sig[..., 0], sig[..., 1]
+    w = (-e[1], e[0])
+    return (dot(_hessian(jf, T, w), jf.along(e))
+            + dot(jf.along(w), _hessian(jf, T, e))) / (s2 * s2 - s1 * s1)
+
+
 def _transversality_rates(jf, blocks, eta, sig):
     """d/dt of det(T, eta) along the singular curve, in closed form.
 
@@ -220,27 +246,16 @@ def _transversality_rates(jf, blocks, eta, sig):
     for this rate where det(T, eta) vanishes.  T is the unit tangent of
     `_tangent_derivative`, eta and sig are `_null_direction(jf)` and
     `blocks` is `_lambda_blocks(jf, jn, 2)`, over any leading shape, like
-    `_curvatures`.  The rate is det(T', eta) + det(T, eta').  eta is the
-    eigenvector of A^T A (A = df) for sig_2^2, so it turns towards the
-    other right singular vector w = (-eta_v, eta_u) at the rate
-    c = ((A' w).(A eta) + (A w).(A' eta)) / (sig_2^2 - sig_1^2),
-    with A' = Hess_f(T, .); and det(T, w) = T.eta.  The sign follows eta's
-    orientation.  Finite where grad lambda is not 0 and sig_1 > sig_2.
+    `_curvatures`.  The rate is det(T', eta) + det(T, eta'), with
+    eta' = c w of `_null_turn` and det(T, w) = T.eta.  The sign follows
+    eta's orientation.  Finite where grad lambda is not 0 and sig_1 > sig_2.
     """
-    (T0, T1), Td = _tangent_derivative(blocks)
+    T, Td = _tangent_derivative(blocks)
     e0, e1 = eta[..., 0], eta[..., 1]
-    s1, s2 = sig[..., 0], sig[..., 1]
-
-    def hess(x0, x1):  # A' x
-        return tuple(T0 * (x0 * a + x1 * b) + T1 * (x0 * b + x1 * c)
-                     for a, b, c in zip(jf.f_uu, jf.f_uv, jf.f_vv))
-
-    Aw, Ae = jf.along((-e1, e0)), jf.along((e0, e1))
-    c = (dot(hess(-e1, e0), Ae) + dot(Aw, hess(e0, e1))) / (s2 * s2 - s1 * s1)
-    return _cross2(Td, (e0, e1)) + c * (T0 * e0 + T1 * e1)
+    return _cross2(Td, (e0, e1)) + _null_turn(jf, T, eta, sig) * (T[0] * e0 + T[1] * e1)
 
 
-def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate):
+def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate, tail):
     """Classify the singular point (u, v) from its first-order data.
 
     The one decision behind `classify` (scalar jets) and `trace` (a curve's
@@ -250,7 +265,10 @@ def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate):
     cuspidal edges only.  `rate()` gives the `_transversality_rates` value
     of the point; it is called only where det(singular_dir, null_dir)
     vanishes and df has rank 1, so a cuspidal edge never pays for it.
-    Returns the `SingularPoint` fields from `uv` to `density`, in order.
+    `tail()` gives the `_tail_sides` value, called only at a swallowtail.
+    Returns the `SingularPoint` fields from `uv` to `density`, in order,
+    and the swallowtail sign (None but at a swallowtail whose tail side is
+    decided).
     """
     if sig[0] > 0.0 and sig[1] / sig[0] > RANK_TOL:
         raise FrontContractError(
@@ -261,18 +279,21 @@ def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate):
     scale = max(1.0, sig[0])
     if grad <= DEGENERATE_TOL * scale:
         return ((u, v), lam, (lam_u, lam_v), tuple(eta), (0.0, 0.0),
-                SingularClass.DEGENERATE, math.nan, math.nan, math.nan, math.nan)
+                SingularClass.DEGENERATE, math.nan, math.nan, math.nan, math.nan), None
     T = (lam_v / grad, -lam_u / grad)
     eta = (-eta[0], -eta[1]) if _cross2(T, eta) < 0.0 else (eta[0], eta[1])
     det_te = _cross2(T, eta)
     kind, (density, kappa_s, kappa_nu) = SingularClass.CUSPIDAL_EDGE, curv
+    sign = None
     if not abs(det_te) > TRANSVERSAL_TOL:
         if sig[0] > RANK_TOL * scale and abs(rate()) > TRANSVERSAL_TOL:
             kind = SingularClass.SWALLOWTAIL
+            side = tail()
+            sign = -int(side) if abs(side) > 0.0 else None
         else:
             kind = SingularClass.NONDEGENERATE_PEAK_OTHER
         density, kappa_s, kappa_nu = math.nan, -math.inf, math.nan
-    return ((u, v), lam, (lam_u, lam_v), eta, T, kind, kappa_s, kappa_nu, det_te, density)
+    return ((u, v), lam, (lam_u, lam_v), eta, T, kind, kappa_s, kappa_nu, det_te, density), sign
 
 
 def classify(front, uv):
@@ -281,19 +302,23 @@ def classify(front, uv):
     Thresholds are relative: the transversality determinant is between unit
     vectors, the degeneracy cutoff is scaled by the differential's largest
     singular value.  One scalar jet evaluation serves the decision, the
-    curvatures and, where the determinant vanishes, its rate along the
-    curve (`_transversality_rates`), which tells a swallowtail.
+    curvatures, where the determinant vanishes its rate along the curve
+    (`_transversality_rates`), which tells a swallowtail, and at a
+    swallowtail the side of its tail, which gives its sign.
     """
     u, v = float(uv[0]), float(uv[1])
     jf, jn = front.jets(u, v, 3, 2)
     blocks = _lambda_blocks(jf, jn, 2)
     eta, sig = _null_direction(jf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam, lam_u, lam_v, *curv = map(float, blocks[:3] + _curvatures(jf, jn, blocks)[:3])
-    return SingularPoint(*_decide(
-        u, v, lam, lam_u, lam_v, eta.tolist(), sig.tolist(), curv,
+        curv = _curvatures(jf, jn, blocks)
+    lam, lam_u, lam_v, *scalars = map(float, blocks[:3] + curv[:3])
+    fields, sign = _decide(
+        u, v, lam, lam_u, lam_v, eta.tolist(), sig.tolist(), scalars,
         lambda: _transversality_rates(jf, blocks, eta, sig),
-    ))
+        lambda: _tail_sides(jf, blocks, curv[4]),
+    )
+    return SingularPoint(*fields, swallowtail_sign=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +711,19 @@ def _build_samples(front, dom, P, closed):
             return _transversality_rates(jf, blocks, eta, sig).tolist()
 
     cols = (P[:, 0], P[:, 1], *blocks[:3], eta, sig, np.stack(curv, axis=-1))
-    fields = [
-        _decide(*row, lambda k=k: rates()[k])
+    rows = [
+        _decide(*row, lambda k=k: rates()[k], lambda k=k: tails[k])
         for k, row in enumerate(zip(*(x.tolist() for x in cols)))
     ]
 
     # image arclength and peak guard flags; f[5] is the kind
     seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f in fields])
+    cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f, _ in rows])
     near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < _PEAK_GUARD * dom.scale).any(axis=1)
     return tuple(
-        SingularPoint(*f, s_i, near_i, -int(t) if f[5] is SingularClass.SWALLOWTAIL
-                      and abs(t) > 0.0 else None)
-        for f, s_i, near_i, t in zip(fields, s.tolist(), near.tolist(), tails)
+        SingularPoint(*f, s_i, near_i, sign)
+        for (f, sign), s_i, near_i in zip(rows, s.tolist(), near.tolist())
     )
 
 
@@ -851,17 +875,11 @@ class HalfSpaceSigns:
     predicted_K_sign: int
 
 
-def _side_normal(point):
-    T = point.singular_dir
-    return np.array([-T[1], T[0]])
-
-
 def _edge_sign_delta(front, point, side):
     """sgn_Delta at a cuspidal edge: -g0((eta d)^2 f, (eta d) nu) with eta
     stepping into the requested side."""
-    eta = np.asarray(point.null_dir, dtype=float)
-    n = _side_normal(point)
-    if float(eta @ n) * side < 0:
+    eta, T = np.asarray(point.null_dir, dtype=float), point.singular_dir
+    if float(eta @ np.array([-T[1], T[0]])) * side < 0:
         eta = -eta
     jf, jn = front.jets(point.uv[0], point.uv[1], 2, 1)
     val = -float(stack(jf.along(eta, 2)) @ stack(jn.along(eta)))
@@ -870,27 +888,16 @@ def _edge_sign_delta(front, point, side):
     return 1 if val > 0 else -1
 
 
-def _probe_sign_delta(front, point, side, t):
-    """Independent probe: is nu the outward normal of the side's image?"""
-    eta = np.asarray(point.null_dir, dtype=float)
-    n = _side_normal(point)
-    if float(eta @ n) * side < 0:
-        eta = -eta
-    q = np.asarray(point.uv, dtype=float)
-    p_in = q + t * eta
-    p_out = q - t * eta
-    jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
-    jf_out = front.map_jet(p_out[0], p_out[1], 0)
-    val = -float(stack(jn_in.value) @ (stack(jf_out.value) - stack(jf_in.value)))
-    return 1 if val > 0 else -1
-
-
 def half_space_signs(front, point, side):
     """Sign bookkeeping that predicts the sign of K beside the curve.
 
     `side` is +1 for the side the rotated tangent (-T_v, T_u) points into,
     -1 for the other; at a swallowtail +1 means the tail side.  Requires the
-    point to be generic (nonvanishing second fundamental form data).
+    point to be generic (nonvanishing second fundamental form data).  At a
+    cuspidal edge sgn_Delta is the sign of the second form along the null
+    direction stepping into the side; at a swallowtail it is the limit of
+    that sign from the cuspidal edges beside it, which one order-3 jet
+    gives in closed form, with sgn_0 and the tail side.
     """
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
@@ -901,64 +908,55 @@ def half_space_signs(front, point, side):
             )
         sgn_0 = 1 if point.kappa_nu > 0 else -1
         sgn_d = _edge_sign_delta(front, point, side)
-        return HalfSpaceSigns(sgn_Delta=sgn_d, sgn_0=sgn_0,
-                              predicted_K_sign=sgn_0 * sgn_d)
-    if point.kind == SingularClass.SWALLOWTAIL:
-        return _swallowtail_signs(front, point, side)
-    raise InapplicableError(
-        f"half-space signs need a cuspidal edge or swallowtail, got "
-        f"{point.kind.value}"
-    )
+    elif point.kind == SingularClass.SWALLOWTAIL:
+        sgn_0, sgn_d = _swallowtail_signs(front, point, side)
+    else:
+        raise InapplicableError(
+            f"half-space signs need a cuspidal edge or swallowtail, got "
+            f"{point.kind.value}"
+        )
+    return HalfSpaceSigns(sgn_Delta=sgn_d, sgn_0=sgn_0, predicted_K_sign=sgn_0 * sgn_d)
 
 
 def _swallowtail_signs(front, point, side):
-    jf, jn = front.jets(point.uv[0], point.uv[1], 2, 0)
-    eta = np.asarray(point.null_dir, dtype=float)
-    X = np.array([-eta[1], eta[0]])  # transversal to the singular direction
-    val = float(stack(jf.along(X, 2)) @ stack(jn.value))
+    """sgn_0 and sgn_Delta of a swallowtail, with its tail side, from one jet.
+
+    Along the singular curve, with eta the unit null field, a cuspidal
+    edge's sgn_Delta is sign Phi, Phi = -<Hess_f(eta, eta), d nu(eta)>,
+    with eta stepping into the side: s sign(Phi psi) for any orientation,
+    with psi = <grad lambda, eta> and s the side's lambda-sign.  Both
+    vanish at a swallowtail, where eta is tangent to the curve and
+    Hess_f(eta, eta) lies in the image of df (see `tail_side`), and
+    <f_* xi, d nu(eta)> = <f_* eta, d nu(xi)> = 0.  So the limit from
+    either side is s sign(Phi' psi'), with T the unit tangent, eta' = c w
+    of `_null_turn`, psi' = Hess_lambda(T, eta) + <grad lambda, eta'> and
+    Phi' = -<D^3 f(T, eta, eta) + 2 Hess_f(eta, eta'), d nu(eta)>
+           - <Hess_f(eta, eta), Hess_nu(T, eta) + d nu(eta')>.
+    """
+    u, v = point.uv
+    jf, jn = front.jets(u, v, 3, 2)
+    eta, sig = _null_direction(jf)
+    e = (eta[0], eta[1])
+    val = float(stack(jf.along((-e[1], e[0]), 2)) @ stack(jn.value))
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
-    sgn_0 = 1 if val > 0 else -1
-    tail = tail_side(front, point)
-    want_side = tail.lambda_sign if side == 1 else -tail.lambda_sign
-    sgn_d = _swallowtail_sign_delta(front, point, want_side)
-    return HalfSpaceSigns(sgn_Delta=sgn_d, sgn_0=sgn_0,
-                          predicted_K_sign=sgn_0 * sgn_d)
-
-
-def _swallowtail_sign_delta(front, point, lambda_side):
-    """Limit of the edge sign from nearby cuspidal edges, into the region
-    where sgn(lambda) = lambda_side."""
-    q0 = np.asarray(point.uv, dtype=float)
-    T = np.asarray(point.singular_dir, dtype=float)
-    scale = front.domain.scale
-    votes = []
-    for delta in (5e-3 * scale, 1e-2 * scale):
-        for sgn in (-1.0, 1.0):
-            hit = _newton(front, q0 + sgn * delta * T)
-            if hit is None:
-                continue
-            q = hit[0]
-            try:
-                nb = classify(front, q)
-            except FrontContractError:
-                continue
-            if nb.kind != SingularClass.CUSPIDAL_EDGE:
-                continue
-            n = _side_normal(nb)
-            probe = np.asarray(nb.uv) + 1e-4 * scale * n
-            lam_side = lambda_value(front, probe[0], probe[1])
-            side = 1 if math.copysign(1.0, lam_side) == lambda_side else -1
-            try:
-                votes.append(_edge_sign_delta(front, nb, side))
-            except InapplicableError:
-                continue
-    if not votes or len(set(votes)) != 1:
+    blocks = _lambda_blocks(jf, jn, 2)
+    s = side * _tail_side((u, v), jf, jn, blocks).lambda_sign
+    _, lu, lv, luu, luv, lvv = blocks
+    T, _ = _tangent_derivative(blocks)
+    turn = _null_turn(jf, T, eta, sig)
+    de = (-turn * e[1], turn * e[0])
+    d3 = tuple(T[0] * _form(a, b, c, e, e) + T[1] * _form(b, c, d, e, e)
+               for a, b, c, d in zip(jf.f_uuu, jf.f_uuv, jf.f_uvv, jf.f_vvv))
+    dphi = (-dot(tuple(x + 2.0 * y for x, y in zip(d3, _hessian(jf, e, de))), jn.along(e))
+            - dot(jf.along(e, 2), tuple(x + y for x, y in zip(_hessian(jn, T, e), jn.along(de)))))
+    rate = float(dphi * (_form(luu, luv, lvv, T, e) + lu * de[0] + lv * de[1]))
+    if rate == 0.0 or not math.isfinite(rate):
         raise FrontlabError(
-            f"half-space sign at the swallowtail is inconsistent across "
-            f"neighbors: votes {votes}"
+            f"half-space sign at the swallowtail ({u:.6g}, {v:.6g}) is undecided: "
+            f"the edge sign's rate along the curve is {rate!r}"
         )
-    return votes[0]
+    return (1 if val > 0 else -1), (s if rate > 0.0 else -s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -993,12 +991,16 @@ def tail_side(front, point):
     if point.kind != SingularClass.SWALLOWTAIL:
         raise InapplicableError("tail side is defined at swallowtails only")
     jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
-    blocks = _lambda_blocks(jf, jn, 2)
+    return _tail_side(point.uv, jf, jn, _lambda_blocks(jf, jn, 2))
+
+
+def _tail_side(uv, jf, jn, blocks):
+    """`tail_side` at uv from its (3, 2)-order jets and `_lambda_blocks`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         side = float(_tail_sides(jf, blocks, _curvatures(jf, jn, blocks)[4]))
     if not abs(side) > 0.0:
         raise FrontlabError(
-            f"tail side at ({point.uv[0]:.6g}, {point.uv[1]:.6g}) is undecided: "
+            f"tail side at ({uv[0]:.6g}, {uv[1]:.6g}) is undecided: "
             "the image acceleration is orthogonal to f_* grad lambda"
         )
     return TailSide(int(side), 2.0 * math.pi if side < 0.0 else 0.0, -int(side))
@@ -1070,31 +1072,19 @@ CSV_COLUMNS = (
 
 
 def _curve_rows(front, curve):
-    density = kappa_s_measure(front, curve)
-    rows = []
-    for p, d in zip(curve.samples, density):
-        rows.append(
-            {
-                "u": p.uv[0], "v": p.uv[1], "s": p.s, "class": p.kind.value,
-                "lambda": p.lam, "lambda_u": p.grad_lambda[0],
-                "lambda_v": p.grad_lambda[1], "eta_u": p.null_dir[0],
-                "eta_v": p.null_dir[1], "kappa_s": p.kappa_s,
-                "kappa_nu": p.kappa_nu, "density": float(d),
-            }
-        )
-    return rows
+    return [
+        dict(zip(CSV_COLUMNS, (p.uv[0], p.uv[1], p.s, p.kind.value, p.lam, *p.grad_lambda,
+                               *p.null_dir, p.kappa_s, p.kappa_nu, float(d))))
+        for p, d in zip(curve.samples, kappa_s_measure(front, curve))
+    ]
 
 
 def curve_to_csv(front, curve):
     """One CSV row per sample; floats via repr for reproducible output."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in _curve_rows(front, curve):
-        lines.append(
-            ",".join(
-                row["class"] if c == "class" else repr(float(row[c]))
-                for c in CSV_COLUMNS
-            )
-        )
+    lines = [",".join(CSV_COLUMNS)] + [
+        ",".join(row["class"] if c == "class" else repr(float(row[c])) for c in CSV_COLUMNS)
+        for row in _curve_rows(front, curve)
+    ]
     return "\n".join(lines) + "\n"
 
 

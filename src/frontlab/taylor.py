@@ -1,22 +1,13 @@
-"""Truncated Taylor arithmetic in (u, v): forward-mode jets up to order 3.
+"""Derivative tables and monomial bookkeeping of the jet programs.
 
-A `Series` holds the Taylor coefficients (derivative / multi-factorial
-convention) of one scalar quantity at a point, in the two chart variables.
-Coefficients may be python floats or numpy arrays, so a single sweep can
-evaluate jets on a whole grid.  `JetSpace` instances are cached and carry the
-monomial bookkeeping shared by every series of the same order.
-
-`Series` is the reference arithmetic: `frontlab.expr` writes, once per
-expression shape, straight-line code that performs exactly the operations a
-`Series` evaluation would, in the same order, and calls the derivative
-tables below at run time, so its jets equal those of `Series` bit for bit.
-
-A coefficient nothing was ever written to is the `_ZERO` sentinel: products
-skip it, sums pass the other operand through unchanged, and the first
-product into a coefficient is assigned rather than added to 0.0.  A
-coefficient of degree k is therefore computed by the same operations on the
-same operands at every order >= k, so the low-degree part of a jet is the
-same bits whatever order it was evaluated at, signed zeros included.
+`frontlab.expr` writes, once per expression shape, a straight-line Python
+function that evaluates truncated Taylor series in (u, v) up to order 3
+(derivative / multi-factorial convention): it reads `jet_space(3)`'s
+monomial tables, `FUNCTION_NAMES` and the pairing of sin/cos and sinh/cosh
+while writing, and calls the derivative tables and `pair_values` at run
+time.  Nothing else lives here; the recursive reference arithmetic that
+the programs are checked against bit for bit is the test oracle
+`tests/recursive_jet.py`.
 """
 
 import math
@@ -25,8 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ExprDomainError
-
-_ZERO = 0.0  # shared sentinel; `is _ZERO` marks coefficients never written to
 
 
 @lru_cache(maxsize=None)
@@ -60,139 +49,6 @@ class JetSpace:
                 if k is not None:
                     triples.append((i, j, k))
         self.triples = tuple(triples)
-
-    def const(self, value):
-        c = [_ZERO] * self.ncoef
-        c[0] = value
-        return Series(self, c)
-
-    def var(self, i, value):
-        c = [_ZERO] * self.ncoef
-        c[0] = value
-        if self.order >= 1:
-            c[1 + i] = 1.0  # the monomial u or v
-        return Series(self, c)
-
-
-class Series:
-    """Taylor coefficients of one scalar quantity at a point."""
-
-    __slots__ = ("space", "c")
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.c = coeffs
-
-    @property
-    def value(self):
-        return self.c[0]
-
-    def partial(self, alpha):
-        """Exact partial derivative for the multi-index `alpha`."""
-        k = self.space.index[tuple(alpha)]
-        coeff = self.c[k]
-        fact = self.space.factorial[k]
-        return coeff * fact if fact != 1 else coeff
-
-    def scale(self, factor):
-        out = [ci if ci is _ZERO else ci * factor for ci in self.c]
-        return Series(self.space, out)
-
-    def __add__(self, other):
-        sp = self.space
-        if isinstance(other, Series):
-            return Series(sp, [
-                b if a is _ZERO else a if b is _ZERO else a + b
-                for a, b in zip(self.c, other.c)
-            ])
-        out = list(self.c)
-        out[0] = out[0] + other
-        return Series(sp, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            return Series(self.space, [
-                a if b is _ZERO else -b if a is _ZERO else a - b
-                for a, b in zip(self.c, other.c)
-            ])
-        out = list(self.c)
-        out[0] = out[0] - other
-        return Series(self.space, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Series(self.space, [ci if ci is _ZERO else -ci for ci in self.c])
-
-    def __mul__(self, other):
-        sp = self.space
-        if not isinstance(other, Series):
-            return self.scale(other)
-        out = [_ZERO] * sp.ncoef
-        a, b = self.c, other.c
-        for i, j, k in sp.triples:
-            ai = a[i]
-            bj = b[j]
-            if ai is _ZERO or bj is _ZERO:
-                continue
-            term = ai * bj
-            acc = out[k]
-            out[k] = term if acc is _ZERO else acc + term
-        return Series(sp, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.reciprocal()
-        return self.scale(1.0 / other)
-
-    def __rtruediv__(self, other):
-        return other * self.reciprocal()
-
-    def __pow__(self, k):
-        if not isinstance(k, (int, np.integer)):
-            raise TypeError("Series ** exponent must be an integer; use powr")
-        return self.powi(int(k))
-
-    def powi(self, k):
-        if k < 0:
-            return self.powi(-k).reciprocal()
-        out = self.space.const(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def powr(self, r):
-        return _compose(self, _d_pow(self.c[0], r, self.space.order))
-
-    def reciprocal(self):
-        return _compose(self, _d_reciprocal(self.c[0], self.space.order))
-
-
-def _compose(series, d):
-    """Chain rule: apply a scalar function given its derivatives `d` at the
-    series' value.  `d[k]` is the k-th derivative (not Taylor-normalized)."""
-    sp = series.space
-    out = sp.const(d[0])
-    if len(d) == 1:
-        return out
-    p = list(series.c)
-    p[0] = _ZERO
-    ps = Series(sp, p)
-    pk = ps
-    fact = 1.0
-    for k in range(1, len(d)):
-        if k > 1:
-            pk = pk * ps
-            fact *= k
-        if d[k] is _ZERO:
-            continue
-        out = out + pk.scale(d[k] / fact)
-    return out
 
 
 # --- derivative tables --------------------------------------------------
@@ -365,8 +221,9 @@ def _d_reciprocal(c, n):
 
 
 def _d_abs(c, n):
-    """The table of abs (right derivative at 0; the second and third
-    derivatives are the `_ZERO` sentinel) and whether c is exactly 0."""
+    """abs and its right derivative at 0, the entries of the table that
+    are not 0 (n of them past the value, at most 1), and whether c is
+    exactly 0."""
     if np.ndim(c) == 0:
         hit = c == 0
         sign = 1.0 if c >= 0 else -1.0
@@ -375,7 +232,7 @@ def _d_abs(c, n):
         hit = bool(np.any(c == 0))
         sign = np.where(c >= 0, 1.0, -1.0)
         mag = np.abs(c)
-    return [mag, sign, _ZERO, _ZERO][: n + 1], bool(hit)
+    return [mag, sign][: n + 1], bool(hit)
 
 
 def _d_pow(c, r, n):
@@ -425,32 +282,3 @@ def pair_values(kind, c):
     if kind == "sincos":
         return np.sin(c), np.cos(c)
     return np.sinh(c), np.cosh(c)
-
-
-def apply_function(name, series, pair=None):
-    """Apply a named unary function through the chain rule.
-
-    For sin, cos, sinh and cosh, `pair` may carry the precomputed
-    `pair_values` of the series' value.
-    """
-    c = series.c[0]
-    n = series.space.order
-    if name in _PAIRED:
-        kind, table = _PAIRED[name]
-        d = table(*(pair_values(kind, c) if pair is None else pair), n)
-    else:
-        d = _TABLES[name](c, n)
-    return _compose(series, d)
-
-
-def apply_abs(series):
-    """abs with the right-derivative convention at 0.
-
-    Returns (result, hit_zero); callers surface `hit_zero` as a diagnostic.
-    """
-    d, hit = _d_abs(series.c[0], series.space.order)
-    return _compose(series, d), hit
-
-
-def sqrt(series):
-    return apply_function("sqrt", series)

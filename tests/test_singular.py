@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 
+import half_space_walk
 import numpy as np
 import pytest
 import tail_sweep
@@ -47,7 +48,6 @@ from frontlab.singular import (
     SingularPoint,
     _curvatures,
     _lambda_blocks,
-    _probe_sign_delta,
 )
 
 
@@ -156,6 +156,29 @@ def tail_variant(front, name):
     return _rechart(front, "2*u", "-v", dom), lambda q: (0.5 * q[0], -q[1]), -1
 
 
+TAIL_VARIANTS = ["rotation", "scale 1e-3", "scale 1e3", "flipped normal", "u<->v",
+                 "u->-u", "(2u,-v)"]
+
+VARIANT_CASES = {  # swallowtails at the origin, or traced at grid 32
+    "standard_swallowtail": ("standard_swallowtail", None, None),
+    "swallowtail_pm+1": ("swallowtail_pm", {"sign": 1.0}, None),
+    "swallowtail_pm-1": ("swallowtail_pm", {"sign": -1.0}, None),
+    "kuen": ("kuen", None, 32),
+    "ellipsoid_parallel_d1.3": ("ellipsoid_parallel", {"d": 1.3}, 32),
+    "ellipsoid_parallel_d2": ("ellipsoid_parallel", {"d": 2.0}, 32),
+}
+
+
+def _variant_points(case):
+    """The front of `VARIANT_CASES[case]` and its swallowtails."""
+    name, params, grid = VARIANT_CASES[case]
+    front = gallery(name, params)
+    points = ([classify(front, (0.0, 0.0))] if grid is None
+              else _swallowtails(trace(front, grid=grid)))
+    assert points
+    return front, points
+
+
 def sheared_edge():
     """An adapted-chart cuspidal edge whose metric twists along the curve.
 
@@ -180,6 +203,31 @@ def parabola_curve():
 def swallowtail_curve():
     front = gallery("standard_swallowtail")
     return front, trace(front, grid=32)
+
+
+SWALLOWTAIL_CASES = [(name, None) for name in gallery_names()]
+SWALLOWTAIL_CASES += [("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.3, 1.6, 2.0, 2.5)]
+SWALLOWTAIL_CASES += [("swallowtail_pm", {"sign": s}) for s in (1.0, -1.0)]
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """Every traced swallowtail of the gallery and of the parallel
+    ellipsoid's and the swallowtail pair's parameter cases, at grids 32
+    and 64, with its front: 36 points (kuen, the standard swallowtail, the
+    pair at both signs and its default, the parallel ellipsoid at d = 1.1,
+    1.3 and 2, at both grids)."""
+    out = []
+    for grid in (32, 64):
+        for name, params in SWALLOWTAIL_CASES:
+            front = gallery(name, params)
+            try:
+                curves = trace(front, grid=grid)
+            except FrontlabError:
+                continue
+            out += [(front, p) for p in _swallowtails(curves)]
+    assert len(out) == 36
+    return out
 
 
 class TestLambdaJets:
@@ -701,7 +749,7 @@ class TestHalfSpaceSigns:
         p = classify(front, (0.0, 0.0))
         for side in (1, -1):
             hs = half_space_signs(front, p, side)
-            assert _probe_sign_delta(front, p, side, 1e-3) == hs.sgn_Delta
+            assert half_space_walk.probe_sign_delta(front, p, side, 1e-3) == hs.sgn_Delta
 
     def test_opposite_side_flips_prediction(self):
         front = gallery("cuspidal_parabola")
@@ -747,41 +795,104 @@ class TestHalfSpaceSigns:
         with pytest.raises(InapplicableError, match="not generic"):
             half_space_signs(front, classify(front, (0.0, 0.3)), side=1)
 
+    def test_matches_walk_on_traced_swallowtails(self, traced):
+        """The closed form at a swallowtail gives what the walk-and-vote
+        of `half_space_walk` gives, on both sides of all 36 traced
+        swallowtails; both refuse the 6 of kuen and the standard
+        swallowtail, where the second form is flat."""
+        flat = 0
+        for front, p in traced:
+            for side in (1, -1):
+                try:
+                    want = half_space_walk.swallowtail_signs(front, p, side)
+                except InapplicableError:
+                    with pytest.raises(InapplicableError, match="not generic"):
+                        half_space_signs(front, p, side)
+                    flat += 1
+                    continue
+                assert half_space_signs(front, p, side) == want, (front.label, p.uv, side)
+        assert flat == 12
+
+    def test_one_jet_call_at_a_swallowtail(self, monkeypatch):
+        """sgn_0, the tail side and sgn_Delta come from one jet evaluation."""
+        front = gallery("swallowtail_pm")
+        p = classify(front, (0.0, 0.0))
+        calls = []
+        real = Front.jets
+
+        def jets(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Front, "jets", jets)
+        half_space_signs(front, p, side=1)
+        assert len(calls) == 1
+
+    def test_edge_sign_vanishes_at_swallowtails(self, traced):
+        """The derivation behind the closed form: at a swallowtail the edge
+        sign's Phi = -<Hess_f(eta, eta), d nu(eta)> vanishes, because
+        Hess_f(eta, eta) lies in the image of df there.  A traced
+        swallowtail sits where |det(T, eta)| <= 1e-10, and Phi vanishes to
+        first order in that distance; it is measured against the sizes of
+        Hess_f and d nu(eta), since Hess_f(eta, eta) itself vanishes at
+        kuen's and the standard swallowtail's."""
+        for front, p in traced:
+            jf, jn = front.jets(*p.uv, 3, 2)
+            dnu = np.array(jn.along(p.null_dir))
+            phi = float(np.array(jf.along(p.null_dir, 2)) @ dnu)
+            size = np.linalg.norm([jf.f_uu, jf.f_uv, jf.f_vv]) * np.linalg.norm(dnu)
+            assert abs(phi) <= (1e-12 + abs(p.transversality)) * size, (front.label, p.uv, phi)
+
+    @pytest.mark.parametrize("variant", TAIL_VARIANTS)
+    @pytest.mark.parametrize("case", sorted(VARIANT_CASES))
+    def test_swallowtail_changes_of_source_and_target(self, case, variant):
+        """K is a function on the surface, and a rigid motion, a uniform
+        scale (K scales by 1/c^2), a flipped normal and a chart change keep
+        its sign, while the tail stays the same set of points: the
+        predicted sign of K on either side of a swallowtail keeps.  Kuen's
+        and the standard swallowtail's second form is flat at the
+        swallowtail before and after."""
+        front, points = _variant_points(case)
+        changed, to_new, _ = tail_variant(front, variant)
+        for p in points:
+            q = classify(changed, to_new(p.uv))
+            for side in (1, -1):
+                if case in ("kuen", "standard_swallowtail"):
+                    for f, x in ((front, p), (changed, q)):
+                        with pytest.raises(InapplicableError, match="not generic"):
+                            half_space_signs(f, x, side)
+                    continue
+                want = half_space_signs(front, p, side).predicted_K_sign
+                got = half_space_signs(changed, q, side).predicted_K_sign
+                assert got == want, (variant, p.uv, side)
+
+    def test_undecided_swallowtail_raises(self, monkeypatch):
+        front = gallery("swallowtail_pm")
+        p = classify(front, (0.0, 0.0))
+        monkeypatch.setattr(singular, "_null_turn", lambda *args: math.nan)
+        with pytest.raises(FrontlabError, match=r"swallowtail \(0, 0\) is undecided"):
+            half_space_signs(front, p, side=1)
+
 
 class TestTailSide:
     """The closed-form tail side against the parameter-circle sweep of
     `tail_sweep`, which shares no step with it."""
 
-    CASES = [(name, None) for name in gallery_names()]
-    CASES += [("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.3, 1.6, 2.0, 2.5)]
-    CASES += [("swallowtail_pm", {"sign": s}) for s in (1.0, -1.0)]
-
-    @pytest.fixture(scope="class")
-    def traced(self):
-        """Every traced swallowtail of the gallery and of the parallel
-        ellipsoid's and the swallowtail pair's parameter cases, at grids
-        32 and 64, with its front."""
-        out = []
-        for grid in (32, 64):
-            for name, params in self.CASES:
-                front = gallery(name, params)
-                try:
-                    curves = trace(front, grid=grid)
-                except FrontlabError:
-                    continue
-                out += [(front, p) for p in _swallowtails(curves)]
-        return out
-
     def test_matches_sweep_on_traced_swallowtails(self, traced):
-        """Both routes give the same side, angle and sign on all 36
-        swallowtails (kuen, the standard swallowtail, the pair at both
-        signs and its default, the parallel ellipsoid at d = 1.1, 1.3 and
-        2, at both grids), and `trace` stores that sign on each."""
-        assert len(traced) == 36
+        """Both routes give the same side, angle and sign on all 36 traced
+        swallowtails, and `trace` stores that sign on each."""
         for front, p in traced:
             want = tail_sweep.tail_side(front, p)
             assert tail_side(front, p) == want, (front.label, p.uv)
             assert p.swallowtail_sign == want.st_sign, (front.label, p.uv)
+
+    def test_classify_builds_the_traced_point(self, traced):
+        """`classify` decides a swallowtail, its sign included, as `trace`
+        did: both routes build equal points but for the curve's arclength
+        and peak guard."""
+        for front, p in traced:
+            q = classify(front, p.uv)
+            assert q == dataclasses.replace(p, s=q.s, near_peak=q.near_peak), (front.label, p.uv)
 
     def test_acceleration_is_along_the_rank_direction(self, traced):
         """The derivation behind the closed form: at a swallowtail the
@@ -795,17 +906,7 @@ class TestTailSide:
             cos = float(x @ g2) / (np.linalg.norm(x) * np.linalg.norm(g2))
             assert 1.0 - abs(cos) <= 1e-12, (front.label, p.uv, cos)
 
-    VARIANT_CASES = {  # swallowtails at the origin, or traced at grid 32
-        "standard_swallowtail": ("standard_swallowtail", None, None),
-        "swallowtail_pm+1": ("swallowtail_pm", {"sign": 1.0}, None),
-        "swallowtail_pm-1": ("swallowtail_pm", {"sign": -1.0}, None),
-        "kuen": ("kuen", None, 32),
-        "ellipsoid_parallel_d1.3": ("ellipsoid_parallel", {"d": 1.3}, 32),
-        "ellipsoid_parallel_d2": ("ellipsoid_parallel", {"d": 2.0}, 32),
-    }
-
-    @pytest.mark.parametrize("variant", ["rotation", "scale 1e-3", "scale 1e3",
-                                         "flipped normal", "u<->v", "u->-u", "(2u,-v)"])
+    @pytest.mark.parametrize("variant", TAIL_VARIANTS)
     @pytest.mark.parametrize("case", sorted(VARIANT_CASES))
     def test_changes_of_source_and_target(self, case, variant):
         """A rigid motion and a uniform scale of R^3 keep lambda's sign, so
@@ -814,11 +915,7 @@ class TestTailSide:
         (u <-> v, u -> -u, (u, v) -> (2u, -v)) negates lambda, so both flip
         while the tail stays the same set of points.  The sweep agrees
         with the closed form on each variant."""
-        name, params, grid = self.VARIANT_CASES[case]
-        front = gallery(name, params)
-        points = ([classify(front, (0.0, 0.0))] if grid is None
-                  else _swallowtails(trace(front, grid=grid)))
-        assert points
+        front, points = _variant_points(case)
         changed, to_new, k = tail_variant(front, variant)
         for p in points:
             before = tail_side(front, p)

@@ -8,7 +8,9 @@ at that order, and each field of a front's joint jets that field's own
 jet.
 """
 
+import ast
 import linecache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from frontlab import (
     parse,
 )
 from frontlab import expr as expr_module
+from frontlab import taylor
 from frontlab.expr import Expr, Num, Var, Vector
 from frontlab.zigzag import (
     loop_gallery,
@@ -347,3 +350,34 @@ def test_generated_source_is_in_linecache():
     assert name.startswith("<jet ") and "sqrt(u*u + 1)" in name
     assert linecache.getline(name, 1).startswith("def jet(")
     assert linecache.getline(name, run.__code__.co_firstlineno + 1).strip()
+
+
+def _taylor_reads(tree):
+    """The names a syntax tree reads as `taylor.<name>`."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "taylor"}
+
+
+def test_taylor_defines_only_what_jet_programs_use():
+    """`taylor` defines the names the jet programs call, the names `expr`
+    reads while writing them and the helpers those reach, and nothing
+    else: one program that uses every function, a quotient, a negative
+    integer power and a real power calls every table."""
+    calls = " * ".join(f"{name}(u + 2)" for name in sorted(taylor.FUNCTION_NAMES))
+    run, _ = parse(f"({calls} / (v + 3) + (u + 2)^(-2), (u + 2)^1.5, v)").program
+    program = ast.parse("".join(linecache.getlines(run.__code__.co_filename)))
+    used = _taylor_reads(program) | _taylor_reads(ast.parse(Path(expr_module.__file__).read_text()))
+    defined = {}
+    for node in ast.parse(Path(taylor.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets)
+    assert used <= set(defined)
+    todo = list(used)
+    while todo:  # the helpers
+        for n in ast.walk(defined[todo.pop()]):
+            if isinstance(n, ast.Name) and n.id in defined and n.id not in used:
+                used.add(n.id)
+                todo.append(n.id)
+    assert set(defined) == used
