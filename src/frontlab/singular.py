@@ -76,8 +76,8 @@ class SingularPoint:
     density: float = math.nan  # kappa_s * |d(f o gamma)/dt|, unit chart speed
     s: float = math.nan  # image arclength along the owning curve
     near_peak: bool = False
-    # set by `trace` at swallowtails; None only where the tail side's
-    # product <f_* grad lambda, g2> is 0 or NaN
+    # set at swallowtails by `trace` and `classify`; None only where the
+    # tail side's product <f_* grad lambda, g2> is 0 or NaN
     swallowtail_sign: int | None = None
 
 
