@@ -24,8 +24,9 @@ signs at a swallowtail (`_swallowtail_signs`).  `classify` and
 `tail_side` feed them from scalar jets, `trace` from a curve's arrays, a
 row of `.tolist()` columns per sample, and `integrate_kappa_s` calls the
 curvature kernel on arrays of quadrature nodes.  `singular_curvature`
-computes kappa_s independently, by differencing exact tangents along the
-curve, and is the one caller of the scalar Newton projection `_newton`.
+computes kappa_s independently, by differencing exact tangents at chart
+offsets along the curve, which the one projection onto lambda = 0,
+`_project`, brings back onto it.
 """
 
 import dataclasses
@@ -325,39 +326,21 @@ def classify(front, uv):
 # curve tracing
 
 
-def _newton(front, q, tol=1e-12, max_iter=50):
-    """Project q onto {lambda = 0} along grad lambda.
-
-    Returns (q, (lambda_u, lambda_v)) with the gradient at the accepted
-    point, or None if the iteration is lost or the gradient collapses.
-    """
-    q = np.array([float(q[0]), float(q[1])])
-    for _ in range(max_iter):
-        lam, lu, lv = lambda_jets(front, q[0], q[1], order=1)
-        if abs(lam) < tol:
-            return q, (lu, lv)
-        g2 = lu * lu + lv * lv
-        if g2 < 1e-28:
-            return None
-        q = q - lam / g2 * np.array([lu, lv])
-        if not np.all(np.isfinite(q)):
-            return None
-    return None
-
-
 def _project(front, X, N):
     """Offsets mu that move the points X along the unit vectors N onto
     lambda = 0.
 
     `_PROJECT_ITERS` Newton steps on lambda(X + mu N) = 0 from mu = 0, over
-    arrays of any leading shape.  The line rule projects its Gauss nodes
-    with it, `trace` the midpoints of its gaps and transversality brackets.
+    arrays of any leading shape; at one point (shape (2,)) the jets run on
+    floats.  The line rule projects its Gauss nodes with it, `trace` the
+    midpoints of its gaps and transversality brackets, and
+    `singular_curvature` its chart offsets along the curve.
     """
+    u, v, n0, n1 = X[..., 0][()], X[..., 1][()], N[..., 0][()], N[..., 1][()]
     mu = np.zeros(X.shape[:-1])
     for _ in range(_PROJECT_ITERS):
-        P = X + mu[..., None] * N
-        lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
-        mu -= lam / (lu * N[..., 0] + lv * N[..., 1])
+        lam, lu, lv = lambda_jets(front, u + mu * n0, v + mu * n1, order=1)
+        mu = mu - lam / (lu * n0 + lv * n1)
     return mu
 
 
@@ -731,12 +714,17 @@ def _build_samples(front, dom, P, closed):
 # curvature along traced curves
 
 
-def singular_curvature(front, point, h=None):
+def singular_curvature(front, point):
     """Singular curvature by differencing exact unit tangents along the curve.
 
-    Independent route from the jet formula in `classify`: the image
-    acceleration is a second-order central difference of exact image unit
-    tangents at arclength offsets +-h, +-h/2 with one Richardson step.
+    Independent route from the jet formula in `classify`, which kappa_s
+    allows in any regular parametrization of the curve: the chart offsets
+    +-h, +-h/2 along T0 = `singular_dir`, with h = 1e-3 of the domain scale
+    a chart step, go onto lambda = 0 along the chart normal (`_project`);
+    central differences of the exact image unit tangents there, with one
+    Richardson step, over the image speed |f_* T0| give d tau/ds.  A point
+    that misses lambda = 0 by more than 1e-9 of the domain scale times
+    |grad lambda| raises `TraceError`.
     """
     if point.kind != SingularClass.CUSPIDAL_EDGE:
         raise InapplicableError(
@@ -745,41 +733,32 @@ def singular_curvature(front, point, h=None):
         )
     q0 = np.asarray(point.uv, dtype=float)
     T0 = np.asarray(point.singular_dir, dtype=float)
+    N = np.array([-T0[1], T0[0]])
     scale = front.domain.scale
-    if h is None:
-        h = 1e-3 * scale
+    h = 1e-3 * scale
     jf0, jn0 = front.jets(q0[0], q0[1], 1, 0)
-    img0 = stack(jf0.value)
     tau = stack(jf0.along(T0))
     speed = np.linalg.norm(tau)
 
-    def tangent_at(ds):
-        # land on the curve at image distance |ds| from q0 (secant on the step)
-        t = ds / max(speed, 1e-12)
-        for _ in range(4):
-            hit = _newton(front, q0 + t * T0)
-            if hit is None:
-                raise TraceError("lost the curve while differencing tangents")
-            q, grad = hit
-            d = float(np.linalg.norm(_image_point(front, q) - img0))
-            if abs(d - abs(ds)) < 1e-12 * max(1.0, abs(ds)):
-                break
-            t *= abs(ds) / max(d, 1e-300)
-        g = math.hypot(*grad)
-        if g < 1e-14:
-            raise TraceError("degenerate point while differencing tangents")
-        T = np.array([grad[1], -grad[0]]) / g
-        if float(T @ T0) < 0:
-            T = -T
-        g1 = stack(front.map_jet(q[0], q[1], 1).along(T))
+    def tangent_at(t):
+        X = q0 + t * T0
+        q = X + _project(front, X, N) * N
+        jf, jn = front.jets(q[0], q[1], 2, 1)
+        lam, lu, lv = _lambda_blocks(jf, jn, 1)
+        g = math.hypot(lu, lv)
+        if not (g > 0.0 and abs(lam) <= 1e-9 * scale * g):
+            raise TraceError(
+                f"the chart offset {t:.3g} from ({q0[0]:.6g}, {q0[1]:.6g}) did "
+                f"not land on the curve: lambda={lam:.3e}, |grad lambda|={g:.3e}"
+            )
+        k = 1.0 if lv * T0[0] - lu * T0[1] >= 0.0 else -1.0
+        g1 = stack(jf.along((k * lv, -k * lu)))
         return g1 / np.linalg.norm(g1)
 
-    def second_diff(step):
+    def central_diff(step):
         return (tangent_at(step) - tangent_at(-step)) / (2.0 * step)
 
-    d1 = second_diff(h)
-    d2 = second_diff(0.5 * h)
-    dtau = (4.0 * d2 - d1) / 3.0
+    dtau = (4.0 * central_diff(0.5 * h) - central_diff(h)) / (3.0 * speed)
     eta = np.asarray(point.null_dir, dtype=float)
     dlam_eta = point.grad_lambda[0] * eta[0] + point.grad_lambda[1] * eta[1]
     sgn = 1.0 if dlam_eta > 0 else -1.0
@@ -795,8 +774,8 @@ def singular_curvature_intrinsic(front, u):
     sheared edge is what tells it from a reading with E_v in its place.
     """
     u = float(u)
-    lam, lam_u, lam_v = lambda_jets(front, u, 0.0, order=1)
     jf, jn = front.jets(u, 0.0, 3, 1)
+    lam, lam_u, lam_v = _lambda_blocks(jf, jn, 1)
     eta, sig = _null_direction(jf)
     scale = max(1.0, float(sig[0]))
     if abs(lam) > 1e-8 * scale or abs(eta[0]) > 1e-6:

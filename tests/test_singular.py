@@ -577,9 +577,19 @@ class TestTrace:
 class TestCurvatureRoutes:
     """The jet formula against tangent differencing and the intrinsic form."""
 
-    @pytest.mark.parametrize("params", [{}, {"a": -1.0, "b": 0.5}, {"a": 2.0, "b": 0.0}])
-    def test_differenced_matches_jets(self, params):
+    @pytest.mark.parametrize("params,variant", [
+        pytest.param({}, None, id="params0"),
+        pytest.param({"a": -1.0, "b": 0.5}, None, id="params1"),
+        pytest.param({"a": 2.0, "b": 0.0}, None, id="params2"),
+        pytest.param({}, "scale 1e-3", id="scale 1e-3"),
+        pytest.param({}, "scale 1e3", id="scale 1e3"),
+    ])
+    def test_differenced_matches_jets(self, params, variant):
+        """The step is a chart length, so kappa_s * c is the same at every
+        scale c of the image."""
         front = gallery("cuspidal_parabola", params)
+        if variant is not None:
+            front = tail_variant(front, variant)[0]
         for u in (-0.9, 0.0, 0.6):
             p = classify(front, (u, 0.0))
             got = singular_curvature(front, p)
@@ -592,6 +602,21 @@ class TestCurvatureRoutes:
         p = classify(front, (0.4, -0.96))
         got = singular_curvature(front, p)
         assert abs(got - p.kappa_s) < 1e-7 * abs(p.kappa_s)
+
+    @pytest.mark.parametrize("variant", [None, "scale 1e3"])
+    def test_differenced_on_traced_ellipsoid(self, variant):
+        """Every 4th traced cuspidal sample of the parallel ellipsoid,
+        where the absolute floors of an arclength secant failed at scale
+        1e3 and missed by up to 0.83 relative at scale 1."""
+        front = gallery("ellipsoid_parallel", {"d": 1.3})
+        if variant is not None:
+            front = tail_variant(front, variant)[0]
+        edges = [p for c in trace(front, grid=32) for p in c.samples
+                 if p.kind is SingularClass.CUSPIDAL_EDGE]
+        assert len(edges) > 300
+        for p in edges[::4]:
+            got = singular_curvature(front, p)
+            assert abs(got - p.kappa_s) <= 1e-6 * abs(p.kappa_s), (p.uv, got, p.kappa_s)
 
     def test_differenced_reversal_invariant(self):
         front = gallery("cuspidal_parabola")
@@ -608,6 +633,14 @@ class TestCurvatureRoutes:
         p = classify(front, (0.0, 0.0))
         with pytest.raises(InapplicableError, match="cuspidal edge"):
             singular_curvature(front, p)
+
+    def test_differenced_offsets_must_land(self):
+        """Offsets across the curve, projected along it, miss lambda = 0."""
+        front = gallery("cuspidal_parabola")
+        p = classify(front, (0.3, 0.0))
+        across = dataclasses.replace(p, singular_dir=(-p.singular_dir[1], p.singular_dir[0]))
+        with pytest.raises(TraceError, match="did not land on the curve"):
+            singular_curvature(front, across)
 
     @pytest.mark.parametrize("params,u", [({}, 0.0), ({}, 0.7),
                                           ({"a": -1.0, "b": 0.5}, 0.3)])
