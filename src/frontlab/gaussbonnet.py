@@ -414,36 +414,17 @@ def _excluded(curves):
     return ""
 
 
-def _region_euler(cells, periodic_u, periodic_v):
-    """V - E + F for the closed cell set, with periodic identifications."""
-    Cu, Cv = cells.shape
-    nVu = Cu if periodic_u else Cu + 1
-    nVv = Cv if periodic_v else Cv + 1
-    I, J = np.nonzero(cells)
-    I1 = (I + 1) % nVu if periodic_u else I + 1
-    J1 = (J + 1) % nVv if periodic_v else J + 1
-    vert = np.zeros((nVu, nVv), dtype=bool)
-    vert[I, J] = True
-    vert[I1, J] = True
-    vert[I, J1] = True
-    vert[I1, J1] = True
-    edge_u = np.zeros((Cu, nVv), dtype=bool)  # edges along the u direction
-    edge_u[I, J] = True
-    edge_u[I, J1] = True
-    edge_v = np.zeros((nVu, Cv), dtype=bool)  # edges along the v direction
-    edge_v[I, J] = True
-    edge_v[I1, J] = True
-    return int(vert.sum()) - int(edge_u.sum()) - int(edge_v.sum()) + int(
-        cells.sum()
-    )
-
-
 def euler_characteristics(front, grid=256):
     """(chi(M), chi(M+), chi(M-)) from the sign of lambda on a cell grid.
 
     Cells owning at least one corner of a sign belong to that region's
-    closure, so cells crossed by the singular curve count for both.  Polar
-    caps recorded in the metadata close off truncated sphere charts.
+    closure, so cells crossed by the singular curve count for both.  A
+    periodic axis first appends its wrap row (column) of corners; a cell's
+    corners are then four shifted slices, ORed.  V - E + F of the closed
+    cells: a vertex or edge is present where a cell around it is, an OR of
+    slices of the zero-padded cell mask, and a periodic axis folds its seam
+    row (column) into row 0.  Polar caps recorded in the metadata close off
+    truncated sphere charts.
     """
     dom = front.domain
     uu, vv = dom.grid(grid)
@@ -451,39 +432,49 @@ def euler_characteristics(front, grid=256):
     rows = max(1, _CHUNK // uu.shape[1])
     for k in range(0, uu.shape[0], rows):
         lam[k : k + rows] = lambda_value(front, uu[k : k + rows, :1], vv[:1])
-    S = np.sign(lam)
-    nu_, nv_ = S.shape
-    Cu = nu_ if dom.periodic_u else nu_ - 1
-    Cv = nv_ if dom.periodic_v else nv_ - 1
-    iu = np.arange(Cu)
-    iv = np.arange(Cv)
-    iu1 = (iu + 1) % nu_
-    iv1 = (iv + 1) % nv_
-    chis = {}
+    meta = front.metadata or {}
+    chi_p, chi_m = _sign_chis(np.sign(lam), dom.periodic_u, dom.periodic_v,
+                              meta.get("caps", 0))
+    chi_M = int(meta["chi"]) if meta.get("chi") is not None else chi_p + chi_m
+    return chi_M, chi_p, chi_m
+
+
+def _sign_chis(S, periodic_u, periodic_v, caps):
+    """[chi(M+), chi(M-)] of the node signs S, as `euler_characteristics`."""
+    chis = []
     for sign in (1, -1):
         hit = (S == sign) | (S == 0)
-        corner = (
-            hit[np.ix_(iu, iv)]
-            | hit[np.ix_(iu1, iv)]
-            | hit[np.ix_(iu, iv1)]
-            | hit[np.ix_(iu1, iv1)]
-        )
-        count = int(corner.sum())
+        if periodic_u:
+            hit = np.concatenate([hit, hit[:1]], axis=0)
+        if periodic_v:
+            hit = np.concatenate([hit, hit[:, :1]], axis=1)
+        cells = hit[:-1, :-1] | hit[1:, :-1] | hit[:-1, 1:] | hit[1:, 1:]
+        count = int(np.count_nonzero(cells))
         if 0 < count < 3:
             raise FrontlabError(
                 f"grid too coarse: the lambda {'positive' if sign > 0 else 'negative'}"
                 f" region only touches {count} cell(s); refine the grid"
             )
-        chi = _region_euler(corner, dom.periodic_u, dom.periodic_v) if count else 0
-        caps = front.metadata.get("caps", 0) if front.metadata else 0
+        P = np.pad(cells, 1)
+        vert = P[:-1, :-1] | P[1:, :-1] | P[:-1, 1:] | P[1:, 1:]
+        edge_u = P[1:-1, :-1] | P[1:-1, 1:]  # edges along the u direction
+        edge_v = P[:-1, 1:-1] | P[1:, 1:-1]  # edges along the v direction
+        if periodic_u:
+            vert[0] |= vert[-1]
+            edge_v[0] |= edge_v[-1]
+            vert, edge_v = vert[:-1], edge_v[:-1]
+        if periodic_v:
+            vert[:, 0] |= vert[:, -1]
+            edge_u[:, 0] |= edge_u[:, -1]
+            vert, edge_u = vert[:, :-1], edge_u[:, :-1]
+        chi = int(np.count_nonzero(vert) - np.count_nonzero(edge_u)
+                  - np.count_nonzero(edge_v)) + count
         if caps and count:
             for row in (S[:, 0], S[:, -1]):
                 if np.all((row == sign) | (row == 0)):
                     chi += 1
-        chis[sign] = chi
-    meta_chi = front.metadata.get("chi") if front.metadata else None
-    chi_M = int(meta_chi) if meta_chi is not None else chis[1] + chis[-1]
-    return chi_M, chis[1], chis[-1]
+        chis.append(chi)
+    return chis
 
 
 def _degree_from_total(total, max_dev):

@@ -44,7 +44,7 @@ TRANSVERSAL_TOL = 1e-6
 DEGENERATE_TOL = 1e-8
 RANK_TOL = 1e-6
 
-# tracer settings: Newton steps of a projection onto lambda = 0, halvings
+# tracer settings: most Newton steps of a projection onto lambda = 0, halvings
 # of a bracket (2^-64 of its width, or its last bit), the largest tangent
 # turn between neighbouring samples (radians) and rounds of refinement;
 # and the image-arclength band (relative to the domain scale) around a peak
@@ -330,17 +330,22 @@ def _project(front, X, N):
     """Offsets mu that move the points X along the unit vectors N onto
     lambda = 0.
 
-    `_PROJECT_ITERS` Newton steps on lambda(X + mu N) = 0 from mu = 0, over
-    arrays of any leading shape; at one point (shape (2,)) the jets run on
-    floats.  The line rule projects its Gauss nodes with it, `trace` the
-    midpoints of its gaps and transversality brackets, and
-    `singular_curvature` its chart offsets along the curve.
+    Up to `_PROJECT_ITERS` Newton steps on lambda(X + mu N) = 0 from mu = 0,
+    over arrays of any leading shape; at one point (shape (2,)) the jets run
+    on floats.  A step is an elementwise function of mu alone, so once it
+    returns mu bit for bit (compared as bytes: -0.0 is not 0.0, and NaN can
+    repeat) every later step would too, and that iterate is returned.  The
+    line rule projects its Gauss nodes with it, `trace` the midpoints of its
+    gaps and transversality brackets, and `singular_curvature` its chart
+    offsets along the curve.
     """
     u, v, n0, n1 = X[..., 0][()], X[..., 1][()], N[..., 0][()], N[..., 1][()]
     mu = np.zeros(X.shape[:-1])
     for _ in range(_PROJECT_ITERS):
         lam, lu, lv = lambda_jets(front, u + mu * n0, v + mu * n1, order=1)
-        mu = mu - lam / (lu * n0 + lv * n1)
+        mu, last = mu - lam / (lu * n0 + lv * n1), mu
+        if mu.tobytes() == last.tobytes():
+            break
     return mu
 
 

@@ -3,8 +3,11 @@
 import dataclasses
 import math
 
+import gather_euler
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frontlab import (
     Domain,
@@ -358,6 +361,42 @@ class TestEulerCharacteristics:
     def test_corner_disk_coarse_grid_rejected(self):
         with pytest.raises(FrontlabError, match="grid too coarse"):
             euler_characteristics(corner_disk(), grid=11)
+
+
+@st.composite
+def sign_grids(draw):
+    """Node signs in {-1, 0, +1}, sides 2 to 12: uniform, or one sign with
+    up to three exceptions, so that a region may touch only 1 or 2 cells."""
+    nu, nv = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    values = st.sampled_from((-1.0, 0.0, 1.0))
+    if draw(st.booleans()):
+        signs = draw(st.lists(values, min_size=nu * nv, max_size=nu * nv))
+        return np.array(signs).reshape(nu, nv)
+    S = np.full((nu, nv), draw(values))
+    for _ in range(draw(st.integers(0, 3))):
+        S[draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1))] = draw(values)
+    return S
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(S=sign_grids(), periodic_u=st.booleans(), periodic_v=st.booleans(),
+       caps=st.booleans())
+@example(S=np.array([[-1.0, 1.0, 1.0]] + [[1.0] * 3] * 2),
+         periodic_u=False, periodic_v=False, caps=False)
+@example(S=np.array([[1.0, 0.0], [-1.0, 1.0]]),
+         periodic_u=True, periodic_v=True, caps=True)
+def test_sign_chis_match_gathers(S, periodic_u, periodic_v, caps):
+    """The slice count equals the index-gather count, refusals included."""
+    args = (S, periodic_u, periodic_v, caps)
+    try:
+        want = gather_euler.sign_chis(*args)
+    except FrontlabError as err:
+        with pytest.raises(FrontlabError) as got:
+            gaussbonnet._sign_chis(*args)
+        assert str(got.value) == str(err)
+    else:
+        got = gaussbonnet._sign_chis(*args)
+        assert got == want and [type(c) for c in got] == [int, int]
 
 
 class TestDegree:

@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 
+import fixed_step_project
 import half_space_walk
 import numpy as np
 import pytest
@@ -40,8 +41,9 @@ from frontlab import (
     trace,
     validate,
 )
-from frontlab import singular
-from frontlab.gaussbonnet import integrate_kappa_s
+from frontlab import front as front_module
+from frontlab import gaussbonnet, singular
+from frontlab.gaussbonnet import euler_report, integrate_kappa_s
 from frontlab.singular import (
     SingularClass,
     SingularCurve,
@@ -663,6 +665,104 @@ class TestCurvatureRoutes:
     def test_intrinsic_needs_adapted_chart(self):
         with pytest.raises(InapplicableError, match="not adapted"):
             singular_curvature_intrinsic(gallery("standard_swallowtail"), 0.3)
+
+
+def _recorded_projections(monkeypatch):
+    """Record every `_project` call, in both modules that look it up."""
+    calls = []
+    real = singular._project
+
+    def record(front, X, N):
+        mu = real(front, X, N)
+        calls.append((front, np.array(X), np.array(N), mu))
+        return mu
+
+    monkeypatch.setattr(singular, "_project", record)
+    monkeypatch.setattr(gaussbonnet, "_project", record)
+    return calls
+
+
+def _assert_matches_all_steps(calls):
+    for front, X, N, got in calls:
+        want = fixed_step_project.project(front, X, N)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (X, N)
+
+
+class TestProjection:
+    """`_project` returns at a bitwise fixed point; the result is the one
+    every `_PROJECT_ITERS` steps give, bit for bit."""
+
+    def test_trace_projections(self, monkeypatch):
+        calls = _recorded_projections(monkeypatch)
+        for name in gallery_names():
+            for grid in (32, 64):
+                trace(gallery(name), grid=grid)
+        assert len(calls) > 20
+        _assert_matches_all_steps(calls)
+
+    def test_integral_and_report_projections(self, monkeypatch):
+        parabola = gallery("cuspidal_parabola")
+        ellipsoid = gallery("ellipsoid_parallel", {"d": 1.6})
+        pseudosphere = gallery("pseudosphere")
+        curves = [trace(f, grid=64) for f in (parabola, ellipsoid)]
+        calls = _recorded_projections(monkeypatch)
+        integrate_kappa_s(parabola, curves[0])
+        integrate_kappa_s(ellipsoid, curves[1])
+        euler_report(pseudosphere)
+        assert len({id(f) for f, *_ in calls}) == 3
+        _assert_matches_all_steps(calls)
+
+    @pytest.mark.parametrize("name,uv", [
+        ("cuspidal_parabola", (0.3, 0.0)),
+        ("standard_swallowtail", (0.4, -0.96)),
+    ])
+    def test_singular_curvature_offsets(self, monkeypatch, name, uv):
+        front = gallery(name)
+        p = classify(front, uv)
+        calls = _recorded_projections(monkeypatch)
+        singular_curvature(front, p)
+        assert len(calls) == 4 and all(np.shape(mu) == () for *_, mu in calls)
+        _assert_matches_all_steps(calls)
+
+    def test_newton_going_nan(self):
+        """A zero direction sends mu to -inf and then NaN, which repeats;
+        the other rows keep their own steps."""
+        front = gallery("cuspidal_parabola")
+        X = np.array([[0.3, 0.5], [0.3, 0.5], [-0.2, 0.1]])
+        N = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        with np.errstate(all="ignore"):
+            mu = singular._project(front, X, N)
+            _assert_matches_all_steps([(front, X, N, mu)])
+        assert np.isnan(mu[0]) and np.isfinite(mu[1:]).all()
+
+    def test_start_on_the_curve(self, monkeypatch):
+        """lambda is exactly 0 on the parabola's axis: one step returns
+        mu = 0 again, and the projection stops there."""
+        front = gallery("cuspidal_parabola")
+        X, N = np.array([0.3, 0.0]), np.array([0.0, 1.0])
+        steps = []
+        real = singular.lambda_jets
+        monkeypatch.setattr(singular, "lambda_jets",
+                            lambda *a, **k: steps.append(1) or real(*a, **k))
+        mu = singular._project(front, X, N)
+        assert len(steps) == 1
+        assert mu.tobytes() == np.float64(0.0).tobytes()
+        _assert_matches_all_steps([(front, X, N, mu)])
+
+    def test_jet_calls_on_the_parabola_axis(self, monkeypatch):
+        """Each chart offset takes one Newton step and one landing jet,
+        where eight steps each took a jet before."""
+        front = gallery("cuspidal_parabola")
+        p = classify(front, (0.3, 0.0))
+        calls = []
+        real = front_module.eval_jet
+        monkeypatch.setattr(front_module, "eval_jet",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        kappa_s = singular_curvature(front, p)
+        assert len(calls) <= 9
+        assert kappa_s == 0.8208534571938269
 
 
 class TestInvariance:
