@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import FrontlabError, InapplicableError
-from .front import det3, lambda_value, stack
+from .front import det3, lambda_value, spread, stack
 from .singular import (
     SingularClass,
     _chord_normals,
@@ -24,7 +24,7 @@ from .singular import (
     _lambda_blocks,
     _project,
     _wrapped_delta,
-    lambda_jets,
+    lambda_jets,  # not called here; perfbench/layers.py wraps it by this name
     tail_side,
     trace,
 )
@@ -34,6 +34,7 @@ FOUR_PI = 4.0 * math.pi
 _CHUNK = 1 << 13
 _TRACE_GRID = 96  # trace grid of integrate_K_dA and euler_report's default
 _LINE_NODES = 8  # Gauss nodes per line panel; half of them for the error estimate
+_PANEL_NODES = 16  # Gauss nodes per axis of an area panel
 _RING_PANELS = 64  # line panels around each polar-cap ring
 _SNAP = 1e-9  # chart distance, per domain scale, below which two points are one
 _DEGENERATE = "degenerate singular points present"
@@ -73,7 +74,7 @@ def _gl_rule(n):
     return x, w
 
 
-def _line_rule(front, A, D, on_curve, nodes):
+def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
     """Gauss nodes on chord panels A + x D, x in (0, 1), with exact tangents.
 
     Nodes of panels flagged `on_curve` (between consecutive samples of a
@@ -81,8 +82,8 @@ def _line_rule(front, A, D, on_curve, nodes):
     (`singular._project`), N the chord's unit normal; the panel is a graph
     over its chord with tangent dq/dx = D + mu' N,
     mu' = -(grad lambda . D) / (grad lambda . N).
-    Returns nodes U, V (S, nodes), tangents Q (S, nodes, 2), weights, and
-    lambda and grad lambda . N at the nodes.
+    Returns tangents Q (S, nodes, 2), weights, lambda and grad lambda . N
+    at the nodes, and `front.jets` there at `orders`, (2, 1) or deeper.
     """
     x, w = _gl_rule(nodes)
     N = _chord_normals(D)
@@ -92,7 +93,9 @@ def _line_rule(front, A, D, on_curve, nodes):
     if idx.size:
         mu[idx] = _project(front, X[idx], N[idx, None, :])
     P = X + mu[..., None] * N[:, None, :]
-    lam, lu, lv = lambda_jets(front, P[..., 0], P[..., 1], order=1)
+    U, V = P[..., 0], P[..., 1]
+    jf, jn = front.jets(U, V, *orders)
+    lam, lu, lv = (spread(x, U, V) for x in _lambda_blocks(jf, jn, 1))
     lam_n = lu * N[:, None, 0] + lv * N[:, None, 1]
     drift = np.abs(lam[idx]) / np.hypot(lu[idx], lv[idx])
     if drift.size and not float(drift.max()) <= 1e-9 * front.domain.scale:  # or NaN
@@ -104,15 +107,14 @@ def _line_rule(front, A, D, on_curve, nodes):
     slope = np.zeros_like(lam)
     slope[idx] = -(lu[idx] * D[idx, None, 0] + lv[idx] * D[idx, None, 1]) / lam_n[idx]
     Q = D[:, None, :] + slope[..., None] * N[:, None, :]
-    return P[..., 0], P[..., 1], Q, w, lam, lam_n
+    return Q, w, lam, lam_n, jf, jn
 
 
-def _alpha(pole, jn, Q):
+def _alpha(pole, nu, nu_u, nu_v, Q):
     """alpha = (1 - cos theta) dphi = pole . (nu x dnu) / (1 + pole . nu)
     on the chart tangents Q, theta the angle from `pole`; d alpha is the
     sphere's area form, and alpha is singular only at -pole."""
-    nu = jn.value
-    dnu = jn.along((Q[..., 0], Q[..., 1]))
+    dnu = tuple(Q[..., 0] * a + Q[..., 1] * b for a, b in zip(nu_u, nu_v))
     return det3(pole, nu, dnu) / (1.0 + stack(nu) @ pole)
 
 
@@ -140,13 +142,12 @@ def _cap_terms(front):
         # boundary of {v <= v0} runs in -u, boundary of {v >= v1} in +u
         A = np.stack([us - max(step, 0.0), np.full(_RING_PANELS, v)], axis=-1)
         D = np.tile([step, 0.0], (_RING_PANELS, 1))
-        U, V, Q, w, lam, _ = _line_rule(
+        Q, w, lam, _, _, jn = _line_rule(
             front, A, D, np.zeros(_RING_PANELS, dtype=bool), _LINE_NODES
         )
-        _, jn = front.jets(U, V, 0, 1)
         pole = stack(jn.value).reshape(-1, 3).mean(axis=0)
         pole /= np.linalg.norm(pole)
-        area = math.fsum((w * _alpha(pole, jn, Q)).ravel().tolist())
+        area = math.fsum((w * _alpha(pole, jn.value, jn.f_u, jn.f_v, Q)).ravel().tolist())
         out.append((area, 1 if float(np.median(lam)) > 0 else -1))
     return tuple(out)
 
@@ -214,13 +215,13 @@ def _panel_sums(front, grid, nodes):
     )
 
 
-def integrate_K_dAhat(front, grid=2048, nodes=16):
+def integrate_K_dAhat(front, grid=2048):
     """Integral of the smooth signed curvature form det(nu_u, nu_v, nu).
 
-    `grid` is the total panel budget; each panel takes `nodes` Gauss
-    nodes per axis.
+    `grid` is the total panel budget; each panel takes `_PANEL_NODES`
+    Gauss nodes per axis.
     """
-    return _panel_sums(front, grid, nodes)[0]
+    return _panel_sums(front, grid, _PANEL_NODES)[0]
 
 
 def _curve_panels(dom, curves):
@@ -302,7 +303,7 @@ def _minus_area(front, pieces, nodes, pole=None):
     """
     A, D, owner = pieces
     on_curve = owner >= 0
-    U, V, Q, w, lam, lam_n = _line_rule(front, A, D, on_curve, nodes)
+    Q, w, lam, lam_n, _, jn = _line_rule(front, A, D, on_curve, nodes)
     side = np.sign(lam_n)
     for i in np.unique(owner[on_curve]):
         if np.ptp(side[owner == i]) != 0.0:
@@ -320,13 +321,14 @@ def _minus_area(front, pieces, nodes, pole=None):
     keep[~on_curve] = negative.all(axis=1)
     if not keep.any():
         return 0.0, pole
-    _, jn = front.jets(U[keep], V[keep], 0, 1)
+    nu, nu_u, nu_v = (tuple(np.broadcast_to(c, lam.shape)[keep] for c in b)
+                      for b in (jn.value, jn.f_u, jn.f_v))
     if pole is None:
-        nu = stack(jn.value).reshape(-1, 3)
-        k = int(np.concatenate([1.0 + nu.min(axis=0), 1.0 - nu.max(axis=0)]).argmax())
+        n = stack(nu).reshape(-1, 3)
+        k = int(np.concatenate([1.0 + n.min(axis=0), 1.0 - n.max(axis=0)]).argmax())
         pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
     orient = np.where(on_curve[keep, None], -side[keep], 1.0)
-    vals = orient * w * _alpha(pole, jn, Q[keep])
+    vals = orient * w * _alpha(pole, nu, nu_u, nu_v, Q[keep])
     return math.fsum(vals.ravel().tolist()), pole
 
 
@@ -347,13 +349,13 @@ def _branch(line, coarse):
     return line + FOUR_PI * k
 
 
-def _unsigned(front, curves, grid, nodes):
+def _unsigned(front, curves, grid):
     """(int K dA, int K dAhat, error estimate) by int K dAhat - 2 A-.
 
     The error estimate is twice the change of A- between the line rule and
     its half-node rule.
     """
-    hat, coarse = _panel_sums(front, grid, nodes)
+    hat, coarse = _panel_sums(front, grid, _PANEL_NODES)
     pieces = _boundary_pieces(front, curves, grid)
     line, pole = _minus_area(front, pieces, _LINE_NODES)
     half, _ = _minus_area(front, pieces, _LINE_NODES // 2, pole)
@@ -361,7 +363,7 @@ def _unsigned(front, curves, grid, nodes):
     return hat - 2.0 * minus, hat, 2.0 * abs(line - half)
 
 
-def integrate_K_dA(front, grid=2048, nodes=16):
+def integrate_K_dA(front, grid=2048):
     """Integral of K against the unsigned area form |lambda| du dv.
 
     K dA = sgn(lambda) K dAhat, so the integral is int K dAhat less twice
@@ -372,7 +374,7 @@ def integrate_K_dA(front, grid=2048, nodes=16):
     picks the branch.  Degenerate singular points, open curves ending
     inside the chart and an ambiguous branch are refused.
     """
-    return _unsigned(front, trace(front, grid=_TRACE_GRID), grid, nodes)[0]
+    return _unsigned(front, trace(front, grid=_TRACE_GRID), grid)[0]
 
 
 def integrate_kappa_s(front, curves):
@@ -393,10 +395,9 @@ def integrate_kappa_s(front, curves):
     A, D, _ = _curve_panels(front.domain, curves)
     if not len(A):
         return 0.0
-    U, V, Q, w, _, _ = _line_rule(
-        front, A, D, np.ones(len(A), dtype=bool), _LINE_NODES
+    Q, w, _, _, jf, jn = _line_rule(
+        front, A, D, np.ones(len(A), dtype=bool), _LINE_NODES, (3, 2)
     )
-    jf, jn = front.jets(U, V, 3, 2)
     dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0]
     contrib = (dens * w) * np.hypot(Q[..., 0], Q[..., 1])
     return math.fsum(contrib.ravel().tolist())
@@ -477,24 +478,24 @@ def _sign_chis(S, periodic_u, periodic_v, caps):
     return chis
 
 
-def _degree_from_total(total, max_dev):
+def _degree_from_total(total):
     val = total / (2.0 * TWO_PI)
-    if abs(val - round(val)) >= max_dev:
+    if abs(val - round(val)) >= 0.05:
         raise FrontlabError(
             f"total signed curvature / 4 pi = {val:.6f} is not within "
-            f"{max_dev} of an integer"
+            f"0.05 of an integer"
         )
     return int(round(val))
 
 
-def degree_of_gauss_map(front, grid=2048, nodes=16, max_dev=0.05):
+def degree_of_gauss_map(front, grid=2048):
     """Degree of nu from the signed total curvature, with integrality check."""
     if not (front.metadata and front.metadata.get("caps")):
         raise InapplicableError(
             "degree of the Gauss map needs a closed front (truncated chart "
             "with polar caps); this front is not compact"
         )
-    return _degree_from_total(integrate_K_dAhat(front, grid, nodes), max_dev)
+    return _degree_from_total(integrate_K_dAhat(front, grid))
 
 
 def swallowtail_signs(front, points):
@@ -513,7 +514,7 @@ def swallowtail_signs(front, points):
     return plus, minus
 
 
-def _end_epsilons(front, grid=64):
+def _end_epsilons(front):
     """Pair metadata ends with the sign of lambda at the chart's end edges.
 
     Ends live on the non-periodic axis of a cylinder chart; the metadata
@@ -524,7 +525,7 @@ def _end_epsilons(front, grid=64):
         return ()
     dom = front.domain
     out = []
-    ts = np.linspace(0.0, 1.0, grid, endpoint=False)
+    ts = np.linspace(0.0, 1.0, 64, endpoint=False)
     for k, end in enumerate(meta):
         if dom.periodic_v:
             u = dom.u0 if k == 0 else dom.u1
@@ -540,7 +541,7 @@ def _end_epsilons(front, grid=64):
 
 
 def euler_report(front, curves=None, grid=256, panels=2048,
-                 trace_grid=_TRACE_GRID, k_f=0, nodes=16):
+                 trace_grid=_TRACE_GRID, k_f=0):
     """Assemble both global identities and their residuals for one front.
 
     `curves` come from `trace`; when omitted the singular set is traced
@@ -569,15 +570,15 @@ def euler_report(front, curves=None, grid=256, panels=2048,
 
     if reason == _DEGENERATE:
         int_dA = unresolved = math.nan
-        int_hat = integrate_K_dAhat(front, panels, nodes)
+        int_hat = integrate_K_dAhat(front, panels)
     else:
-        int_dA, int_hat, unresolved = _unsigned(front, curves, panels, nodes)
+        int_dA, int_hat, unresolved = _unsigned(front, curves, panels)
     chi_M, chi_p, chi_m = euler_characteristics(front, grid)
     ends = _end_epsilons(front)
     provenance = {
         "chi_grid": grid,
         "panels": panels,
-        "nodes": nodes,
+        "nodes": _PANEL_NODES,
         "K_dA_unresolved": unresolved,
         "n_curves": len(curves),
     }
@@ -597,7 +598,7 @@ def euler_report(front, curves=None, grid=256, panels=2048,
     ]
     S_plus, S_minus = swallowtail_signs(front, st_points)
     alpha_terms = TWO_PI * (S_plus - S_minus)
-    deg = _degree_from_total(int_hat, 0.05) if compact else None
+    deg = _degree_from_total(int_hat) if compact else None
 
     end_sum_unsigned = sum(a for (_, a, _) in ends)
     end_sum_signed = sum(eps * a for (_, a, eps) in ends)

@@ -17,24 +17,29 @@ tangent to the null direction.  The surface letter rule has the opposite sign
 routines on purpose and are reconciled only through the winding-number
 equality, never letter by letter.
 
-All winding numbers are tracked by continuous angle lifting with step-size
-control (consecutive samples must stay within pi/4 in the P^1 angle, else the
-offending interval is bisected), so no half-turn can be missed.
+Each loop is evaluated once on a closed scan of `SAMPLES` intervals, read by
+the contract check, the sign scan for cusps or crossings and every winding.
+Windings are lifted continuously, bisecting P^1 angle steps of pi/4 or more
+(pi/2 on the circle).  A step is read modulo a half-turn, so a swing of nearly
+one between two samples would pass as small.  Hence the balanced charts:
+[x : y] winds as [k x : y] for k > 0; k = max|y| / max|x| over the scan.
 """
 
-import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrontContractError, FrontlabError
-from .expr import Expr, eval_jet, parse
+from .expr import Expr, eval_jet, join, parse
 from .front import dot, require_expr, stack
 from .gallery import gallery
+# lambda_jets is not called here; perfbench/layers.py wraps it by this name
 from .singular import SingularClass, _bisect, _cross2, _dot2, classify, lambda_jets, lambda_value
 
 TWO_PI = 2.0 * math.pi
+SAMPLES = 512  # intervals of a loop's closed scan, linspace(0, period, SAMPLES + 1)
 
 # Letters of the word monoid: `a` marks a zig, `b` a zag.
 ZIG = "a"
@@ -45,6 +50,12 @@ def _jet(source, t, order):
     """Jet of a one-parameter expression; the parameter rides the u-slot."""
     t = np.asarray(t, dtype=float)
     return eval_jet(source, t, np.zeros_like(t), order)
+
+
+def _balance(x, y):
+    """k = max|y| / max|x|: [k x : y] winds as [x : y], entries of one size."""
+    mx, my = float(np.abs(x).max()), float(np.abs(y).max())
+    return my / mx if mx > 0.0 and my > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,12 @@ class PlaneFront:
         if not self.period > 0:
             raise ValueError("period must be positive")
 
+    @cached_property
+    def joint(self):
+        """`gamma_prime` (else `gamma`) and `normal` as one expression."""
+        curve = self.gamma if self.gamma_prime is None else self.gamma_prime
+        return join(curve, self.normal)
+
 
 def mirror_plane_front(pf):
     """The same curve traversed backwards (parameter t -> -t)."""
@@ -92,25 +109,24 @@ def _plane_jets(pf, t, second=True):
     t = np.asarray(t, dtype=float)
     s = float(pf.orientation)
     ts = s * t
-    if pf.gamma_prime is not None:
-        jg = _jet(pf.gamma_prime, ts, 1 if second else 0)
-        g1 = jg.value
-        g2 = jg.f_u if second else None
+    deeper = pf.gamma_prime is None  # gamma given: derivatives sit one order up
+    jg, jn = _jet(pf.joint, ts, ((2, int(second) + deeper), (2, 1)))
+    if deeper:
+        g1, g2 = jg.f_u, jg.f_uu if second else None
     else:
-        jg = _jet(pf.gamma, ts, 2 if second else 1)
-        g1 = jg.f_u
-        g2 = jg.f_uu if second else None
-    jn = _jet(pf.normal, ts, 1)
+        g1, g2 = jg.value, jg.f_u if second else None
     # chain rule for the reversed parameter: odd derivatives pick up the sign,
     # gamma'' gets s^2 = 1
     return tuple(s * c for c in g1), g2, jn.value, tuple(s * c for c in jn.f_u)
 
 
-def _check_plane_contract(pf, t):
-    g1, _, n0, _ = _plane_jets(pf, t, second=False)
+def _plane_scan(pf):
+    """The closed scan t and `_plane_jets` on it, contract checked."""
+    t = np.linspace(0.0, pf.period, SAMPLES + 1)
+    jets = _plane_jets(pf, t, second=False)
+    g1, _, n0, _ = jets
     speed = np.hypot(*g1)
-    norm_err = np.abs(np.hypot(*n0) - 1.0)
-    worst = float(norm_err.max())
+    worst = float(np.abs(np.hypot(*n0) - 1.0).max())
     if worst > 1e-9:
         raise FrontContractError(
             f"plane front normal is not unit: |nu|-1 reaches {worst:.3e}")
@@ -122,6 +138,7 @@ def _check_plane_contract(pf, t):
             raise FrontContractError(
                 f"plane front normal is not orthogonal to the tangent: "
                 f"g0(gamma', nu) reaches {worst:.3e}")
+    return t, jets
 
 
 def plane_position(pf, ts):
@@ -151,22 +168,23 @@ def plane_position(pf, ts):
 # root isolation shared by the plane and surface scans
 
 
-def _simple_roots(fn, period, samples, what):
+def _simple_roots(fn, t, vals, what):
     """Simple zeros of a periodic scalar function by sign scan + bisection.
 
-    Zeros that the scan grid hits exactly are taken as-is; the sign changes
+    `vals` is `fn` on the closed scan `t`, whose last point is not read.
+    Zeros that the scan hits exactly are taken as-is; the sign changes
     between samples go through one masked bisection (`singular._bisect`),
     one evaluation of `fn` per round for all of them.  A touching zero (no
     sign change) is rejected as non-generic.
     """
-    t = np.linspace(0.0, period, samples, endpoint=False)
-    vals = np.asarray(fn(t), dtype=float)
+    period, n = float(t[-1]), len(t) - 1
+    t, vals = t[:-1], np.asarray(vals[:-1], dtype=float)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         raise FrontlabError(f"{what} vanishes identically on the loop")
     exact = vals == 0.0
-    n = samples
-    i = np.nonzero(~exact & ~np.roll(exact, -1) & ~(vals * np.roll(vals, -1) > 0.0))[0]
+    prev, nxt = np.roll(vals, 1), np.roll(vals, -1)
+    i = np.nonzero(~exact & ~np.roll(exact, -1) & ~(vals * nxt > 0.0))[0]
     lo, hi = t[i], t[i] + period / n
     neg, pos = _bisect(
         lambda m, _: np.asarray(fn(m), dtype=float),
@@ -175,15 +193,11 @@ def _simple_roots(fn, period, samples, what):
     roots = [float(x) for x in t[exact]] + (0.5 * (neg + pos) % period).tolist()
     # a zero that touches without changing sign hides between samples as a
     # deep |fn| dip; refine such dips by golden section and reject tangency
-    for i in range(n):
-        h, j = (i - 1) % n, (i + 1) % n
-        if exact[i] or exact[h] or exact[j]:
-            continue
-        if vals[h] * vals[i] < 0.0 or vals[i] * vals[j] < 0.0:
-            continue
-        ai = abs(vals[i])
-        if ai > abs(vals[h]) or ai > abs(vals[j]) or ai >= 1e-3 * scale:
-            continue
+    size = np.abs(vals)
+    dips = ~(exact | np.roll(exact, 1) | np.roll(exact, -1))
+    dips &= ~(prev * vals < 0.0) & ~(vals * nxt < 0.0)
+    dips &= ~(size > np.abs(prev)) & ~(size > np.abs(nxt)) & ~(size >= 1e-3 * scale)
+    for i in np.nonzero(dips)[0]:
         lo, hi = t[i] - period / n, t[i] + period / n
         while hi - lo > 1e-12:
             m1 = lo + 0.381966 * (hi - lo)
@@ -205,59 +219,54 @@ def _simple_roots(fn, period, samples, what):
 # winding numbers by continuous angle lifting
 
 
-def _lifted_turns(angle_at, period, samples, mod, max_step, what,
-                  budget=1 << 16):
-    """Total continuous angle change over one period, in units of `mod`."""
-    t = np.linspace(0.0, period, samples + 1)
-    a = np.asarray(angle_at(t), dtype=float)
+def _winding(angle_at, t, a, mod, max_step, what, budget=1 << 16):
+    """Winding, in units of `mod`, of the angle `a` on the closed scan `t`.
+
+    Steps (modulo `mod`) of `max_step` or more are bisected, `angle_at`
+    evaluated at the new midpoints only.  The steps sum to a(end) - a(0)
+    modulo `mod` under any sampling, so a non-integer is final.
+    """
     for _ in range(48):
         d = a[1:] - a[:-1]
         d -= mod * np.round(d / mod)
         bad = np.abs(d) >= max_step
         if not bad.any():
-            return float(d.sum()) / mod
+            w = float(d.sum()) / mod
+            if abs(w - round(w)) > 1e-6:
+                raise FrontlabError(
+                    f"{what}: winding {w!r} is not an integer within 1e-6")
+            return int(round(w))
         if t.size > budget:
             raise FrontlabError(
                 f"{what}: angle steps stay above {max_step:.3f} rad after "
                 f"refining to {t.size} samples")
-        mids = 0.5 * (t[:-1][bad] + t[1:][bad])
-        t = np.sort(np.concatenate([t, mids]))
-        a = np.asarray(angle_at(t), dtype=float)
+        at = np.nonzero(bad)[0] + 1
+        mids = 0.5 * (t[at - 1] + t[at])
+        t = np.insert(t, at, mids)
+        a = np.insert(a, at, np.asarray(angle_at(mids), dtype=float))
     raise FrontlabError(f"{what}: angle lifting did not converge")
-
-
-def _integer_winding(angle_at, period, samples, mod, max_step, what):
-    n = samples
-    w = math.nan
-    for _ in range(3):
-        w = _lifted_turns(angle_at, period, n, mod, max_step, what)
-        if abs(w - round(w)) <= 1e-6:
-            return int(round(w))
-        n *= 2
-    raise FrontlabError(
-        f"{what}: winding {w!r} is not an integer within 1e-6 "
-        "after refinement")
 
 
 # ---------------------------------------------------------------------------
 # plane fronts
 
 
-def _plane_cusps(pf, samples):
-    _check_plane_contract(pf, np.linspace(0.0, pf.period, samples,
-                                          endpoint=False))
+def _plane_cusps(pf, scan):
+    t, (g1, _, n0, _) = scan
 
-    def lam(t):
-        g1, _, n0, _ = _plane_jets(pf, t, second=False)
+    def lam(m):
+        g1, _, n0, _ = _plane_jets(pf, m, second=False)
         return _cross2(g1, n0)
 
-    roots = _simple_roots(lam, pf.period, samples,
+    roots = _simple_roots(lam, t, _cross2(g1, n0),
                           "the plane singularity function det(gamma', nu)")
+    # gamma'' at a cusp against the curve's mean rate |gamma'| 2 pi / period
+    floor = 1e-8 * float(np.hypot(*g1).max()) * TWO_PI / pf.period
     cusps = []
     for r in roots:
         g1, g2, n0, n1 = _plane_jets(pf, r)
         g2mag = float(np.hypot(*g2))
-        if g2mag < 1e-8:
+        if g2mag < floor:
             raise FrontlabError(
                 f"cusp at t={r:.6f} has vanishing gamma'': not a 3/2-cusp")
         lam_prime = float(_cross2(g2, n0) + _cross2(g1, n1))
@@ -274,39 +283,38 @@ def _plane_cusps(pf, samples):
     return cusps
 
 
-def classify_cusps_plane(pf, samples=512):
+def classify_cusps_plane(pf):
     """Word over {a, b} of the cusps of a plane front, ordered by parameter.
 
     Zig (`a`) where lambda' g0(gamma'', nu') < 0, zag (`b`) where it is
     positive.
     """
-    return "".join(letter for _, letter in _plane_cusps(pf, samples))
+    return "".join(letter for _, letter in _plane_cusps(pf, _plane_scan(pf)))
 
 
-def _plane_curvature_angle(pf, window):
-    def angle(t):
-        g1, _, n0, n1 = _plane_jets(pf, t, second=False)
-        lam = _cross2(g1, n0)
-        x_raw = _dot2(g1, g1)
-        y_raw = _dot2(g1, n1)
-        use_ext = np.abs(lam) < window
-        if np.any(use_ext):
-            det_nn = _cross2(n0, n1)
-            qn = _dot2(n1, n1)
-            stalled = use_ext & (np.abs(det_nn) <= 1e-12 * (1.0 + qn))
-            if np.any(stalled):
-                raise FrontlabError(
-                    "curvature-map extension undefined: the normal is "
-                    "stationary near a cusp")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y_ext = -qn / np.where(det_nn == 0.0, 1.0, det_nn)
-            x = np.where(use_ext, lam, x_raw)
-            y = np.where(use_ext, y_ext, y_raw)
-        else:
-            x, y = x_raw, y_raw
-        return np.arctan2(y, x)
-
-    return angle
+def _curvature_angle(jets, k, window):
+    """P^1 angle of the curvature map, x scaled by k, in the cusp chart
+    where |lambda| < window."""
+    g1, _, n0, n1 = jets
+    lam = _cross2(g1, n0)
+    x = _dot2(g1, g1)
+    y = _dot2(g1, n1)
+    use_ext = np.abs(lam) < window
+    if np.any(use_ext):
+        det_nn = _cross2(n0, n1)
+        qn = _dot2(n1, n1)
+        stalled = use_ext & (np.abs(det_nn) <= 1e-12 * (1.0 + qn))
+        if np.any(stalled):
+            raise FrontlabError(
+                "curvature-map extension undefined: the normal is "
+                "stationary near a cusp")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_ext = -qn / np.where(det_nn == 0.0, 1.0, det_nn)
+        # where both charts are defined, (x, y) = lambda (lambda, y_ext), so
+        # one k balances both
+        x = np.where(use_ext, lam, x)
+        y = np.where(use_ext, y_ext, y)
+    return np.arctan2(y, k * x)
 
 
 def _half_turns_to_rotation(half_turns, what):
@@ -321,31 +329,36 @@ def _half_turns_to_rotation(half_turns, what):
     return half_turns // 2
 
 
-def _plane_winding(pf, samples):
-    t0 = np.linspace(0.0, pf.period, samples, endpoint=False)
-    g1, _, n0, _ = _plane_jets(pf, t0, second=False)
+def _plane_turns(pf, scan, angle, mod, max_step, what):
+    """`_winding` of `angle`, a function of `_plane_jets`, on the scan."""
+    t, jets = scan
+    return _winding(lambda m: angle(_plane_jets(pf, m, second=False)), t,
+                    angle(jets), mod, max_step, what)
+
+
+def _plane_winding(pf, scan):
+    g1, _, n0, n1 = scan[1]
     lam_scale = float(np.abs(_cross2(g1, n0)).max())
     window = 0.25 * lam_scale if lam_scale > 0.0 else math.inf
-    angle = _plane_curvature_angle(pf, window)
-    half = _integer_winding(angle, pf.period, samples, math.pi,
-                            0.25 * math.pi, "plane curvature map")
+    k = _balance(_dot2(g1, g1), _dot2(g1, n1))
+    half = _plane_turns(pf, scan, lambda j: _curvature_angle(j, k, window),
+                        math.pi, 0.25 * math.pi, "plane curvature map")
     return _half_turns_to_rotation(half, "plane curvature map")
 
 
-def rotation_number_plane(pf, samples=512):
+def rotation_number_plane(pf):
     """|winding| of the curvature map in P^1; equals the reduced word's k."""
-    return abs(_plane_winding(pf, samples))
+    return abs(_plane_winding(pf, _plane_scan(pf)))
 
 
-def normal_rotation_index(pf, samples=512):
+def _normal_index(pf, scan):
+    return _plane_turns(pf, scan, lambda j: np.arctan2(j[2][1], j[2][0]),
+                        TWO_PI, 0.5 * math.pi, "plane normal field")
+
+
+def normal_rotation_index(pf):
     """Rotation index of the unit normal as a map into the circle."""
-
-    def angle(t):
-        n0 = _plane_jets(pf, t, second=False)[2]
-        return np.arctan2(n0[1], n0[0])
-
-    return _integer_winding(angle, pf.period, samples, TWO_PI,
-                            0.5 * math.pi, "plane normal field")
+    return _normal_index(pf, _plane_scan(pf))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +422,7 @@ def axis_loop(center, radii):
                  {"cu": cu, "cv": cv, "ru": ru, "rv": rv})
 
 
-def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
-              label=""):
+def null_loop(front, path, period=TWO_PI, angle_tol=1e-4, label=""):
     """Validate a loop against a front and record its singular crossings.
 
     Raises if a crossing is not a cuspidal edge or if the loop tangent
@@ -422,7 +434,8 @@ def null_loop(front, path, period=TWO_PI, samples=512, angle_tol=1e-4,
         uv = _loop_jets(probe, t, order=0)[0]
         return np.asarray(lambda_value(front, *uv), dtype=float)
 
-    roots = _simple_roots(lam, period, samples,
+    t = np.linspace(0.0, period, SAMPLES + 1)
+    roots = _simple_roots(lam, t, lam(t),
                           "the singularity function along the loop")
     for r in roots:
         uv, tangent = _loop_jets(probe, r, order=1)
@@ -453,8 +466,8 @@ def _surface_crossings(front, loop):
             raise FrontlabError(
                 f"null loop crossing at t={r:.6f} is {point.kind.value}, "
                 "not a cuspidal edge")
-        lam_u, lam_v = lambda_jets(front, u, v, order=1)[1:]
-        lam_hat_prime = float(lam_u) * s1[0] + float(lam_v) * s1[1]
+        lam_u, lam_v = point.grad_lambda
+        lam_hat_prime = lam_u * s1[0] + lam_v * s1[1]
         jf, jn = front.jets(u, v, order_map=2, order_normal=1)
         sig_pp = tuple(a + b for a, b in zip(jf.along(s1, 2), jf.along(s2)))
         crit = float(lam_hat_prime) * float(dot(sig_pp, jn.along(s1)))
@@ -475,7 +488,7 @@ def classify_crossings_surface(front, loop):
     return "".join(letter for _, _, letter in _surface_crossings(front, loop))
 
 
-def rotation_number_surface(front, loop, samples=512):
+def rotation_number_surface(front, loop):
     """|winding| of the normal curvature map along a null loop.
 
     The homogeneous pair [g(sigma_hat', sigma_hat') : g(sigma_hat', nu_hat')]
@@ -490,16 +503,17 @@ def rotation_number_surface(front, loop, samples=512):
         sp = jf.along(s1)
         return dot(sp, sp), dot(sp, jn.along(s1))
 
-    x0, y0 = pair(np.linspace(0.0, loop.period, samples, endpoint=False))
-    pin = 1e-10 * float(np.hypot(x0, y0).max())
+    t = np.linspace(0.0, loop.period, SAMPLES + 1)
+    x0, y0 = pair(t)
+    k = _balance(x0, y0)
+    pin = 1e-10 * float(np.hypot(k * x0, y0).max())
 
-    def angle(t):
-        x, y = pair(t)
-        a = np.arctan2(y, x)
-        return np.where(np.hypot(x, y) < pin, 0.5 * math.pi, a)
+    def angle(x, y):
+        a = np.arctan2(y, k * x)
+        return np.where(np.hypot(k * x, y) < pin, 0.5 * math.pi, a)
 
-    half = _integer_winding(angle, loop.period, samples, math.pi,
-                            0.25 * math.pi, "normal curvature map")
+    half = _winding(lambda m: angle(*pair(m)), t, angle(x0, y0), math.pi,
+                    0.25 * math.pi, "normal curvature map")
     return abs(_half_turns_to_rotation(half, "normal curvature map"))
 
 
@@ -546,38 +560,39 @@ class ZigzagResult:
     m_rotation: int = None
 
 
-def zigzag_plane(pf, samples=512):
+def zigzag_plane(pf):
     """Word, reduced k, curvature-map winding, and normal index of a plane
     front, bundled with the cusp positions."""
-    cusps = _plane_cusps(pf, samples)
+    scan = _plane_scan(pf)
+    cusps = _plane_cusps(pf, scan)
     word = "".join(letter for _, letter in cusps)
     positions = (plane_position(pf, [t for t, _ in cusps])
                  if cusps else np.empty((0, 2)))
     crossings = tuple(
         Crossing(t=t, uv=(float(p[0]), float(p[1])), letter=letter)
         for (t, letter), p in zip(cusps, positions))
-    w = _plane_winding(pf, samples)
+    w = _plane_winding(pf, scan)
     return ZigzagResult(word=word, reduced_k=reduce_word(word),
                         rotation_number=abs(w), signed_winding=w,
                         crossings=crossings,
-                        m_rotation=normal_rotation_index(pf, samples))
+                        m_rotation=_normal_index(pf, scan))
 
 
-def zigzag_surface(front, loop, samples=512):
+def zigzag_surface(front, loop):
     """Word, reduced k, and normal-curvature winding along a null loop."""
     detail = _surface_crossings(front, loop)
     word = "".join(letter for _, _, letter in detail)
     crossings = tuple(Crossing(t=t, uv=uv, letter=letter)
                       for t, uv, letter in detail)
-    rot = rotation_number_surface(front, loop, samples)
+    rot = rotation_number_surface(front, loop)
     return ZigzagResult(word=word, reduced_k=reduce_word(word),
                         rotation_number=rot, signed_winding=rot,
                         crossings=crossings, m_rotation=None)
 
 
-def zigzag_over_loops(front, loops, samples=512):
+def zigzag_over_loops(front, loops):
     """Per-loop results for a user-supplied list of generators."""
-    return tuple(zigzag_surface(front, loop, samples) for loop in loops)
+    return tuple(zigzag_surface(front, loop) for loop in loops)
 
 
 def zigzag_to_dict(result):

@@ -28,6 +28,7 @@ from frontlab import (
     swallowtail_signs,
     trace,
 )
+from frontlab import front as front_module
 from frontlab import gaussbonnet, singular
 from frontlab.front import det3
 from frontlab.gaussbonnet import _branch, _cap_terms
@@ -343,6 +344,31 @@ class TestSingularCurveIntegral:
 
     def test_no_curves_is_zero(self, sphere):
         assert integrate_kappa_s(sphere, ()) == 0.0
+
+    @pytest.mark.parametrize("name", ["cuspidal_parabola", "pseudosphere"])
+    def test_gauss_nodes_evaluated_once(self, monkeypatch, name):
+        # after the Newton projection, one jet run at the nodes serves the
+        # line rule's lambda and tangents and the curvature density
+        front = gallery(name)
+        curves = trace(front, grid=32)
+        panels = len(gaussbonnet._curve_panels(front.domain, curves)[0])
+        events = []
+        real_jet, real_project = front_module.eval_jet, gaussbonnet._project
+
+        def eval_jet(e, u, v, order):
+            events.append((np.shape(u), order))
+            return real_jet(e, u, v, order)
+
+        def project(*args):
+            mu = real_project(*args)
+            events.append("projected")
+            return mu
+
+        monkeypatch.setattr(front_module, "eval_jet", eval_jet)
+        monkeypatch.setattr(gaussbonnet, "_project", project)
+        integrate_kappa_s(front, curves)
+        after = events[len(events) - events[::-1].index("projected"):]
+        assert after == [((panels, gaussbonnet._LINE_NODES), ((3, 3), (3, 2)))]
 
 
 class TestEulerCharacteristics:

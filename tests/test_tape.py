@@ -33,6 +33,7 @@ from frontlab.expr import Expr, Num, Var, Vector
 from frontlab.zigzag import (
     loop_gallery,
     loop_gallery_names,
+    mirror_plane_front,
     plane_gallery,
     plane_gallery_names,
 )
@@ -160,6 +161,24 @@ def test_map_jet_is_the_map_part_of_jets(name):
         for on in range(4):
             assert _blocks(front.jets(*uv, order, on)[0], uv) == jet, (kind, order, on)
     assert set(expr_module._PROGRAMS) == programs
+
+
+@pytest.mark.parametrize("name", plane_gallery_names())
+def test_plane_joint_equals_each_field_on_its_own(name):
+    # the orders _plane_jets asks of the curve field: gamma' at 0 and 1, or
+    # gamma at 1 and 2; the normal at 1; t enters reversed on the mirror
+    for pf in (plane_gallery(name), mirror_plane_front(plane_gallery(name))):
+        deeper = pf.gamma_prime is None
+        curve = pf.gamma if deeper else pf.gamma_prime
+        for t in (0.31, np.linspace(0.0, pf.period, 37)):
+            ts = pf.orientation * np.asarray(t, dtype=float)
+            uv = (ts, np.zeros_like(ts))
+            for k in (deeper, deeper + 1):
+                got = [_blocks(j, uv) for j in eval_jet(pf.joint, *uv, ((2, k), (2, 1)))]
+                want = [_outcome(eval_jet, curve, uv, k),
+                        _outcome(eval_jet, pf.normal, uv, 1)]
+                assert got == want, (pf.label, np.shape(t), k)
+        assert pf.joint is pf.joint
 
 
 _ZERO_INPUTS = {

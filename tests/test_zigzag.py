@@ -1,5 +1,6 @@
 """Tests for cusp letters, word reduction, and curvature-map rotation numbers."""
 
+import dataclasses
 import json
 import math
 
@@ -33,6 +34,7 @@ from frontlab import (
     zigzag_to_dict,
 )
 from frontlab import zigzag
+from frontlab.expr import BinOp, Expr, Num, Vector, to_source
 
 # first zero of J1', reused by the doubled-rose construction
 B_ONE_PAIR = -1.8411837813406593
@@ -383,9 +385,10 @@ def test_roots_match_scalar_bisection(monkeypatch):
     calls = []
     real = zigzag._simple_roots
 
-    def spy(fn, period, samples, what):
-        roots = real(fn, period, samples, what)
-        calls.append((fn, period, samples, roots))
+    def spy(fn, t, vals, what):
+        # the closed scan t ends at the period, after `samples` intervals
+        roots = real(fn, t, vals, what)
+        calls.append((fn, float(t[-1]), len(t) - 1, roots))
         return roots
 
     monkeypatch.setattr(zigzag, "_simple_roots", spy)
@@ -404,3 +407,175 @@ def test_roots_match_scalar_bisection(monkeypatch):
         for got, ref in zip(roots, want):
             gap = abs(got - ref) % period
             assert min(gap, period - gap) <= 1e-12, (got, ref)
+
+
+def _loop_dips(vals, scale):
+    """The per-sample dip scan that `_simple_roots`' mask replaced."""
+    n, exact, out = len(vals), vals == 0.0, []
+    for i in range(n):
+        h, j = (i - 1) % n, (i + 1) % n
+        if exact[i] or exact[h] or exact[j]:
+            continue
+        if vals[h] * vals[i] < 0.0 or vals[i] * vals[j] < 0.0:
+            continue
+        ai = abs(vals[i])
+        if ai > abs(vals[h]) or ai > abs(vals[j]) or ai >= 1e-3 * scale:
+            continue
+        out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dip_mask_matches_loop(seed):
+    # runs of one sign, magnitudes over eight decades, equal neighbours and
+    # some exact zeros; a dip shows as the first golden-section probe of
+    # its window
+    rng = np.random.default_rng(seed)
+    n = zigzag.SAMPLES
+    vals = np.repeat(rng.choice([-1.0, 1.0], n // 8), 8) * 10.0 ** rng.uniform(-8, 0, n)
+    twins = rng.integers(0, n - 1, 32)
+    vals[twins + 1] = vals[twins]
+    vals[rng.integers(0, n, 16)] = 0.0
+    t = np.linspace(0.0, 1.0, n + 1)
+    probed = set()
+
+    def fn(m):
+        probed.update(np.ravel(m).tolist())
+        return np.ones_like(m)
+
+    zigzag._simple_roots(fn, t, np.append(vals, vals[0]), "test function")
+    lo, hi = t[:-1] - 1.0 / n, t[:-1] + 1.0 / n
+    first = lo + 0.381966 * (hi - lo)
+    got = [i for i in range(n) if first[i] in probed]
+    want = _loop_dips(vals, float(np.abs(vals).max()))
+    assert len(want) > 3
+    assert got == want
+
+
+def _scaled(e, c):
+    """The vector expression `e` times the constant c."""
+    root = Vector([BinOp("*", Num(c, 0), x, 0) for x in e.root.components], 0)
+    return Expr(root, e.params, to_source(root))
+
+
+def _fields(res):
+    return (res.word, res.reduced_k, res.rotation_number, res.signed_winding,
+            res.m_rotation, [c.t for c in res.crossings])
+
+
+class TestScaleCovariance:
+    """Words, windings and crossing parameters do not see the front's scale.
+
+    Scaling the curve (plane) or the map (surface) by c scales the two
+    entries of the curvature map by c^2 and c; the balanced chart absorbs
+    that, and the cusp floor on gamma'' is relative to |gamma'|.
+    """
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-3, 1e3, 1e9])
+    def test_plane_fronts(self, c):
+        for name in plane_gallery_names():
+            for pf in (plane_gallery(name), mirror_plane_front(plane_gallery(name))):
+                curve = "gamma" if pf.gamma is not None else "gamma_prime"
+                big = dataclasses.replace(pf, **{curve: _scaled(getattr(pf, curve), c)})
+                assert _fields(zigzag_plane(big)) == _fields(zigzag_plane(pf)), (
+                    pf.label, c)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 1e6, 1e9])
+    def test_null_loops(self, loop_results, c):
+        for name, (front, loop, res) in loop_results.items():
+            big = dataclasses.replace(front, map=_scaled(front.map, c))
+            scaled = null_loop(big, loop.path, period=loop.period)
+            assert _fields(zigzag_surface(big, scaled)) == _fields(res), (name, c)
+
+
+class TestWinding:
+    """`_winding` on synthetic angles whose steps on the scan are too long."""
+
+    t = np.linspace(0.0, 2.0 * math.pi, zigzag.SAMPLES + 1)
+
+    def _recorded(self, rate):
+        asked = []
+
+        def angle_at(m):
+            asked.append(m)
+            return rate * m
+
+        return asked, angle_at
+
+    def test_refines_to_the_exact_integer(self):
+        # steps of 300 * 2 pi / 512 = 3.68 rad read as -2.60 modulo 2 pi;
+        # two rounds of bisection bring them under pi/2
+        asked, angle_at = self._recorded(300.0)
+        got = zigzag._winding(angle_at, self.t, 300.0 * self.t, 2.0 * math.pi,
+                              0.5 * math.pi, "test angle")
+        assert got == 300
+        assert [m.size for m in asked] == [512, 1024]
+        # only new midpoints are evaluated, each once
+        points = np.concatenate([self.t] + asked)
+        assert np.unique(points).size == points.size
+
+    def test_refinement_budget(self):
+        _, angle_at = self._recorded(300.0)
+        with pytest.raises(FrontlabError, match="stay above"):
+            zigzag._winding(angle_at, self.t, 300.0 * self.t, 2.0 * math.pi,
+                            0.5 * math.pi, "test angle", budget=600)
+
+    def test_non_integer_after_refinement(self):
+        asked, angle_at = self._recorded(300.5)
+        with pytest.raises(FrontlabError, match="not an integer"):
+            zigzag._winding(angle_at, self.t, 300.5 * self.t, 2.0 * math.pi,
+                            0.5 * math.pi, "test angle")
+        assert [m.size for m in asked] == [512, 1024]
+
+    def test_jump_does_not_converge(self):
+        def angle_at(m):
+            return np.where(m < 1.0, 0.0, 2.0)
+
+        with pytest.raises(FrontlabError, match="did not converge"):
+            zigzag._winding(angle_at, self.t, angle_at(self.t), 2.0 * math.pi,
+                            0.5 * math.pi, "test angle")
+
+
+class TestEvaluationCounts:
+    """A plane front's jets: one program run per point set."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = zigzag.eval_jet
+
+        def eval_jet(e, u, v, order):
+            calls.append(np.array(u, dtype=float))
+            return real(e, u, v, order)
+
+        monkeypatch.setattr(zigzag, "eval_jet", eval_jet)
+        return calls
+
+    @pytest.mark.parametrize("name", ["ellipse_parallel", "rose_two_pairs"])
+    def test_one_scan_call(self, monkeypatch, name):
+        # calls on the scan grid, with or without its closing point
+        calls = self._spy(monkeypatch)
+        pf = plane_gallery(name)
+        zigzag_plane(pf)
+        grid = np.linspace(0.0, pf.period, zigzag.SAMPLES + 1)
+        scans = [u.size for u in calls if u.size >= zigzag.SAMPLES
+                 and np.array_equal(u[:zigzag.SAMPLES], grid[:-1])]
+        assert scans == [zigzag.SAMPLES + 1]
+
+    @pytest.mark.parametrize("name", ["ellipse_parallel", "rose_two_pairs"])
+    def test_one_call_per_bisection_round(self, monkeypatch, name):
+        calls = self._spy(monkeypatch)
+        rounds = []
+        real = zigzag._bisect
+
+        def bisect(value, neg, pos, **kw):
+            def counted(m, todo):
+                before = len(calls)
+                out = value(m, todo)
+                rounds.append(len(calls) - before)
+                return out
+
+            return real(counted, neg, pos, **kw)
+
+        monkeypatch.setattr(zigzag, "_bisect", bisect)
+        zigzag_plane(plane_gallery(name))
+        assert rounds and set(rounds) == {1}
