@@ -402,6 +402,9 @@ class _Parser:
             raise ParseError(
                 f"exponent must be constant; '{err.args[0]}' is a variable", caret
             ) from None
+        except (ArithmeticError, ValueError) as err:  # math's domain and range errors
+            raise ParseError(f"exponent does not fold to a real number: {err}",
+                             caret) from None
 
     def _fold(self, node):
         if isinstance(node, Num):
@@ -416,9 +419,10 @@ class _Parser:
             a, b = self._fold(node.lhs), self._fold(node.rhs)
             return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else math.nan}[node.op]
         if isinstance(node, PowOp):
-            return self._fold(node.base) ** node.exponent
+            return math.pow(self._fold(node.base), node.exponent)
         if isinstance(node, Call):
-            return float(getattr(math, "fabs" if node.fn == "abs" else node.fn)(self._fold(node.arg)))
+            fn = {"abs": math.fabs, "sech": taylor._sech}.get(node.fn) or getattr(math, node.fn)
+            return float(fn(self._fold(node.arg)))
         raise _NotConstant("vector")
 
 
@@ -449,7 +453,8 @@ def _fmt_num(x):
 
 def _fmt(node, prec):
     if isinstance(node, Num):
-        return _fmt_num(node.value)
+        text = _fmt_num(node.value)  # a negative one reads back as a Neg
+        return f"({text})" if text[0] == "-" and prec > _PREC_UNARY else text
     if isinstance(node, (Param, Var)):
         return node.name
     if isinstance(node, Call):

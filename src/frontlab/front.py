@@ -230,14 +230,34 @@ def curvature(front, u, v):
     return CurvatureSample(K=K, H=H, lam=lam, regular=regular)
 
 
-def parallel_surface(front, dist, check_grid=48):
-    """Front at constant normal distance `dist`: f_d = f + dist*nu, same nu.
+def parallel_surface(front, dist):
+    """Front at constant normal distance `dist`: f_d = f + dist*nu, same nu,
+    built from `front.joint`'s components and parameters.
 
-    The input must be an immersion (no singular points); the offset front may
-    well be singular - that is the point of the construction.
+    The input must be an immersion (no singular points), checked on a 48 x 48
+    grid through the offset's own jets, f_u = (f_d)_u - dist nu_u; the offset
+    front may well be singular - that is the point of the construction.
     """
-    uu, vv = front.domain.grid(check_grid)
-    lam = lambda_value(front, uu[:, :1], vv[:1])
+    joint = front.joint
+    k = front.map.ncomponents
+    comps = [
+        BinOp("+", f, BinOp("*", Num(dist, 0), n, 0), 0)
+        for f, n in zip(joint.root.components[:k], joint.root.components[k:])
+    ]
+    root = Vector(comps, 0)
+    meta = dict(front.metadata)
+    meta["parallel_of"] = front.label
+    meta["parallel_dist"] = float(dist)
+    out = replace(
+        front,
+        map=Expr(root, joint.params, to_source(root)),
+        label=f"{front.label} parallel d={dist}" if front.label else f"parallel d={dist}",
+        metadata=meta,
+    )
+    uu, vv = front.domain.grid(48)
+    jf, jn = out.jets(uu[:, :1], vv[:1], 1, 1)
+    f_u, f_v = ([a - dist * b for a, b in zip(df, dn)] for df, dn in zip(jf.d1, jn.d1))
+    lam = det3(f_u, f_v, jn.value)
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0 or float(np.min(np.abs(lam))) < 1e-9 * scale or np.any(
         lam * lam.flat[0] <= 0
@@ -246,26 +266,7 @@ def parallel_surface(front, dist, check_grid=48):
             f"parallel_surface input '{front.label}' has singular points "
             f"(min |lambda| = {float(np.min(np.abs(lam))):.3e})"
         )
-    params = dict(front.map.params)
-    for name, value in front.normal.params:
-        if name in params and params[name] != value:
-            raise ValueError(f"parameter {name!r} bound inconsistently")
-        params[name] = value
-    comps = [
-        BinOp("+", f, BinOp("*", Num(float(dist), 0), n, 0), 0)
-        for f, n in zip(front.map.root.components, front.normal.root.components)
-    ]
-    root = Vector(comps, 0)
-    new_map = Expr(root, tuple(sorted(params.items())), to_source(root))
-    meta = dict(front.metadata)
-    meta["parallel_of"] = front.label
-    meta["parallel_dist"] = float(dist)
-    return replace(
-        front,
-        map=new_map,
-        label=f"{front.label} parallel d={dist}" if front.label else f"parallel d={dist}",
-        metadata=meta,
-    )
+    return out
 
 
 @dataclass(frozen=True)
@@ -327,18 +328,18 @@ def write_description(front):
     d = front.domain
     periodic = {(False, False): "none", (True, False): "u",
                 (False, True): "v", (True, True): "uv"}[(d.periodic_u, d.periodic_v)]
+    # `joint` keeps the map's parameters and inlines the normal's clashing ones
+    normal = Vector(front.joint.root.components[front.map.ncomponents:], 0)
     lines = [
         _HEADER,
         f"label = {front.label}",
         f"map = {to_source(front.map)}",
-        f"normal = {to_source(front.normal)}",
+        f"normal = {to_source(normal)}",
         f"domain = {d.u0!r} {d.u1!r} {d.v0!r} {d.v1!r}",
         f"periodic = {periodic}",
     ]
-    params = dict(front.map.params)
-    params.update(dict(front.normal.params))
-    for name in sorted(params):
-        lines.append(f"param {name} = {params[name]!r}")
+    for name, value in front.joint.params:
+        lines.append(f"param {name} = {value!r}")
     for key in sorted(front.metadata):
         value = json.dumps(front.metadata[key], sort_keys=True, separators=(",", ":"))
         lines.append(f"meta {key} = {value}")

@@ -7,6 +7,9 @@ Stokes, a line integral along the Gauss image of that region's boundary.
 One line rule serves it, the singular-curvature integral and the polar
 caps.  With cell-complex Euler characteristics of the two chart regions,
 the module assembles both identities' residuals and the degree bookkeeping.
+One grid of lambda's signs gives chi(M+-) and the sign epsilon of each end,
+read on the grid's edge row or column; swallowtail signs are the ones
+`trace` and `classify` stored on the points.
 """
 
 import dataclasses
@@ -349,18 +352,19 @@ def _branch(line, coarse):
     return line + FOUR_PI * k
 
 
-def _unsigned(front, curves, grid):
-    """(int K dA, int K dAhat, error estimate) by int K dAhat - 2 A-.
+def _unsigned(front, curves, grid, sums):
+    """(int K dA, error estimate) by int K dAhat - 2 A-, with `sums` the
+    (int K dAhat, coarse sgn(lambda) sum) of `_panel_sums` over `grid`.
 
     The error estimate is twice the change of A- between the line rule and
     its half-node rule.
     """
-    hat, coarse = _panel_sums(front, grid, _PANEL_NODES)
+    hat, coarse = sums
     pieces = _boundary_pieces(front, curves, grid)
     line, pole = _minus_area(front, pieces, _LINE_NODES)
     half, _ = _minus_area(front, pieces, _LINE_NODES // 2, pole)
     minus = _branch(line, 0.5 * (hat - coarse))
-    return hat - 2.0 * minus, hat, 2.0 * abs(line - half)
+    return hat - 2.0 * minus, 2.0 * abs(line - half)
 
 
 def integrate_K_dA(front, grid=2048):
@@ -374,7 +378,8 @@ def integrate_K_dA(front, grid=2048):
     picks the branch.  Degenerate singular points, open curves ending
     inside the chart and an ambiguous branch are refused.
     """
-    return _unsigned(front, trace(front, grid=_TRACE_GRID), grid)[0]
+    curves = trace(front, grid=_TRACE_GRID)
+    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))[0]
 
 
 def integrate_kappa_s(front, curves):
@@ -415,6 +420,26 @@ def _excluded(curves):
     return ""
 
 
+def _lambda_signs(front, grid):
+    """sgn(lambda) at the nodes of the chart's `grid` x `grid` sample grid,
+    evaluated in blocks of `_CHUNK // n_v` rows."""
+    uu, vv = front.domain.grid(grid)
+    lam = np.empty(uu.shape)
+    rows = max(1, _CHUNK // uu.shape[1])
+    for k in range(0, uu.shape[0], rows):
+        lam[k : k + rows] = lambda_value(front, uu[k : k + rows, :1], vv[:1])
+    return np.sign(lam)
+
+
+def _chis(front, S):
+    """(chi(M), chi(M+), chi(M-)) of the node signs S of `_lambda_signs`."""
+    dom = front.domain
+    meta = front.metadata or {}
+    chi_p, chi_m = _sign_chis(S, dom.periodic_u, dom.periodic_v, meta.get("caps", 0))
+    chi_M = int(meta["chi"]) if meta.get("chi") is not None else chi_p + chi_m
+    return chi_M, chi_p, chi_m
+
+
 def euler_characteristics(front, grid=256):
     """(chi(M), chi(M+), chi(M-)) from the sign of lambda on a cell grid.
 
@@ -427,17 +452,7 @@ def euler_characteristics(front, grid=256):
     row (column) into row 0.  Polar caps recorded in the metadata close off
     truncated sphere charts.
     """
-    dom = front.domain
-    uu, vv = dom.grid(grid)
-    lam = np.empty(uu.shape)
-    rows = max(1, _CHUNK // uu.shape[1])
-    for k in range(0, uu.shape[0], rows):
-        lam[k : k + rows] = lambda_value(front, uu[k : k + rows, :1], vv[:1])
-    meta = front.metadata or {}
-    chi_p, chi_m = _sign_chis(np.sign(lam), dom.periodic_u, dom.periodic_v,
-                              meta.get("caps", 0))
-    chi_M = int(meta["chi"]) if meta.get("chi") is not None else chi_p + chi_m
-    return chi_M, chi_p, chi_m
+    return _chis(front, _lambda_signs(front, grid))
 
 
 def _sign_chis(S, periodic_u, periodic_v, caps):
@@ -499,45 +514,30 @@ def degree_of_gauss_map(front, grid=2048):
 
 
 def swallowtail_signs(front, points):
-    """(#S+, #S-): positive when the tail is carried by the negative side."""
-    plus = minus = 0
-    for p in points:
-        if p.kind is not SingularClass.SWALLOWTAIL:
-            continue
-        sign = p.swallowtail_sign
-        if sign is None:
-            sign = tail_side(front, p).st_sign
-        if sign > 0:
-            plus += 1
-        else:
-            minus += 1
-    return plus, minus
+    """(#S+, #S-): positive when the tail is carried by the negative side.
+
+    Reads each swallowtail's stored sign (`tail_side`); a swallowtail
+    whose sign is undecided is refused.
+    """
+    signs = [tail_side(front, p).st_sign for p in points
+             if p.kind is SingularClass.SWALLOWTAIL]
+    return signs.count(1), signs.count(-1)
 
 
-def _end_epsilons(front):
+def _end_epsilons(front, S):
     """Pair metadata ends with the sign of lambda at the chart's end edges.
 
     Ends live on the non-periodic axis of a cylinder chart; the metadata
-    list is ordered (low edge, high edge).
+    list is ordered (low edge, high edge).  The sign of an end is the
+    median of the node signs S of `_lambda_signs` on its edge: the first
+    and last row of S (column, where v is not periodic).
     """
     meta = front.metadata.get("ends", []) if front.metadata else []
-    if not meta:
-        return ()
-    dom = front.domain
-    out = []
-    ts = np.linspace(0.0, 1.0, 64, endpoint=False)
-    for k, end in enumerate(meta):
-        if dom.periodic_v:
-            u = dom.u0 if k == 0 else dom.u1
-            lam = lambda_value(front, np.full_like(ts, u),
-                               dom.v0 + ts * (dom.v1 - dom.v0))
-        else:
-            v = dom.v0 if k == 0 else dom.v1
-            lam = lambda_value(front, dom.u0 + ts * (dom.u1 - dom.u0),
-                               np.full_like(ts, v))
-        eps = 1 if float(np.median(lam)) > 0 else -1
-        out.append((end["label"], float(end["a"]), eps))
-    return tuple(out)
+    edges = S[[0, -1]] if front.domain.periodic_v else S[:, [0, -1]].T
+    return tuple(
+        (end["label"], float(end["a"]), 1 if float(np.median(edge)) > 0 else -1)
+        for end, edge in zip(meta, edges)
+    )
 
 
 def euler_report(front, curves=None, grid=256, panels=2048,
@@ -566,72 +566,63 @@ def euler_report(front, curves=None, grid=256, panels=2048,
     reason = _excluded(curves)
     if reason == _NO_CUSPS and "cone_angle" in meta:
         reason += f"; cone angle {meta['cone_angle']!r}"
-    applicable = reason == ""
 
-    if reason == _DEGENERATE:
-        int_dA = unresolved = math.nan
-        int_hat = integrate_K_dAhat(front, panels)
-    else:
-        int_dA, int_hat, unresolved = _unsigned(front, curves, panels)
-    chi_M, chi_p, chi_m = euler_characteristics(front, grid)
-    ends = _end_epsilons(front)
-    provenance = {
-        "chi_grid": grid,
-        "panels": panels,
-        "nodes": _PANEL_NODES,
-        "K_dA_unresolved": unresolved,
-        "n_curves": len(curves),
-    }
-    if not applicable:
-        return GaussBonnetReport(
-            int_K_dA=int_dA, int_K_dAhat=int_hat, int_kappa_s_ds=math.nan,
-            chi_M=chi_M, chi_Mplus=chi_p, chi_Mminus=chi_m,
-            alpha_terms=math.nan, deg_nu=None, S_plus=0, S_minus=0,
-            ends=ends, residual_unsigned=math.nan, residual_signed=math.nan,
-            applicable=False, reason=reason, llr=None, provenance=provenance,
-        )
-
-    int_ks = integrate_kappa_s(front, curves)
+    sums = _panel_sums(front, panels, _PANEL_NODES)
+    int_hat = sums[0]
+    int_dA = unresolved = int_ks = alpha_terms = math.nan
+    residual_unsigned = residual_signed = math.nan
+    S_plus = S_minus = 0
+    deg = llr = None
+    if reason != _DEGENERATE:
+        int_dA, unresolved = _unsigned(front, curves, panels, sums)
+    S = _lambda_signs(front, grid)
+    chi_M, chi_p, chi_m = _chis(front, S)
+    ends = _end_epsilons(front, S)
     st_points = [
         p for c in curves for p in c.samples
         if p.kind is SingularClass.SWALLOWTAIL
     ]
-    S_plus, S_minus = swallowtail_signs(front, st_points)
-    alpha_terms = TWO_PI * (S_plus - S_minus)
-    deg = _degree_from_total(int_hat) if compact else None
-
-    end_sum_unsigned = sum(a for (_, a, _) in ends)
-    end_sum_signed = sum(eps * a for (_, a, eps) in ends)
-    residual_unsigned = (
-        int_dA + 2.0 * int_ks + end_sum_unsigned - TWO_PI * chi_M
-    )
-    residual_signed = (
-        int_hat - alpha_terms + end_sum_signed - TWO_PI * (chi_p - chi_m)
-    )
-
-    llr = None
-    if compact and curves:
-        genus = (2 - chi_M) // 2
-        lhs = len(curves) + 0.5 * len(st_points)
-        rhs = deg + 1 - genus + 2 * k_f
-        llr = {
-            "a_f": len(curves),
-            "q_f": len(st_points),
-            "deg_nu": deg,
-            "genus": genus,
-            "k_f": k_f,
-            "lhs": lhs,
-            "rhs": rhs,
-            "satisfied": bool(lhs >= rhs - 1e-12),
-        }
+    if not reason:
+        int_ks = integrate_kappa_s(front, curves)
+        S_plus, S_minus = swallowtail_signs(front, st_points)
+        alpha_terms = TWO_PI * (S_plus - S_minus)
+        deg = _degree_from_total(int_hat) if compact else None
+        residual_unsigned = (
+            int_dA + 2.0 * int_ks + sum(a for (_, a, _) in ends) - TWO_PI * chi_M
+        )
+        residual_signed = (
+            int_hat - alpha_terms + sum(eps * a for (_, a, eps) in ends)
+            - TWO_PI * (chi_p - chi_m)
+        )
+        if compact and curves:
+            genus = (2 - chi_M) // 2
+            lhs = len(curves) + 0.5 * len(st_points)
+            rhs = deg + 1 - genus + 2 * k_f
+            llr = {
+                "a_f": len(curves),
+                "q_f": len(st_points),
+                "deg_nu": deg,
+                "genus": genus,
+                "k_f": k_f,
+                "lhs": lhs,
+                "rhs": rhs,
+                "satisfied": bool(lhs >= rhs - 1e-12),
+            }
 
     return GaussBonnetReport(
         int_K_dA=int_dA, int_K_dAhat=int_hat, int_kappa_s_ds=int_ks,
         chi_M=chi_M, chi_Mplus=chi_p, chi_Mminus=chi_m,
         alpha_terms=alpha_terms, deg_nu=deg, S_plus=S_plus, S_minus=S_minus,
         ends=ends, residual_unsigned=residual_unsigned,
-        residual_signed=residual_signed, applicable=True, reason="",
-        llr=llr, provenance=provenance,
+        residual_signed=residual_signed, applicable=not reason, reason=reason,
+        llr=llr,
+        provenance={
+            "chi_grid": grid,
+            "panels": panels,
+            "nodes": _PANEL_NODES,
+            "K_dA_unresolved": unresolved,
+            "n_curves": len(curves),
+        },
     )
 
 

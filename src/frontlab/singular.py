@@ -20,9 +20,10 @@ null_dir) along the curve, which tells a swallowtail from other peaks,
 one closed form (`_transversality_rates`), and the side of a
 swallowtail's tail, which gives its sign, another (`_tail_sides`); all
 four read the same order-3 jet, and so does the limit of the half-space
-signs at a swallowtail (`_swallowtail_signs`).  `classify` and
-`tail_side` feed them from scalar jets, `trace` from a curve's arrays, a
-row of `.tolist()` columns per sample, and `integrate_kappa_s` calls the
+signs at a swallowtail (`_swallowtail_signs`).  `classify` feeds them
+from scalar jets, `trace` from a curve's arrays, a row of `.tolist()`
+columns per sample; both store a swallowtail's sign on its point, which
+`tail_side` and every sign count read.  `integrate_kappa_s` calls the
 curvature kernel on arrays of quadrature nodes.  `singular_curvature`
 computes kappa_s independently, by differencing exact tangents at chart
 offsets along the curve, which the one projection onto lambda = 0,
@@ -837,15 +838,15 @@ class NormalCurvature:
     generic: bool
 
 
-def limiting_normal_curvature(front, point, tol=1e-8):
-    """Normal part of the image acceleration; nonzero exactly when generic."""
+def limiting_normal_curvature(front, point):
+    """Normal part of the image acceleration; generic where |kappa_nu| > 1e-8."""
     if point.kind != SingularClass.CUSPIDAL_EDGE:
         raise InapplicableError(
             f"limiting normal curvature needs a cuspidal edge, got "
             f"{point.kind.value}"
         )
     value = point.kappa_nu
-    return NormalCurvature(value=value, generic=abs(value) > tol)
+    return NormalCurvature(value=value, generic=abs(value) > 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +911,7 @@ def _swallowtail_signs(front, point, side):
     with eta stepping into the side: s sign(Phi psi) for any orientation,
     with psi = <grad lambda, eta> and s the side's lambda-sign.  Both
     vanish at a swallowtail, where eta is tangent to the curve and
-    Hess_f(eta, eta) lies in the image of df (see `tail_side`), and
+    Hess_f(eta, eta) lies in the image of df (see `_tail_sides`), and
     <f_* xi, d nu(eta)> = <f_* eta, d nu(xi)> = 0.  So the limit from
     either side is s sign(Phi' psi'), with T the unit tangent, eta' = c w
     of `_null_turn`, psi' = Hess_lambda(T, eta) + <grad lambda, eta'> and
@@ -925,7 +926,7 @@ def _swallowtail_signs(front, point, side):
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
     blocks = _lambda_blocks(jf, jn, 2)
-    s = side * _tail_side((u, v), jf, jn, blocks).lambda_sign
+    s = side * tail_side(front, point).lambda_sign
     _, lu, lv, luu, luv, lvv = blocks
     T, _ = _tangent_derivative(blocks)
     turn = _null_turn(jf, T, eta, sig)
@@ -953,12 +954,7 @@ class TailSide:
 def _tail_sides(jf, blocks, g2):
     """The lambda-sign of the chart side whose image is a swallowtail's
     tail, sign <f_* grad lambda, g2>, with g2 the image acceleration of
-    `_curvatures`; over any leading shape (see `tail_side`)."""
-    return np.sign(dot(jf.along(blocks[1:3]), g2))
-
-
-def tail_side(front, point):
-    """Which side of the chart maps to the tail of a swallowtail.
+    `_curvatures`; over any leading shape.
 
     At a swallowtail the unit chart tangent T of the singular curve gamma
     is null, so f o gamma has zero velocity and its acceleration is
@@ -969,25 +965,28 @@ def tail_side(front, point):
     chart vector X points into where <f_* X, a> > 0: on
     the normal form (3u^4 + u^2 v, 4u^3 + 2uv, v) it is {v < -6u^2}.  The
     test is invariant under diffeomorphisms of source and target, because
-    (f o gamma)'(0) = 0.  One order-3 jet gives it; raises FrontlabError
-    where the product is 0 or NaN.
+    (f o gamma)'(0) = 0.
+    """
+    return np.sign(dot(jf.along(blocks[1:3]), g2))
+
+
+def tail_side(front, point):
+    """Which side of the chart maps to the tail of a swallowtail.
+
+    Reads the point's stored `swallowtail_sign`, which `classify` and
+    `trace` set from the order-3 jet they classify with (`_tail_sides`);
+    no jet is evaluated.  Raises FrontlabError where that sign is
+    undecided (None): the product <f_* grad lambda, g2> was 0 or NaN.
     """
     if point.kind != SingularClass.SWALLOWTAIL:
         raise InapplicableError("tail side is defined at swallowtails only")
-    jf, jn = front.jets(point.uv[0], point.uv[1], 3, 2)
-    return _tail_side(point.uv, jf, jn, _lambda_blocks(jf, jn, 2))
-
-
-def _tail_side(uv, jf, jn, blocks):
-    """`tail_side` at uv from its (3, 2)-order jets and `_lambda_blocks`."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        side = float(_tail_sides(jf, blocks, _curvatures(jf, jn, blocks)[4]))
-    if not abs(side) > 0.0:
+    sign = point.swallowtail_sign
+    if sign is None:
         raise FrontlabError(
-            f"tail side at ({uv[0]:.6g}, {uv[1]:.6g}) is undecided: "
+            f"tail side at ({point.uv[0]:.6g}, {point.uv[1]:.6g}) is undecided: "
             "the image acceleration is orthogonal to f_* grad lambda"
         )
-    return TailSide(int(side), 2.0 * math.pi if side < 0.0 else 0.0, -int(side))
+    return TailSide(-sign, 2.0 * math.pi if sign > 0 else 0.0, sign)
 
 
 def swallowtail_sign(front, point):
@@ -996,16 +995,16 @@ def swallowtail_sign(front, point):
     return tail_side(front, point).st_sign
 
 
-def sign_meaning_check(front, point, tol=1e-10):
+def sign_meaning_check(front, point):
     """Does the null curve bend the same way the singular curve does?
 
     Compares sgn g0(sigma''(0), k(0)) with sgn kappa_s, where sigma is the
     straight null line in the chart and k the curvature vector of the
-    singular image curve.
+    singular image curve; |kappa_s| below 1e-10 carries no sign.
     """
     if point.kind != SingularClass.CUSPIDAL_EDGE:
         raise InapplicableError("sign comparison needs a cuspidal edge")
-    if not math.isfinite(point.kappa_s) or abs(point.kappa_s) < tol:
+    if not math.isfinite(point.kappa_s) or abs(point.kappa_s) < 1e-10:
         raise InapplicableError(
             f"singular curvature {point.kappa_s:.3e} too small to carry a sign"
         )
@@ -1021,12 +1020,12 @@ def sign_meaning_check(front, point, tol=1e-10):
     return {"null_side": lhs, "kappa_s_side": rhs, "consistent": lhs == rhs}
 
 
-def peak_arc_count(front, uv, radius=None, samples=720):
-    """Half the number of lambda sign changes on a small parameter circle."""
+def peak_arc_count(front, uv):
+    """Half the number of lambda sign changes on a parameter circle of
+    radius 1e-2 times the domain scale, at 720 points."""
     u, v = float(uv[0]), float(uv[1])
-    scale = front.domain.scale
-    r = radius if radius is not None else 1e-2 * scale
-    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    r = 1e-2 * front.domain.scale
+    theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     lam = lambda_value(front, u + r * np.cos(theta), v + r * np.sin(theta))
     signs = np.sign(lam)
     signs = signs[signs != 0]
@@ -1039,8 +1038,8 @@ def peak_arc_count(front, uv, radius=None, samples=720):
         )
     if changes % 2 == 1:
         raise FrontlabError(
-            f"odd sign-change count {changes} on the probe circle; "
-            "try a smaller radius"
+            f"odd sign-change count {changes} on the probe circle of radius "
+            f"{r:.3e}"
         )
     return changes // 2
 

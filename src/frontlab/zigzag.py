@@ -422,11 +422,11 @@ def axis_loop(center, radii):
                  {"cu": cu, "cv": cv, "ru": ru, "rv": rv})
 
 
-def null_loop(front, path, period=TWO_PI, angle_tol=1e-4, label=""):
+def null_loop(front, path, period=TWO_PI, label=""):
     """Validate a loop against a front and record its singular crossings.
 
     Raises if a crossing is not a cuspidal edge or if the loop tangent
-    deviates from the null direction there by more than `angle_tol` radians.
+    deviates from the null direction there by more than 1e-4 radians.
     """
     probe = NullLoop(path=path, period=period, label=label)
 
@@ -448,7 +448,7 @@ def null_loop(front, path, period=TWO_PI, angle_tol=1e-4, label=""):
         eta = np.asarray(point.null_dir, dtype=float)
         sin_angle = abs(float(_cross2(tangent, eta))) / (
             float(np.hypot(*tangent)) * float(np.hypot(*eta)))
-        if sin_angle > angle_tol:
+        if sin_angle > 1e-4:
             raise FrontContractError(
                 f"null loop tangent at t={r:.6f} deviates from the null "
                 f"direction by {math.asin(min(1.0, sin_angle)):.3e} rad")

@@ -1,5 +1,6 @@
 """Tests for expression parsing, printing, and jet evaluation."""
 
+import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -93,6 +94,19 @@ class TestParse:
         j = eval_jet(e, 3.0, 0.0, 1)
         assert j.value[0] == pytest.approx(9.0)
         assert j.f_u[0] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("exponent", [
+        "log(0-1)", "sqrt(0-4)", "(0^(0-1))", "exp(1000)", "(10^400)", "((0-8)^0.5)",
+    ])
+    def test_unfoldable_exponent_is_a_parse_error(self, exponent):
+        with pytest.raises(ParseError, match="does not fold") as info:
+            parse(f"(u^{exponent}, v, 0)")
+        assert info.value.position == 2
+
+    def test_constant_exponents_fold_as_math(self):
+        folded = [c.exponent for c in parse("(u^sech(1), u^(2/0), u^(2^0.5))").root.components]
+        assert folded[0] == 1.0 / np.cosh(1.0)
+        assert math.isnan(folded[1]) and folded[2] == 2.0 ** 0.5
 
     def test_negative_integer_exponent(self):
         e = parse("(u^(0-2), v, 0)")

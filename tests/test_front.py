@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from finite_difference import finite_difference_jet
 
-from frontlab import front as front_module
 from frontlab import gaussbonnet, singular
 from frontlab.errors import FrontContractError, FrontlabError
 from frontlab.expr import Expr, eval_jet, parse
@@ -283,7 +282,7 @@ class TestBroadcastGrids:
 
     @pytest.mark.parametrize("name", ["sphere", "ellipsoid"])
     def test_parallel_surface(self, monkeypatch, name):
-        calls = _broadcast_calls(monkeypatch, front_module, "lambda_value")
+        calls = _broadcast_calls(monkeypatch, Front, "jets")
         parallel_surface(gallery(name), 0.5)
         self._assert_full_grid_bits(calls)
 
@@ -497,6 +496,18 @@ class TestParallelSurface:
         with pytest.raises(FrontContractError):
             parallel_surface(gallery("cuspidal_parabola"), 0.1)
 
+    def test_parameters_bound_as_in_jets(self):
+        # map and normal bind `a` to different values, as Front.jets allows
+        base = Front(
+            map=parse("(u, v, a*u)", {"a": 1.0}),
+            normal=parse("(0-1/a, 0, 2/a)", {"a": 2.0}),
+            domain=Domain(-1.0, 1.0, -1.0, 1.0),
+        )
+        off = parallel_surface(base, 0.5)
+        jf, jn = base.jets(0.3, 0.2, 0, 0)
+        got = off.map_jet(0.3, 0.2, 0).value
+        assert got == tuple(f + 0.5 * n for f, n in zip(jf.value, jn.value))
+
     def test_ellipsoid_offset_has_singular_set(self):
         f = gallery("ellipsoid_parallel")
         uu, vv = f.domain.grid(65)
@@ -559,6 +570,29 @@ class TestDescriptionFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_description("not a description\nmap = (u, v, 0)\n")
+
+    @pytest.mark.parametrize("a", [2.0, -2.0])
+    def test_clashing_parameter_round_trip(self, a):
+        # map and normal bind `a` to different values; the normal's is
+        # written inline, a negative one also as the base of a power
+        f = Front(
+            map=parse("(u, v, a*u*u)", {"a": 1.0}),
+            normal=parse("(a^2*u, a*v, b-a)", {"a": a, "b": 0.5}),
+            domain=Domain(-1.0, 1.0, -1.0, 1.0),
+        )
+        g = read_description(write_description(f))
+        grid = (np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(-1.0, 1.0, 3)[None])
+        for u, v in ((0.3, 0.2), grid):
+            shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+            for om, on in ((3, 3), (0, 2)):
+                want, got = (
+                    [np.broadcast_to(c, shape).tobytes() for jet in h.jets(u, v, om, on)
+                     for block in (jet.value, *(jet.d1 or ()), *(jet.d2 or ()),
+                                   *(jet.d3 or ()))
+                     for c in block]
+                    for h in (f, g)
+                )
+                assert got == want
 
 
 def _callback(u, v):

@@ -437,7 +437,7 @@ class TestDegree:
 
 
 class TestSwallowtailBookkeeping:
-    """Signed apex counts, stored and recomputed."""
+    """Signed apex counts from the signs stored on the points."""
 
     def test_stored_signs_used(self, ell20, ell20_curves):
         points = [
@@ -449,14 +449,16 @@ class TestSwallowtailBookkeeping:
         assert len(points) == 4
         assert swallowtail_signs(ell20, points) == (4, 0)
 
-    def test_recomputed_signs_agree(self, ell20, ell20_curves):
+    def test_stripped_sign_refused(self, ell20, ell20_curves):
+        # no jet recomputes a sign the point does not carry
         stripped = [
             dataclasses.replace(s, swallowtail_sign=None)
             for c in ell20_curves
             for s in c.samples
             if s.kind.name == "SWALLOWTAIL"
         ]
-        assert swallowtail_signs(ell20, stripped) == (4, 0)
+        with pytest.raises(FrontlabError, match="undecided"):
+            swallowtail_signs(ell20, stripped)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_adapted_apex_is_positive(self, sign):
@@ -607,6 +609,50 @@ class TestEulerReport:
     def test_plain_chart_rejected(self):
         with pytest.raises(InapplicableError):
             euler_report(gallery("cuspidal_parabola"))
+
+    def test_end_signs_read_the_chi_grid(self, monkeypatch, pseudosphere):
+        # every lambda evaluation is a block of rows of the chi grid
+        calls = []
+        real = gaussbonnet.lambda_value
+
+        def spy(front, u, v):
+            calls.append((u, v))
+            return real(front, u, v)
+
+        monkeypatch.setattr(gaussbonnet, "lambda_value", spy)
+        rep = euler_report(pseudosphere, grid=128)
+        uu, vv = pseudosphere.domain.grid(128)
+        assert [np.shape(v) for _, v in calls] == [(1, 128)] * len(calls)
+        assert all(np.array_equal(v, vv[:1]) for _, v in calls)
+        assert np.array_equal(np.concatenate([u for u, _ in calls]), uu[:, :1])
+        assert [eps for (_, _, eps) in rep.ends] == [1, -1]
+
+    @pytest.mark.parametrize("case", ["applicable", "cone", "degenerate"])
+    def test_one_panel_pass_and_one_report(self, monkeypatch, pseudosphere, case):
+        counts = {"sums": 0, "reports": 0}
+
+        def counting(name, key):
+            real = getattr(gaussbonnet, name)
+
+            def spy(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(gaussbonnet, name, spy)
+
+        counting("_panel_sums", "sums")
+        counting("GaussBonnetReport", "reports")
+        front, curves = pseudosphere, trace(pseudosphere, grid=32)
+        if case == "cone":
+            front, curves = gallery("cone"), None
+        elif case == "degenerate":
+            marked = dataclasses.replace(curves[0].samples[5], kind=SingularClass.DEGENERATE)
+            samples = curves[0].samples
+            curves = [dataclasses.replace(
+                curves[0], samples=samples[:5] + (marked,) + samples[6:])]
+        rep = euler_report(front, curves, panels=512)
+        assert rep.applicable == (case == "applicable")
+        assert counts == {"sums": 1, "reports": 1}
 
     def test_report_dictionary_deterministic(self, pseudosphere, pseudo_report):
         again = euler_report(pseudosphere)

@@ -912,6 +912,20 @@ class TestHalfSpaceSigns:
                 f"sampled K={K} at ({u},{v}) against prediction"
             )
 
+    def test_tail_side_reads_the_stored_sign(self, monkeypatch):
+        front = gallery("standard_swallowtail")
+        p = classify(front, (0.0, 0.0))
+        calls = []
+        real = Front.jets
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Front, "jets", spy)
+        assert tail_side(front, p).st_sign == p.swallowtail_sign == 1
+        assert calls == []
+
     def test_standard_swallowtail_is_positive(self):
         front = gallery("standard_swallowtail")
         ts = tail_side(front, classify(front, (0.0, 0.0)))
