@@ -448,12 +448,21 @@ _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POWER, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_num(x):
-    return repr(float(x))
+    # parse knows no inf or nan: 1e400 reads back as inf, and inf - inf is NaN
+    x = float(x)
+    if math.isnan(x):
+        return "1e400-1e400"
+    if math.isinf(x):
+        return "1e400" if x > 0 else "-1e400"
+    return repr(x)
 
 
 def _fmt(node, prec):
     if isinstance(node, Num):
-        text = _fmt_num(node.value)  # a negative one reads back as a Neg
+        # a negative one reads back as a Neg, a NaN as a difference
+        text = _fmt_num(node.value)
+        if math.isnan(node.value):
+            return f"({text})" if prec > _PREC_SUM else text
         return f"({text})" if text[0] == "-" and prec > _PREC_UNARY else text
     if isinstance(node, (Param, Var)):
         return node.name
@@ -461,7 +470,7 @@ def _fmt(node, prec):
         return f"{node.fn}({_fmt(node.arg, _PREC_SUM)})"
     if isinstance(node, PowOp):
         e = node.exponent
-        etext = _fmt_num(e) if e >= 0 else f"(0-{_fmt_num(-e)})"
+        etext = f"(0-{_fmt_num(-e)})" if e < 0 else _fmt(Num(e, node.pos), _PREC_ATOM)
         return f"{_fmt(node.base, _PREC_ATOM)}^{etext}"
     if isinstance(node, Neg):
         text = "-" + _fmt(node.arg, _PREC_POWER)

@@ -6,13 +6,27 @@ points on it are classified by the angle between the curve's tangent and the
 kernel direction of df.
 
 The tracer contours the singular set from a grid of lambda values
-(marching squares): one masked bisection places the crossings on the grid
-edges, each crossed cell links its two crossings into a chain, and array
-rounds insert projected midpoints until the samples resolve the curve.
-Each traced curve then takes one array jet for the tangents and null
-directions that locate swallowtail candidates, one masked bisection for
-all of them, and one more array jet, after they are inserted, for the
-transversality rates, classification, curvatures and arclengths.
+(marching squares): one masked bisection, seeded with the grid values,
+places the crossings on the grid edges, each crossed cell links its two
+crossings into a chain, and array rounds insert projected midpoints until
+the samples resolve the curve.  Each traced curve then takes one array jet
+for the tangents and null directions that locate swallowtail candidates,
+one masked bisection for all of them, and one more array jet, after they
+are inserted, for the transversality rates, classification, curvatures
+and arclengths.
+
+Bisection looks ahead (`_bisect`, also the root scans of `zigzag`).  Given
+the values at both ends of each bracket, a line through them predicts the
+side of each of the next `_LOOKAHEAD` midpoints: below where the mean of
+the end values is negative.  One `value` call takes the midpoints of the
+whole predicted path, each computed from its bracket's ends as its round
+would compute it.  The rounds are then replayed under the one-round rules,
+and a bracket stops at the first level whose real side differs from the
+prediction; that level still counts, its point being the true midpoint,
+and the real values at the ends seed the next call.  The predictions only
+choose which points are evaluated: the ends come out bit for bit as one
+round per call leaves them, and a wrong, NaN or missing end value costs
+calls, never bits.  Without end values each call is one round.
 
 Classification has one per-point decision over plain floats (`_decide`),
 curvature one kernel (`_curvatures`), the rate of det(singular_dir,
@@ -46,12 +60,14 @@ DEGENERATE_TOL = 1e-8
 RANK_TOL = 1e-6
 
 # tracer settings: most Newton steps of a projection onto lambda = 0, halvings
-# of a bracket (2^-64 of its width, or its last bit), the largest tangent
-# turn between neighbouring samples (radians) and rounds of refinement;
-# and the image-arclength band (relative to the domain scale) around a peak
-# whose cuspidal samples are flagged `near_peak`
+# of a bracket (2^-64 of its width, or its last bit) and the most of them one
+# look-ahead call evaluates, the largest tangent turn between neighbouring
+# samples (radians) and rounds of refinement; and the image-arclength band
+# (relative to the domain scale) around a peak whose cuspidal samples are
+# flagged `near_peak`
 _PROJECT_ITERS = 8
 _BISECT_ROUNDS = 64
+_LOOKAHEAD = 8
 _TURN = 0.2
 _REFINE_ROUNDS = 40
 _PEAK_GUARD = 1e-3
@@ -355,34 +371,69 @@ def _chord_normals(D):
     return np.stack([-D[:, 1], D[:, 0]], axis=-1) / np.hypot(D[:, 0], D[:, 1])[:, None]
 
 
-def _bisect(value, neg, pos, midpoint=None, small=0.0, rounds=_BISECT_ROUNDS):
+def _bisect(value, neg, pos, midpoint=None, small=0.0, rounds=_BISECT_ROUNDS, *,
+            f_neg=None, f_pos=None):
     """Masked bisection of the brackets between `neg` and `pos`.
 
     The ends are stacked on the first axis, numbers or points; `value` is
     negative at each `neg` end and not negative at each `pos` end.  Each
-    round calls `value(m, open)` once, on the midpoints m of the brackets
-    still open (indices `open`), and moves the end on each midpoint's side.
-    A bracket closes onto its midpoint where |value| <= small or is not
-    finite, and as it stands where the midpoint equals one of its ends (no
-    float lies between them).  `midpoint(a, b)` replaces the plain average.
-    Returns the final ends.
+    round takes the midpoint m of a bracket still open and moves the end on
+    m's side.  A bracket closes onto m where |value| <= small or is not
+    finite, and as it stands where m equals one of its ends (no float lies
+    between them); it takes at most `rounds` rounds.  `midpoint(a, b)`
+    replaces the plain average.  Returns the final ends.
+
+    The rounds run in look-ahead calls (module docstring): `value(m, open)`
+    takes the midpoints m of every level predicted for the brackets still
+    open, stacked level by level, with their indices `open` tiled to
+    match.  `f_neg` and `f_pos`, the values at the ends, seed the
+    predictions.
     """
     neg = np.array(neg, dtype=float)
     pos = np.array(pos, dtype=float)
-    todo = np.arange(len(neg))
-    for _ in range(rounds):
-        if not todo.size:
-            break
-        a, b = neg[todo], pos[todo]
-        m = 0.5 * (a + b) if midpoint is None else midpoint(a, b)
-        f = value(m, todo)
-        below = f < 0
-        neg[todo[below]] = m[below]
-        pos[todo[~below]] = m[~below]
-        hit = ~(np.abs(f) > small)
-        neg[todo[hit]] = pos[todo[hit]] = m[hit]
-        flat = [(m == end).reshape(len(m), -1).all(axis=1) for end in (a, b)]
-        todo = todo[~(hit | flat[0] | flat[1])]
+    n = len(neg)
+    ahead = 1 if f_neg is None else _LOOKAHEAD
+    fa = np.full(n, np.nan) if f_neg is None else np.array(f_neg, dtype=float)
+    fb = np.full(n, np.nan) if f_pos is None else np.array(f_pos, dtype=float)
+    taken = np.zeros(n, dtype=int)
+    todo = np.arange(n if rounds > 0 else 0)
+    while todo.size:
+        levels = min(ahead, rounds - int(taken[todo].min()))
+        # the predicted sides, then the brackets and midpoints along them
+        ga, gb, guess = fa[todo], fb[todo], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(levels):
+                g = 0.5 * (ga + gb)
+                guess.append(g < 0)
+                ga, gb = np.where(g < 0, g, ga), np.where(g < 0, gb, g)
+        a, b, path = neg[todo], pos[todo], []
+        for s in guess:
+            m = 0.5 * (a + b) if midpoint is None else midpoint(a, b)
+            path.append((a, b, m))
+            side = s.reshape((-1,) + (1,) * (m.ndim - 1))
+            a, b = np.where(side, m, a), np.where(side, b, m)
+        A, B, M = (np.stack(x) for x in zip(*path))
+        F = value(M.reshape((-1,) + M.shape[2:]), np.tile(todo, levels))
+        F = np.reshape(F, (levels, -1))
+        # replay: each bracket's rounds run up to the first level where it
+        # closes, reaches its cap or leaves the predicted path
+        below, hit = F < 0, ~(np.abs(F) > small)
+        flat = [(M == E).reshape(levels, len(todo), -1).all(axis=2) for E in (A, B)]
+        closes = hit | flat[0] | flat[1]
+        level = np.arange(levels)[:, None]
+        last = closes | (below != np.array(guess)) | (level + 1 >= rounds - taken[todo])
+        last[-1] = True
+        j, c = np.argmax(last, axis=0), np.arange(len(todo))
+        m, up = M[j, c], below[j, c].reshape((-1,) + (1,) * (M.ndim - 2))
+        neg[todo], pos[todo] = np.where(up, m, A[j, c]), np.where(up, B[j, c], m)
+        h = hit[j, c]
+        neg[todo[h]] = pos[todo[h]] = m[h]
+        # the real value at each end: from the last level that moved it
+        for vals, moved in ((fa, below), (fb, ~below)):
+            k = np.maximum.accumulate(np.where(moved, level, -1), axis=0)[j, c]
+            vals[todo] = np.where(k >= 0, F[k, c], vals[todo])
+        taken[todo] += j + 1
+        todo = todo[~closes[j, c] & (taken[todo] < rounds)]
     return neg, pos
 
 
@@ -408,11 +459,12 @@ def _crossings(front, dom, uu, vv, lam):
     A node is inside where lambda < 0 and outside otherwise (lambda = 0
     included), so every cell has 0, 2 or 4 crossed edges; an edge with a
     non-finite end is never crossed.  One masked bisection of all crossed
-    edges places each crossing on its edge to the last bit, and an outside
-    end where lambda is exactly 0 is the crossing itself.  Crossings on a
-    wrap edge fold back into the chart; those on the edges of a
-    non-periodic axis lie on the chart edge.  Each crossing links to the
-    other crossing of the cell its tangent (lambda_v, -lambda_u) points
+    edges, looking ahead from the grid's lambda at their ends (module
+    docstring), places each crossing on its edge to the last bit, and an
+    outside end where lambda is exactly 0 is the crossing itself.
+    Crossings on a wrap edge fold back into the chart; those on the edges
+    of a non-periodic axis lie on the chart edge.  Each crossing links to
+    the other crossing of the cell its tangent (lambda_v, -lambda_u) points
     into.  Returns the crossings and nxt, the index of each one's successor
     (-1 where the chain ends).
     """
@@ -461,9 +513,12 @@ def _crossings(front, dom, uu, vv, lam):
     B = np.stack([uu[i1, j1] + (i1 < i) * (dom.u1 - dom.u0),
                   vv[i1, j1] + (j1 < j) * (dom.v1 - dom.v0)], axis=-1)
     neg, pos = np.where(a_neg[:, None], A, B), np.where(a_neg[:, None], B, A)
-    todo = np.where(a_neg, lam[i1, j1], lam[i, j]) != 0.0
+    f_neg = np.where(a_neg, lam[i, j], lam[i1, j1])
+    f_pos = np.where(a_neg, lam[i1, j1], lam[i, j])
+    todo = f_pos != 0.0
     _, pos[todo] = _bisect(
-        lambda m, _: lambda_value(front, m[:, 0], m[:, 1]), neg[todo], pos[todo]
+        lambda m, _: lambda_value(front, m[:, 0], m[:, 1]), neg[todo], pos[todo],
+        f_neg=f_neg[todo], f_pos=f_pos[todo],
     )
     return _wrap(dom, pos), np.where(succ >= 0, (np.cumsum(crossed) - 1)[succ], -1)
 
@@ -541,14 +596,15 @@ def trace(front, grid=64):
 
     Marching squares on the sign of lambda over a `grid` x `grid` sample
     gives the curves: each crossed cell links the crossings on two of its
-    edges, and the chains of crossings close up or end on the chart's
-    edges.  Array rounds then insert projected midpoints until samples
-    are at most one cell apart and the tangent turns by at most 0.2 rad
-    between neighbours; a corner of the zero set, where grad lambda
-    vanishes, becomes a sample of its own.  One masked bisection of the
-    transversality determinant locates the swallowtails between samples.
-    An isolated zero of lambda at a grid node comes back as a
-    single-sample curve.
+    edges, placed by a look-ahead bisection (module docstring), and the
+    chains of crossings close up or end on the chart's edges.  Array
+    rounds then insert projected midpoints until samples are at most one
+    cell apart and the tangent turns by at most 0.2 rad between
+    neighbours; a corner of the zero set, where grad lambda vanishes,
+    becomes a sample of its own.  One masked bisection of the
+    transversality determinant, a round per call, locates the swallowtails
+    between samples.  An isolated zero of lambda at a grid node comes back
+    as a single-sample curve.
     """
     if grid < 16:
         raise ValueError(f"grid must be at least 16 per axis, got {grid}")
@@ -616,10 +672,12 @@ def _insert_swallowtails(front, dom, P, closed):
     predecessor (a tangent with |grad lambda| < 1e-14 is its
     predecessor's, or (1, 0)), so the determinant det(T, eta) may change
     sign along the curve.  One masked bisection then serves every sign
-    change: each round projects the brackets' midpoints onto the curve
-    along their chord normals and evaluates det(T, eta) there with
-    T = (lambda_v, -lambda_u)/|grad lambda|, until |det| <= 1e-10 or 60
-    rounds.  Only the brackets that closed so are inserted.
+    change, one round per call (each projected midpoint depends on the
+    one before, so it takes no end values): each round projects the
+    brackets' midpoints onto the curve along their chord normals and
+    evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad
+    lambda|, until |det| <= 1e-10 or 60 rounds.  Only the brackets that
+    closed so are inserted.
     """
     jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
     _, lu, lv = _lambda_blocks(jf, jn, 1)

@@ -171,24 +171,30 @@ def plane_position(pf, ts):
 def _simple_roots(fn, t, vals, what):
     """Simple zeros of a periodic scalar function by sign scan + bisection.
 
-    `vals` is `fn` on the closed scan `t`, whose last point is not read.
-    Zeros that the scan hits exactly are taken as-is; the sign changes
-    between samples go through one masked bisection (`singular._bisect`),
-    one evaluation of `fn` per round for all of them.  A touching zero (no
-    sign change) is rejected as non-generic.
+    `vals` is `fn` on the closed scan `t`, whose last point is not read;
+    a value there that is not finite is refused.  Zeros that the scan hits
+    exactly are taken as-is; the sign changes between samples go through
+    one masked bisection (`singular._bisect`), which looks ahead from the
+    scan values at each bracket's ends (`singular`'s module docstring):
+    one evaluation of `fn` for all of them per call, a few calls in all.
+    A touching zero (no sign change) is rejected as non-generic.
     """
     period, n = float(t[-1]), len(t) - 1
     t, vals = t[:-1], np.asarray(vals[:-1], dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise FrontlabError(f"{what} is not finite at t={t[bad][0]:.6f}")
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         raise FrontlabError(f"{what} vanishes identically on the loop")
     exact = vals == 0.0
     prev, nxt = np.roll(vals, 1), np.roll(vals, -1)
     i = np.nonzero(~exact & ~np.roll(exact, -1) & ~(vals * nxt > 0.0))[0]
-    lo, hi = t[i], t[i] + period / n
+    lo, hi, up = t[i], t[i] + period / n, vals[i] < 0.0
     neg, pos = _bisect(
         lambda m, _: np.asarray(fn(m), dtype=float),
-        np.where(vals[i] < 0.0, lo, hi), np.where(vals[i] < 0.0, hi, lo),
+        np.where(up, lo, hi), np.where(up, hi, lo),
+        f_neg=np.where(up, vals[i], nxt[i]), f_pos=np.where(up, nxt[i], vals[i]),
     )
     roots = [float(x) for x in t[exact]] + (0.5 * (neg + pos) % period).tolist()
     # a zero that touches without changing sign hides between samples as a

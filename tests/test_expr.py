@@ -17,6 +17,7 @@ from frontlab import (
     parse,
     to_source,
 )
+from frontlab.expr import BinOp, Num, Var, Vector
 from frontlab.front import stack
 
 # expressions in the shape of the built-in surface gallery
@@ -132,6 +133,8 @@ class TestPrintRoundTrip:
         "(u/(v/(1+u)), u-(v-1), 2-u-v)",
         "(abs(u)^3, sech(u+v), log(2+sin(v)))",
         "(u^(0-1.5), v, 1e-2*u)",
+        "(1e400*u, v, -1e400)",
+        "(u^1e400, v, 1e400-1e400)",
     ]
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -140,6 +143,15 @@ class TestPrintRoundTrip:
         e = parse(source, params)
         again = parse(to_source(e), params)
         assert again == e, f"{source!r} -> {to_source(e)!r} reparses differently"
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constants_print_parseably(self, a):
+        # such a constant comes from a literal like 1e400 or an inlined parameter
+        text = to_source(Vector([Var("u", 0), Var("v", 0), BinOp("*", Num(a, 0), Var("u", 0), 0)], 0))
+        assert "inf" not in text and "nan" not in text
+        with np.errstate(invalid="ignore"):  # inf * 0 in the v-slope
+            c = eval_jet(parse(text), 1.0, 0.25, 1).value[2]
+        assert math.isnan(c) if math.isnan(a) else np.float64(c).tobytes() == np.float64(a).tobytes()
 
     def test_round_trip_is_idempotent(self):
         e = parse("(u - -v, -(u+v), u*v/(u+2))")

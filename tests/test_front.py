@@ -594,6 +594,26 @@ class TestDescriptionFiles:
                 )
                 assert got == want
 
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_round_trip(self, a):
+        # a literal 1e400 in the map, and the normal's clashing `a` inline:
+        # inf keeps its bits, NaN stays NaN
+        f = Front(
+            map=parse("(u, v, 1e400*u*u + a*v)", {"a": 1.0}),
+            normal=parse("(a*u, a, -v)", {"a": a}),
+            domain=Domain(-1.0, 1.0, -1.0, 1.0),
+        )
+        text = write_description(f)
+        g = read_description(text)
+        assert write_description(g) == text
+        u, v = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(-1.0, 1.0, 3)[None]
+        with np.errstate(invalid="ignore"):  # inf * 0 in the slopes
+            want, got = ([np.where(np.isnan(c), np.nan, np.broadcast_to(c, (5, 3))).tobytes()
+                          for jet in h.jets(u, v, 2, 1)
+                          for block in (jet.value, *jet.d1, *(jet.d2 or ())) for c in block]
+                         for h in (f, g))
+        assert got == want
+
 
 def _callback(u, v):
     return np.array([u, v, 0.0])

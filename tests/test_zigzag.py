@@ -409,6 +409,22 @@ def test_roots_match_scalar_bisection(monkeypatch):
             assert min(gap, period - gap) <= 1e-12, (got, ref)
 
 
+def test_non_finite_scan_value_refused():
+    """A NaN in the scan is no sign change: cos t + 2 has no zero, and the
+    scan is refused at its first NaN sample rather than given roots."""
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t > 1.0) & (t < 1.2), np.nan, np.cos(t) + 2.0)
+
+    t = np.linspace(0.0, 2.0 * math.pi, 65)
+    with pytest.raises(FrontlabError, match=r"^f is not finite at t=1\.079922$"):
+        zigzag._simple_roots(fn, t, fn(t), "f")
+    vals = np.cos(t) + 2.0
+    vals[7] = np.inf
+    with pytest.raises(FrontlabError, match=r"t=0\.687223"):
+        zigzag._simple_roots(fn, t, vals, "f")
+
+
 def _loop_dips(vals, scale):
     """The per-sample dip scan that `_simple_roots`' mask replaced."""
     n, exact, out = len(vals), vals == 0.0, []
@@ -579,3 +595,16 @@ class TestEvaluationCounts:
         monkeypatch.setattr(zigzag, "_bisect", bisect)
         zigzag_plane(plane_gallery(name))
         assert rounds and set(rounds) == {1}
+
+    def test_root_bisection_calls(self, monkeypatch):
+        """The four cusps of ellipse_parallel come to their last bit in a
+        few look-ahead calls; one round per call took 48."""
+        calls = []
+        real = zigzag._bisect
+
+        def bisect(value, neg, pos, **kw):
+            return real(lambda m, todo: calls.append(len(m)) or value(m, todo), neg, pos, **kw)
+
+        monkeypatch.setattr(zigzag, "_bisect", bisect)
+        assert zigzag_plane(plane_gallery("ellipse_parallel")).word == "aaaa"
+        assert 1 <= len(calls) <= 10
