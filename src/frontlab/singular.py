@@ -9,11 +9,11 @@ The tracer contours the singular set from a grid of lambda values
 (marching squares): one masked bisection, seeded with the grid values,
 places the crossings on the grid edges, each crossed cell links its two
 crossings into a chain, and array rounds insert projected midpoints until
-the samples resolve the curve.  Each traced curve then takes one array jet
-for the tangents and null directions that locate swallowtail candidates,
-one masked bisection for all of them, and one more array jet, after they
-are inserted, for the transversality rates, classification, curvatures
-and arclengths.
+the samples resolve the curve.  The samples of all curves then take one
+array jet, in one batch, for the tangents and null directions that locate
+swallowtail candidates and for the transversality rates, classification,
+curvatures and arclengths; one masked bisection serves the candidates of
+every curve, and the samples take one more jet where it inserts any.
 
 Bisection looks ahead (`_bisect`, also the root scans of `zigzag`).  Given
 the values at both ends of each bracket, a line through them predicts the
@@ -35,7 +35,7 @@ one closed form (`_transversality_rates`), and the side of a
 swallowtail's tail, which gives its sign, another (`_tail_sides`); all
 four read the same order-3 jet, and so does the limit of the half-space
 signs at a swallowtail (`_swallowtail_signs`).  `classify` feeds them
-from scalar jets, `trace` from a curve's arrays, a row of `.tolist()`
+from scalar jets, `trace` from one batch's arrays, a row of `.tolist()`
 columns per sample; both store a swallowtail's sign on its point, which
 `tail_side` and every sign count read.  `integrate_kappa_s` calls the
 curvature kernel on arrays of quadrature nodes.  `singular_curvature`
@@ -185,6 +185,14 @@ def _null_direction(jf):
     return vt[..., 1, :], sig
 
 
+def _order3(front, u, v):
+    """What classification reads at (u, v), points or arrays: the (3, 2)
+    jets, `_lambda_blocks` of order 2, and the null directions and
+    singular values of `_null_direction`."""
+    jf, jn = front.jets(u, v, 3, 2)
+    return (jf, jn, _lambda_blocks(jf, jn, 2), *_null_direction(jf))
+
+
 def _tangent_derivative(blocks):
     """The chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|
     of the singular curve and T', its derivative along itself, from
@@ -202,7 +210,7 @@ def _curvatures(jf, jn, blocks):
     """Singular curvature data at cuspidal edges from (3, 2)-order jets.
 
     The one curvature kernel: `classify` feeds it scalar jets, `trace` a
-    whole curve's arrays (`_decide` keeps both at cuspidal edges only) and
+    whole batch's arrays (`_decide` keeps both at cuspidal edges only) and
     `integrate_kappa_s` arrays of Gauss nodes.  `blocks` is
     `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by
     the chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|;
@@ -276,7 +284,7 @@ def _transversality_rates(jf, blocks, eta, sig):
 def _decide(u, v, lam, lam_u, lam_v, eta, sig, curv, rate, tail):
     """Classify the singular point (u, v) from its first-order data.
 
-    The one decision behind `classify` (scalar jets) and `trace` (a curve's
+    The one decision behind `classify` (scalar jets) and `trace` (a batch's
     arrays, row by row), over Python floats and pairs of them: `lam` and its
     gradient, the null direction `eta` of df, df's singular values `sig`,
     and the curvature kernel's (density, kappa_s, kappa_nu) `curv`, kept at
@@ -325,9 +333,7 @@ def classify(front, uv):
     swallowtail the side of its tail, which gives its sign.
     """
     u, v = float(uv[0]), float(uv[1])
-    jf, jn = front.jets(u, v, 3, 2)
-    blocks = _lambda_blocks(jf, jn, 2)
-    eta, sig = _null_direction(jf)
+    jf, jn, blocks, eta, sig = _order3(front, u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = _curvatures(jf, jn, blocks)
     lam, lam_u, lam_v, *scalars = map(float, blocks[:3] + curv[:3])
@@ -587,10 +593,6 @@ def _refine(front, dom, P, nxt, cell):
     return P, nxt
 
 
-def _image_point(front, q):
-    return stack(front.map_jet(q[0], q[1], 1).value)
-
-
 def trace(front, grid=64):
     """Find all singular curves of `front` on its domain.
 
@@ -601,11 +603,17 @@ def trace(front, grid=64):
     rounds then insert projected midpoints until samples are at most one
     cell apart and the tangent turns by at most 0.2 rad between
     neighbours; a corner of the zero set, where grad lambda vanishes,
-    becomes a sample of its own.  One masked bisection of the
-    transversality determinant, a round per call, locates the swallowtails
-    between samples.  An isolated zero of lambda at a grid node comes back
-    as a single-sample curve.
+    becomes a sample of its own.  The samples of all curves are classified
+    in one batch, where one masked bisection of the transversality
+    determinant, a round per call, locates their swallowtails.  An isolated
+    zero of lambda at a grid node comes back as a single-sample curve.
     """
+    chains = _chains(front, grid)
+    return _build_curves(front, front.domain, chains) if chains else []
+
+
+def _chains(front, grid):
+    """`trace`'s curves unclassified, sorted: (samples, closed) pairs."""
     if grid < 16:
         raise ValueError(f"grid must be at least 16 per axis, got {grid}")
     dom = front.domain
@@ -617,7 +625,7 @@ def trace(front, grid=64):
     P, nxt = _refine(front, dom, P, nxt, min(dom.u1 - dom.u0, dom.v1 - dom.v0) / grid)
     heads = np.bincount(nxt[nxt >= 0], minlength=len(P)) == 0
     nxt, seen = nxt.tolist(), [False] * len(P)
-    curves = []
+    chains = []
     for head in np.nonzero(heads)[0].tolist() + list(range(len(P))):
         chain, k = [], head  # open chains from their first sample, then cycles
         while k >= 0 and not seen[k]:
@@ -631,14 +639,9 @@ def trace(front, grid=64):
         closed = k == head and len(Q) > 1
         if closed and (Q[-1] == Q[0]).all():
             Q = Q[:-1]
-        samples = _build_samples(front, dom, _canonical_order(dom, Q, closed), closed)
-        peaks = tuple(
-            i for i, p in enumerate(samples)
-            if p.kind != SingularClass.CUSPIDAL_EDGE
-        )
-        curves.append(SingularCurve(samples=samples, closed=closed, peaks=peaks))
-    curves.sort(key=lambda c: (c.samples[0].uv[0], c.samples[0].uv[1]))
-    return curves
+        chains.append((_canonical_order(dom, Q, closed), closed))
+    chains.sort(key=lambda c: tuple(c[0][0].tolist()))  # samples go in after the first
+    return chains
 
 
 def _canonical_order(dom, P, closed):
@@ -664,50 +667,54 @@ def _continuation_signs(d):
     return 1.0 - 2.0 * ((flips - flips[start]) % 2)
 
 
-def _insert_swallowtails(front, dom, P, closed):
-    """The samples P of one curve with its transversality zeros inserted.
+def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
+    """The samples P of curves of `sizes` samples each, `closed` or not,
+    with their transversality zeros inserted, and the curves' new sizes.
 
-    The tangents and null directions of all samples come from one array
-    jet evaluation; running sign products turn each to continue its
-    predecessor (a tangent with |grad lambda| < 1e-14 is its
-    predecessor's, or (1, 0)), so the determinant det(T, eta) may change
-    sign along the curve.  One masked bisection then serves every sign
-    change, one round per call (each projected midpoint depends on the
-    one before, so it takes no end values): each round projects the
-    brackets' midpoints onto the curve along their chord normals and
-    evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad
-    lambda|, until |det| <= 1e-10 or 60 rounds.  Only the brackets that
-    closed so are inserted.
+    Running sign products, restarted at each curve's first sample, turn the
+    tangents T from `grad`, lambda's gradient at P (one below 1e-14 takes
+    its predecessor's tangent, or (1, 0)), and the null directions `eta`
+    to continue their predecessors, so det(T, eta) may change sign along a
+    curve.  One masked bisection serves every sign change, one round per
+    call (each projected midpoint depends on the one before, so it takes
+    no end values): each round projects the midpoints onto the curve along
+    the chord normals and evaluates det(T, eta) there, until |det| <= 1e-10
+    or 60 rounds.  Only the brackets that closed so are inserted.
     """
-    jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
-    _, lu, lv = _lambda_blocks(jf, jn, 1)
-    eta, _ = _null_direction(jf)
-    n = len(P)
+    lu, lv = grad
+    n, curve = len(P), np.repeat(np.arange(len(sizes)), sizes)
+    start = (np.cumsum(sizes) - sizes)[curve]
+    first = start == np.arange(n)
     g = np.hypot(lu, lv)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = np.stack([np.r_[lv / g, 1.0], np.r_[-lu / g, 0.0]], axis=-1)
-    T = T[np.maximum.accumulate(np.where(g < 1e-14, -1, np.arange(n)))]  # row -1 is (1, 0)
-    T *= _continuation_signs(_dot2(T[1:].T, T[:-1].T))[:, None]
-    if _cross2(T[0], eta[0]) < 0:
-        eta[0] *= -1.0
-    eta *= _continuation_signs(_dot2(eta[1:].T, eta[:-1].T))[:, None]
+        T0 = np.stack([np.r_[lv / g, 1.0], np.r_[-lu / g, 0.0]], axis=-1)
+    last = np.maximum.accumulate(np.where(g < 1e-14, -1, np.arange(n)))
+    T = T0[np.where(last >= start, last, n)]  # row n is (1, 0)
+
+    def signs(X):  # a NaN product starts each curve afresh
+        d = np.where(first[1:], np.nan, _dot2(X[1:].T, X[:-1].T))
+        return _continuation_signs(d)[:, None]
+
+    T *= signs(T)
+    eta = np.where((first & (_cross2(T.T, eta.T) < 0))[:, None], -eta, eta)
+    eta *= signs(eta)
     dets = _cross2(T.T, eta.T)
-    i = np.arange(n if closed else n - 1)
-    j = (i + 1) % n
-    pair = (dets[i] * dets[j] < 0) & (np.minimum(np.abs(dets[i]), np.abs(dets[j])) > 1e-10)
+    j = np.where(np.r_[first[1:], True], start, np.arange(1, n + 1))  # the next sample
+    pair = ((j > np.arange(n)) | np.array(closed)[curve]) & (dets * dets[j] < 0) & (
+        np.minimum(np.abs(dets), np.abs(dets[j])) > 1e-10)
     if not pair.any():
-        return P
-    i, j = i[pair], j[pair]
-    eta_ref = eta[i]
+        return P, sizes
+    i = np.nonzero(pair)[0]
+    j = j[i]
 
     def det(m, todo):
         jf, jn = front.jets(m[:, 0], m[:, 1], 2, 1)
         _, lu, lv = _lambda_blocks(jf, jn, 1)
-        eta, _ = _null_direction(jf)
-        eta = np.where((_dot2(eta.T, eta_ref[todo].T) < 0)[:, None], -eta, eta)
+        e, _ = _null_direction(jf)
+        e = np.where((_dot2(e.T, eta[i[todo]].T) < 0)[:, None], -e, e)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.hypot(lu, lv)
-            return _cross2((lv / g, -lu / g), (eta[:, 0], eta[:, 1]))
+            return _cross2((lv / g, -lu / g), (e[:, 0], e[:, 1]))
 
     def midpoint(a, b):
         D = _wrapped_delta(dom, b, a)
@@ -721,7 +728,7 @@ def _insert_swallowtails(front, dom, P, closed):
         M, N = a + 0.5 * D, _chord_normals(D)
         return M + _project(front, M, N)[:, None] * N
 
-    a_neg = (det(P[i], np.arange(len(i))) < 0)[:, None]
+    a_neg = (_cross2(T0[i].T, eta[i].T) < 0)[:, None]  # det at P[i], as `det` has it
     neg, pos = _bisect(
         det, np.where(a_neg, P[i], P[j]), np.where(a_neg, P[j], P[i]),
         midpoint, small=1e-10, rounds=60,
@@ -729,25 +736,27 @@ def _insert_swallowtails(front, dom, P, closed):
     # a bracket whose ends stay apart never reached |det| <= 1e-10: it
     # holds a jump of det, not a zero
     found = (neg == pos).all(axis=1) & np.isfinite(pos).all(axis=1)
-    return np.insert(P, i[found] + 1, _wrap(dom, pos[found]), axis=0)
+    return (np.insert(P, i[found] + 1, _wrap(dom, pos[found]), axis=0),
+            sizes + np.bincount(curve[i[found]], minlength=len(sizes)))
 
 
-def _build_samples(front, dom, P, closed):
-    """Classify the samples P of one curve, with its swallowtails inserted.
+def _build_curves(front, dom, chains):
+    """The `SingularCurve`s of `chains`, (samples, closed) pairs, with
+    their swallowtails inserted, built in one batch (module docstring).
 
-    One array jet evaluation of the whole curve feeds the curvature kernel,
-    the transversality rates, the tail sides and the image arclengths;
-    `_decide` takes each sample's row of plain floats.  The rates are
-    computed for the whole curve when the first row asks for one, so a
-    curve of cuspidal edges never pays for them.  Each sample is built
-    once, a swallowtail with its sign.
+    The transversality rates are computed when the first row asks for one.
+    Jets work point by point, so the jet of the merged samples gives every
+    old sample its bits again.  Arclengths and `near_peak` go curve by curve.
     """
+    Ps, closed = zip(*chains)
     # a fresh C-ordered copy: numpy's vector loops for exp and cosh can round
     # differently on a reversed view's columns
-    P = _insert_swallowtails(front, dom, np.array(P, dtype=float), closed)
-    jf, jn = front.jets(P[:, 0], P[:, 1], 3, 2)
-    blocks = _lambda_blocks(jf, jn, 2)
-    eta, sig = _null_direction(jf)
+    P = np.concatenate(Ps)
+    jf, jn, blocks, eta, sig = _order3(front, P[:, 0], P[:, 1])
+    n = len(P)
+    P, sizes = _insert_swallowtails(front, dom, P, list(map(len, Ps)), closed, blocks[1:3], eta)
+    if len(P) > n:
+        jf, jn, blocks, eta, sig = _order3(front, P[:, 0], P[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         *curv, _, g2 = _curvatures(jf, jn, blocks)
         tails = _tail_sides(jf, blocks, g2).tolist()
@@ -763,15 +772,20 @@ def _build_samples(front, dom, P, closed):
         for k, row in enumerate(zip(*(x.tolist() for x in cols)))
     ]
 
-    # image arclength and peak guard flags; f[5] is the kind
+    # image arclength and peak guard flags, curve by curve; f[5] is the kind
     seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
     cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f, _ in rows])
-    near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < _PEAK_GUARD * dom.scale).any(axis=1)
-    return tuple(
-        SingularPoint(*f, s_i, near_i, sign)
-        for (f, sign), s_i, near_i in zip(rows, s.tolist(), near.tolist())
-    )
+    ends = np.cumsum(sizes).tolist()
+    curves = []
+    for a, b, c in zip([0] + ends[:-1], ends, closed):
+        s, k = np.concatenate([[0.0], np.cumsum(seg[a:b - 1])]), cusp[a:b]
+        near = k & (np.abs(s[:, None] - s[None, ~k]) < _PEAK_GUARD * dom.scale).any(axis=1)
+        samples = tuple(
+            SingularPoint(*f, s_i, near_i, sign)
+            for (f, sign), s_i, near_i in zip(rows[a:b], s.tolist(), near.tolist())
+        )
+        curves.append(SingularCurve(samples, c, tuple(np.nonzero(~k)[0].tolist())))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -977,13 +991,11 @@ def _swallowtail_signs(front, point, side):
            - <Hess_f(eta, eta), Hess_nu(T, eta) + d nu(eta')>.
     """
     u, v = point.uv
-    jf, jn = front.jets(u, v, 3, 2)
-    eta, sig = _null_direction(jf)
+    jf, jn, blocks, eta, sig = _order3(front, u, v)
     e = (eta[0], eta[1])
     val = float(stack(jf.along((-e[1], e[0]), 2)) @ stack(jn.value))
     if abs(val) < 1e-10:
         raise InapplicableError("swallowtail is not generic: second form flat")
-    blocks = _lambda_blocks(jf, jn, 2)
     s = side * tail_side(front, point).lambda_sign
     _, lu, lv, luu, luv, lvv = blocks
     T, _ = _tangent_derivative(blocks)

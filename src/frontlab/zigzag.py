@@ -142,26 +142,31 @@ def _plane_scan(pf):
 
 
 def plane_position(pf, ts):
-    """Positions gamma(t); reconstructed by quadrature for derivative data."""
+    """Positions gamma(t); reconstructed by quadrature for derivative data.
+
+    One pass over the sorted times and 0: 16-node Gauss panels between
+    neighbours, 128 a period and at least 8, summed from `base` at t = 0.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if pf.gamma is not None:
         jg = _jet(pf.gamma, float(pf.orientation) * ts, 0)
         return stack(jg.value).reshape(len(ts), 2)
+    base = np.asarray(pf.base, dtype=float)
+    if not ts.any():
+        return np.tile(base, (len(ts), 1))
     x16, w16 = np.polynomial.legendre.leggauss(16)
-    out = np.empty((len(ts), 2))
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            out[i] = pf.base
-            continue
-        panels = max(8, int(math.ceil(abs(t) / pf.period * 128)))
-        edges = np.linspace(0.0, t, panels + 1)
+    knots, at = np.unique(np.r_[0.0, ts], return_inverse=True)
+    nodes, wts = [], []
+    for a, b in zip(knots[:-1], knots[1:]):
+        edges = np.linspace(a, b, max(8, int(math.ceil((b - a) / pf.period * 128))) + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x16[None, :]).ravel()
-        wts = (half[:, None] * w16[None, :]).ravel()
-        g1 = _plane_jets(pf, nodes, second=False)[0]
-        out[i] = np.asarray(pf.base, dtype=float) + wts @ stack(g1)
-    return out
+        nodes.append((mid[:, None] + half[:, None] * x16[None, :]).ravel())
+        wts.append((half[:, None] * w16[None, :]).ravel())
+    g1 = stack(_plane_jets(pf, np.concatenate(nodes), second=False)[0])
+    g1 = np.split(g1, np.cumsum([len(w) for w in wts])[:-1])
+    rel = np.cumsum([np.zeros(2)] + [w @ g for w, g in zip(wts, g1)], axis=0)
+    return base + (rel - rel[np.searchsorted(knots, 0.0)])[at[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +577,7 @@ def zigzag_plane(pf):
     scan = _plane_scan(pf)
     cusps = _plane_cusps(pf, scan)
     word = "".join(letter for _, letter in cusps)
-    positions = (plane_position(pf, [t for t, _ in cusps])
-                 if cusps else np.empty((0, 2)))
+    positions = plane_position(pf, [t for t, _ in cusps])
     crossings = tuple(
         Crossing(t=t, uv=(float(p[0]), float(p[1])), letter=letter)
         for (t, letter), p in zip(cusps, positions))

@@ -34,14 +34,13 @@ from frontlab.singular import (
     SingularCurve,
     _canonical_order,
     _cross2,
-    _image_point,
     _lambda_blocks,
     _null_direction,
     _wrapped_delta,
     classify,
     lambda_jets,
 )
-from tail_sweep import swallowtail_sign
+from tail_sweep import image_point, swallowtail_sign
 
 
 def _newton(front, q, lam_scale, tol=1e-12, max_iter=50):
@@ -320,7 +319,7 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
     n = len(pts)
     raw = [classify(front, q) for q in pts]
 
-    imgs = [_image_point(front, q) for q in pts]
+    imgs = [image_point(front, q) for q in pts]
     s = [0.0]
     for i in range(1, n):
         s.append(s[-1] + float(np.linalg.norm(imgs[i] - imgs[i - 1])))

@@ -16,7 +16,12 @@ import numpy as np
 
 from frontlab.errors import FrontlabError, InapplicableError
 from frontlab.front import lambda_value, stack
-from frontlab.singular import SingularClass, TailSide, _image_point
+from frontlab.singular import SingularClass, TailSide
+
+
+def image_point(front, q):
+    """f(q), the map's value at the chart point q, as a 3-vector."""
+    return stack(front.map_jet(q[0], q[1], 1).value)
 
 
 def tail_side(front, point, radius=None, samples=256):
@@ -46,7 +51,7 @@ def tail_side(front, point, radius=None, samples=256):
             break
     if e2 is None:
         raise FrontlabError("could not span the limiting tangent plane")
-    img0 = _image_point(front, q0)
+    img0 = image_point(front, q0)
 
     def sweep_angles(theta):
         pts_u = q0[0] + r * np.cos(theta)

@@ -514,11 +514,11 @@ class TestTrace:
         front = gallery("ellipsoid_parallel", {"d": 1.1})
         real, inserted = singular._insert_swallowtails, []
 
-        def insert_swallowtails(front, dom, P, closed):
-            out = real(front, dom, P, closed)
+        def insert_swallowtails(front, dom, P, *args):
+            out, sizes = real(front, dom, P, *args)
             before = set(map(tuple, P.tolist()))
             inserted.extend(q for q in map(tuple, out.tolist()) if q not in before)
-            return out
+            return out, sizes
 
         monkeypatch.setattr(singular, "_insert_swallowtails", insert_swallowtails)
         curves = trace(front, grid=32)

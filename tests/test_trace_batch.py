@@ -13,6 +13,7 @@ import math
 import re
 
 import numpy as np
+import per_curve_samples
 import pytest
 import scalar_trace
 
@@ -20,8 +21,10 @@ import frontlab.front
 
 from frontlab import (
     Domain,
+    FrontlabError,
     classify,
     gallery,
+    gallery_names,
     lambda_value,
     parse,
     singular,
@@ -228,7 +231,8 @@ def test_curvatures_match_scalar_trace(traced):
         if len(c) < 2:
             continue
         pts = [np.array(p.uv) for p in c.samples]
-        got = singular._build_samples(front, front.domain, pts, c.closed)
+        (curve,) = singular._build_curves(front, front.domain, [(pts, c.closed)])
+        got = curve.samples
         assert len(got) == len(c)
         for pb, ps in zip(got, c.samples):
             assert pb.uv == ps.uv
@@ -307,3 +311,88 @@ def test_trace_makes_no_scalar_jet_calls(monkeypatch):
     assert _swallowtail_signs(curves) == [1, 1, 1, 1]
     assert calls["all"] > 0
     assert calls["scalar"] == 0
+
+
+BATCH_CASES = [(name, None) for name in gallery_names()] + [
+    ("ellipsoid_parallel", {"d": d}) for d in (1.1, 1.3, 1.6, 2.0, 2.5)
+]
+
+
+def _outcome(trace_fn, front, grid):
+    try:
+        return repr(trace_fn(front, grid))
+    except FrontlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name, params", BATCH_CASES)
+def test_trace_matches_per_curve_samples(name, params):
+    """The batch over all curves of a trace builds every sample with the
+    bits that building each curve on its own gives, or raises the same
+    error.  d = 1.1 inserts swallowtails on two curves at grid 32 and
+    meets a bracket with coincident ends at grid 16."""
+    front = gallery(name, params)
+    for grid in (16, 24, 32, 48, 64, 96):
+        got = _outcome(trace, front, grid)
+        assert got == _outcome(per_curve_samples.trace, front, grid), (name, params, grid)
+        if params == {"d": 1.1} and grid == 16:
+            assert re.match(r"TraceError: .*swallowtail bracket at \(0\.15536, 2\.51139\)", got)
+
+
+def _sample_calls(monkeypatch, front, grid):
+    """Calls made by `trace` after `_refine`: order-(3, 2) `Front.jets`,
+    `_null_direction`, `_bisect`, and the value calls of `_bisect`."""
+    counts = dict.fromkeys(("jets", "null", "bisect", "values"), 0)
+    after = []
+    real_refine, real_jets = singular._refine, frontlab.front.Front.jets
+    real_null, real_bisect = singular._null_direction, singular._bisect
+
+    def refine(*args):
+        out = real_refine(*args)
+        after.append(True)
+        return out
+
+    def jets(self, u, v, order_map=1, order_normal=1):
+        counts["jets"] += bool(after) and (order_map, order_normal) == (3, 2)
+        return real_jets(self, u, v, order_map, order_normal)
+
+    def null_direction(jf):
+        counts["null"] += bool(after)
+        return real_null(jf)
+
+    def bisect(value, *args, **kwargs):
+        def counted(m, todo):
+            counts["values"] += 1
+            return value(m, todo)
+
+        counts["bisect"] += bool(after)
+        return real_bisect(counted if after else value, *args, **kwargs)
+
+    monkeypatch.setattr(singular, "_refine", refine)
+    monkeypatch.setattr(frontlab.front.Front, "jets", jets)
+    monkeypatch.setattr(singular, "_null_direction", null_direction)
+    monkeypatch.setattr(singular, "_bisect", bisect)
+    return trace(front, grid), counts
+
+
+@pytest.mark.parametrize("name, params, grid, curves", [
+    ("ellipsoid_parallel", {"d": 2.0}, 64, 2),
+    ("kuen", None, 48, 3),
+])
+def test_samples_take_one_jet_per_trace(monkeypatch, name, params, grid, curves):
+    """Without swallowtails to insert, the samples of all curves take one
+    order-(3, 2) jet and one null-direction call, whatever the curves."""
+    got, counts = _sample_calls(monkeypatch, gallery(name, params), grid)
+    assert len(got) == curves
+    assert counts == {"jets": 1, "null": 1, "bisect": 0, "values": 0}
+
+
+def test_inserted_swallowtails_take_one_bisection(monkeypatch):
+    """Swallowtails inserted on two curves cost one bisection for both and
+    one more order-(3, 2) jet of the merged samples; each value call of
+    the bisection takes one null-direction call."""
+    got, counts = _sample_calls(monkeypatch, gallery("ellipsoid_parallel", {"d": 1.1}), 32)
+    assert len(got) == 2
+    assert counts["bisect"] == 1 and counts["jets"] == 2
+    assert 0 < counts["values"] <= 60
+    assert counts["null"] == 2 + counts["values"]

@@ -40,6 +40,22 @@ from frontlab.expr import BinOp, Expr, Num, Vector, to_source
 B_ONE_PAIR = -1.8411837813406593
 
 
+def _position_from_zero(pf, ts):
+    """gamma(t) for derivative data, each time integrated from t = 0 on its
+    own panels, 128 a period and at least 8, of 16 Gauss nodes."""
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    out = np.tile(np.asarray(pf.base, dtype=float), (len(ts), 1))
+    for i, t in enumerate(ts):
+        if t == 0.0:
+            continue
+        edges = np.linspace(0.0, t, max(8, int(math.ceil(abs(t) / pf.period * 128))) + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x16).ravel()
+        g1 = zigzag._plane_jets(pf, nodes, second=False)[0]
+        out[i] += (half[:, None] * w16).ravel() @ np.stack(g1, axis=-1)
+    return out
+
+
 @pytest.fixture(scope="module")
 def plane_results():
     return {name: zigzag_plane(plane_gallery(name))
@@ -114,6 +130,29 @@ class TestPlaneGallery:
             end = plane_position(pf, [pf.period])[0]
             gap = float(np.hypot(*(end - np.asarray(pf.base))))
             assert gap < 1e-12, f"{name}: endpoint gap {gap:.3e}"
+
+    @pytest.mark.parametrize("name, nodes", [("rose_one_pair", 1024),
+                                             ("rose_two_pairs", 1536)])
+    def test_positions_in_one_pass(self, monkeypatch, plane_results, name, nodes):
+        """The cusps' positions take one sweep of gamma' nodes to the last
+        cusp and agree with integrating each time from t = 0 afresh; so do
+        times on both sides of 0, repeated, and 0 itself."""
+        pf = plane_gallery(name)
+        cusps = [c.t for c in plane_results[name].crossings]
+        real, counted = zigzag._plane_jets, []
+
+        def plane_jets(pf, t, second=True):
+            counted.append(np.size(t))
+            return real(pf, t, second)
+
+        monkeypatch.setattr(zigzag, "_plane_jets", plane_jets)
+        plane_position(pf, cusps)
+        assert counted == [nodes]
+        monkeypatch.setattr(zigzag, "_plane_jets", real)
+        for ts in (cusps, [-1.0, 2.5, 0.0, -3.0, 2.5, pf.period]):
+            want = _position_from_zero(pf, ts)
+            scale = float(np.abs(want).max())
+            assert float(np.abs(plane_position(pf, ts) - want).max()) <= 1e-12 * scale
 
     def test_ellipse_parallel_cusp_parameters(self, plane_results):
         # cusps sit where the offset matches the radius of curvature:
