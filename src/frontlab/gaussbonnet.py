@@ -35,7 +35,7 @@ from .singular import (
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 _CHUNK = 1 << 13
-_TRACE_GRID = 96  # trace grid of integrate_K_dA and euler_report's default
+_TRACE_GRID = 96  # trace grid of integrate_K_dA, and of euler_report without curves
 _LINE_NODES = 8  # Gauss nodes per line panel; half of them for the error estimate
 _PANEL_NODES = 16  # Gauss nodes per axis of an area panel
 _RING_PANELS = 64  # line panels around each polar-cap ring
@@ -540,21 +540,20 @@ def _end_epsilons(front, S):
     )
 
 
-def euler_report(front, curves=None, grid=256, panels=2048,
-                 trace_grid=_TRACE_GRID, k_f=0):
+def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
     """Assemble both global identities and their residuals for one front.
 
     `curves` come from `trace`; when omitted the singular set is traced
-    here at `trace_grid`.  They serve both line integrals, and one pass
-    over `panels` Gauss panels gives int K dAhat and int K dA's branch (see
-    `integrate_K_dA`).  Compact fronts (capped charts) get the degree
+    here at grid 96 (for another grid, pass `curves=trace(front, grid=g)`).
+    They serve both line integrals, and one pass over `panels` Gauss panels
+    gives int K dAhat and int K dA's branch (see `integrate_K_dA`).  Compact fronts (capped charts) get the degree
     bookkeeping and the LLR inequality; complete fronts contribute end
     growth orders instead.  Degenerate singular points, or singular curves
     with no cuspidal edges at all (cones), mark the report inapplicable:
     the identities' hypotheses exclude them.
     """
     if curves is None:
-        curves = trace(front, grid=trace_grid)
+        curves = trace(front, grid=_TRACE_GRID)
     meta = front.metadata or {}
     compact = bool(meta.get("caps"))
     complete = bool(meta.get("ends"))

@@ -112,13 +112,11 @@ class SingularCurve:
 def _lambda_blocks(jf, jn, order):
     """lambda and its chart partials by the product rule over det(f_u,f_v,nu).
 
-    Needs the map jet one order deeper than the result and the normal jet at
-    the result's order.
+    Needs the map jet one order deeper than the result (`order` 1 or 2) and
+    the normal jet at the result's order.
     """
     nu = jn.value
     lam = det3(jf.f_u, jf.f_v, nu)
-    if order == 0:
-        return (lam,)
     lam_u = (
         det3(jf.f_uu, jf.f_v, nu)
         + det3(jf.f_u, jf.f_uv, nu)
@@ -161,9 +159,10 @@ def _lambda_blocks(jf, jn, order):
 
 
 def lambda_jets(front, u, v, order=1):
-    """Signed area density with chart partials up to `order` (0, 1, or 2)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    """Signed area density with chart partials up to `order` (1 or 2); for
+    lambda alone, see `front.lambda_value`."""
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     jf, jn = front.jets(u, v, order + 1, order)
     return tuple(spread(x, u, v) for x in _lambda_blocks(jf, jn, order))
 
@@ -679,7 +678,8 @@ def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
     call (each projected midpoint depends on the one before, so it takes
     no end values): each round projects the midpoints onto the curve along
     the chord normals and evaluates det(T, eta) there, until |det| <= 1e-10
-    or 60 rounds.  Only the brackets that closed so are inserted.
+    or 60 rounds.  Only the brackets that closed so, away from both end
+    samples, are inserted.
     """
     lu, lv = grad
     n, curve = len(P), np.repeat(np.arange(len(sizes)), sizes)
@@ -733,9 +733,10 @@ def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
         det, np.where(a_neg, P[i], P[j]), np.where(a_neg, P[j], P[i]),
         midpoint, small=1e-10, rounds=60,
     )
-    # a bracket whose ends stay apart never reached |det| <= 1e-10: it
-    # holds a jump of det, not a zero
+    # ends kept apart never reached |det| <= 1e-10, and ends on a sample sit
+    # at |det| > 1e-10: either bracket holds a jump of det, not a zero
     found = (neg == pos).all(axis=1) & np.isfinite(pos).all(axis=1)
+    found &= (pos != P[i]).any(axis=1) & (pos != P[j]).any(axis=1)
     return (np.insert(P, i[found] + 1, _wrap(dom, pos[found]), axis=0),
             sizes + np.bincount(curve[i[found]], minlength=len(sizes)))
 
@@ -1057,12 +1058,6 @@ def tail_side(front, point):
             "the image acceleration is orthogonal to f_* grad lambda"
         )
     return TailSide(-sign, 2.0 * math.pi if sign > 0 else 0.0, sign)
-
-
-def swallowtail_sign(front, point):
-    """+1 for a positive swallowtail (the positive side's image wraps 2*pi,
-    i.e. the tail is carried by the negative side), else -1."""
-    return tail_side(front, point).st_sign
 
 
 def sign_meaning_check(front, point):

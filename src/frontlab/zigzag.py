@@ -17,6 +17,10 @@ tangent to the null direction.  The surface letter rule has the opposite sign
 routines on purpose and are reconciled only through the winding-number
 equality, never letter by letter.
 
+One routine checks a crossing (`_crossing`).  `null_loop` finds and checks
+a loop's crossings; the word routines check them again, since a `NullLoop`
+can be built by hand, and refuse one whose crossings are None (unrecorded).
+
 Each loop is evaluated once on a closed scan of `SAMPLES` intervals, read by
 the contract check, the sign scan for cusps or crossings and every winding.
 Windings are lifted continuously, bisecting P^1 angle steps of pi/4 or more
@@ -382,12 +386,13 @@ class NullLoop:
     cuspidal edges and only tangent to the null direction.
 
     `path` is a parsed 2-vector expression (u, v) of the loop parameter,
-    written as the chart variable u.
+    written as the chart variable u.  `crossings`, the parameters where it
+    meets the singular set, are recorded by `null_loop`; None if unrecorded.
     """
 
     path: Expr
     period: float = TWO_PI
-    crossings: tuple = ()
+    crossings: tuple | None = None
     orientation: int = 1
     label: str = ""
 
@@ -401,8 +406,8 @@ class NullLoop:
 
 def reverse_loop(loop):
     """The same loop traversed backwards (parameter t -> -t)."""
-    flipped = tuple(sorted((loop.period - t) % loop.period
-                           for t in loop.crossings))
+    flipped = None if loop.crossings is None else tuple(
+        sorted((loop.period - t) % loop.period for t in loop.crossings))
     return replace(loop, orientation=-loop.orientation, crossings=flipped,
                    label=(loop.label + " (reversed)") if loop.label
                    else "(reversed)")
@@ -433,6 +438,27 @@ def axis_loop(center, radii):
                  {"cu": cu, "cv": cv, "ru": ru, "rv": rv})
 
 
+def _crossing(front, loop, r):
+    """Chart point (u, v), loop derivatives s1, s2 and `classify` point of
+    the crossing at t = r; raises unless it is a cuspidal edge that the
+    loop meets within 1e-4 radians of the null direction."""
+    uv, s1, s2 = _loop_jets(loop, r, order=2)
+    u, v = float(uv[0]), float(uv[1])
+    point = classify(front, (u, v))
+    if point.kind != SingularClass.CUSPIDAL_EDGE:
+        raise FrontlabError(
+            f"null loop crossing at t={r:.6f} is {point.kind.value}, "
+            "not a cuspidal edge")
+    eta = np.asarray(point.null_dir, dtype=float)
+    sin_angle = abs(float(_cross2(s1, eta))) / (
+        float(np.hypot(*s1)) * float(np.hypot(*eta)))
+    if sin_angle > 1e-4:
+        raise FrontContractError(
+            f"null loop tangent at t={r:.6f} deviates from the null "
+            f"direction by {math.asin(min(1.0, sin_angle)):.3e} rad")
+    return (u, v), s1, s2, point
+
+
 def null_loop(front, path, period=TWO_PI, label=""):
     """Validate a loop against a front and record its singular crossings.
 
@@ -449,34 +475,17 @@ def null_loop(front, path, period=TWO_PI, label=""):
     roots = _simple_roots(lam, t, lam(t),
                           "the singularity function along the loop")
     for r in roots:
-        uv, tangent = _loop_jets(probe, r, order=1)
-        u, v = float(uv[0]), float(uv[1])
-        point = classify(front, (u, v))
-        if point.kind != SingularClass.CUSPIDAL_EDGE:
-            raise FrontlabError(
-                f"null loop crossing at t={r:.6f} is {point.kind.value}, "
-                "not a cuspidal edge")
-        eta = np.asarray(point.null_dir, dtype=float)
-        sin_angle = abs(float(_cross2(tangent, eta))) / (
-            float(np.hypot(*tangent)) * float(np.hypot(*eta)))
-        if sin_angle > 1e-4:
-            raise FrontContractError(
-                f"null loop tangent at t={r:.6f} deviates from the null "
-                f"direction by {math.asin(min(1.0, sin_angle)):.3e} rad")
-    return NullLoop(path=path, period=period, crossings=tuple(roots),
-                    label=label)
+        _crossing(front, probe, r)
+    return replace(probe, crossings=tuple(roots))
 
 
 def _surface_crossings(front, loop):
+    if loop.crossings is None:
+        raise FrontlabError(
+            "the loop's crossings were never validated: build it with null_loop")
     letters = []
     for r in loop.crossings:
-        uv, s1, s2 = _loop_jets(loop, r, order=2)
-        u, v = float(uv[0]), float(uv[1])
-        point = classify(front, (u, v))
-        if point.kind != SingularClass.CUSPIDAL_EDGE:
-            raise FrontlabError(
-                f"null loop crossing at t={r:.6f} is {point.kind.value}, "
-                "not a cuspidal edge")
+        (u, v), s1, s2, point = _crossing(front, loop, r)
         lam_u, lam_v = point.grad_lambda
         lam_hat_prime = lam_u * s1[0] + lam_v * s1[1]
         jf, jn = front.jets(u, v, order_map=2, order_normal=1)
@@ -598,11 +607,6 @@ def zigzag_surface(front, loop):
     return ZigzagResult(word=word, reduced_k=reduce_word(word),
                         rotation_number=rot, signed_winding=rot,
                         crossings=crossings, m_rotation=None)
-
-
-def zigzag_over_loops(front, loops):
-    """Per-loop results for a user-supplied list of generators."""
-    return tuple(zigzag_surface(front, loop) for loop in loops)
 
 
 def zigzag_to_dict(result):

@@ -65,7 +65,7 @@ def _insert_swallowtails(front, dom, P, closed):
     brackets' midpoints onto the curve along their chord normals and
     evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad
     lambda|, until |det| <= 1e-10 or 60 rounds.  Only the brackets that
-    closed so are inserted.
+    closed so, away from both end samples, are inserted.
     """
     jf, jn = front.jets(P[:, 0], P[:, 1], 2, 1)
     _, lu, lv = _lambda_blocks(jf, jn, 1)
@@ -114,9 +114,11 @@ def _insert_swallowtails(front, dom, P, closed):
         det, np.where(a_neg, P[i], P[j]), np.where(a_neg, P[j], P[i]),
         midpoint, small=1e-10, rounds=60,
     )
-    # a bracket whose ends stay apart never reached |det| <= 1e-10: it
-    # holds a jump of det, not a zero
+    # a bracket whose ends stay apart never reached |det| <= 1e-10, and one
+    # that closes onto a sample closes onto |det| > 1e-10: either holds a
+    # jump of det, not a zero
     found = (neg == pos).all(axis=1) & np.isfinite(pos).all(axis=1)
+    found &= (pos != P[i]).any(axis=1) & (pos != P[j]).any(axis=1)
     return np.insert(P, i[found] + 1, _wrap(dom, pos[found]), axis=0)
 
 

@@ -124,7 +124,7 @@ def ell16():
 
 @pytest.fixture(scope="module")
 def ell16_report(ell16):
-    return euler_report(ell16, grid=256, panels=512, trace_grid=64)
+    return euler_report(ell16, trace(ell16, grid=64), grid=256, panels=512)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +306,13 @@ class TestUnsignedIntegral:
 
 class TestSingularCurveIntegral:
     """Line integral of the singular-curvature measure."""
+
+    def test_curves_of_another_front_refused(self):
+        # the curves of d=1.6 lie off the singular set of d=2, and the line
+        # rule's projection of their nodes onto it does not converge there
+        other = trace(gallery("ellipsoid_parallel", {"d": 1.6}), grid=48)
+        with pytest.raises(FrontlabError, match=r"lost the singular curve .* \(4\.67621, 4\.6938\)"):
+            integrate_kappa_s(gallery("ellipsoid_parallel", {"d": 2.0}), other)
 
     def test_parabola_closed_form(self):
         front = gallery("cuspidal_parabola")
@@ -504,13 +511,13 @@ class TestEulerReport:
     def test_pseudosphere_floor_is_setting_independent(self, pseudosphere):
         floor = FOUR_PI / math.cosh(20.0)
         for tg, pn, cg in ((32, 128, 128), (64, 512, 256)):
-            rep = euler_report(pseudosphere, grid=cg, panels=pn, trace_grid=tg)
+            rep = euler_report(pseudosphere, trace(pseudosphere, grid=tg), grid=cg, panels=pn)
             assert abs(rep.residual_unsigned - floor) < 1e-12, (
                 f"trace {tg} panels {pn}: {rep.residual_unsigned}"
             )
 
     def test_residual_closes_at_both_grids(self, ell16, ell16_report):
-        coarse = euler_report(ell16, grid=128, panels=128, trace_grid=32)
+        coarse = euler_report(ell16, trace(ell16, grid=32), grid=128, panels=128)
         for rep in (coarse, ell16_report):
             assert abs(rep.residual_unsigned) < 1e-8, (
                 f"panels {rep.provenance['panels']}: {rep.residual_unsigned}"
@@ -605,6 +612,16 @@ class TestEulerReport:
         assert not rep.applicable and "degenerate" in rep.reason
         assert math.isnan(rep.int_K_dA)
         assert abs(rep.int_K_dAhat) < 1e-12
+
+    def test_curve_doubling_back_refused(self, pseudosphere):
+        # along the waist and back: grad lambda . N changes sign between the
+        # samples of one curve, which only a zero of grad lambda allows
+        (waist,) = trace(pseudosphere, grid=32)
+        back = dataclasses.replace(
+            waist, samples=waist.samples + waist.samples[-2:0:-1], closed=True
+        )
+        with pytest.raises(InapplicableError, match="grad lambda vanishes between"):
+            euler_report(pseudosphere, [back], panels=128)
 
     def test_plain_chart_rejected(self):
         with pytest.raises(InapplicableError):

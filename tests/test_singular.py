@@ -35,7 +35,6 @@ from frontlab import (
     sign_meaning_check,
     singular_curvature,
     singular_curvature_intrinsic,
-    swallowtail_sign,
     tail_side,
     to_source,
     trace,
@@ -268,9 +267,11 @@ class TestLambdaJets:
             assert abs(lu) < 1e-12, f"lambda_u nonzero on the axis: {lu}"
             assert abs(lv - delta) < 1e-12 * delta, f"lambda_v {lv} != {delta}"
 
-    def test_bad_order_rejected(self):
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_bad_order_rejected(self, order):
+        # order 0 is lambda alone: front.lambda_value
         with pytest.raises(ValueError, match="order"):
-            lambda_jets(gallery("plane"), 0.0, 0.0, order=3)
+            lambda_jets(gallery("plane"), 0.0, 0.0, order=order)
 
 
 class TestClassify:
@@ -508,9 +509,11 @@ class TestTrace:
             trace(front, grid=16)
 
     def test_unclosed_swallowtail_brackets_not_inserted(self, monkeypatch):
-        # at grid 32, 3 of this front's det(T, eta) sign changes are jumps
-        # of |det| = 0.33 that bisection never closes; only the 4 zeros
-        # of det become samples, each a swallowtail
+        # at grid 32, 4 of this front's det(T, eta) sign changes are jumps
+        # of |det| = 0.33: bisection never closes 3 of them and closes one
+        # onto its end sample (2.99961, 2.63276), which is not inserted a
+        # second time; only the 4 zeros of det become samples, each a
+        # swallowtail
         front = gallery("ellipsoid_parallel", {"d": 1.1})
         real, inserted = singular._insert_swallowtails, []
 
@@ -522,7 +525,7 @@ class TestTrace:
 
         monkeypatch.setattr(singular, "_insert_swallowtails", insert_swallowtails)
         curves = trace(front, grid=32)
-        assert [len(c) for c in curves] == [215, 214]
+        assert [len(c) for c in curves] == [214, 214]
         samples = {p.uv: p for c in curves for p in c.samples}
         assert len(inserted) == 4
         for uv in inserted:
@@ -530,6 +533,26 @@ class TestTrace:
             assert p.kind is SingularClass.SWALLOWTAIL, uv
             assert abs(p.transversality) <= 1e-10, uv
             assert p.swallowtail_sign == -1, uv
+
+    def test_no_sample_repeats_its_predecessor(self):
+        """No traced curve holds two consecutive samples at one chart point,
+        over the gallery and the parallel ellipsoid's regimes at grids
+        16-96 (a swallowtail bracket that closes onto a sample is not a
+        zero of det(T, eta))."""
+        cases = [(name, None) for name in gallery_names()]
+        cases += [("ellipsoid_parallel", {"d": d})
+                  for d in (1.1, 1.3, 1.439, 1.6, 2.0, 2.249, 2.5)]
+        for name, params in cases:
+            front = gallery(name, params)
+            for grid in (16, 24, 32, 48, 64, 96):
+                try:
+                    curves = trace(front, grid=grid)
+                except FrontlabError:
+                    continue
+                for c in curves:
+                    uv = [p.uv for p in c.samples]
+                    repeats = [q for q, r in zip(uv, uv[1:]) if q == r]
+                    assert not repeats, (name, params, grid, repeats)
 
     @pytest.mark.parametrize("grid", [16, 32])
     def test_gallery_traces_or_refuses(self, grid):
@@ -1071,7 +1094,7 @@ class TestTailSide:
             after = tail_side(changed, q)
             assert after.lambda_sign == k * before.lambda_sign, (variant, p.uv)
             assert after.st_sign == k * before.st_sign, (variant, p.uv)
-            assert swallowtail_sign(changed, q) == after.st_sign
+            assert q.swallowtail_sign == after.st_sign
             assert tail_sweep.tail_side(changed, q) == after, (variant, p.uv)
 
     def test_needs_a_swallowtail(self):

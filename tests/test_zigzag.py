@@ -28,7 +28,6 @@ from frontlab import (
     reduce_word,
     reverse_loop,
     rotation_number_plane,
-    zigzag_over_loops,
     zigzag_plane,
     zigzag_surface,
     zigzag_to_dict,
@@ -328,6 +327,29 @@ class TestNullLoopConstruction:
             classify_crossings_surface(gallery("cone"), fake)
 
 
+    def test_hand_built_loop_refused(self, loop_results):
+        # a NullLoop built without null_loop carries no crossings (None),
+        # where an empty tuple would read as a loop that meets no edge
+        front, loop, res = loop_results["parabola_band"]
+        bare = NullLoop(path=loop.path)
+        for word_of in (classify_crossings_surface, zigzag_surface):
+            with pytest.raises(FrontlabError, match="null_loop"):
+                word_of(front, bare)
+        assert res.word == "bb" and bare.crossings is None
+        assert reverse_loop(bare).crossings is None
+
+    def test_hand_built_off_null_crossing_refused(self):
+        # the loop of test_skew_tangent_rejected, with its two lambda zeros
+        # (v = 0.4 sin t + 0.1 cos t = 0) entered by hand
+        front = gallery("cuspidal_parabola")
+        t0 = math.pi - math.atan(0.25)
+        loop = NullLoop(path=parse("(0.3 + 0.25*cos(u), 0.4*sin(u) + 0.1*cos(u))"),
+                        crossings=(t0, t0 + math.pi))
+        for word_of in (classify_crossings_surface, zigzag_surface):
+            with pytest.raises(FrontContractError, match="null direction"):
+                word_of(front, loop)
+
+
 class TestSurfaceWords:
     @pytest.mark.parametrize(
         "name, word",
@@ -361,12 +383,6 @@ class TestSurfaceWords:
         res = zigzag_surface(front, loop2)
         assert res.word == single.word * 2
         assert res.rotation_number == 2 * single.rotation_number
-
-    def test_over_loops_helper(self, loop_results):
-        front, band, _ = loop_results["parabola_band"]
-        _, clear, _ = loop_results["parabola_clear"]
-        words = [r.word for r in zigzag_over_loops(front, [band, clear])]
-        assert words == ["bb", ""]
 
 
 class TestResultSerialization:
