@@ -88,17 +88,14 @@ class Domain:
     periodic_v: bool = False
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.u0, self.u1, self.v0, self.v1)):
+            raise ValueError("domain bounds must be finite")
         if not (self.u1 > self.u0 and self.v1 > self.v0):
             raise ValueError("domain must have positive extent")
 
     @property
     def scale(self):
         return max(self.u1 - self.u0, self.v1 - self.v0)
-
-    def contains(self, u, v, slack=0.0):
-        ok_u = self.periodic_u or (self.u0 - slack <= u <= self.u1 + slack)
-        ok_v = self.periodic_v or (self.v0 - slack <= v <= self.v1 + slack)
-        return ok_u and ok_v
 
     def wrap(self, u, v):
         """Fold periodic coordinates back into the fundamental rectangle."""
@@ -138,7 +135,7 @@ class Front:
     """A map (u, v) -> R^3 and its unit normal over `domain`.
 
     `jets` evaluates both through `joint`, one program for the six
-    components; `map_jet` is the map part of a `jets` call.
+    components.
     """
 
     map: Expr  # (u, v) -> 3-vector
@@ -154,9 +151,6 @@ class Front:
     def joint(self):
         """Map and normal components as one expression, built on first use."""
         return join(self.map, self.normal)
-
-    def map_jet(self, u, v, order):
-        return self.jets(u, v, order, 0)[0]
 
     def jets(self, u, v, order_map=1, order_normal=1):
         """Map jet at `order_map` and normal jet at `order_normal`.

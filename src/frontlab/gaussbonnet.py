@@ -36,7 +36,7 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 _CHUNK = 1 << 13
 _TRACE_GRID = 96  # trace grid of integrate_K_dA, and of euler_report without curves
-_LINE_NODES = 8  # Gauss nodes per line panel; half of them for the error estimate
+_LINE_NODES = 8  # Gauss nodes per line panel
 _PANEL_NODES = 16  # Gauss nodes per axis of an area panel
 _RING_PANELS = 64  # line panels around each polar-cap ring
 _SNAP = 1e-9  # chart distance, per domain scale, below which two points are one
@@ -293,20 +293,21 @@ def _boundary_pieces(front, curves, grid):
     return A[keep], D[keep], owner[keep]
 
 
-def _minus_area(front, pieces, nodes, pole=None):
+def _minus_area(front, pieces):
     """Integral of alpha along the Gauss image of the boundary of M-.
 
     A singular curve's panels are oriented so that M- lies on their left,
     by the sign of grad lambda . N; that sign changes along a curve only
     through a point where grad lambda vanishes, which is refused.  Edge
     panels count where lambda < 0 at their nodes; they are oriented
-    counter-clockwise around the chart.  alpha is taken about `pole`, by
-    default the axis among +-e1, +-e2, +-e3 farthest from every -nu on the
-    boundary.  Returns (value, pole).
+    counter-clockwise around the chart.  alpha is taken about the axis
+    among +-e1, +-e2, +-e3 farthest from every -nu on the boundary.  One
+    line-rule pass at `_LINE_NODES`: the drift, side and edge checks see
+    the nodes whose value is returned.
     """
     A, D, owner = pieces
     on_curve = owner >= 0
-    Q, w, lam, lam_n, _, jn = _line_rule(front, A, D, on_curve, nodes)
+    Q, w, lam, lam_n, _, jn = _line_rule(front, A, D, on_curve, _LINE_NODES)
     side = np.sign(lam_n)
     for i in np.unique(owner[on_curve]):
         if np.ptp(side[owner == i]) != 0.0:
@@ -323,16 +324,15 @@ def _minus_area(front, pieces, nodes, pole=None):
     keep = on_curve.copy()
     keep[~on_curve] = negative.all(axis=1)
     if not keep.any():
-        return 0.0, pole
+        return 0.0
     nu, nu_u, nu_v = (tuple(np.broadcast_to(c, lam.shape)[keep] for c in b)
                       for b in (jn.value, jn.f_u, jn.f_v))
-    if pole is None:
-        n = stack(nu).reshape(-1, 3)
-        k = int(np.concatenate([1.0 + n.min(axis=0), 1.0 - n.max(axis=0)]).argmax())
-        pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
+    n = stack(nu).reshape(-1, 3)
+    k = int(np.concatenate([1.0 + n.min(axis=0), 1.0 - n.max(axis=0)]).argmax())
+    pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
     orient = np.where(on_curve[keep, None], -side[keep], 1.0)
     vals = orient * w * _alpha(pole, nu, nu_u, nu_v, Q[keep])
-    return math.fsum(vals.ravel().tolist()), pole
+    return math.fsum(vals.ravel().tolist())
 
 
 def _branch(line, coarse):
@@ -353,18 +353,11 @@ def _branch(line, coarse):
 
 
 def _unsigned(front, curves, grid, sums):
-    """(int K dA, error estimate) by int K dAhat - 2 A-, with `sums` the
-    (int K dAhat, coarse sgn(lambda) sum) of `_panel_sums` over `grid`.
-
-    The error estimate is twice the change of A- between the line rule and
-    its half-node rule.
-    """
+    """int K dA by int K dAhat - 2 A-, with `sums` the (int K dAhat, coarse
+    sgn(lambda) sum) of `_panel_sums` over `grid`."""
     hat, coarse = sums
-    pieces = _boundary_pieces(front, curves, grid)
-    line, pole = _minus_area(front, pieces, _LINE_NODES)
-    half, _ = _minus_area(front, pieces, _LINE_NODES // 2, pole)
-    minus = _branch(line, 0.5 * (hat - coarse))
-    return hat - 2.0 * minus, 2.0 * abs(line - half)
+    minus = _minus_area(front, _boundary_pieces(front, curves, grid))
+    return hat - 2.0 * _branch(minus, 0.5 * (hat - coarse))
 
 
 def integrate_K_dA(front, grid=2048):
@@ -379,7 +372,7 @@ def integrate_K_dA(front, grid=2048):
     inside the chart and an ambiguous branch are refused.
     """
     curves = trace(front, grid=_TRACE_GRID)
-    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))[0]
+    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))
 
 
 def integrate_kappa_s(front, curves):
@@ -546,11 +539,13 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
     `curves` come from `trace`; when omitted the singular set is traced
     here at grid 96 (for another grid, pass `curves=trace(front, grid=g)`).
     They serve both line integrals, and one pass over `panels` Gauss panels
-    gives int K dAhat and int K dA's branch (see `integrate_K_dA`).  Compact fronts (capped charts) get the degree
-    bookkeeping and the LLR inequality; complete fronts contribute end
-    growth orders instead.  Degenerate singular points, or singular curves
-    with no cuspidal edges at all (cones), mark the report inapplicable:
-    the identities' hypotheses exclude them.
+    gives int K dAhat and int K dA's branch (see `integrate_K_dA`).
+    Compact fronts (capped charts) get the degree bookkeeping and the LLR
+    inequality; complete fronts contribute end growth orders instead.
+    Degenerate singular points, or singular curves with no cuspidal edges
+    at all (cones), mark the report inapplicable: the identities'
+    hypotheses exclude them.  `provenance` records the chi grid, the panel
+    budget and nodes, and the number of curves.
     """
     if curves is None:
         curves = trace(front, grid=_TRACE_GRID)
@@ -568,12 +563,12 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
 
     sums = _panel_sums(front, panels, _PANEL_NODES)
     int_hat = sums[0]
-    int_dA = unresolved = int_ks = alpha_terms = math.nan
+    int_dA = int_ks = alpha_terms = math.nan
     residual_unsigned = residual_signed = math.nan
     S_plus = S_minus = 0
     deg = llr = None
     if reason != _DEGENERATE:
-        int_dA, unresolved = _unsigned(front, curves, panels, sums)
+        int_dA = _unsigned(front, curves, panels, sums)
     S = _lambda_signs(front, grid)
     chi_M, chi_p, chi_m = _chis(front, S)
     ends = _end_epsilons(front, S)
@@ -619,7 +614,6 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
             "chi_grid": grid,
             "panels": panels,
             "nodes": _PANEL_NODES,
-            "K_dA_unresolved": unresolved,
             "n_curves": len(curves),
         },
     )

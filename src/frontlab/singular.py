@@ -62,15 +62,12 @@ RANK_TOL = 1e-6
 # tracer settings: most Newton steps of a projection onto lambda = 0, halvings
 # of a bracket (2^-64 of its width, or its last bit) and the most of them one
 # look-ahead call evaluates, the largest tangent turn between neighbouring
-# samples (radians) and rounds of refinement; and the image-arclength band
-# (relative to the domain scale) around a peak whose cuspidal samples are
-# flagged `near_peak`
+# samples (radians) and rounds of refinement
 _PROJECT_ITERS = 8
 _BISECT_ROUNDS = 64
 _LOOKAHEAD = 8
 _TURN = 0.2
 _REFINE_ROUNDS = 40
-_PEAK_GUARD = 1e-3
 
 
 class SingularClass(enum.Enum):
@@ -93,7 +90,6 @@ class SingularPoint:
     transversality: float  # det(singular_dir, null_dir), both unit vectors
     density: float = math.nan  # kappa_s * |d(f o gamma)/dt|, unit chart speed
     s: float = math.nan  # image arclength along the owning curve
-    near_peak: bool = False
     # set at swallowtails by `trace` and `classify`; None only where the
     # tail side's product <f_* grad lambda, g2> is 0 or NaN
     swallowtail_sign: int | None = None
@@ -747,7 +743,7 @@ def _build_curves(front, dom, chains):
 
     The transversality rates are computed when the first row asks for one.
     Jets work point by point, so the jet of the merged samples gives every
-    old sample its bits again.  Arclengths and `near_peak` go curve by curve.
+    old sample its bits again.  Arclengths and peak indices go curve by curve.
     """
     Ps, closed = zip(*chains)
     # a fresh C-ordered copy: numpy's vector loops for exp and cosh can round
@@ -773,17 +769,15 @@ def _build_curves(front, dom, chains):
         for k, row in enumerate(zip(*(x.tolist() for x in cols)))
     ]
 
-    # image arclength and peak guard flags, curve by curve; f[5] is the kind
+    # image arclength and peak indices, curve by curve; f[5] is the kind
     seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
     cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f, _ in rows])
     ends = np.cumsum(sizes).tolist()
     curves = []
     for a, b, c in zip([0] + ends[:-1], ends, closed):
         s, k = np.concatenate([[0.0], np.cumsum(seg[a:b - 1])]), cusp[a:b]
-        near = k & (np.abs(s[:, None] - s[None, ~k]) < _PEAK_GUARD * dom.scale).any(axis=1)
         samples = tuple(
-            SingularPoint(*f, s_i, near_i, sign)
-            for (f, sign), s_i, near_i in zip(rows[a:b], s.tolist(), near.tolist())
+            SingularPoint(*f, s_i, sign) for (f, sign), s_i in zip(rows[a:b], s.tolist())
         )
         curves.append(SingularCurve(samples, c, tuple(np.nonzero(~k)[0].tolist())))
     return curves

@@ -92,8 +92,8 @@ class PlaneFront:
                      **{k: e for k, e in curve.items() if e is not None})
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError("period must be positive and finite")
 
     @cached_property
     def joint(self):
@@ -400,8 +400,8 @@ class NullLoop:
         require_expr("NullLoop", path=self.path)
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError("period must be positive and finite")
 
 
 def reverse_loop(loop):

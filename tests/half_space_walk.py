@@ -61,7 +61,7 @@ def probe_sign_delta(front, point, side, t):
     p_in = q + t * eta
     p_out = q - t * eta
     jf_in, jn_in = front.jets(p_in[0], p_in[1], 0, 0)
-    jf_out = front.map_jet(p_out[0], p_out[1], 0)
+    jf_out = front.jets(p_out[0], p_out[1], 0, 0)[0]
     val = -float(stack(jn_in.value) @ (stack(jf_out.value) - stack(jf_in.value)))
     return 1 if val > 0 else -1
 

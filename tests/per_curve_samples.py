@@ -16,7 +16,6 @@ import numpy as np
 from frontlab.errors import TraceError
 from frontlab.front import stack
 from frontlab.singular import (
-    _PEAK_GUARD,
     SingularClass,
     SingularCurve,
     SingularPoint,
@@ -153,13 +152,7 @@ def _build_samples(front, dom, P, closed):
         for k, row in enumerate(zip(*(x.tolist() for x in cols)))
     ]
 
-    # image arclength and peak guard flags; f[5] is the kind
     seg = np.linalg.norm(np.diff(stack(jf.value), axis=0), axis=-1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    cusp = np.array([f[5] is SingularClass.CUSPIDAL_EDGE for f, _ in rows])
-    near = cusp & (np.abs(s[:, None] - s[None, ~cusp]) < _PEAK_GUARD * dom.scale).any(axis=1)
-    return tuple(
-        SingularPoint(*f, s_i, near_i, sign)
-        for (f, sign), s_i, near_i in zip(rows, s.tolist(), near.tolist())
-    )
+    return tuple(SingularPoint(*f, s_i, sign) for (f, sign), s_i in zip(rows, s.tolist()))
 

@@ -224,7 +224,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
         qm = _newton(front, 0.5 * (np.asarray(qa) + np.asarray(qb)), lam_scale)
         if qm is None:
             return None
-        jf = front.map_jet(qm[0], qm[1], 1)
+        jf = front.jets(qm[0], qm[1], 1, 0)[0]
         eta, _ = _null_direction(jf)
         if float(eta @ eta_ref) < 0:
             eta = -eta
@@ -234,7 +234,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
         dm = _cross2(T, eta)
         if abs(dm) < 1e-10:
             return qm
-        jfa = front.map_jet(qa[0], qa[1], 1)
+        jfa = front.jets(qa[0], qa[1], 1, 0)[0]
         eta_a, _ = _null_direction(jfa)
         if float(eta_a @ eta_ref) < 0:
             eta_a = -eta_a
@@ -248,7 +248,7 @@ def _bisect_transversality(front, qa, qb, eta_ref, lam_scale):
 
 
 def _eta_of(front, q):
-    jf = front.map_jet(q[0], q[1], 1)
+    jf = front.jets(q[0], q[1], 1, 0)[0]
     eta, _ = _null_direction(jf)
     return eta
 
@@ -281,7 +281,7 @@ def central_rate(front, q, T, eta, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
+def _build_samples(front, pts, closed, lam_scale):
     """Classify every traced point with curve context and fill arclengths."""
     n = len(pts)
     etas = []
@@ -323,25 +323,19 @@ def _build_samples(front, dom, pts, closed, lam_scale, peak_guard):
     s = [0.0]
     for i in range(1, n):
         s.append(s[-1] + float(np.linalg.norm(imgs[i] - imgs[i - 1])))
-    peak_s = [s[i] for i, p in enumerate(raw) if p.kind != SingularClass.CUSPIDAL_EDGE]
-    guard = peak_guard * dom.scale
     out = []
     for i, p in enumerate(raw):
-        near = any(abs(s[i] - ps) < guard for ps in peak_s) and (
-            p.kind == SingularClass.CUSPIDAL_EDGE
-        )
         st_sign = None
         if p.kind == SingularClass.SWALLOWTAIL:
             try:
                 st_sign = swallowtail_sign(front, p)
             except FrontlabError:
                 st_sign = None
-        out.append(dataclasses.replace(p, s=s[i], near_peak=near,
-                                       swallowtail_sign=st_sign))
+        out.append(dataclasses.replace(p, s=s[i], swallowtail_sign=st_sign))
     return tuple(out)
 
 
-def scalar_trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
+def scalar_trace(front, grid=64, max_steps=20000):
     """`trace` with every step evaluated one point at a time."""
     dom = front.domain
     uu, vv = dom.grid(grid)
@@ -379,7 +373,7 @@ def scalar_trace(front, grid=64, max_steps=20000, peak_guard=1e-3):
             claimed.append(np.array([seed]))
             continue
         pts = list(_canonical_order(dom, pts, closed))
-        samples = _build_samples(front, dom, pts, closed, lam_scale, peak_guard)
+        samples = _build_samples(front, pts, closed, lam_scale)
         peaks = tuple(
             i for i, p in enumerate(samples)
             if p.kind != SingularClass.CUSPIDAL_EDGE

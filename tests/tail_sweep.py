@@ -21,7 +21,7 @@ from frontlab.singular import SingularClass, TailSide
 
 def image_point(front, q):
     """f(q), the map's value at the chart point q, as a 3-vector."""
-    return stack(front.map_jet(q[0], q[1], 1).value)
+    return stack(front.jets(q[0], q[1], 1, 0)[0].value)
 
 
 def tail_side(front, point, radius=None, samples=256):
@@ -57,7 +57,7 @@ def tail_side(front, point, radius=None, samples=256):
         pts_u = q0[0] + r * np.cos(theta)
         pts_v = q0[1] + r * np.sin(theta)
         lam = lambda_value(front, pts_u, pts_v)
-        disp = stack(front.map_jet(pts_u, pts_v, 0).value) - img0
+        disp = stack(front.jets(pts_u, pts_v, 0, 0)[0].value) - img0
         return lam, np.arctan2(disp @ e2, disp @ e1)
 
     for _ in range(3):

@@ -36,17 +36,6 @@ from frontlab.zigzag import NullLoop, PlaneFront
 class TestDomain:
     """Parameter rectangles with optional periodic gluing."""
 
-    def test_contains_and_slack(self):
-        d = Domain(-1.0, 1.0, 0.0, 2.0)
-        assert d.contains(0.0, 1.0)
-        assert not d.contains(1.2, 1.0)
-        assert d.contains(1.2, 1.0, slack=0.25)
-
-    def test_periodic_axis_always_contains(self):
-        d = Domain(0.0, 2 * math.pi, 0.0, 1.0, periodic_u=True)
-        assert d.contains(17.0, 0.5)
-        assert not d.contains(1.0, 1.5)
-
     def test_wrap_folds_periodic_coordinates(self):
         d = Domain(0.0, 2 * math.pi, -1.0, 1.0, periodic_u=True)
         u, v = d.wrap(2 * math.pi + 0.25, 0.5)
@@ -62,6 +51,12 @@ class TestDomain:
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ValueError):
             Domain(1.0, 1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0),
+                                        (0.0, 1.0, -math.inf, math.inf)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            Domain(*bounds)
 
     def test_scale_is_longest_side(self):
         assert Domain(-2.0, 3.0, 0.0, 1.0).scale == 5.0
@@ -342,7 +337,7 @@ class TestReadOnlyInputs:
         d = f.domain
         u, v = self._frozen(np.linspace(d.u0, d.u1, 9)[1:-1], np.linspace(d.v0, d.v1, 9)[1:-1])
         f.jets(u, v, 3, 2)
-        f.map_jet(u, v, 2)
+        f.jets(u, v, 2, 0)[0]
         lambda_jets(f, u, v, order=2)
         forms(f, u, v)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -505,7 +500,7 @@ class TestParallelSurface:
         )
         off = parallel_surface(base, 0.5)
         jf, jn = base.jets(0.3, 0.2, 0, 0)
-        got = off.map_jet(0.3, 0.2, 0).value
+        got = off.jets(0.3, 0.2, 0, 0)[0].value
         assert got == tuple(f + 0.5 * n for f, n in zip(jf.value, jn.value))
 
     def test_ellipsoid_offset_has_singular_set(self):
@@ -570,6 +565,13 @@ class TestDescriptionFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_description("not a description\nmap = (u, v, 0)\n")
+
+    def test_non_finite_domain_rejected(self):
+        text = write_description(gallery("cuspidal_parabola"))
+        lines = [ln if not ln.startswith("domain = ") else "domain = -1.0 inf -1.0 1.0"
+                 for ln in text.splitlines()]
+        with pytest.raises(ValueError, match="finite"):
+            read_description("\n".join(lines))
 
     @pytest.mark.parametrize("a", [2.0, -2.0])
     def test_clashing_parameter_round_trip(self, a):

@@ -303,6 +303,22 @@ class TestUnsignedIntegral:
         euler_report(pseudosphere, real(pseudosphere, grid=32), panels=128)
         assert len(calls) == 1, "euler_report retraced the curves it was given"
 
+    def test_one_line_rule_pass(self, monkeypatch, ell16, pseudosphere):
+        # A- is integrated once, at the nodes whose value is returned
+        calls = []
+        real = gaussbonnet._minus_area
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gaussbonnet, "_minus_area", counted)
+        integrate_K_dA(ell16, grid=512)
+        assert len(calls) == 1
+        rep = euler_report(pseudosphere)
+        assert len(calls) == 2
+        assert rep.applicable and "K_dA_unresolved" not in rep.provenance
+
 
 class TestSingularCurveIntegral:
     """Line integral of the singular-curvature measure."""

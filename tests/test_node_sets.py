@@ -1,0 +1,118 @@
+"""Each benchmark job evaluates each node set once, but for listed repeats.
+
+`eval_jet` is wrapped where frontlab calls it: `frontlab.front` for every
+surface jet, `frontlab.zigzag` for loop and plane-curve jets.  A call is
+keyed by its expression and the shape and bytes of u and v, and remembers
+its orders.  A call whose key an earlier call of the same job had, at
+orders no higher field by field, computes nothing new: a repeat.  A repeat
+is named by its job's kind and the frontlab functions that made the two
+calls, and fails unless `KNOWN` lists it with its reason.  Every job of
+`test_bench_jobs.BENCH` runs once at seed 7.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+from test_bench_jobs import BENCH
+
+import frontlab
+from frontlab import front as front_module
+from frontlab import zigzag
+
+SOURCE = str(Path(frontlab.__file__).parent)
+# functions that only pass a jet call on; a call site is named past them
+PLUMBING = {"jets", "lambda_jets", "_order3", "_jet", "_loop_jets"}
+
+# (job kind, first call site, repeating call site): reason
+KNOWN = {
+    ("singular_curvature", "job>classify", "job>singular_curvature"):
+        "the job classifies the point, then asks for its singular curvature; "
+        "singular_curvature takes a point, not its jets",
+    ("singular_curvature", "tangent_at>_project", "central_diff>tangent_at"):
+        "_project returns mu at its bitwise fixed point, whose last step took "
+        "the (2, 1) jets at the returned point; tangent_at takes them again",
+    ("singular_curvature", "tangent_at>_project", "tangent_at>_project"):
+        "Newton iterates whose mu changes below the rounding of X + mu N: "
+        "_project stops only at a fixed point of mu, so it evaluates the same "
+        "point again, up to _PROJECT_ITERS times",
+    ("trace", "_refine>_project", "_chains>_refine"):
+        "_project's bitwise fixed point: _refine takes the (2, 1) jets at the "
+        "projected midpoints that _project's last step already took",
+    ("kappa_s", "_refine>_project", "_chains>_refine"):
+        "_project's bitwise fixed point inside trace, as for the trace jobs",
+    ("euler_report", "_line_rule>_project", "_line_rule>_project"):
+        "integrate_kappa_s projects the curve panels' Gauss nodes that "
+        "_minus_area projected already in the same report",
+    ("zigzag_surface", "null_loop>_crossing", "_surface_crossings>_crossing"):
+        "decided: null_loop and zigzag_surface each validate every crossing, "
+        "since a NullLoop can be built by hand (ROADMAP item 10)",
+    ("zigzag_surface", "_crossing>classify", "_crossing>classify"):
+        "decided: the second validation of each crossing classifies it again",
+    ("zigzag_surface", "_crossing>classify", "zigzag_surface>_surface_crossings"):
+        "the zig/zag criterion takes (2, 1) jets at a crossing that classify "
+        "evaluated at (3, 2); classify returns a point, not its jets",
+}
+
+
+def _fingerprint(x):
+    a = np.ascontiguousarray(x, dtype=float)
+    return a.shape, hashlib.blake2b(a.tobytes(), digest_size=16).digest()
+
+
+def _orders(order):
+    return (order,) if not isinstance(order, tuple) else tuple(k for _, k in order)
+
+
+def _site():
+    """'caller>callee' of the innermost frontlab call past the plumbing;
+    'job' stands for the benchmark's own code."""
+    names = []
+    frame = sys._getframe(2)
+    while frame is not None and len(names) < 2:
+        name = frame.f_code.co_name
+        if not frame.f_code.co_filename.startswith(SOURCE):
+            names.append("job")
+            break
+        if name not in PLUMBING:
+            names.append(name)
+        frame = frame.f_back
+    return ">".join(reversed(names))
+
+
+def _repeats(monkeypatch, job):
+    seen, found = {}, set()
+
+    def wrap(real):
+        def eval_jet(e, u, v, order):
+            key = (id(e), _fingerprint(u), _fingerprint(v))
+            orders, site = _orders(order), _site()
+            for first_orders, first_site, _ in seen.get(key, ()):
+                if len(first_orders) == len(orders) and all(
+                    b <= a for a, b in zip(first_orders, orders)
+                ):
+                    found.add((first_site, site))
+                    break
+            seen.setdefault(key, []).append((orders, site, e))  # e stays alive
+            return real(e, u, v, order)
+
+        return eval_jet
+
+    monkeypatch.setattr(front_module, "eval_jet", wrap(front_module.eval_jet))
+    monkeypatch.setattr(zigzag, "eval_jet", wrap(zigzag.eval_jet))
+    try:
+        job.run()
+    finally:
+        monkeypatch.undo()
+    kind = job.name.split()[0]
+    return {(kind, *pair) for pair in found}
+
+
+def test_each_job_evaluates_each_node_set_once(monkeypatch):
+    found = set()
+    for workload in sorted(BENCH.BUILDERS):
+        for job in BENCH.setup(workload, 7):
+            found |= _repeats(monkeypatch, job)
+    unlisted = sorted(found - set(KNOWN))
+    assert not unlisted, "node sets evaluated again:\n" + "\n".join(map(str, unlisted))

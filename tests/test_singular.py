@@ -405,15 +405,6 @@ class TestTrace:
         assert s[0] == 0.0
         assert np.all(np.diff(s) >= 0.0)
 
-    def test_peak_guard_band(self, swallowtail_curve):
-        front, curves = swallowtail_curve
-        c = curves[0]
-        peak_s = c.samples[c.peaks[0]].s
-        guard = 1e-3 * front.domain.scale
-        for p in c.samples:
-            if p.kind is SingularClass.CUSPIDAL_EDGE:
-                assert p.near_peak == (abs(p.s - peak_s) < guard)
-
     def test_pseudosphere_circle(self):
         front = gallery("pseudosphere")
         curves = trace(front, grid=32)
@@ -1058,11 +1049,10 @@ class TestTailSide:
 
     def test_classify_builds_the_traced_point(self, traced):
         """`classify` decides a swallowtail, its sign included, as `trace`
-        did: both routes build equal points but for the curve's arclength
-        and peak guard."""
+        did: both routes build equal points but for the curve's arclength."""
         for front, p in traced:
             q = classify(front, p.uv)
-            assert q == dataclasses.replace(p, s=q.s, near_peak=q.near_peak), (front.label, p.uv)
+            assert q == dataclasses.replace(p, s=q.s), (front.label, p.uv)
 
     def test_acceleration_is_along_the_rank_direction(self, traced):
         """The derivation behind the closed form: at a swallowtail the

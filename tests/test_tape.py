@@ -146,8 +146,8 @@ def test_front_jets_equal_each_field_on_its_own(name):
 
 @pytest.mark.parametrize("name", gallery_names())
 def test_map_jet_is_the_map_part_of_jets(name):
-    # the joint program serves map_jet too: the bits of the map's own jet,
-    # and no second program per front
+    # the map part of a joint call at normal order 0 has the bits of the
+    # map's own jet, and no second program is built per front
     front = gallery(name)
     inputs = _front_inputs(front)
     want = {(kind, order): _outcome(eval_jet, front.map, uv, order)
@@ -156,7 +156,7 @@ def test_map_jet_is_the_map_part_of_jets(name):
     programs = set(expr_module._PROGRAMS)
     for (kind, order), jet in want.items():
         uv = inputs[kind]
-        got = _outcome(lambda e, u, v, k: front.map_jet(u, v, k), None, uv, order)
+        got = _outcome(lambda e, u, v, k: front.jets(u, v, k, 0)[0], None, uv, order)
         assert got == jet, (kind, order)
         for on in range(4):
             assert _blocks(front.jets(*uv, order, on)[0], uv) == jet, (kind, order, on)

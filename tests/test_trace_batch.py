@@ -238,7 +238,6 @@ def test_curvatures_match_scalar_trace(traced):
             assert pb.uv == ps.uv
             assert pb.kind is ps.kind, pb.uv
             assert pb.swallowtail_sign == ps.swallowtail_sign, pb.uv
-            assert pb.near_peak == ps.near_peak, pb.uv
             if ps.kind is SingularClass.CUSPIDAL_EDGE:
                 _assert_curvatures_close(pb, ps, pb.uv)
 

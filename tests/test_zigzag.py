@@ -207,6 +207,11 @@ class TestPlaneContract:
             PlaneFront(gamma=parse("(cos(u), sin(u))"),
                        normal=parse("(-cos(u), -sin(u))"), orientation=2)
 
+    def test_infinite_period_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PlaneFront(gamma=parse("(cos(u), sin(u))"),
+                       normal=parse("(-cos(u), -sin(u))"), period=math.inf)
+
 
 class TestPlaneDegeneracies:
     def test_touching_zero_between_samples(self):
@@ -315,6 +320,11 @@ class TestNullLoopConstruction:
         with pytest.raises(FrontContractError, match="null direction"):
             null_loop(front, parse(
                 "(0.3 + 0.25*cos(u), 0.4*sin(u) + 0.1*cos(u))"))
+
+    def test_infinite_period_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            null_loop(gallery("cuspidal_parabola"),
+                      parse("(0.3 + 0.25*cos(u), 0.4*sin(u))"), period=math.inf)
 
     def test_peak_crossing_rejected(self):
         with pytest.raises(FrontlabError, match="cuspidal edge"):
