@@ -27,6 +27,22 @@ _VALIDATE_TOL = 1e-9  # unit-normal and orthogonality deviation
 _RANK_TOL = 1e-9  # second singular value of (f_u f_v nu_u nu_v)
 
 
+def cross(b, c):
+    """Cross product b x c of two component triples, its terms in numpy's
+    operand order."""
+    b0, b1, b2 = b
+    c0, c1, c2 = c
+    return b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+
+
+def triple(a, x):
+    """a . x summed as `det3` sums it: det3(a, b, c) is triple(a, cross(b, c))
+    bit for bit, so a cross product that serves several terms is taken once."""
+    a0, a1, a2 = a
+    x0, x1, x2 = x
+    return np.float64((a0 * x0 + a2 * x2) + a1 * x1)
+
+
 def det3(a, b, c):
     """Scalar triple product det(a, b, c) of three component triples.
 
@@ -37,13 +53,7 @@ def det3(a, b, c):
     be floats or broadcastable arrays; the result has their broadcast
     shape, as an np.float64 where that shape is ().
     """
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c0, c1, c2 = c
-    x0 = b1 * c2 - b2 * c1
-    x1 = b2 * c0 - b0 * c2
-    x2 = b0 * c1 - b1 * c0
-    return np.float64((a0 * x0 + a2 * x2) + a1 * x1)
+    return triple(a, cross(b, c))
 
 
 def dot(a, b):

@@ -5,8 +5,10 @@ set.  The unsigned one weights it by sgn(lambda), so its integral is the
 signed one less twice the spherical area nu sweeps over {lambda < 0}: by
 Stokes, a line integral along the Gauss image of that region's boundary.
 One line rule serves it, the singular-curvature integral and the polar
-caps.  With cell-complex Euler characteristics of the two chart regions,
-the module assembles both identities' residuals and the degree bookkeeping.
+caps.  Area panels are evaluated a column of panels at a time and summed
+panel by panel.  With cell-complex Euler characteristics of the two chart
+regions, the module assembles both identities' residuals and the degree
+bookkeeping.
 One grid of lambda's signs gives chi(M+-) and the sign epsilon of each end,
 read on the grid's edge row or column; swallowtail signs are the ones
 `trace` and `classify` stored on the points.
@@ -87,6 +89,9 @@ def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
     mu' = -(grad lambda . D) / (grad lambda . N).
     Returns tangents Q (S, nodes, 2), weights, lambda and grad lambda . N
     at the nodes, and `front.jets` there at `orders`, (2, 1) or deeper.
+    The projection takes lambda's jets once per Newton point; its handback
+    goes unread (edge nodes are not projected, and curve nodes land at
+    different Newton steps).
     """
     x, w = _gl_rule(nodes)
     N = _chord_normals(D)
@@ -94,7 +99,7 @@ def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
     mu = np.zeros(X.shape[:2])
     idx = np.nonzero(on_curve)[0]
     if idx.size:
-        mu[idx] = _project(front, X[idx], N[idx, None, :])
+        mu[idx] = _project(front, X[idx], N[idx, None, :])[0]
     P = X + mu[..., None] * N[:, None, :]
     U, V = P[..., 0], P[..., 1]
     jf, jn = front.jets(U, V, *orders)
@@ -155,24 +160,6 @@ def _cap_terms(front):
     return tuple(out)
 
 
-def _panel_nodes(panels, nodes):
-    """GL node coordinates and weights for a batch of rectangles.
-
-    panels: array (P, 4) of (u0, v0, wu, wv).  The nodes of a panel form
-    a tensor product, so U (P, nodes, 1) and V (P, 1, nodes) are its
-    broadcast factors: a jet program evaluates what depends on u alone
-    once per row and what depends on v alone once per column.  W
-    (P, nodes, nodes) is the per-node weight including the area Jacobian.
-    """
-    x, w = _gl_rule(nodes)
-    u = panels[:, 0, None] + panels[:, 2, None] * x[None, :]  # (P, n)
-    v = panels[:, 1, None] + panels[:, 3, None] * x[None, :]
-    W = (w[None, :, None] * w[None, None, :]) * (
-        panels[:, 2] * panels[:, 3]
-    )[:, None, None]
-    return u[:, :, None], v[:, None, :], W
-
-
 def _panel_counts(dom, budget):
     """Split a total panel budget so panels are roughly square."""
     aspect = (dom.u1 - dom.u0) / (dom.v1 - dom.v0)
@@ -181,40 +168,46 @@ def _panel_counts(dom, budget):
     return n_u, n_v
 
 
-def _panel_grid(dom, budget):
-    n_u, n_v = _panel_counts(dom, budget)
-    du = (dom.u1 - dom.u0) / n_u
-    dv = (dom.v1 - dom.v0) / n_v
-    return np.array(
-        [
-            (dom.u0 + i * du, dom.v0 + j * dv, du, dv)
-            for i in range(n_u)
-            for j in range(n_v)
-        ]
-    )
+def _panel_sums(front, grid, nodes, coarse=True):
+    """The signed integral and its coarse sgn(lambda)-weighted counterpart
+    (None unless `coarse`: then only the normal and the map's value are read).
 
-
-def _panel_sums(front, grid, nodes):
-    """The signed integral and its coarse sgn(lambda)-weighted counterpart.
-
-    One pass over the Gauss panels of the chart, in blocks of one `_CHUNK`
-    of nodes, plus the polar caps.  The coarse value is kinked on the
-    singular set and only picks the branch of the unsigned integral.
+    One pass over the `grid` Gauss panels of the chart, plus the polar
+    caps.  A chunk of panel columns (strips in u), as many as fit in
+    `_CHUNK` nodes but at least one, is the tensor product of its u nodes,
+    a column (k nodes, 1), and every v node, a row (1, n_v nodes): a jet
+    program computes what depends on u alone once per row and what depends
+    on v alone once per column.  The values are copied into contiguous
+    (panel, u node, v node) blocks, so each panel's sum keeps its order.
+    The coarse value is kinked on the singular set and only picks the
+    branch of the unsigned integral.
     """
-    batch = _panel_grid(front.domain, grid)
-    step = max(1, _CHUNK // (nodes * nodes))
+    dom = front.domain
+    n_u, n_v = _panel_counts(dom, grid)
+    du, dv = (dom.u1 - dom.u0) / n_u, (dom.v1 - dom.v0) / n_v
+    x, w = _gl_rule(nodes)
+    u = ((dom.u0 + np.arange(n_u) * du)[:, None] + du * x).ravel()
+    v = ((dom.v0 + np.arange(n_v) * dv)[:, None] + dv * x).reshape(1, -1)
+    W = (w[:, None] * w[None, :]) * (du * dv)
+    step = nodes * max(1, _CHUNK // (nodes * nodes * n_v))
+
+    def sums(a, rows):  # numpy sums a strided block in another order, so copy
+        a = np.broadcast_to(a, (rows, v.size)).reshape(-1, nodes, n_v, nodes)
+        a = np.ascontiguousarray(a.swapaxes(1, 2)).reshape(-1, nodes, nodes)
+        return (a * W).sum(axis=(1, 2)).tolist()
+
     plain, signed = [], []
-    for k in range(0, len(batch), step):
-        U, V, W = _panel_nodes(batch[k : k + step], nodes)
-        jf, jn = front.jets(U, V, 1, 1)
+    for k in range(0, u.size, step):
+        U = u[k : k + step, None]
+        jf, jn = front.jets(U, v, int(coarse), 1)
         det = det3(jn.f_u, jn.f_v, jn.value)
-        lam = det3(jf.f_u, jf.f_v, jn.value)
-        plain.extend((det * W).sum(axis=(1, 2)).tolist())
-        signed.extend((np.sign(lam) * det * W).sum(axis=(1, 2)).tolist())
+        plain.extend(sums(det, len(U)))
+        if coarse:
+            signed.extend(sums(np.sign(det3(jf.f_u, jf.f_v, jn.value)) * det, len(U)))
     caps = _cap_terms(front)
     return (
         math.fsum(plain + [area for (area, _) in caps]),
-        math.fsum(signed + [s * area for (area, s) in caps]),
+        math.fsum(signed + [s * area for (area, s) in caps]) if coarse else None,
     )
 
 
@@ -224,7 +217,7 @@ def integrate_K_dAhat(front, grid=2048):
     `grid` is the total panel budget; each panel takes `_PANEL_NODES`
     Gauss nodes per axis.
     """
-    return _panel_sums(front, grid, _PANEL_NODES)[0]
+    return _panel_sums(front, grid, _PANEL_NODES, coarse=False)[0]
 
 
 def _curve_panels(dom, curves):

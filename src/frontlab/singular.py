@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import FrontContractError, FrontlabError, InapplicableError, TraceError
-from .front import columns, det3, dot, lambda_value, spread, stack
+from .front import columns, cross, det3, dot, lambda_value, spread, stack, triple
 
 # classification thresholds (relative; see docstrings for the normalizations)
 TRANSVERSAL_TOL = 1e-6
@@ -109,47 +109,42 @@ def _lambda_blocks(jf, jn, order):
     """lambda and its chart partials by the product rule over det(f_u,f_v,nu).
 
     Needs the map jet one order deeper than the result (`order` 1 or 2) and
-    the normal jet at the result's order.
+    the normal jet at the result's order.  Each term det3(a, b, c) is taken
+    as triple(a, cross(b, c)), the same bits, and each cross product once.
     """
-    nu = jn.value
-    lam = det3(jf.f_u, jf.f_v, nu)
-    lam_u = (
-        det3(jf.f_uu, jf.f_v, nu)
-        + det3(jf.f_u, jf.f_uv, nu)
-        + det3(jf.f_u, jf.f_v, jn.f_u)
-    )
-    lam_v = (
-        det3(jf.f_uv, jf.f_v, nu)
-        + det3(jf.f_u, jf.f_vv, nu)
-        + det3(jf.f_u, jf.f_v, jn.f_v)
-    )
+    nu, f_u, f_v, f_uu, f_uv, f_vv = jn.value, jf.f_u, jf.f_v, jf.f_uu, jf.f_uv, jf.f_vv
+    v_nu, uv_nu, v_nu_u = cross(f_v, nu), cross(f_uv, nu), cross(f_v, jn.f_u)
+    vv_nu, v_nu_v = cross(f_vv, nu), cross(f_v, jn.f_v)
+    lam = triple(f_u, v_nu)
+    lam_u = triple(f_uu, v_nu) + triple(f_u, uv_nu) + triple(f_u, v_nu_u)
+    lam_v = triple(f_uv, v_nu) + triple(f_u, vv_nu) + triple(f_u, v_nu_v)
     if order == 1:
         return lam, lam_u, lam_v
     lam_uu = (
-        det3(jf.f_uuu, jf.f_v, nu)
-        + 2.0 * det3(jf.f_uu, jf.f_uv, nu)
-        + 2.0 * det3(jf.f_uu, jf.f_v, jn.f_u)
-        + det3(jf.f_u, jf.f_uuv, nu)
-        + 2.0 * det3(jf.f_u, jf.f_uv, jn.f_u)
-        + det3(jf.f_u, jf.f_v, jn.f_uu)
+        triple(jf.f_uuu, v_nu)
+        + 2.0 * triple(f_uu, uv_nu)
+        + 2.0 * triple(f_uu, v_nu_u)
+        + triple(f_u, cross(jf.f_uuv, nu))
+        + 2.0 * triple(f_u, cross(f_uv, jn.f_u))
+        + triple(f_u, cross(f_v, jn.f_uu))
     )
     lam_uv = (
-        det3(jf.f_uuv, jf.f_v, nu)
-        + det3(jf.f_uu, jf.f_vv, nu)
-        + det3(jf.f_uu, jf.f_v, jn.f_v)
-        + det3(jf.f_u, jf.f_uvv, nu)
-        + det3(jf.f_u, jf.f_uv, jn.f_v)
-        + det3(jf.f_uv, jf.f_v, jn.f_u)
-        + det3(jf.f_u, jf.f_vv, jn.f_u)
-        + det3(jf.f_u, jf.f_v, jn.f_uv)
+        triple(jf.f_uuv, v_nu)
+        + triple(f_uu, vv_nu)
+        + triple(f_uu, v_nu_v)
+        + triple(f_u, cross(jf.f_uvv, nu))
+        + triple(f_u, cross(f_uv, jn.f_v))
+        + triple(f_uv, v_nu_u)
+        + triple(f_u, cross(f_vv, jn.f_u))
+        + triple(f_u, cross(f_v, jn.f_uv))
     )
     lam_vv = (
-        det3(jf.f_uvv, jf.f_v, nu)
-        + 2.0 * det3(jf.f_uv, jf.f_vv, nu)
-        + 2.0 * det3(jf.f_uv, jf.f_v, jn.f_v)
-        + det3(jf.f_u, jf.f_vvv, nu)
-        + 2.0 * det3(jf.f_u, jf.f_vv, jn.f_v)
-        + det3(jf.f_u, jf.f_v, jn.f_vv)
+        triple(jf.f_uvv, v_nu)
+        + 2.0 * triple(f_uv, vv_nu)
+        + 2.0 * triple(f_uv, v_nu_v)
+        + triple(f_u, cross(jf.f_vvv, nu))
+        + 2.0 * triple(f_u, cross(f_vv, jn.f_v))
+        + triple(f_u, cross(f_v, jn.f_vv))
     )
     return lam, lam_u, lam_v, lam_uu, lam_uv, lam_vv
 
@@ -346,25 +341,61 @@ def classify(front, uv):
 
 def _project(front, X, N):
     """Offsets mu that move the points X along the unit vectors N onto
-    lambda = 0.
+    lambda = 0, and the (2, 1) jets at X + mu N where a step took them.
 
     Up to `_PROJECT_ITERS` Newton steps on lambda(X + mu N) = 0 from mu = 0,
     over arrays of any leading shape; at one point (shape (2,)) the jets run
-    on floats.  A step is an elementwise function of mu alone, so once it
-    returns mu bit for bit (compared as bytes: -0.0 is not 0.0, and NaN can
-    repeat) every later step would too, and that iterate is returned.  The
-    line rule projects its Gauss nodes with it, `trace` the midpoints of its
-    gaps and transversality brackets, and `singular_curvature` its chart
-    offsets along the curve.
+    on floats.  Once a step returns mu bit for bit (compared as bytes: -0.0
+    is not 0.0, and NaN can repeat) every later step would too, and that
+    iterate is returned.  Steps and jets are elementwise, so a row whose
+    point X + mu N repeats byte for byte a point of an earlier step reuses
+    that step's ratio lambda / (grad lambda . N), the same bits, and no
+    point is evaluated twice: a row whose mu repeated is frozen, and
+    iterates that differ below the rounding of X + mu N cost no jets.  The
+    jets at the points returned come back where a step took them, else
+    None: a point keeps each step's (floats), a batch its last call's, if
+    that call took every row.  The line rule projects its Gauss nodes with
+    it, `trace` the midpoints of its gaps and transversality brackets, and
+    `singular_curvature` its chart offsets along the curve.
     """
-    u, v, n0, n1 = X[..., 0][()], X[..., 1][()], N[..., 0][()], N[..., 1][()]
-    mu = np.zeros(X.shape[:-1])
-    for _ in range(_PROJECT_ITERS):
-        lam, lu, lv = lambda_jets(front, u + mu * n0, v + mu * n1, order=1)
-        mu, last = mu - lam / (lu * n0 + lv * n1), mu
+    if X.ndim == 1:  # floats, and each point's ratio and jets by its bytes
+        (u, v), (n0, n1), mu, memo = X, N, np.zeros(()), {}
+        for _ in range(_PROJECT_ITERS):
+            p = u + mu * n0, v + mu * n1
+            key = p[0].tobytes() + p[1].tobytes()
+            if key not in memo:
+                jets = front.jets(*p, 2, 1)
+                lam, lu, lv = _lambda_blocks(*jets, 1)
+                memo[key] = lam / (lu * n0 + lv * n1), jets
+            mu, last = mu - memo[key][0], mu
+            if mu.tobytes() == last.tobytes():
+                break
+        return mu, memo.get((u + mu * n0).tobytes() + (v + mu * n1).tobytes(), (None, None))[1]
+    X, N = np.broadcast_arrays(X, N)
+    u, v, n0, n1 = X[..., 0], X[..., 1], N[..., 0], N[..., 1]
+    mu, seen, hand = np.zeros(u.shape), [], None  # seen: each step's points and ratios
+    for k in range(_PROJECT_ITERS):
+        pu, pv = u + mu * n0, v + mu * n1
+        p, r = (pu.view(np.int64), pv.view(np.int64)), np.empty(u.shape)
+        old = np.zeros(u.shape, dtype=bool)
+        for q, rq in seen:
+            same = (q[0] == p[0]) & (q[1] == p[1])
+            r[same], old = rq[same], old | same
+        seen.append((p, r))
+        hits = np.count_nonzero(old)
+        if hits < old.size:
+            at, hand = ~old if hits else (), None  # (): every row; frees the last jets
+            hand = k, front.jets(pu[at], pv[at], 2, 1)
+            lam, lu, lv = _lambda_blocks(*hand[1], 1)
+            r[at] = lam / (lu * n0[at] + lv * n1[at])
+            hand = None if hits else hand  # a call on some rows hands nothing back
+        mu, last = mu - r, mu
         if mu.tobytes() == last.tobytes():
             break
-    return mu
+    landed = (u + mu * n0).view(np.int64), (v + mu * n1).view(np.int64)
+    if hand and all((a == b).all() for a, b in zip(seen[hand[0]][0], landed)):
+        return mu, hand[1]
+    return mu, None
 
 
 def _chord_normals(D):
@@ -563,9 +594,10 @@ def _refine(front, dom, P, nxt, cell):
             break
         i, j, D, half = i[split], j[split], D[split], half[split]
         M, N = P[i] + 0.5 * D, _chord_normals(D)
-        mu = _project(front, M, N)
+        mu, jets = _project(front, M, N)
         Q = M + mu[:, None] * N
-        lam, *grad = lambda_jets(front, Q[:, 0], Q[:, 1], order=1)
+        jets = jets or front.jets(Q[:, 0], Q[:, 1], 2, 1)
+        lam, *grad = (spread(x, Q[:, 0], Q[:, 1]) for x in _lambda_blocks(*jets, 1))
         Gq = np.stack(grad, axis=-1)
         ok = (np.abs(mu) <= 0.75 * half) & (np.abs(lam) <= 1e-9 * dom.scale * np.hypot(*grad))
         at = ~ok  # at a corner
@@ -722,7 +754,7 @@ def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
                 "in the chart: no chord to project its midpoint along"
             )
         M, N = a + 0.5 * D, _chord_normals(D)
-        return M + _project(front, M, N)[:, None] * N
+        return M + _project(front, M, N)[0][:, None] * N
 
     a_neg = (_cross2(T0[i].T, eta[i].T) < 0)[:, None]  # det at P[i], as `det` has it
     neg, pos = _bisect(
@@ -815,8 +847,9 @@ def singular_curvature(front, point):
 
     def tangent_at(t):
         X = q0 + t * T0
-        q = X + _project(front, X, N) * N
-        jf, jn = front.jets(q[0], q[1], 2, 1)
+        mu, jets = _project(front, X, N)
+        q = X + mu * N
+        jf, jn = jets or front.jets(q[0], q[1], 2, 1)
         lam, lu, lv = _lambda_blocks(jf, jn, 1)
         g = math.hypot(lu, lv)
         if not (g > 0.0 and abs(lam) <= 1e-9 * scale * g):

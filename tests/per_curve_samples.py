@@ -106,7 +106,7 @@ def _insert_swallowtails(front, dom, P, closed):
                 "in the chart: no chord to project its midpoint along"
             )
         M, N = a + 0.5 * D, _chord_normals(D)
-        return M + _project(front, M, N)[:, None] * N
+        return M + _project(front, M, N)[0][:, None] * N
 
     a_neg = (det(P[i], np.arange(len(i))) < 0)[:, None]
     neg, pos = _bisect(

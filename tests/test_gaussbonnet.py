@@ -143,10 +143,17 @@ def ell20_report(ell20, ell20_curves):
 
 
 def flat_panel_sums(front, grid, nodes):
-    """`gaussbonnet._panel_sums` on node arrays copied out to one flat point
-    per Gauss node: the oracle of its tensor-product (column x row) nodes."""
+    """`gaussbonnet._panel_sums` node by node: the oracle of its column
+    layout.  Its own panel grid, one row (u0, v0, du, dv) per panel, u
+    index major, in chunks of `_CHUNK` nodes; each node a point of one flat
+    array, and each panel's sum over its (nodes, nodes) block."""
+    dom = front.domain
+    n_u, n_v = gaussbonnet._panel_counts(dom, grid)
+    du, dv = (dom.u1 - dom.u0) / n_u, (dom.v1 - dom.v0) / n_v
+    batch = np.array(
+        [(dom.u0 + i * du, dom.v0 + j * dv, du, dv) for i in range(n_u) for j in range(n_v)]
+    )
     x, w = gaussbonnet._gl_rule(nodes)
-    batch = gaussbonnet._panel_grid(front.domain, grid)
     step = max(1, gaussbonnet._CHUNK // (nodes * nodes))
     plain, signed = [], []
     for k in range(0, len(batch), step):
@@ -173,16 +180,20 @@ def flat_panel_sums(front, grid, nodes):
 class TestSmoothFormIntegral:
     """Integral of K against the smooth density det(nu_u, nu_v, nu)."""
 
-    @pytest.mark.parametrize("nodes", [8, 16])
+    # 2 to 5 panel columns per chunk, and at 300 panels and more the cone's
+    # columns, of 33 to 85 panels, each hold more than `_CHUNK` nodes
+    @pytest.mark.parametrize("nodes,grid", [(8, 256), (16, 256), (16, 300), (16, 512), (16, 2048)])
     @pytest.mark.parametrize(
         "name", ["sphere", "ellipsoid", "ellipsoid_parallel", "pseudosphere", "cone"]
     )
-    def test_tensor_nodes_match_flat_nodes(self, name, nodes):
+    def test_tensor_nodes_match_flat_nodes(self, name, nodes, grid):
         # compact (capped) and complete (ended) gallery fronts, bit for bit
         front = gallery(name)
-        got = gaussbonnet._panel_sums(front, 256, nodes)
-        want = flat_panel_sums(front, 256, nodes)
+        got = gaussbonnet._panel_sums(front, grid, nodes)
+        want = flat_panel_sums(front, grid, nodes)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        if nodes == gaussbonnet._PANEL_NODES:
+            assert integrate_K_dAhat(front, grid).hex() == want[0].hex()
 
     def test_gauss_rule_built_once_per_order(self, monkeypatch, sphere):
         leggauss = np.polynomial.legendre.leggauss

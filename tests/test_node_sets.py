@@ -30,18 +30,6 @@ KNOWN = {
     ("singular_curvature", "job>classify", "job>singular_curvature"):
         "the job classifies the point, then asks for its singular curvature; "
         "singular_curvature takes a point, not its jets",
-    ("singular_curvature", "tangent_at>_project", "central_diff>tangent_at"):
-        "_project returns mu at its bitwise fixed point, whose last step took "
-        "the (2, 1) jets at the returned point; tangent_at takes them again",
-    ("singular_curvature", "tangent_at>_project", "tangent_at>_project"):
-        "Newton iterates whose mu changes below the rounding of X + mu N: "
-        "_project stops only at a fixed point of mu, so it evaluates the same "
-        "point again, up to _PROJECT_ITERS times",
-    ("trace", "_refine>_project", "_chains>_refine"):
-        "_project's bitwise fixed point: _refine takes the (2, 1) jets at the "
-        "projected midpoints that _project's last step already took",
-    ("kappa_s", "_refine>_project", "_chains>_refine"):
-        "_project's bitwise fixed point inside trace, as for the trace jobs",
     ("euler_report", "_line_rule>_project", "_line_rule>_project"):
         "integrate_kappa_s projects the curve panels' Gauss nodes that "
         "_minus_area projected already in the same report",

@@ -11,6 +11,7 @@ import half_space_walk
 import numpy as np
 import pytest
 import tail_sweep
+from test_bench_jobs import BENCH
 
 from frontlab import (
     Domain,
@@ -687,21 +688,62 @@ def _recorded_projections(monkeypatch):
     real = singular._project
 
     def record(front, X, N):
-        mu = real(front, X, N)
-        calls.append((front, np.array(X), np.array(N), mu))
-        return mu
+        mu, jets = real(front, X, N)
+        calls.append((front, np.array(X), np.array(N), mu, jets))
+        return mu, jets
 
     monkeypatch.setattr(singular, "_project", record)
     monkeypatch.setattr(gaussbonnet, "_project", record)
     return calls
 
 
+def _jet_bits(jets):
+    return [np.asarray(c).tobytes()
+            for j in jets for block in (j.value, *j.d1, *(j.d2 or ())) for c in block]
+
+
 def _assert_matches_all_steps(calls):
-    for front, X, N, got in calls:
+    """mu is the oracle's bit for bit, and handed-back jets are the jets
+    at X + mu N."""
+    for front, X, N, got, jets in calls:
         want = fixed_step_project.project(front, X, N)
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (X, N)
+        if jets is not None:
+            Q = X + np.asarray(got)[..., None] * N
+            assert _jet_bits(jets) == _jet_bits(front.jets(Q[..., 0], Q[..., 1], 2, 1))
+
+
+def _points_per_projection(monkeypatch, run):
+    """The (u, v) points `eval_jet` takes inside each `_project` call of
+    `run()`, one list of byte pairs per call."""
+    calls, inside = [], []
+    real_jet, real_project = front_module.eval_jet, singular._project
+
+    def eval_jet(e, u, v, order):
+        if inside:
+            uu, vv = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+            inside[-1].extend(zip(map(bytes, uu.reshape(-1, 1)), map(bytes, vv.reshape(-1, 1))))
+        return real_jet(e, u, v, order)
+
+    def project(*args):
+        inside.append([])
+        try:
+            return real_project(*args)
+        finally:
+            calls.append(inside.pop())
+
+    monkeypatch.setattr(front_module, "eval_jet", eval_jet)
+    monkeypatch.setattr(singular, "_project", project)
+    monkeypatch.setattr(gaussbonnet, "_project", project)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _hex_rows(*rows):
+    return np.array([[float.fromhex(x) for x in row] for row in rows])
 
 
 class TestProjection:
@@ -737,7 +779,7 @@ class TestProjection:
         p = classify(front, uv)
         calls = _recorded_projections(monkeypatch)
         singular_curvature(front, p)
-        assert len(calls) == 4 and all(np.shape(mu) == () for *_, mu in calls)
+        assert len(calls) == 4 and all(np.shape(c[3]) == () for c in calls)
         _assert_matches_all_steps(calls)
 
     def test_newton_going_nan(self):
@@ -747,27 +789,55 @@ class TestProjection:
         X = np.array([[0.3, 0.5], [0.3, 0.5], [-0.2, 0.1]])
         N = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         with np.errstate(all="ignore"):
-            mu = singular._project(front, X, N)
-            _assert_matches_all_steps([(front, X, N, mu)])
+            mu, jets = singular._project(front, X, N)
+            _assert_matches_all_steps([(front, X, N, mu, jets)])
         assert np.isnan(mu[0]) and np.isfinite(mu[1:]).all()
+
+    @pytest.mark.parametrize("name,X,N", [
+        # NaN rows, and points on lambda = 0 at v = +0.0 and at v = -0.0
+        ("cuspidal_parabola",
+         np.array([[0.3, 0.0], [0.3, -0.0], [np.nan, 0.2], [0.3, 0.5], [-0.0, 0.1]]),
+         np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [0.0, 1.0], [-0.0, -1.0]])),
+        # mu 2-cycles from the line rule of `integrate_K_dA`, next to a NaN row
+        ("ellipsoid_parallel",
+         _hex_rows(["0x1.0dc9345e8d6c9p-2", "0x1.d5818add74a34p-1"],
+                   ["0x1.c894007ad6888p+1", "0x1.1d03160a38f4ap+1"],
+                   ["0x1.8482a2a2dbd6ep+2", "0x1.d615928ed76b5p-1"],
+                   ["nan", "0x1p-1"]),
+         _hex_rows(["0x1.5ccaf36cf829ap-6", "0x1.ffe24b9cfd486p-1"],
+                   ["-0x1.f2be7083fd53cp-11", "0x1.fffff0d159d8bp-1"],
+                   ["0x1.6f8170e4b832fp-6", "-0x1.ffdf05a9eb3fap-1"],
+                   ["0x0p+0", "0x1p+0"])),
+    ])
+    def test_nan_signed_zero_and_two_cycle_rows(self, name, X, N):
+        front = gallery(name, {"d": 1.6} if name == "ellipsoid_parallel" else None)
+        with np.errstate(all="ignore"):
+            mu, jets = singular._project(front, X, N)
+            _assert_matches_all_steps([(front, X, N, mu, jets)])
+            # the premise: the oracle's last mu 2-cycle where a row has one
+            steps = [fixed_step_project.project(front, X, N, k) for k in (6, 7, 8)]
+        bits = [s.view(np.int64) for s in steps]
+        cycles = (bits[0] == bits[2]) & (bits[1] != bits[2])
+        assert cycles.sum() == (3 if name == "ellipsoid_parallel" else 0)
 
     def test_start_on_the_curve(self, monkeypatch):
         """lambda is exactly 0 on the parabola's axis: one step returns
-        mu = 0 again, and the projection stops there."""
+        mu = 0 again, the projection stops there and hands back the jets
+        of that step."""
         front = gallery("cuspidal_parabola")
         X, N = np.array([0.3, 0.0]), np.array([0.0, 1.0])
         steps = []
-        real = singular.lambda_jets
-        monkeypatch.setattr(singular, "lambda_jets",
+        real = front_module.eval_jet
+        monkeypatch.setattr(front_module, "eval_jet",
                             lambda *a, **k: steps.append(1) or real(*a, **k))
-        mu = singular._project(front, X, N)
-        assert len(steps) == 1
+        mu, jets = singular._project(front, X, N)
+        assert len(steps) == 1 and jets is not None
         assert mu.tobytes() == np.float64(0.0).tobytes()
-        _assert_matches_all_steps([(front, X, N, mu)])
+        _assert_matches_all_steps([(front, X, N, mu, jets)])
 
     def test_jet_calls_on_the_parabola_axis(self, monkeypatch):
-        """Each chart offset takes one Newton step and one landing jet,
-        where eight steps each took a jet before."""
+        """Each chart offset takes one Newton step, whose jets serve its
+        landing."""
         front = gallery("cuspidal_parabola")
         p = classify(front, (0.3, 0.0))
         calls = []
@@ -775,8 +845,24 @@ class TestProjection:
         monkeypatch.setattr(front_module, "eval_jet",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         kappa_s = singular_curvature(front, p)
-        assert len(calls) <= 9
+        assert len(calls) == 5
         assert kappa_s == 0.8208534571938269
+
+    def test_no_point_evaluated_twice_on_the_line_rule(self, monkeypatch):
+        front = gallery("ellipsoid_parallel", {"d": 1.6})
+        curves = trace(front, grid=96)
+        pieces = gaussbonnet._boundary_pieces(front, curves, 512)
+        calls = _points_per_projection(
+            monkeypatch, lambda: gaussbonnet._minus_area(front, pieces))
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) > 20000
+
+    def test_no_point_evaluated_twice_for_singular_curvature(self, monkeypatch):
+        jobs = [job for job in BENCH.setup("queries", 7)
+                if job.name.startswith("singular_curvature")]
+        calls = _points_per_projection(monkeypatch, lambda: [job.run() for job in jobs])
+        assert len(calls) == 4 * len(jobs) == 144
+        assert all(len(c) == len(set(c)) for c in calls)
 
 
 class TestInvariance:
