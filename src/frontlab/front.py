@@ -199,7 +199,11 @@ def lambda_value(front, u, v):
 
 def forms(front, u, v):
     """First and second fundamental forms at (u, v) (scalars or grids)."""
-    jf, jn = front.jets(u, v, 1, 1)
+    return _forms(*front.jets(u, v, 1, 1), u, v)
+
+
+def _forms(jf, jn, u, v):
+    """`forms` from the map and normal jets `jf`, `jn` at (u, v)."""
     fu, fv = jf.f_u, jf.f_v
     nu_u, nu_v = jn.f_u, jn.f_v
     E = dot(fu, fu)
@@ -220,8 +224,9 @@ def forms(front, u, v):
 
 def curvature(front, u, v):
     """Gaussian/mean curvature sample; flags the singular (unbounded) case."""
-    fm = forms(front, u, v)
-    lam = lambda_value(front, u, v)
+    jf, jn = front.jets(u, v, 1, 1)
+    fm = _forms(jf, jn, u, v)
+    lam = spread(det3(jf.f_u, jf.f_v, jn.value), u, v)
     denom = fm.E * fm.G - fm.F * fm.F
     floor = _REGULAR_TOL * max(1.0, float(np.max(fm.E + fm.G)) ** 2)
     regular = bool(np.all(denom > floor))

@@ -5,10 +5,10 @@ set.  The unsigned one weights it by sgn(lambda), so its integral is the
 signed one less twice the spherical area nu sweeps over {lambda < 0}: by
 Stokes, a line integral along the Gauss image of that region's boundary.
 One line rule serves it, the singular-curvature integral and the polar
-caps.  Area panels are evaluated a column of panels at a time and summed
-panel by panel.  With cell-complex Euler characteristics of the two chart
-regions, the module assembles both identities' residuals and the degree
-bookkeeping.
+caps, and a report reads both line integrals off one pass.  Area panels
+are evaluated a column of panels at a time and summed panel by panel.
+With cell-complex Euler characteristics of the two chart regions, the
+module assembles both identities' residuals and the degree bookkeeping.
 One grid of lambda's signs gives chi(M+-) and the sign epsilon of each end,
 read on the grid's edge row or column; swallowtail signs are the ones
 `trace` and `classify` stored on the points.
@@ -79,7 +79,7 @@ def _gl_rule(n):
     return x, w
 
 
-def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
+def _line_rule(front, A, D, on_curve, orders=(2, 1)):
     """Gauss nodes on chord panels A + x D, x in (0, 1), with exact tangents.
 
     Nodes of panels flagged `on_curve` (between consecutive samples of a
@@ -88,12 +88,12 @@ def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
     over its chord with tangent dq/dx = D + mu' N,
     mu' = -(grad lambda . D) / (grad lambda . N).
     Returns tangents Q (S, nodes, 2), weights, lambda and grad lambda . N
-    at the nodes, and `front.jets` there at `orders`, (2, 1) or deeper.
-    The projection takes lambda's jets once per Newton point; its handback
-    goes unread (edge nodes are not projected, and curve nodes land at
-    different Newton steps).
+    at the nodes, `front.jets` there at `orders`, (2, 1) or deeper, and the
+    `on_curve` rows' indices; each row is computed on its own.  The
+    projection takes lambda's jets once per Newton point; its handback goes
+    unread (edge nodes are not projected, curve nodes land at different steps).
     """
-    x, w = _gl_rule(nodes)
+    x, w = _gl_rule(_LINE_NODES)
     N = _chord_normals(D)
     X = A[:, None, :] + x[None, :, None] * D[:, None, :]
     mu = np.zeros(X.shape[:2])
@@ -115,7 +115,7 @@ def _line_rule(front, A, D, on_curve, nodes, orders=(2, 1)):
     slope = np.zeros_like(lam)
     slope[idx] = -(lu[idx] * D[idx, None, 0] + lv[idx] * D[idx, None, 1]) / lam_n[idx]
     Q = D[:, None, :] + slope[..., None] * N[:, None, :]
-    return Q, w, lam, lam_n, jf, jn
+    return Q, w, lam, lam_n, jf, jn, idx
 
 
 def _alpha(pole, nu, nu_u, nu_v, Q):
@@ -150,9 +150,7 @@ def _cap_terms(front):
         # boundary of {v <= v0} runs in -u, boundary of {v >= v1} in +u
         A = np.stack([us - max(step, 0.0), np.full(_RING_PANELS, v)], axis=-1)
         D = np.tile([step, 0.0], (_RING_PANELS, 1))
-        Q, w, lam, _, _, jn = _line_rule(
-            front, A, D, np.zeros(_RING_PANELS, dtype=bool), _LINE_NODES
-        )
+        Q, w, lam, _, _, jn, _ = _line_rule(front, A, D, np.zeros(_RING_PANELS, dtype=bool))
         pole = stack(jn.value).reshape(-1, 3).mean(axis=0)
         pole /= np.linalg.norm(pole)
         area = math.fsum((w * _alpha(pole, jn.value, jn.f_u, jn.f_v, Q)).ravel().tolist())
@@ -286,7 +284,7 @@ def _boundary_pieces(front, curves, grid):
     return A[keep], D[keep], owner[keep]
 
 
-def _minus_area(front, pieces):
+def _minus_area(front, pieces, orders=(2, 1)):
     """Integral of alpha along the Gauss image of the boundary of M-.
 
     A singular curve's panels are oriented so that M- lies on their left,
@@ -295,12 +293,12 @@ def _minus_area(front, pieces):
     panels count where lambda < 0 at their nodes; they are oriented
     counter-clockwise around the chart.  alpha is taken about the axis
     among +-e1, +-e2, +-e3 farthest from every -nu on the boundary.  One
-    line-rule pass at `_LINE_NODES`: the drift, side and edge checks see
-    the nodes whose value is returned.
+    line-rule pass at `orders`, returned with A- for `_kappa_sum`: its
+    drift, side and edge checks see the nodes whose value is returned.
     """
     A, D, owner = pieces
     on_curve = owner >= 0
-    Q, w, lam, lam_n, _, jn = _line_rule(front, A, D, on_curve, _LINE_NODES)
+    rule = Q, w, lam, lam_n, _, jn, _ = _line_rule(front, A, D, on_curve, orders)
     side = np.sign(lam_n)
     for i in np.unique(owner[on_curve]):
         if np.ptp(side[owner == i]) != 0.0:
@@ -317,7 +315,7 @@ def _minus_area(front, pieces):
     keep = on_curve.copy()
     keep[~on_curve] = negative.all(axis=1)
     if not keep.any():
-        return 0.0
+        return 0.0, rule
     nu, nu_u, nu_v = (tuple(np.broadcast_to(c, lam.shape)[keep] for c in b)
                       for b in (jn.value, jn.f_u, jn.f_v))
     n = stack(nu).reshape(-1, 3)
@@ -325,7 +323,7 @@ def _minus_area(front, pieces):
     pole = np.eye(3)[k % 3] * (1.0 if k < 3 else -1.0)
     orient = np.where(on_curve[keep, None], -side[keep], 1.0)
     vals = orient * w * _alpha(pole, nu, nu_u, nu_v, Q[keep])
-    return math.fsum(vals.ravel().tolist())
+    return math.fsum(vals.ravel().tolist()), rule
 
 
 def _branch(line, coarse):
@@ -345,12 +343,12 @@ def _branch(line, coarse):
     return line + FOUR_PI * k
 
 
-def _unsigned(front, curves, grid, sums):
+def _unsigned(front, curves, grid, sums, orders=(2, 1)):
     """int K dA by int K dAhat - 2 A-, with `sums` the (int K dAhat, coarse
-    sgn(lambda) sum) of `_panel_sums` over `grid`."""
+    sgn(lambda) sum) of `_panel_sums` over `grid`, and `_minus_area`'s pass."""
     hat, coarse = sums
-    minus = _minus_area(front, _boundary_pieces(front, curves, grid))
-    return hat - 2.0 * _branch(minus, 0.5 * (hat - coarse))
+    minus, rule = _minus_area(front, _boundary_pieces(front, curves, grid), orders)
+    return hat - 2.0 * _branch(minus, 0.5 * (hat - coarse)), rule
 
 
 def integrate_K_dA(front, grid=2048):
@@ -365,7 +363,16 @@ def integrate_K_dA(front, grid=2048):
     inside the chart and an ambiguous branch are refused.
     """
     curves = trace(front, grid=_TRACE_GRID)
-    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))
+    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))[0]
+
+
+def _kappa_sum(rule):
+    """Line integral of kappa_s over the `on_curve` panels of a line rule at
+    (3, 2): at each node the density kappa_s |image speed| times the weight
+    w |dq/dx| of the panel's exact tangent."""
+    Q, w, _, _, jf, jn, idx = rule
+    dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0]
+    return math.fsum(((dens * w) * np.hypot(Q[..., 0], Q[..., 1]))[idx].ravel().tolist())
 
 
 def integrate_kappa_s(front, curves):
@@ -373,8 +380,8 @@ def integrate_kappa_s(front, curves):
 
     The line rule's panels run between consecutive trace samples, so Gauss
     nodes never land on a peak; the density kappa_s |image speed| stays
-    bounded there.  Each node carries the weight w |dq/dx| of the exact
-    tangent of its panel.  Curves containing degenerate samples, or no
+    bounded there (`_kappa_sum`, which `euler_report` runs on its pass over
+    the boundary of M-).  Curves containing degenerate samples, or no
     cuspidal edge at all, are refused: the identity's hypotheses exclude
     them.
     """
@@ -384,14 +391,7 @@ def integrate_kappa_s(front, curves):
             f"{reason}; the curvature measure is not defined there"
         )
     A, D, _ = _curve_panels(front.domain, curves)
-    if not len(A):
-        return 0.0
-    Q, w, _, _, jf, jn = _line_rule(
-        front, A, D, np.ones(len(A), dtype=bool), _LINE_NODES, (3, 2)
-    )
-    dens = _curvatures(jf, jn, _lambda_blocks(jf, jn, 2))[0]
-    contrib = (dens * w) * np.hypot(Q[..., 0], Q[..., 1])
-    return math.fsum(contrib.ravel().tolist())
+    return _kappa_sum(_line_rule(front, A, D, np.ones(len(A), dtype=bool), (3, 2)))
 
 
 def _excluded(curves):
@@ -561,7 +561,7 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
     S_plus = S_minus = 0
     deg = llr = None
     if reason != _DEGENERATE:
-        int_dA = _unsigned(front, curves, panels, sums)
+        int_dA, rule = _unsigned(front, curves, panels, sums, (3, 2))
     S = _lambda_signs(front, grid)
     chi_M, chi_p, chi_m = _chis(front, S)
     ends = _end_epsilons(front, S)
@@ -570,7 +570,7 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
         if p.kind is SingularClass.SWALLOWTAIL
     ]
     if not reason:
-        int_ks = integrate_kappa_s(front, curves)
+        int_ks = _kappa_sum(rule)
         S_plus, S_minus = swallowtail_signs(front, st_points)
         alpha_terms = TWO_PI * (S_plus - S_minus)
         deg = _degree_from_total(int_hat) if compact else None

@@ -37,11 +37,11 @@ four read the same order-3 jet, and so does the limit of the half-space
 signs at a swallowtail (`_swallowtail_signs`).  `classify` feeds them
 from scalar jets, `trace` from one batch's arrays, a row of `.tolist()`
 columns per sample; both store a swallowtail's sign on its point, which
-`tail_side` and every sign count read.  `integrate_kappa_s` calls the
-curvature kernel on arrays of quadrature nodes.  `singular_curvature`
-computes kappa_s independently, by differencing exact tangents at chart
-offsets along the curve, which the one projection onto lambda = 0,
-`_project`, brings back onto it.
+`tail_side` and every sign count read.  Line integrals of kappa_s call the
+curvature kernel on quadrature nodes, projected once per report.
+`singular_curvature` computes kappa_s independently, by differencing
+exact tangents at chart offsets along the curve, which the one projection
+onto lambda = 0, `_project`, brings back onto it.
 """
 
 import dataclasses
@@ -201,9 +201,9 @@ def _curvatures(jf, jn, blocks):
 
     The one curvature kernel: `classify` feeds it scalar jets, `trace` a
     whole batch's arrays (`_decide` keeps both at cuspidal edges only) and
-    `integrate_kappa_s` arrays of Gauss nodes.  `blocks` is
-    `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by
-    the chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|;
+    `gaussbonnet._kappa_sum` a line rule's arrays of Gauss nodes.  `blocks`
+    is `_lambda_blocks(jf, jn, 2)`.  The curve is parametrized by the
+    chart-unit-speed tangent T = (lambda_v, -lambda_u)/|grad lambda|;
     its image velocity is g1 = f_* T and its image acceleration
     g2 = Hess_f(T, T) + f_* T', with T' the derivative of T along itself.
     Returns (density, kappa_s, kappa_nu, g1, g2), where the length density

@@ -189,6 +189,19 @@ class TestEvalJet:
         with pytest.raises(ValueError, match="vector"):
             eval_jet(e, 0.0, 0.0, 1)
 
+    def test_order_above_three_rejected(self):
+        with pytest.raises(ValueError, match="order must be 0..3, got 4"):
+            eval_jet(parse("(u, v, 0)"), 0.5, 0.5, 4)
+
+    def test_fields_must_cover_every_component(self):
+        with pytest.raises(ValueError, match="fields cover 2 of 3 components"):
+            eval_jet(parse("(u, v, 0)"), 0.5, 0.5, ((2, 1),))
+
+    def test_scalar_sqrt_of_negative_rejected(self):
+        # a point's jets run on floats, which raise where arrays give NaN
+        with pytest.raises(ExprDomainError, match="sqrt of negative value -1.0"):
+            eval_jet(parse("(sqrt(u), v, 0)"), -1.0, 0.5, 0)
+
     def test_mixed_partial_symmetry_against_oracle(self):
         e = parse("(sin(u*v)+u^3*v, exp(u-v), u*v^2)")
         j = eval_jet(e, 0.4, -0.3, 2)

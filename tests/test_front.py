@@ -5,12 +5,15 @@ second fundamental form); a finite-difference sweep guards every gallery
 expression against transcription slips.
 """
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from finite_difference import finite_difference_jet
 
+from frontlab import front as front_module
 from frontlab import gaussbonnet, singular
 from frontlab.errors import FrontContractError, FrontlabError
 from frontlab.expr import Expr, eval_jet, parse
@@ -451,6 +454,34 @@ class TestCurvature:
         )
         assert abs(c.H - H_fd) < 1e-5 * max(1.0, abs(H_fd))
 
+    @pytest.mark.parametrize("name,digest", [
+        ("cuspidal_parabola", "a927055b1c7e0f35"),
+        ("standard_swallowtail", "457d14f8cda0d842"),
+        ("pseudosphere", "04084cf04cc5c805"),
+        ("kuen", "3e8d6142459360de"),
+        ("ellipsoid_parallel", "43547f269e0f657b"),
+    ])
+    def test_one_jet_call_same_bits(self, monkeypatch, name, digest):
+        # lambda comes from the (1, 1) jets of the forms, with the bits of
+        # `lambda_value`'s (1, 0) jets; `digest` hashes lam, K and H as
+        # separate `forms` and `lambda_value` calls gave them
+        f = gallery(name)
+        uu, vv = f.domain.grid(9)
+        h = hashlib.sha256()
+        for u, v in ((uu, vv), (uu[:, :1], vv[:1]), (float(uu[3, 5]), float(vv[3, 5]))):
+            calls = []
+            real = front_module.eval_jet
+            monkeypatch.setattr(front_module, "eval_jet",
+                                lambda *a, **k: calls.append(1) or real(*a, **k))
+            c = curvature(f, u, v)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert np.asarray(c.lam).tobytes() == np.asarray(lambda_value(f, u, v)).tobytes()
+            for x in (c.lam, c.K, c.H):
+                h.update(np.asarray(x, dtype=float).tobytes())
+            h.update(repr((np.shape(c.lam), c.regular)).encode())
+        assert h.hexdigest()[:16] == digest
+
 
 class TestParallelSurface:
     """Constant-distance offsets sharing the normal field."""
@@ -549,6 +580,14 @@ class TestValidate:
         rep = validate(gallery("plane"), grid_n=5)
         assert "PASS" in str(rep)
 
+    def test_orthogonality_violation_detected(self):
+        # a unit normal tilted off the plane's: f_u . nu = 0.6 everywhere
+        bad = Front(map=parse("(u, v, 0)"), normal=parse("(0.6, 0, 0.8)"),
+                    domain=Domain(-1.0, 1.0, -1.0, 1.0))
+        rep = validate(bad, grid_n=9)
+        assert not rep.passed and rep.worst_unit == 0.0
+        assert rep.failures == ("orthogonality deviates by 6.000e-01 (tol 1e-09)",)
+
 
 class TestDescriptionFiles:
     """Key-value serialization for analytic fronts."""
@@ -565,6 +604,20 @@ class TestDescriptionFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_description("not a description\nmap = (u, v, 0)\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ln: [ln, "junk line"] if ln.startswith("map") else [ln],
+         "malformed description line: 'junk line'"),
+        (lambda ln: [] if ln.startswith("normal") else [ln],
+         "description missing field 'normal'"),
+        (lambda ln: ["periodic = w"] if ln.startswith("periodic") else [ln],
+         "bad periodic flag 'w'"),
+    ])
+    def test_bad_lines_rejected(self, edit, message):
+        text = write_description(gallery("sphere"))
+        lines = [out for ln in text.splitlines() for out in edit(ln)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_description("\n".join(lines))
 
     def test_non_finite_domain_rejected(self):
         text = write_description(gallery("cuspidal_parabola"))

@@ -19,6 +19,7 @@ from frontlab import (
     euler_characteristics,
     euler_report,
     gallery,
+    gallery_names,
     integrate_K_dA,
     integrate_K_dAhat,
     integrate_kappa_s,
@@ -315,20 +316,30 @@ class TestUnsignedIntegral:
         assert len(calls) == 1, "euler_report retraced the curves it was given"
 
     def test_one_line_rule_pass(self, monkeypatch, ell16, pseudosphere):
-        # A- is integrated once, at the nodes whose value is returned
+        # A- is integrated once, at the nodes whose value is returned; a
+        # report reads int kappa_s ds off the same pass at (3, 2), so its
+        # curve nodes are projected once (the caps' rings project nothing)
         calls = []
-        real = gaussbonnet._minus_area
+        real_rule, real_project, real_minus = (
+            gaussbonnet._line_rule, gaussbonnet._project, gaussbonnet._minus_area)
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def line_rule(front, A, D, on_curve, orders=(2, 1)):
+            if on_curve.any():
+                calls.append(("_line_rule", orders))
+            return real_rule(front, A, D, on_curve, orders)
 
-        monkeypatch.setattr(gaussbonnet, "_minus_area", counted)
+        monkeypatch.setattr(gaussbonnet, "_line_rule", line_rule)
+        monkeypatch.setattr(gaussbonnet, "_project",
+                            lambda *a: calls.append("_project") or real_project(*a))
+        monkeypatch.setattr(gaussbonnet, "_minus_area",
+                            lambda *a: calls.append("_minus_area") or real_minus(*a))
         integrate_K_dA(ell16, grid=512)
-        assert len(calls) == 1
-        rep = euler_report(pseudosphere)
-        assert len(calls) == 2
-        assert rep.applicable and "K_dA_unresolved" not in rep.provenance
+        assert calls == ["_minus_area", ("_line_rule", (2, 1)), "_project"]
+        for front in (pseudosphere, ell16):
+            calls.clear()
+            rep = euler_report(front)
+            assert calls == ["_minus_area", ("_line_rule", (3, 2)), "_project"]
+            assert rep.applicable and "K_dA_unresolved" not in rep.provenance
 
 
 class TestSingularCurveIntegral:
@@ -378,6 +389,26 @@ class TestSingularCurveIntegral:
 
     def test_no_curves_is_zero(self, sphere):
         assert integrate_kappa_s(sphere, ()) == 0.0
+
+    def test_report_reads_the_same_sum(self):
+        # euler_report's kappa_s rows are integrate_kappa_s's panels, with
+        # the same bits at every step of the shared pass
+        fronts = [(name, None) for name in gallery_names()]
+        fronts += [("ellipsoid_parallel", {"d": d}) for d in (1.3, 1.6, 2.0)]
+        applicable = []
+        for name, params in fronts:
+            front = gallery(name, params)
+            curves = trace(front, grid=96)
+            try:
+                rep = euler_report(front, curves, panels=512)
+            except InapplicableError:
+                continue  # a chart piece: no global identity
+            if rep.applicable:
+                applicable.append(name)
+                want = integrate_kappa_s(front, curves)
+                assert np.float64(rep.int_kappa_s_ds).tobytes() == np.float64(want).tobytes()
+        assert applicable == ["ellipsoid", "ellipsoid_parallel", "pseudosphere", "sphere",
+                              *["ellipsoid_parallel"] * 3]
 
     @pytest.mark.parametrize("name", ["cuspidal_parabola", "pseudosphere"])
     def test_gauss_nodes_evaluated_once(self, monkeypatch, name):

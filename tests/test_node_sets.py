@@ -7,7 +7,8 @@ its orders.  A call whose key an earlier call of the same job had, at
 orders no higher field by field, computes nothing new: a repeat.  A repeat
 is named by its job's kind and the frontlab functions that made the two
 calls, and fails unless `KNOWN` lists it with its reason.  Every job of
-`test_bench_jobs.BENCH` runs once at seed 7.
+`test_bench_jobs.BENCH` runs once at seed 7, and so does each public call
+of `EXTRA`, which no benchmark job makes.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import numpy as np
 from test_bench_jobs import BENCH
 
 import frontlab
+from frontlab import curvature, euler_report, gallery, trace
 from frontlab import front as front_module
 from frontlab import zigzag
 
@@ -30,9 +32,6 @@ KNOWN = {
     ("singular_curvature", "job>classify", "job>singular_curvature"):
         "the job classifies the point, then asks for its singular curvature; "
         "singular_curvature takes a point, not its jets",
-    ("euler_report", "_line_rule>_project", "_line_rule>_project"):
-        "integrate_kappa_s projects the curve panels' Gauss nodes that "
-        "_minus_area projected already in the same report",
     ("zigzag_surface", "null_loop>_crossing", "_surface_crossings>_crossing"):
         "decided: null_loop and zigzag_surface each validate every crossing, "
         "since a NullLoop can be built by hand (ROADMAP item 10)",
@@ -42,6 +41,15 @@ KNOWN = {
         "the zig/zag criterion takes (2, 1) jets at a crossing that classify "
         "evaluated at (3, 2); classify returns a point, not its jets",
 }
+
+ELL16 = gallery("ellipsoid_parallel", {"d": 1.6})
+# (name, call); the name's first word is its kind, as a job's
+EXTRA = [
+    ("euler_report ellipsoid_parallel d=1.6 trace grid=96",
+     lambda: euler_report(ELL16, trace(ELL16, grid=96))),
+    ("curvature ellipsoid_parallel d=1.6 grid=33",
+     lambda: curvature(ELL16, *ELL16.domain.grid(33))),
+]
 
 
 def _fingerprint(x):
@@ -69,7 +77,7 @@ def _site():
     return ">".join(reversed(names))
 
 
-def _repeats(monkeypatch, job):
+def _repeats(monkeypatch, name, run):
     seen, found = {}, set()
 
     def wrap(real):
@@ -90,10 +98,10 @@ def _repeats(monkeypatch, job):
     monkeypatch.setattr(front_module, "eval_jet", wrap(front_module.eval_jet))
     monkeypatch.setattr(zigzag, "eval_jet", wrap(zigzag.eval_jet))
     try:
-        job.run()
+        run()
     finally:
         monkeypatch.undo()
-    kind = job.name.split()[0]
+    kind = name.split()[0]
     return {(kind, *pair) for pair in found}
 
 
@@ -101,6 +109,8 @@ def test_each_job_evaluates_each_node_set_once(monkeypatch):
     found = set()
     for workload in sorted(BENCH.BUILDERS):
         for job in BENCH.setup(workload, 7):
-            found |= _repeats(monkeypatch, job)
+            found |= _repeats(monkeypatch, job.name, job.run)
+    for name, run in EXTRA:
+        found |= _repeats(monkeypatch, name, run)
     unlisted = sorted(found - set(KNOWN))
     assert not unlisted, "node sets evaluated again:\n" + "\n".join(map(str, unlisted))

@@ -1042,6 +1042,14 @@ class TestHalfSpaceSigns:
         with pytest.raises(InapplicableError, match="not generic"):
             half_space_signs(front, classify(front, (0.0, 0.3)), side=1)
 
+    def test_degenerate_point_inapplicable(self):
+        # the double swallowtail's two singular lines cross at the origin
+        front = gallery("double_swallowtail")
+        p = classify(front, (0.0, 0.0))
+        assert p.kind is SingularClass.DEGENERATE
+        with pytest.raises(InapplicableError, match="got Degenerate"):
+            half_space_signs(front, p, side=1)
+
     def test_matches_walk_on_traced_swallowtails(self, traced):
         """The closed form at a swallowtail gives what the walk-and-vote
         of `half_space_walk` gives, on both sides of all 36 traced
@@ -1201,6 +1209,13 @@ class TestSignMeaning:
         with pytest.raises(InapplicableError, match="too small"):
             sign_meaning_check(front, classify(front, (0.0, 0.2)))
 
+    def test_swallowtail_refused(self):
+        front = gallery("standard_swallowtail")
+        p = classify(front, (0.0, 0.0))
+        assert p.kind is SingularClass.SWALLOWTAIL
+        with pytest.raises(InapplicableError, match="needs a cuspidal edge"):
+            sign_meaning_check(front, p)
+
 
 class TestPeakArcCount:
     def test_counts(self):
@@ -1211,6 +1226,13 @@ class TestPeakArcCount:
     def test_regular_point_errors(self):
         with pytest.raises(FrontlabError, match="no singular arcs"):
             peak_arc_count(gallery("standard_swallowtail"), (0.5, 0.5))
+
+    def test_lambda_identically_zero_errors(self):
+        # f_v = 0: lambda = det(f_u, f_v, nu) is 0 at every point
+        flat = Front(map=parse("(u, 0, 0)"), normal=parse("(0, 0, 1)"),
+                     domain=Domain(-1.0, 1.0, -1.0, 1.0))
+        with pytest.raises(FrontlabError, match="vanishes on the whole probe circle"):
+            peak_arc_count(flat, (0.0, 0.0))
 
 
 class TestNearCurveDivergence:

@@ -153,6 +153,15 @@ class TestPlaneGallery:
             scale = float(np.abs(want).max())
             assert float(np.abs(plane_position(pf, ts) - want).max()) <= 1e-12 * scale
 
+    def test_time_zero_is_the_base(self, monkeypatch):
+        # gamma' is integrated from the base at t = 0, so t = 0 alone (of
+        # either sign) takes no quadrature node
+        pf = dataclasses.replace(plane_gallery("rose_two_pairs"), base=(0.25, -1.5))
+        assert pf.gamma is None
+        monkeypatch.setattr(zigzag, "_plane_jets",
+                            lambda *a, **k: pytest.fail("gamma' was evaluated"))
+        assert plane_position(pf, [0.0, -0.0]).tolist() == [[0.25, -1.5]] * 2
+
     def test_ellipse_parallel_cusp_parameters(self, plane_results):
         # cusps sit where the offset matches the radius of curvature:
         # D^3 = 0.42 with D^2 = 0.36 + 0.64 sin^2(u)
@@ -325,6 +334,15 @@ class TestNullLoopConstruction:
         with pytest.raises(ValueError, match="finite"):
             null_loop(gallery("cuspidal_parabola"),
                       parse("(0.3 + 0.25*cos(u), 0.4*sin(u))"), period=math.inf)
+
+    def test_orientation_values(self):
+        with pytest.raises(ValueError, match="orientation must be"):
+            NullLoop(path=parse("(0, u)"), orientation=2)
+
+    def test_loop_along_the_singular_set_rejected(self):
+        # lambda is exactly 0 along the pseudosphere's u = 0
+        with pytest.raises(FrontlabError, match="vanishes identically"):
+            null_loop(gallery("pseudosphere"), parse("(0, u)"))
 
     def test_peak_crossing_rejected(self):
         with pytest.raises(FrontlabError, match="cuspidal edge"):
