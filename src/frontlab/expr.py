@@ -21,13 +21,13 @@ hash-conses its syntax tree into a DAG (structurally equal subtrees, and
 constants with equal bit patterns, become one node) and lowers it to a
 topologically ordered instruction list, kept on the `Expr` as `tape`.
 The tape is then written out once as a straight-line Python function for
-all jet orders, shared by every expression of the same shape (constants
-are its arguments).  The reference arithmetic is `Series`, kept with a
-recursive walk of the tree in the test oracle `tests/recursive_jet.py`:
-the function performs exactly the operations a `Series` walk of the tape
-would, on the same operands and in the same order, with the coefficients
-that are structurally zero left out when the code is written, so the jets
-agree bit for bit with the oracle's.  Each
+all jet orders up to `taylor.MAX_ORDER`, shared by every expression of the
+same shape (constants are its arguments).  The reference arithmetic is
+`Series`, kept with a recursive walk of the tree in the test oracle
+`tests/recursive_jet.py`: the function performs exactly the operations a
+`Series` walk of the tape would, on the same operands and in the same
+order, with the coefficients that are structurally zero left out when the
+code is written, so the jets agree bit for bit with the oracle's.  Each
 distinct subexpression is evaluated once, sin/cos and sinh/cosh of one
 argument share one evaluation of the pair, and each intermediate is
 released after its last use.  Several vector expressions evaluated at the
@@ -496,75 +496,47 @@ def to_source(expr):
 # --- jets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_SPACE = taylor.jet_space(taylor.MAX_ORDER)
+_BLOCK = tuple(slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2)
+               for d in range(_SPACE.order + 1))  # the slice of `_SPACE.monomials` of degree d
+# a jet's attribute for the partial of each monomial u^a v^b, in order, and its degree
+_PARTIALS = {("f_" + "u" * a + "v" * b if a + b else "value"): a + b for a, b in _SPACE.monomials}
+
+
 class Jet2:
     """Value and partial derivatives of a vector map of (u, v) at one point
-    (or grid).
+    (or grid), up to `order`, at most `taylor.MAX_ORDER`.
 
-    Each of `value`, `f_u`, ..., `f_vvv` is the tuple of its components as
-    the jet program computed them: a float (a structural zero or
-    constant, or any component of a scalar jet), the caller's own u or v,
-    or an array broadcastable to broadcast(u, v), such as the column a
-    component depending on u alone keeps when u is a column and v a row.
-    Components are shared, never copied, so nothing may write into one.
-    `d1` holds f_u, f_v; `d2` and `d3` hold the graded-lex blocks uu, uv,
-    vv and uuu, uuv, uvv, vvv.  `abs_hits` flags, per component, an abs
-    whose argument was exactly 0 (empty: none was).
+    `blocks[d]` holds the partials of degree d in the monomial order of
+    `taylor.jet_space` (`blocks[0]` is `(value,)`), and each partial is
+    also an attribute: `value`, `f_u`, `f_v`, `f_uu`, `f_uv`, `f_vv`,
+    `f_uuu`, ....  Asking for one above `order` raises ValueError.  Each
+    partial is the tuple of its components as the jet program computed
+    them: a float (a structural zero or constant, or any component of a
+    scalar jet), the caller's own u or v, or an array broadcastable to
+    broadcast(u, v), such as the column a component depending on u alone
+    keeps when u is a column and v a row.  Components are shared, never
+    copied, so nothing may write into one.  `abs_hits` flags, per
+    component, an abs whose argument was exactly 0 (empty: none was).
     """
 
-    value: tuple
-    d1: tuple
-    d2: tuple
-    d3: tuple
-    order: int
-    abs_hits: tuple = ()
+    def __init__(self, blocks, abs_hits=()):
+        self.blocks = blocks
+        self.order = len(blocks) - 1
+        self.abs_hits = abs_hits
+        for name, partial in zip(_PARTIALS, itertools.chain.from_iterable(blocks)):
+            setattr(self, name, partial)
+
+    def __getattr__(self, name):  # reached only by a name `__init__` did not set
+        degree = _PARTIALS.get(name)
+        if degree is None:
+            raise AttributeError(f"'Jet2' object has no attribute {name!r}")
+        raise ValueError(f"jet order {degree} was not evaluated (order={self.order})")
 
     @property
     def abs_at_zero(self):
         """Whether any component went through abs at exactly 0."""
         return any(self.abs_hits)
-
-    def _block(self, deg):
-        block = (self.d1, self.d2, self.d3)[deg - 1]
-        if block is None:
-            raise ValueError(f"jet order {deg} was not evaluated (order={self.order})")
-        return block
-
-    @property
-    def f_u(self):
-        return self._block(1)[0]
-
-    @property
-    def f_v(self):
-        return self._block(1)[1]
-
-    @property
-    def f_uu(self):
-        return self._block(2)[0]
-
-    @property
-    def f_uv(self):
-        return self._block(2)[1]
-
-    @property
-    def f_vv(self):
-        return self._block(2)[2]
-
-    @property
-    def f_uuu(self):
-        return self._block(3)[0]
-
-    @property
-    def f_uuv(self):
-        return self._block(3)[1]
-
-    @property
-    def f_uvv(self):
-        return self._block(3)[2]
-
-    @property
-    def f_vvv(self):
-        return self._block(3)[3]
 
     def along(self, d, k=1):
         """Directional derivative (d0 d/du + d1 d/dv)^k f for k = 1, 2, 3,
@@ -676,9 +648,7 @@ class _Tape:
 # of outputs) + j], leaving 0.0 where a coefficient is structurally zero,
 # and returns the abs-at-zero flag of each output.
 
-_SPACE = taylor.jet_space(3)
 _DEGREE = tuple(a + b for a, b in _SPACE.monomials)
-_NCOEF = (1, 3, 6, 10)  # coefficients of a jet of order 0, 1, 2, 3
 _PRODUCTS = tuple(  # (i, j) with a_i * b_j adding to coefficient k, in Series order
     tuple((i, j) for i, j, k in _SPACE.triples if k == m) for m in range(_SPACE.ncoef)
 )
@@ -766,7 +736,7 @@ class _Writer:
                 out.append(self._op(op, (x, y), _DEGREE[m]))
         return out
 
-    def _compose(self, x, call, read, raising=False, top=3, extra=""):
+    def _compose(self, x, call, read, raising=False, top=_SPACE.order, extra=""):
         """Chain rule as the reference `_compose`, with the derivative
         table d that `call` returns (it has no entries past `top`: they are
         structurally 0); `extra` names the call's further results."""
@@ -801,7 +771,7 @@ class _Writer:
         zeros = [None] * (_SPACE.ncoef - 1)
         for i, (op, args, aux, _) in enumerate(self.tape.code):
             self.i = i
-            self.block = ([], [], [], [])
+            self.block = tuple([] for _ in _BLOCK)
             self.blocks.append(self.block)
             x = coefs[args[0]] if args else None
             if op == "const":
@@ -844,13 +814,13 @@ class _Writer:
                                   op in ("log", "sqrt"))
             coefs.append(c)
             for j in outputs.get(i, ()):
-                for deg in range(4):
-                    lo, hi = _NCOEF[deg - 1] if deg else 0, _NCOEF[deg]
-                    if any(c[lo:hi]):
-                        for t in c[lo:hi]:
+                for deg, span in enumerate(_BLOCK):
+                    terms = c[span]
+                    if any(terms):
+                        for t in terms:
                             if t is not None:
                                 t.uses += 1
-                        item = ("R", lo, hi, j, c[lo:hi], _SPACE.factorial[lo:hi])
+                        item = ("R", span.start, span.stop, j, terms, _SPACE.factorial[span])
                         self.block[deg].append(item)
 
     def _k(self):
@@ -1006,8 +976,8 @@ def eval_jet(e, u, v, order):
     fields = ((e.ncomponents, order),) if single else order
     orders = ()
     for count, k in fields:
-        if k not in (0, 1, 2, 3):
-            raise ValueError(f"order must be 0..3, got {k!r}")
+        if k not in range(_SPACE.order + 1):
+            raise ValueError(f"order must be 0..{_SPACE.order}, got {k!r}")
         orders += (k,) * count
     if not isinstance(e.root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
@@ -1015,7 +985,7 @@ def eval_jet(e, u, v, order):
     if nc != e.ncomponents:
         raise ValueError(f"fields cover {nc} of {e.ncomponents} components")
     run, lines = e.program
-    R = [0.0] * (_NCOEF[max(orders)] * nc)
+    R = [0.0] * (_BLOCK[max(orders)].stop * nc)
     try:
         hits = run(u, v, orders, R, e.tape.constants)
     except ExprDomainError as err:
@@ -1026,15 +996,8 @@ def eval_jet(e, u, v, order):
     jets = []
     lo = 0
     for count, k in fields:
-        rows = [tuple(R[m * nc + lo:m * nc + lo + count]) for m in range(_NCOEF[k])]
-        jets.append(Jet2(
-            value=rows[0],
-            d1=tuple(rows[1:3]) if k >= 1 else None,
-            d2=tuple(rows[3:6]) if k >= 2 else None,
-            d3=tuple(rows[6:10]) if k >= 3 else None,
-            order=k,
-            abs_hits=hits[lo:lo + count],
-        ))
+        rows = [tuple(R[m * nc + lo:m * nc + lo + count]) for m in range(_BLOCK[k].stop)]
+        jets.append(Jet2(tuple(tuple(rows[b]) for b in _BLOCK[:k + 1]), hits[lo:lo + count]))
         lo += count
     return jets[0] if single else tuple(jets)
 

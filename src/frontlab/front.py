@@ -265,7 +265,8 @@ def parallel_surface(front, dist):
     )
     uu, vv = front.domain.grid(48)
     jf, jn = out.jets(uu[:, :1], vv[:1], 1, 1)
-    f_u, f_v = ([a - dist * b for a, b in zip(df, dn)] for df, dn in zip(jf.d1, jn.d1))
+    f_u, f_v = ([a - dist * b for a, b in zip(df, dn)]
+                for df, dn in zip(jf.blocks[1], jn.blocks[1]))
     lam = det3(f_u, f_v, jn.value)
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0 or float(np.min(np.abs(lam))) < 1e-9 * scale or np.any(

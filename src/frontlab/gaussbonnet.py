@@ -166,12 +166,12 @@ def _panel_counts(dom, budget):
     return n_u, n_v
 
 
-def _panel_sums(front, grid, nodes, coarse=True):
+def _panel_sums(front, grid, coarse=True):
     """The signed integral and its coarse sgn(lambda)-weighted counterpart
     (None unless `coarse`: then only the normal and the map's value are read).
 
-    One pass over the `grid` Gauss panels of the chart, plus the polar
-    caps.  A chunk of panel columns (strips in u), as many as fit in
+    One pass over the `grid` panels of the chart, `_PANEL_NODES` Gauss
+    nodes per axis each, plus the polar caps.  A chunk of panel columns (strips in u), as many as fit in
     `_CHUNK` nodes but at least one, is the tensor product of its u nodes,
     a column (k nodes, 1), and every v node, a row (1, n_v nodes): a jet
     program computes what depends on u alone once per row and what depends
@@ -183,6 +183,7 @@ def _panel_sums(front, grid, nodes, coarse=True):
     dom = front.domain
     n_u, n_v = _panel_counts(dom, grid)
     du, dv = (dom.u1 - dom.u0) / n_u, (dom.v1 - dom.v0) / n_v
+    nodes = _PANEL_NODES
     x, w = _gl_rule(nodes)
     u = ((dom.u0 + np.arange(n_u) * du)[:, None] + du * x).ravel()
     v = ((dom.v0 + np.arange(n_v) * dv)[:, None] + dv * x).reshape(1, -1)
@@ -215,7 +216,7 @@ def integrate_K_dAhat(front, grid=2048):
     `grid` is the total panel budget; each panel takes `_PANEL_NODES`
     Gauss nodes per axis.
     """
-    return _panel_sums(front, grid, _PANEL_NODES, coarse=False)[0]
+    return _panel_sums(front, grid, coarse=False)[0]
 
 
 def _curve_panels(dom, curves):
@@ -363,7 +364,7 @@ def integrate_K_dA(front, grid=2048):
     inside the chart and an ambiguous branch are refused.
     """
     curves = trace(front, grid=_TRACE_GRID)
-    return _unsigned(front, curves, grid, _panel_sums(front, grid, _PANEL_NODES))[0]
+    return _unsigned(front, curves, grid, _panel_sums(front, grid))[0]
 
 
 def _kappa_sum(rule):
@@ -554,7 +555,7 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
     if reason == _NO_CUSPS and "cone_angle" in meta:
         reason += f"; cone angle {meta['cone_angle']!r}"
 
-    sums = _panel_sums(front, panels, _PANEL_NODES)
+    sums = _panel_sums(front, panels)
     int_hat = sums[0]
     int_dA = int_ks = alpha_terms = math.nan
     residual_unsigned = residual_signed = math.nan

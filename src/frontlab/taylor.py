@@ -1,13 +1,13 @@
 """Derivative tables and monomial bookkeeping of the jet programs.
 
 `frontlab.expr` writes, once per expression shape, a straight-line Python
-function that evaluates truncated Taylor series in (u, v) up to order 3
-(derivative / multi-factorial convention): it reads `jet_space(3)`'s
-monomial tables, `FUNCTION_NAMES` and the pairing of sin/cos and sinh/cosh
-while writing, and calls the derivative tables and `pair_values` at run
-time.  Nothing else lives here; the recursive reference arithmetic that
-the programs are checked against bit for bit is the test oracle
-`tests/recursive_jet.py`.
+function that evaluates truncated Taylor series in (u, v) up to order
+`MAX_ORDER` (derivative / multi-factorial convention): it reads the
+monomial tables of `jet_space(MAX_ORDER)`, `FUNCTION_NAMES` and the
+pairing of sin/cos and sinh/cosh while writing, and calls the derivative
+tables and `pair_values` at run time.  Nothing else lives here; the
+recursive reference arithmetic that the programs are checked against bit
+for bit is the test oracle `tests/recursive_jet.py`.
 """
 
 import math
@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ExprDomainError
+
+MAX_ORDER = 3  # the highest jet order; the jet layer derives its tables from it
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +33,7 @@ class JetSpace:
     """
 
     def __init__(self, order):
-        if not 0 <= order <= 3:
+        if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"unsupported jet order {order}")
         self.order = order
         self.monomials = tuple(
@@ -39,9 +41,7 @@ class JetSpace:
         )
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoef = len(self.monomials)
-        self.factorial = tuple(
-            math.factorial(a) * math.factorial(b) for a, b in self.monomials
-        )
+        self.factorial = tuple(math.factorial(a) * math.factorial(b) for a, b in self.monomials)
         triples = []
         for i, (ai, bi) in enumerate(self.monomials):
             for j, (aj, bj) in enumerate(self.monomials):

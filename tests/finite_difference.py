@@ -31,26 +31,26 @@ def finite_difference_jet(callback, u, v, order, h=None):
         return np.asarray(callback(uu, vv), dtype=float)
 
     f0 = F(u, v)
-    d1 = d2 = d3 = None
+    blocks = [(f0,)]
     if order >= 1:
         fpu, fmu = F(u + h, v), F(u - h, v)
         fpv, fmv = F(u, v + h), F(u, v - h)
-        d1 = ((fpu - fmu) / (2 * h), (fpv - fmv) / (2 * h))
+        blocks.append(((fpu - fmu) / (2 * h), (fpv - fmv) / (2 * h)))
     if order >= 2:
         fpp, fpm = F(u + h, v + h), F(u + h, v - h)
         fmp, fmm = F(u - h, v + h), F(u - h, v - h)
         h2 = h * h
-        d2 = (
+        blocks.append((
             (fpu - 2 * f0 + fmu) / h2,
             (fpp - fpm - fmp + fmm) / (4 * h2),
             (fpv - 2 * f0 + fmv) / h2,
-        )
+        ))
     if order >= 3:
         h3 = h * h * h
-        d3 = (
+        blocks.append((
             (F(u + 2 * h, v) - 2 * fpu + 2 * fmu - F(u - 2 * h, v)) / (2 * h3),
             (fpp - 2 * fpv + fmp - fpm + 2 * fmv - fmm) / (2 * h3),
             (fpp - 2 * fpu + fpm - fmp + 2 * fmu - fmm) / (2 * h3),
             (F(u, v + 2 * h) - 2 * fpv + 2 * fmv - F(u, v - 2 * h)) / (2 * h3),
-        )
-    return Jet2(value=f0, d1=d1, d2=d2, d3=d3, order=order)
+        ))
+    return Jet2(tuple(blocks))

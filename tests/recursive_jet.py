@@ -206,12 +206,6 @@ def sqrt(series):
     return apply_function("sqrt", series)
 
 
-_BLOCK_ALPHAS = {
-    deg: tuple(m for m in taylor.jet_space(3).monomials if sum(m) == deg)
-    for deg in (1, 2, 3)
-}
-
-
 def _stack(values, shape):
     if shape == ():
         return np.array([float(x) for x in values])
@@ -229,20 +223,12 @@ def interleaved(block, shape):
 
 
 def _pack_jet(components, space, shape, abs_hits):
-    value = _stack([s.value for s in components], shape)
-    blocks = [None, None, None]
-    for deg in range(1, space.order + 1):
-        blocks[deg - 1] = tuple(
-            _stack([s.partial(a) for s in components], shape) for a in _BLOCK_ALPHAS[deg]
-        )
-    return Jet2(
-        value=value,
-        d1=blocks[0],
-        d2=blocks[1],
-        d3=blocks[2],
-        order=space.order,
-        abs_hits=tuple(abs_hits),
+    blocks = tuple(
+        tuple(_stack([s.partial(a) for s in components], shape)
+              for a in space.monomials if sum(a) == deg)
+        for deg in range(space.order + 1)
     )
+    return Jet2(blocks, tuple(abs_hits))
 
 
 def _eval_node(node, space, vars_, params, flags):
@@ -292,8 +278,8 @@ def _eval_node(node, space, vars_, params, flags):
 
 def recursive_eval_jet(e, u, v, order):
     """Same contract as `frontlab.eval_jet`, by walking the syntax tree."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
+    if order not in range(taylor.MAX_ORDER + 1):
+        raise ValueError(f"order must be 0..{taylor.MAX_ORDER}, got {order!r}")
     root = e.root if isinstance(e, Expr) else e
     if not isinstance(root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")

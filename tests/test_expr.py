@@ -73,6 +73,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("((u, v, 0)) + u")
 
+    def test_parenthesized_scalar_root_reparses_as_a_scalar(self):
+        e = parse("(u + v)")
+        assert isinstance(e.root, BinOp)
+        assert e == parse("u + v")
+
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("(u, v, 0) u")
@@ -184,6 +189,28 @@ class TestEvalJet:
         with pytest.raises(ValueError, match="order"):
             _ = j.f_u
 
+    @pytest.mark.parametrize("order,name,degree", [(1, "f_uu", 2), (2, "f_uuu", 3)])
+    def test_partial_above_order_refused(self, order, name, degree):
+        j = eval_jet(parse("(u*v, v^3, u)"), 0.5, 0.25, order)
+        with pytest.raises(ValueError) as err:
+            getattr(j, name)
+        assert str(err.value) == f"jet order {degree} was not evaluated (order={order})"
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        j = eval_jet(parse("(u*v, v^3, u)"), 0.5, 0.25, 3)
+        for name in ("f_uuuu", "d1"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(j, name)
+
+    def test_blocks_by_degree(self):
+        j = eval_jet(parse("(u*v, v^3, u)"), 0.5, 0.25, 3)
+        assert j.order == 3 and [len(b) for b in j.blocks] == [1, 2, 3, 4]
+        names = [("value",), ("f_u", "f_v"), ("f_uu", "f_uv", "f_vv"),
+                 ("f_uuu", "f_uuv", "f_uvv", "f_vvv")]
+        for block, degree in zip(j.blocks, names):
+            assert all(p is getattr(j, name) for p, name in zip(block, degree))
+        assert j.f_uv == (1.0, 0.0, 0.0) and j.f_vvv == (0.0, 6.0, 0.0)
+
     def test_scalar_root_rejected(self):
         e = parse("u + v")
         with pytest.raises(ValueError, match="vector"):
@@ -286,7 +313,8 @@ class TestAlong:
                 + (3.0 * d0 * d1 * d1) * f["f_uvv"] + (d1 * d1 * d1) * f["f_vvv"])
 
     def _assert_interleaved_bits(self, j, d):
-        shape = np.broadcast_shapes(*(np.shape(c) for b in j.d1 + j.d2 + j.d3 for c in b),
+        shape = np.broadcast_shapes(*(np.shape(c) for degree in j.blocks[1:]
+                                      for b in degree for c in b),
                                     np.shape(d[0]), np.shape(d[1]))
         for k in (1, 2, 3):
             got = np.stack([np.broadcast_to(c, shape) for c in j.along(d, k)], axis=-1)
@@ -310,9 +338,8 @@ class TestAlong:
             return x
 
         def jet(comp):
-            blocks = [tuple(comp(i) for i in range(3)) for _ in range(10)]
-            return Jet2(value=blocks[0], d1=tuple(blocks[1:3]), d2=tuple(blocks[3:6]),
-                        d3=tuple(blocks[6:10]), order=3)
+            return Jet2(tuple(tuple(tuple(comp(i) for i in range(3)) for _ in range(d + 1))
+                              for d in range(4)))
 
         shapes = [(64, 1), (1, 64), ()]
         cases = [
@@ -328,7 +355,7 @@ class TestAlong:
     def test_third_order_matches_explicit_sum(self):
         for j, d in self._jets():
             a, b = (x[..., None] for x in d)
-            fuuu, fuuv, fuvv, fvvv = (stack(x) for x in j.d3)
+            fuuu, fuuv, fuvv, fvvv = (stack(x) for x in j.blocks[3])
             terms = [a**3 * fuuu, 3.0 * a**2 * b * fuuv, 3.0 * a * b**2 * fuvv, b**3 * fvvv]
             scale = sum(np.abs(t) for t in terms)
             np.testing.assert_array_less(
@@ -350,13 +377,13 @@ class TestFiniteDifferenceJet:
         jfd = finite_difference_jet(cb, 0.3, 0.2, 2)
         je = eval_jet(e, 0.3, 0.2, 2)
         blocks = [(je.value, jfd.value)]
-        blocks += list(zip(je.d1, jfd.d1)) + list(zip(je.d2, jfd.d2))
+        blocks += list(zip(je.blocks[1], jfd.blocks[1])) + list(zip(je.blocks[2], jfd.blocks[2]))
         dev = max(float(np.max(np.abs(a - b))) for a, b in blocks)
         assert dev < 1e-6, f"max abs deviation {dev}"
 
     def test_constant_map_all_zero(self):
         j = finite_difference_jet(lambda u, v: (1.0, 2.0, 3.0), 0.7, -0.4, 3)
-        for block in (j.d1, j.d2, j.d3):
+        for block in j.blocks[1:]:
             for part in block:
                 np.testing.assert_array_equal(part, [0.0, 0.0, 0.0])
 
@@ -364,7 +391,7 @@ class TestFiniteDifferenceJet:
         j = finite_difference_jet(lambda u, v: (u, v, u + v), 0.25, 0.125, 2)
         np.testing.assert_allclose(j.f_u, [1.0, 0.0, 1.0], atol=1e-11)
         np.testing.assert_allclose(j.f_v, [0.0, 1.0, 1.0], atol=1e-11)
-        for part in j.d2:
+        for part in j.blocks[2]:
             assert np.max(np.abs(part)) < 1e-9
 
     def test_explicit_step_third_order(self):
@@ -376,7 +403,7 @@ class TestFiniteDifferenceJet:
         e = parse("(sin(u)*cos(v), u^3*v, exp(v))")
         jfd = finite_difference_jet(cb, 0.2, 0.1, 3, h=1e-2)
         je = eval_jet(e, 0.2, 0.1, 3)
-        for a, b in zip(je.d3, jfd.d3):
+        for a, b in zip(je.blocks[3], jfd.blocks[3]):
             np.testing.assert_allclose(a, b, atol=5e-4)
 
     def test_bad_step_rejected(self):
@@ -412,8 +439,8 @@ class TestGalleryShapedCrossCheck:
             jd1 = finite_difference_jet(cb, u, v, 1)
             jd2 = finite_difference_jet(cb, u, v, 2, h=self.H2)
             # second differences carry a larger roundoff floor (~eps/h^2)
-            for floor, pairs in ((1e-8, zip(je.d1, jd1.d1)),
-                                 (1e-7, zip(je.d2, jd2.d2))):
+            for floor, pairs in ((1e-8, zip(je.blocks[1], jd1.blocks[1])),
+                                 (1e-7, zip(je.blocks[2], jd2.blocks[2]))):
                 for a, b in pairs:
                     err = np.abs(a - b)
                     bound = floor + 1e-6 * np.maximum(np.abs(a), np.abs(b))

@@ -258,7 +258,7 @@ def _blocks(out, shape):
     if isinstance(out, np.ndarray):
         return [out]
     return [np.broadcast_to(c, shape) for jet in out
-            for b in (jet.value, *(jet.d1 or ())) for c in b]
+            for degree in jet.blocks[:2] for b in degree for c in b]
 
 
 class TestBroadcastGrids:
@@ -642,9 +642,7 @@ class TestDescriptionFiles:
             for om, on in ((3, 3), (0, 2)):
                 want, got = (
                     [np.broadcast_to(c, shape).tobytes() for jet in h.jets(u, v, om, on)
-                     for block in (jet.value, *(jet.d1 or ()), *(jet.d2 or ()),
-                                   *(jet.d3 or ()))
-                     for c in block]
+                     for degree in jet.blocks for partial in degree for c in partial]
                     for h in (f, g)
                 )
                 assert got == want
@@ -665,7 +663,7 @@ class TestDescriptionFiles:
         with np.errstate(invalid="ignore"):  # inf * 0 in the slopes
             want, got = ([np.where(np.isnan(c), np.nan, np.broadcast_to(c, (5, 3))).tobytes()
                           for jet in h.jets(u, v, 2, 1)
-                          for block in (jet.value, *jet.d1, *(jet.d2 or ())) for c in block]
+                          for degree in jet.blocks for partial in degree for c in partial]
                          for h in (f, g))
         assert got == want
 

@@ -187,13 +187,15 @@ class TestSmoothFormIntegral:
     @pytest.mark.parametrize(
         "name", ["sphere", "ellipsoid", "ellipsoid_parallel", "pseudosphere", "cone"]
     )
-    def test_tensor_nodes_match_flat_nodes(self, name, nodes, grid):
+    def test_tensor_nodes_match_flat_nodes(self, monkeypatch, name, nodes, grid):
         # compact (capped) and complete (ended) gallery fronts, bit for bit
         front = gallery(name)
-        got = gaussbonnet._panel_sums(front, grid, nodes)
+        default = nodes == gaussbonnet._PANEL_NODES
+        monkeypatch.setattr(gaussbonnet, "_PANEL_NODES", nodes)
+        got = gaussbonnet._panel_sums(front, grid)
         want = flat_panel_sums(front, grid, nodes)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-        if nodes == gaussbonnet._PANEL_NODES:
+        if default:
             assert integrate_K_dAhat(front, grid).hex() == want[0].hex()
 
     def test_gauss_rule_built_once_per_order(self, monkeypatch, sphere):
@@ -499,6 +501,11 @@ class TestDegree:
     def test_noncompact_rejected(self, pseudosphere):
         with pytest.raises(InapplicableError):
             degree_of_gauss_map(pseudosphere)
+
+    def test_total_far_from_a_multiple_of_4pi_refused(self):
+        assert gaussbonnet._degree_from_total(4.0 * math.pi * -1.04) == -1
+        with pytest.raises(FrontlabError, match="= 1.500000 is not within 0.05 of an integer"):
+            gaussbonnet._degree_from_total(4.0 * math.pi * 1.5)
 
 
 class TestSwallowtailBookkeeping:

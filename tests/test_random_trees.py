@@ -61,7 +61,7 @@ def _outcome(evaluate, e, uv, order):
         return type(err), str(err), getattr(err, "source", None)
     shape = np.broadcast_shapes(np.shape(uv[0]), np.shape(uv[1]))
     blocks = [interleaved(b, shape)
-              for b in [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]]
+              for degree in j.blocks for b in degree]
     return [(b.shape, b.tobytes()) for b in blocks], j.abs_hits, j.order
 
 
@@ -168,7 +168,7 @@ def test_jets_agree_with_sympy(e, u, v):
         assume(False)
     j = eval_jet(e, u, v, 3)
     at = {U: sympy.Rational(u), V: sympy.Rational(v)}
-    blocks = [j.value] + list(j.d1 + j.d2 + j.d3)
+    blocks = [b for degree in j.blocks for b in degree]
     for k, c in enumerate(e.root.components):
         f = _sympy(c, params)
         want = [float(sympy.diff(f, U, deg - b, V, b).evalf(30, subs=at))

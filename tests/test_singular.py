@@ -590,6 +590,24 @@ class TestTrace:
         b = trace(front, grid=32)
         assert repr(a) == repr(b)
 
+    def test_closed_chain_starting_at_a_zero_node_lists_it_once(self):
+        # `_chains` reads lambda alone, so a planar map with the constant
+        # normal e3 serves: lambda = 0.0625 - u^2 - 3 v^2, exactly 0 at the
+        # grid nodes (+-1/8, +-1/8) and (+-1/4, 0) of the 17 x 17 grid.
+        # Such a node is the crossing of both edges to its inside (lambda
+        # < 0) neighbours; at (-1/8, -1/8) these two crossings are the
+        # first and the last of the cycle, so only the closed-chain check
+        # keeps the node from being listed twice.
+        front = Front(map=parse("(u, (0.0625 - u^2)*v - v^3, 0)"), normal=parse("(0, 0, 1)"),
+                      domain=Domain(-1.0, 1.0, -1.0, 1.0))
+        [(P, closed)] = singular._chains(front, 17)
+        assert closed
+        rows = [tuple(p) for p in P.tolist()]
+        assert len(set(rows)) == len(rows)
+        nodes = {(-0.125, -0.125), (-0.125, 0.125), (0.125, -0.125), (0.125, 0.125),
+                 (-0.25, 0.0), (0.25, 0.0)}
+        assert nodes <= set(rows)
+
 
 class TestCurvatureRoutes:
     """The jet formula against tangent differencing and the intrinsic form."""
@@ -699,7 +717,7 @@ def _recorded_projections(monkeypatch):
 
 def _jet_bits(jets):
     return [np.asarray(c).tobytes()
-            for j in jets for block in (j.value, *j.d1, *(j.d2 or ())) for c in block]
+            for j in jets for degree in j.blocks for partial in degree for c in partial]
 
 
 def _assert_matches_all_steps(calls):

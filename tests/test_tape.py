@@ -74,7 +74,7 @@ INPUTS = {
 
 def _blocks(j, uv):
     shape = np.broadcast_shapes(np.shape(uv[0]), np.shape(uv[1]))
-    blocks = [j.value] + [b for d in (j.d1, j.d2, j.d3) if d is not None for b in d]
+    blocks = [b for degree in j.blocks for b in degree]
     return [interleaved(b, shape).tobytes() for b in blocks], j.abs_at_zero, j.order
 
 
