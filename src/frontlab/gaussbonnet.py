@@ -7,6 +7,10 @@ Stokes, a line integral along the Gauss image of that region's boundary.
 One line rule serves it, the singular-curvature integral and the polar
 caps, and a report reads both line integrals off one pass.  Area panels
 are evaluated a column of panels at a time and summed panel by panel.
+An explicit panel budget is one pass over the panels; the default budget
+doubles from 32 panels until two successive signed sums agree within
+1e-13 * 4 pi (at most 2048 panels), and a report states the panels used
+and that last difference.
 With cell-complex Euler characteristics of the two chart regions, the
 module assembles both identities' residuals and the degree bookkeeping.
 One grid of lambda's signs gives chi(M+-) and the sign epsilon of each end,
@@ -41,6 +45,11 @@ _TRACE_GRID = 96  # trace grid of integrate_K_dA, and of euler_report without cu
 _LINE_NODES = 8  # Gauss nodes per line panel
 _PANEL_NODES = 16  # Gauss nodes per axis of an area panel
 _RING_PANELS = 64  # line panels around each polar-cap ring
+# the default area budget: from _PANELS_START panels, doubled until two
+# successive signed sums agree within _PANELS_TOL, at most _PANELS_MAX
+_PANELS_START = 32
+_PANELS_MAX = 2048
+_PANELS_TOL = 1e-13 * FOUR_PI
 _SNAP = 1e-9  # chart distance, per domain scale, below which two points are one
 _DEGENERATE = "degenerate singular points present"
 _NO_CUSPS = "a singular curve carries no cuspidal edges"
@@ -154,8 +163,16 @@ def _cap_terms(front):
         pole = stack(jn.value).reshape(-1, 3).mean(axis=0)
         pole /= np.linalg.norm(pole)
         area = math.fsum((w * _alpha(pole, jn.value, jn.f_u, jn.f_v, Q)).ravel().tolist())
-        out.append((area, 1 if float(np.median(lam)) > 0 else -1))
+        out.append((area, _median_sign(lam)))
     return tuple(out)
+
+
+def _median_sign(a):
+    """1 if the median of `a` is positive, else -1 (also where `a` holds a
+    NaN, whose median is NaN), without `np.median`, which imports numpy.ma."""
+    s = np.sort(a, axis=None)
+    mid = s[(s.size - 1) // 2 : s.size // 2 + 1]
+    return 1 if not np.isnan(s[-1]) and mid.sum() > 0 else -1
 
 
 def _panel_counts(dom, budget):
@@ -166,12 +183,13 @@ def _panel_counts(dom, budget):
     return n_u, n_v
 
 
-def _panel_sums(front, grid, coarse=True):
+def _panel_sums(front, grid, coarse, caps):
     """The signed integral and its coarse sgn(lambda)-weighted counterpart
     (None unless `coarse`: then only the normal and the map's value are read).
 
     One pass over the `grid` panels of the chart, `_PANEL_NODES` Gauss
-    nodes per axis each, plus the polar caps.  A chunk of panel columns (strips in u), as many as fit in
+    nodes per axis each, plus the polar caps `caps` of `_cap_terms`.  A
+    chunk of panel columns (strips in u), as many as fit in
     `_CHUNK` nodes but at least one, is the tensor product of its u nodes,
     a column (k nodes, 1), and every v node, a row (1, n_v nodes): a jet
     program computes what depends on u alone once per row and what depends
@@ -203,20 +221,48 @@ def _panel_sums(front, grid, coarse=True):
         plain.extend(sums(det, len(U)))
         if coarse:
             signed.extend(sums(np.sign(det3(jf.f_u, jf.f_v, jn.value)) * det, len(U)))
-    caps = _cap_terms(front)
     return (
         math.fsum(plain + [area for (area, _) in caps]),
         math.fsum(signed + [s * area for (area, s) in caps]) if coarse else None,
     )
 
 
-def integrate_K_dAhat(front, grid=2048):
+def _area_sums(front, panels, coarse=True, minus=None):
+    """`_panel_sums` at the panel budget `panels`, or by the default rule
+    where `panels` is None, with the budget's provenance.
+
+    The default starts at `_PANELS_START` panels and doubles until two
+    successive signed sums agree within `_PANELS_TOL`; with `minus`, the
+    line integral fixing A- modulo 4 pi, it also doubles while the coarse
+    estimate of A- misses its branch by more than pi/2.  At `_PANELS_MAX`
+    it stops, agreed or not.  The polar caps are computed once per call.
+    Provenance: the panels used, the last difference of the signed sums
+    (None for an explicit budget) and, with `minus`, the branch miss.
+    """
+    caps = _cap_terms(front)
+    n = _PANELS_START if panels is None else panels
+    sums, diff = _panel_sums(front, n, coarse, caps), None
+    while panels is None:
+        last, n = sums[0], 2 * n
+        sums = _panel_sums(front, n, coarse, caps)
+        diff = abs(sums[0] - last)
+        if n >= _PANELS_MAX or diff <= _PANELS_TOL and (
+            minus is None or _miss(minus, sums) <= 0.5 * math.pi
+        ):
+            break
+    prov = {"panels": n, "panel_diff": diff}
+    return sums, prov if minus is None else {**prov, "branch_miss": _miss(minus, sums)}
+
+
+def integrate_K_dAhat(front, grid=None):
     """Integral of the smooth signed curvature form det(nu_u, nu_v, nu).
 
     `grid` is the total panel budget; each panel takes `_PANEL_NODES`
-    Gauss nodes per axis.
+    Gauss nodes per axis.  None, the default, doubles the budget from 32
+    panels until two successive sums agree within 1e-13 * 4 pi, up to 2048
+    (`_area_sums`).
     """
-    return _panel_sums(front, grid, coarse=False)[0]
+    return _area_sums(front, grid, coarse=False)[0][0]
 
 
 def _curve_panels(dom, curves):
@@ -245,7 +291,9 @@ def _boundary_pieces(front, curves, grid):
     The singular curves' panels, owned by their curve's index, and panels
     along each chart edge that bounds the surface (non-periodic, without a
     polar cap), owned by -1.  Edge panels run counter-clockwise around the
-    chart, split at the panel grid's lines and at the open curves' ends,
+    chart, split at the lines of the `grid` panel grid (of `_PANELS_MAX`
+    panels where `grid` is None, whatever budget the area sums end at) and
+    at the open curves' ends,
     so lambda keeps one sign on each.  Degenerate samples are refused, and
     so is an open curve that ends off those edges: M- would have a gap.
     """
@@ -271,11 +319,11 @@ def _boundary_pieces(front, curves, grid):
                 "the chart edges: the boundary of the negative region has a gap"
             )
     A, D, owner = ([x] for x in _curve_panels(dom, curves))
-    counts = _panel_counts(dom, grid)
+    counts = _panel_counts(dom, _PANELS_MAX if grid is None else grid)
     for k, value, sense in edges:
         j = 1 - k
         cuts = [q[j] for q in ends if abs(q[k] - value) <= tol]
-        t = np.unique(np.concatenate([np.linspace(*spans[j][:2], counts[j] + 1), cuts]))
+        t = np.array(sorted({*np.linspace(*spans[j][:2], counts[j] + 1).tolist(), *cuts}))
         P = np.insert(t[::sense, None], k, value, axis=1)  # along the edge
         A.append(P[:-1])
         D.append(np.diff(P, axis=0))
@@ -301,7 +349,7 @@ def _minus_area(front, pieces, orders=(2, 1)):
     on_curve = owner >= 0
     rule = Q, w, lam, lam_n, _, jn, _ = _line_rule(front, A, D, on_curve, orders)
     side = np.sign(lam_n)
-    for i in np.unique(owner[on_curve]):
+    for i in set(owner[on_curve].tolist()):
         if np.ptp(side[owner == i]) != 0.0:
             raise InapplicableError(
                 f"{_DEGENERATE}: grad lambda vanishes between the samples of "
@@ -327,6 +375,12 @@ def _minus_area(front, pieces, orders=(2, 1)):
     return math.fsum(vals.ravel().tolist()), rule
 
 
+def _miss(line, sums):
+    """Distance from the coarse estimate of A- by `_panel_sums`' `sums`,
+    (int K dAhat - coarse sum) / 2, to the nearest line + 4 pi k."""
+    return abs(math.remainder(0.5 * (sums[0] - sums[1]) - line, FOUR_PI))
+
+
 def _branch(line, coarse):
     """The value line + 4 pi k nearest the coarse estimate of A-.
 
@@ -344,15 +398,14 @@ def _branch(line, coarse):
     return line + FOUR_PI * k
 
 
-def _unsigned(front, curves, grid, sums, orders=(2, 1)):
-    """int K dA by int K dAhat - 2 A-, with `sums` the (int K dAhat, coarse
-    sgn(lambda) sum) of `_panel_sums` over `grid`, and `_minus_area`'s pass."""
+def _unsigned(sums, minus):
+    """int K dA = int K dAhat - 2 A-, from `sums`, the (int K dAhat, coarse
+    sgn(lambda) sum) of `_panel_sums`, and `minus`, A- modulo 4 pi."""
     hat, coarse = sums
-    minus, rule = _minus_area(front, _boundary_pieces(front, curves, grid), orders)
-    return hat - 2.0 * _branch(minus, 0.5 * (hat - coarse)), rule
+    return hat - 2.0 * _branch(minus, 0.5 * (hat - coarse))
 
 
-def integrate_K_dA(front, grid=2048):
+def integrate_K_dA(front, grid=None):
     """Integral of K against the unsigned area form |lambda| du dv.
 
     K dA = sgn(lambda) K dAhat, so the integral is int K dAhat less twice
@@ -360,11 +413,16 @@ def integrate_K_dA(front, grid=2048):
     integral of alpha along nu of the boundary of M- (singular curves,
     traced at `_TRACE_GRID`, and chart edges where lambda < 0), modulo
     4 pi.  A coarse sgn(lambda) sum over the `grid` panels of int K dAhat
-    picks the branch.  Degenerate singular points, open curves ending
-    inside the chart and an ambiguous branch are refused.
+    picks the branch.  `grid` None, the default, doubles the budget from
+    32 panels until two successive int K dAhat agree within 1e-13 * 4 pi
+    and the coarse estimate is within pi/2 of its branch, up to 2048
+    (`_area_sums`); the chart edges then take the panel lines of 2048.
+    Degenerate singular points, open curves ending inside the chart and an
+    ambiguous branch are refused.
     """
     curves = trace(front, grid=_TRACE_GRID)
-    return _unsigned(front, curves, grid, _panel_sums(front, grid))[0]
+    minus = _minus_area(front, _boundary_pieces(front, curves, grid))[0]
+    return _unsigned(_area_sums(front, grid, minus=minus)[0], minus)
 
 
 def _kappa_sum(rule):
@@ -490,8 +548,9 @@ def _degree_from_total(total):
     return int(round(val))
 
 
-def degree_of_gauss_map(front, grid=2048):
-    """Degree of nu from the signed total curvature, with integrality check."""
+def degree_of_gauss_map(front, grid=None):
+    """Degree of nu from the signed total curvature, with integrality check;
+    `grid` is `integrate_K_dAhat`'s."""
     if not (front.metadata and front.metadata.get("caps")):
         raise InapplicableError(
             "degree of the Gauss map needs a closed front (truncated chart "
@@ -522,24 +581,28 @@ def _end_epsilons(front, S):
     meta = front.metadata.get("ends", []) if front.metadata else []
     edges = S[[0, -1]] if front.domain.periodic_v else S[:, [0, -1]].T
     return tuple(
-        (end["label"], float(end["a"]), 1 if float(np.median(edge)) > 0 else -1)
+        (end["label"], float(end["a"]), _median_sign(edge))
         for end, edge in zip(meta, edges)
     )
 
 
-def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
+def euler_report(front, curves=None, grid=256, panels=None, k_f=0):
     """Assemble both global identities and their residuals for one front.
 
     `curves` come from `trace`; when omitted the singular set is traced
     here at grid 96 (for another grid, pass `curves=trace(front, grid=g)`).
-    They serve both line integrals, and one pass over `panels` Gauss panels
-    gives int K dAhat and int K dA's branch (see `integrate_K_dA`).
-    Compact fronts (capped charts) get the degree bookkeeping and the LLR
-    inequality; complete fronts contribute end growth orders instead.
-    Degenerate singular points, or singular curves with no cuspidal edges
-    at all (cones), mark the report inapplicable: the identities'
-    hypotheses exclude them.  `provenance` records the chi grid, the panel
-    budget and nodes, and the number of curves.
+    They serve both line integrals, and a pass over `panels` Gauss panels
+    gives int K dAhat and int K dA's branch (see `integrate_K_dA`).  With
+    `panels` None, the default, passes at 32, 64, ... panels run until two
+    successive int K dAhat agree within 1e-13 * 4 pi and the branch is
+    clear, up to 2048.  Compact fronts (capped charts) get the degree
+    bookkeeping and the LLR inequality; complete fronts contribute end
+    growth orders instead.  Degenerate singular points, or singular curves
+    with no cuspidal edges at all (cones), mark the report inapplicable:
+    the identities' hypotheses exclude them.  `provenance` records the chi
+    grid, the panels used and their nodes, the difference of the last two
+    signed sums (None for explicit `panels`), the coarse estimate's miss
+    of its branch (where int K dA was computed) and the number of curves.
     """
     if curves is None:
         curves = trace(front, grid=_TRACE_GRID)
@@ -555,14 +618,17 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
     if reason == _NO_CUSPS and "cone_angle" in meta:
         reason += f"; cone angle {meta['cone_angle']!r}"
 
-    sums = _panel_sums(front, panels)
+    minus = None
+    if reason != _DEGENERATE:
+        minus, rule = _minus_area(front, _boundary_pieces(front, curves, panels), (3, 2))
+    sums, budget = _area_sums(front, panels, minus=minus)
     int_hat = sums[0]
     int_dA = int_ks = alpha_terms = math.nan
     residual_unsigned = residual_signed = math.nan
     S_plus = S_minus = 0
     deg = llr = None
-    if reason != _DEGENERATE:
-        int_dA, rule = _unsigned(front, curves, panels, sums, (3, 2))
+    if minus is not None:
+        int_dA = _unsigned(sums, minus)
     S = _lambda_signs(front, grid)
     chi_M, chi_p, chi_m = _chis(front, S)
     ends = _end_epsilons(front, S)
@@ -606,7 +672,7 @@ def euler_report(front, curves=None, grid=256, panels=2048, k_f=0):
         llr=llr,
         provenance={
             "chi_grid": grid,
-            "panels": panels,
+            **budget,
             "nodes": _PANEL_NODES,
             "n_curves": len(curves),
         },

@@ -1114,11 +1114,20 @@ def sign_meaning_check(front, point):
 
 def peak_arc_count(front, uv):
     """Half the number of lambda sign changes on a parameter circle of
-    radius 1e-2 times the domain scale, at 720 points."""
+    radius 1e-2 times the domain scale, at 720 points.  A non-finite lambda
+    there is refused: its sign is unknown."""
     u, v = float(uv[0]), float(uv[1])
     r = 1e-2 * front.domain.scale
     theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    lam = lambda_value(front, u + r * np.cos(theta), v + r * np.sin(theta))
+    pu, pv = u + r * np.cos(theta), v + r * np.sin(theta)
+    lam = lambda_value(front, pu, pv)
+    bad = np.nonzero(~np.isfinite(lam))[0]
+    if bad.size:
+        i = bad[0]
+        raise FrontlabError(
+            f"lambda is not finite at {bad.size} of the 720 points of the probe "
+            f"circle of radius {r:.3e}, the first at ({pu[i]:.6g}, {pv[i]:.6g})"
+        )
     signs = np.sign(lam)
     signs = signs[signs != 0]
     if signs.size == 0:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import gather_euler
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frontlab
 from frontlab import (
     Domain,
     Front,
@@ -192,7 +197,7 @@ class TestSmoothFormIntegral:
         front = gallery(name)
         default = nodes == gaussbonnet._PANEL_NODES
         monkeypatch.setattr(gaussbonnet, "_PANEL_NODES", nodes)
-        got = gaussbonnet._panel_sums(front, grid)
+        got = gaussbonnet._panel_sums(front, grid, True, _cap_terms(front))
         want = flat_panel_sums(front, grid, nodes)
         assert [x.hex() for x in got] == [x.hex() for x in want]
         if default:
@@ -342,6 +347,86 @@ class TestUnsignedIntegral:
             rep = euler_report(front)
             assert calls == ["_minus_area", ("_line_rule", (3, 2)), "_project"]
             assert rep.applicable and "K_dA_unresolved" not in rep.provenance
+
+
+class TestDefaultBudget:
+    """panels=None: doubled from 32 until two signed sums agree, up to 2048."""
+
+    @staticmethod
+    def budgets(monkeypatch):
+        seen, real = [], gaussbonnet._panel_sums
+
+        def spy(front, grid, *args):
+            seen.append(grid)
+            return real(front, grid, *args)
+
+        monkeypatch.setattr(gaussbonnet, "_panel_sums", spy)
+        return seen
+
+    def test_provenance_states_the_budget(self, pseudo_report):
+        prov = pseudo_report.provenance
+        assert prov["panels"] == 64
+        assert prov["panel_diff"] <= gaussbonnet._PANELS_TOL
+        assert prov["branch_miss"] <= 0.5 * math.pi
+
+    def test_parabola_doubles_past_the_start(self, monkeypatch):
+        seen = self.budgets(monkeypatch)
+        front = gallery("cuspidal_parabola")
+        val = integrate_K_dAhat(front)
+        assert seen == [32, 64, 128]
+        assert val == gaussbonnet._panel_sums(front, 128, False, ())[0]
+
+    def test_branch_miss_keeps_doubling(self, monkeypatch, sphere):
+        # the sphere's sums agree from 64 panels on, and its coarse estimate
+        # of A- is 0: a line value 3 pi / 4 off keeps the loop going
+        seen = self.budgets(monkeypatch)
+        _, prov = gaussbonnet._area_sums(sphere, None, minus=0.25 * math.pi)
+        assert seen == [32, 64] and prov["panels"] == 64
+        seen.clear()
+        _, prov = gaussbonnet._area_sums(sphere, None, minus=0.75 * math.pi)
+        assert seen == [32, 64, 128, 256, 512, 1024, 2048]
+        assert prov["panel_diff"] <= gaussbonnet._PANELS_TOL
+        assert prov["branch_miss"] == 0.75 * math.pi
+
+    def test_ceiling_records_the_unresolved_difference(self):
+        # a flat ellipsoid's Gauss map turns within ~a3 of the rim: 2048
+        # panels do not resolve it, and the 2048 value is returned
+        front = gallery("ellipsoid", {"a3": 0.01})
+        rep = euler_report(front, [])
+        assert rep.provenance["panels"] == 2048
+        assert rep.provenance["panel_diff"] > 1e-4
+        assert rep.int_K_dAhat.hex() == integrate_K_dAhat(front, 2048).hex()
+
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_default_agrees_with_the_full_budget(self, name):
+        front = gallery(name)
+        hat = integrate_K_dAhat(front)
+        assert abs(hat - integrate_K_dAhat(front, 2048)) <= gaussbonnet._PANELS_TOL
+        if name == "double_swallowtail":  # degenerate: the unsigned form is refused
+            with pytest.raises(InapplicableError):
+                integrate_K_dA(front)
+            return
+        full = integrate_K_dA(front, 2048)
+        assert abs(integrate_K_dA(front) - full) <= 4.0 * math.ulp(full)
+
+    def test_reports_do_not_import_numpy_ma(self):
+        # np.median and np.unique import numpy.ma, 1.3 MiB
+        code = (
+            "import sys\n"
+            "from frontlab import euler_report, gallery, integrate_K_dA\n"
+            "euler_report(gallery('pseudosphere'))\n"
+            "euler_report(gallery('sphere'))\n"
+            "integrate_K_dA(gallery('kuen'))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(frontlab.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    @pytest.mark.parametrize("values", [[1.0, -2.0, 3.0], [-1.0, 0.5, -0.25, 2.0], [0.0, 0.0],
+                                        [-3.0, 1.0, 1.0, 2.0], [np.nan, 1.0, 2.0], [-0.0]])
+    def test_median_sign_is_numpy_median(self, values):
+        a = np.array(values)
+        assert gaussbonnet._median_sign(a) == (1 if float(np.median(a)) > 0 else -1)
 
 
 class TestSingularCurveIntegral:
@@ -735,6 +820,10 @@ class TestEulerReport:
         rep = euler_report(front, curves, panels=512)
         assert rep.applicable == (case == "applicable")
         assert counts == {"sums": 1, "reports": 1}
+        # an explicit budget is today's one pass, bit for bit
+        assert rep.provenance["panels"] == 512 and rep.provenance["panel_diff"] is None
+        want = gaussbonnet._panel_sums(front, 512, False, _cap_terms(front))[0]
+        assert rep.int_K_dAhat.hex() == want.hex()
 
     def test_report_dictionary_deterministic(self, pseudosphere, pseudo_report):
         again = euler_report(pseudosphere)

@@ -19,7 +19,7 @@ import numpy as np
 from test_bench_jobs import BENCH
 
 import frontlab
-from frontlab import curvature, euler_report, gallery, trace
+from frontlab import curvature, euler_report, gallery, integrate_K_dAhat, trace
 from frontlab import front as front_module
 from frontlab import zigzag
 
@@ -43,10 +43,15 @@ KNOWN = {
 }
 
 ELL16 = gallery("ellipsoid_parallel", {"d": 1.6})
-# (name, call); the name's first word is its kind, as a job's
+SPHERE = gallery("sphere")
+# (name, call); the name's first word is its kind, as a job's.  The sphere's
+# default panel budget doubles over its polar caps, which must not be
+# integrated again at each budget
 EXTRA = [
     ("euler_report ellipsoid_parallel d=1.6 trace grid=96",
      lambda: euler_report(ELL16, trace(ELL16, grid=96))),
+    ("euler_report sphere", lambda: euler_report(SPHERE)),
+    ("integrate_K_dAhat sphere", lambda: integrate_K_dAhat(SPHERE)),
     ("curvature ellipsoid_parallel d=1.6 grid=33",
      lambda: curvature(ELL16, *ELL16.domain.grid(33))),
 ]

@@ -1252,6 +1252,16 @@ class TestPeakArcCount:
         with pytest.raises(FrontlabError, match="vanishes on the whole probe circle"):
             peak_arc_count(flat, (0.0, 0.0))
 
+    @pytest.mark.parametrize("du,count", [(-0.03, 720), (-0.01, 481), (0.0, 361), (0.01, 241)])
+    def test_nonfinite_lambda_named(self, du, count):
+        # sqrt(u + 1) is NaN for u < -1 (and its derivative infinite at -1),
+        # so part of the probe circle has no sign of lambda
+        front = Front(map=parse("(u, v^2/2, v^3/3*sqrt(u + 1))"), normal=parse("(0, 0, 1)"),
+                      domain=Domain(-1.0, 1.0, -1.0, 1.0))
+        with pytest.raises(FrontlabError, match=f"not finite at {count} of the 720 points"):
+            peak_arc_count(front, (-1.0 + du, 0.0))
+        assert peak_arc_count(front, (-0.97, 0.0)) == 1
+
 
 class TestNearCurveDivergence:
     """Mean curvature blows up beside the singular set; K can stay finite."""
