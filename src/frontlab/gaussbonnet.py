@@ -98,9 +98,9 @@ def _line_rule(front, A, D, on_curve, orders=(2, 1)):
     mu' = -(grad lambda . D) / (grad lambda . N).
     Returns tangents Q (S, nodes, 2), weights, lambda and grad lambda . N
     at the nodes, `front.jets` there at `orders`, (2, 1) or deeper, and the
-    `on_curve` rows' indices; each row is computed on its own.  The
-    projection takes lambda's jets once per Newton point; its handback goes
-    unread (edge nodes are not projected, curve nodes land at different steps).
+    `on_curve` rows' indices; each row is computed on its own.  The curve
+    nodes land on one Newton step, whose (2, 1) jets the projection hands
+    back; they go unread, since this pass needs every row at `orders`.
     """
     x, w = _gl_rule(_LINE_NODES)
     N = _chord_normals(D)
@@ -295,7 +295,8 @@ def _boundary_pieces(front, curves, grid):
     panels where `grid` is None, whatever budget the area sums end at) and
     at the open curves' ends,
     so lambda keeps one sign on each.  Degenerate samples are refused, and
-    so is an open curve that ends off those edges: M- would have a gap.
+    so is an open curve that ends on a polar cap's ring (the cap terms need
+    a regular cap) or off those edges: M- would have a gap.
     """
     if _excluded(curves) == _DEGENERATE:
         raise InapplicableError(
@@ -313,6 +314,12 @@ def _boundary_pieces(front, curves, grid):
     ]
     ends = [c.samples[i].uv for c in curves if not c.closed for i in (0, -1)]
     for q in ends:
+        if capped and min(abs(q[1] - dom.v0), abs(q[1] - dom.v1)) <= tol:
+            raise InapplicableError(
+                f"open singular curve ends at ({q[0]:.6g}, {q[1]:.6g}) on a polar "
+                "cap's ring: the singular set runs into the cap, which the cap "
+                "terms take to be regular"
+            )
         if not any(abs(q[k] - value) <= tol for k, value, _ in edges):
             raise FrontlabError(
                 f"open singular curve ends at ({q[0]:.6g}, {q[1]:.6g}), off "

@@ -13,11 +13,11 @@ Answers known without tracing: nu is the identity of the sphere, so
 int K dAhat = -4 pi (deg nu = -1 in this chart); chi(M) = 2, so
 chi(M+) - chi(M-) + S+ - S- = -2; and int K dA + 2 int kappa_s ds = 4 pi.
 
-    PYTHONPATH=src python tests/hedgehogs.py [SEED [COUNT]]
+    PYTHONPATH=src python tests/hedgehogs.py [SEED [COUNT [SIGMA ...]]]
 
 prints `euler_report`'s outcome at its defaults for each of COUNT fronts
-(default seed 2026, 24 fronts), sigma alternating 0.25 and 0.5, and the
-count of each outcome.
+(default seed 2026, 24 fronts), sigma cycling through the SIGMAs given
+(default 0.25 and 0.5, alternating), and the count of each outcome.
 """
 
 import math
@@ -80,12 +80,12 @@ def hedgehog(coeffs, label="hedgehog"):
     )
 
 
-def sample(seed, count):
-    """`count` hedgehogs, sigma cycling through `SIGMAS`; each front's ten
+def sample(seed, count, sigmas=SIGMAS):
+    """`count` hedgehogs, sigma cycling through `sigmas`; each front's ten
     coefficients are drawn in turn from one generator, rounded to 3 places."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        sigma = SIGMAS[i % len(SIGMAS)]
+        sigma = sigmas[i % len(sigmas)]
         c = np.round(rng.normal(0.0, sigma, 10), 3)
         yield sigma, hedgehog(c, f"hedgehog seed={seed} #{i} sigma={sigma}")
 
@@ -113,8 +113,9 @@ def outcome(front):
 def main(argv):
     seed = int(argv[0]) if argv else 2026
     count = int(argv[1]) if len(argv) > 1 else 24
+    sigmas = tuple(map(float, argv[2:])) or SIGMAS
     tally = Counter()
-    for i, (sigma, front) in enumerate(sample(seed, count)):
+    for i, (sigma, front) in enumerate(sample(seed, count, sigmas)):
         line = outcome(front)
         tally[re.sub(r"\(.*?\)", "(...)", line.split(", residual_unsigned")[0])] += 1
         print(f"{i:3d} sigma={sigma} {line}", flush=True)

@@ -1,15 +1,20 @@
-"""Hedgehogs (`hedgehogs.py`) close both identities at `euler_report`'s defaults."""
+"""Hedgehogs (`hedgehogs.py`) close both identities at `euler_report`'s defaults,
+or the report is refused or raises with its cause."""
 
 import math
 
 import hedgehogs
 import pytest
 
-from frontlab import euler_report
+from frontlab import FrontlabError, InapplicableError, euler_report
 from frontlab import gaussbonnet
 
 # the first and third fronts of seed 2026, both at sigma = 0.25
 SAMPLE = [front for i, (_, front) in enumerate(hedgehogs.sample(2026, 3)) if i != 1]
+# every front of seed 2026 (sigma 0.25 and 0.5) and of seed 1 at sigma 0.6
+SWEEP = [front for _, front in hedgehogs.sample(2026, 24)]
+SEED1 = [front for _, front in hedgehogs.sample(1, 6, (0.6,))]
+WRONG = {7: "ROADMAP item 5: applicable with residual_signed -4 pi"}
 
 
 @pytest.mark.parametrize("front", SAMPLE, ids=lambda f: f.label)
@@ -21,3 +26,23 @@ def test_default_report_closes(front):
     assert rep.provenance["panel_diff"] <= gaussbonnet._PANELS_TOL
     assert rep.chi_Mplus - rep.chi_Mminus + rep.S_plus - rep.S_minus == -2
     assert hedgehogs.closes(rep), (rep.residual_signed, rep.residual_unsigned)
+
+
+@pytest.mark.parametrize("front", [
+    pytest.param(f, marks=pytest.mark.xfail(strict=True, reason=WRONG[i])) if i in WRONG else f
+    for i, f in enumerate(SWEEP)
+] + SEED1, ids=lambda f: f.label)
+def test_default_report_closes_or_names_its_cause(front):
+    try:
+        rep = euler_report(front)
+    except FrontlabError:
+        return
+    assert not rep.applicable or hedgehogs.closes(rep), (
+        rep.residual_signed, rep.residual_unsigned)
+
+
+def test_curve_into_a_polar_cap_is_refused():
+    """Seed 1's front 4 traces an open curve from (4.23530, v1) to
+    (5.50921, v1), both ends on the upper polar cap's ring."""
+    with pytest.raises(InapplicableError, match=r"ends at \(4\.2353, 3\.13845\) on a polar cap"):
+        euler_report(SEED1[4])
