@@ -98,9 +98,9 @@ def _line_rule(front, A, D, on_curve, orders=(2, 1)):
     mu' = -(grad lambda . D) / (grad lambda . N).
     Returns tangents Q (S, nodes, 2), weights, lambda and grad lambda . N
     at the nodes, `front.jets` there at `orders`, (2, 1) or deeper, and the
-    `on_curve` rows' indices; each row is computed on its own.  The curve
-    nodes land on one Newton step, whose (2, 1) jets the projection hands
-    back; they go unread, since this pass needs every row at `orders`.
+    `on_curve` rows' indices; each row is computed on its own.  The
+    projection takes lambda's jets once per Newton point; its handback goes
+    unread (edge nodes are not projected, curve nodes land at different steps).
     """
     x, w = _gl_rule(_LINE_NODES)
     N = _chord_normals(D)

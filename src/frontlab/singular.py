@@ -347,15 +347,16 @@ def _project(front, X, N):
     over arrays of any leading shape; at one point (shape (2,)) the jets run
     on floats.  Once a step returns mu bit for bit (compared as bytes: -0.0
     is not 0.0, and NaN can repeat) every later step would too, and that
-    iterate is returned with the jets its step took, at X + mu N.  Each step
-    of a batch evaluates every row and keeps nothing for the next; a batch
-    that is still moving after the last step comes back with None.  A point
-    keeps each step's ratio and jets by the bytes of X + mu N, so an offset
-    whose iterates cycle evaluates each of its points once, and it finds the
-    jets of its last iterate if an earlier step took them.  The line rule
-    projects its Gauss nodes with it, `trace` the midpoints of its gaps and
-    transversality brackets, and `singular_curvature` its chart offsets
-    along the curve.
+    iterate is returned.  Steps and jets are elementwise, so a row whose
+    point X + mu N repeats byte for byte a point of an earlier step reuses
+    that step's ratio lambda / (grad lambda . N), the same bits, and no
+    point is evaluated twice: a row whose mu repeated is frozen, and
+    iterates that differ below the rounding of X + mu N cost no jets.  The
+    jets at the points returned come back where a step took them, else
+    None: a point keeps each step's (floats), a batch its last call's, if
+    that call took every row.  The line rule projects its Gauss nodes with
+    it, `trace` the midpoints of its gaps and transversality brackets, and
+    `singular_curvature` its chart offsets along the curve.
     """
     if X.ndim == 1:  # floats, and each point's ratio and jets by its bytes
         (u, v), (n0, n1), mu, memo = X, N, np.zeros(()), {}
@@ -372,14 +373,28 @@ def _project(front, X, N):
         return mu, memo.get((u + mu * n0).tobytes() + (v + mu * n1).tobytes(), (None, None))[1]
     X, N = np.broadcast_arrays(X, N)
     u, v, n0, n1 = X[..., 0], X[..., 1], N[..., 0], N[..., 1]
-    mu = np.zeros(u.shape)
-    for _ in range(_PROJECT_ITERS):
-        jets = front.jets(u + mu * n0, v + mu * n1, 2, 1)
-        lam, lu, lv = _lambda_blocks(*jets, 1)
-        mu, last = mu - lam / (lu * n0 + lv * n1), mu
+    mu, seen, hand = np.zeros(u.shape), [], None  # seen: each step's points and ratios
+    for k in range(_PROJECT_ITERS):
+        pu, pv = u + mu * n0, v + mu * n1
+        p, r = (pu.view(np.int64), pv.view(np.int64)), np.empty(u.shape)
+        old = np.zeros(u.shape, dtype=bool)
+        for q, rq in seen:
+            same = (q[0] == p[0]) & (q[1] == p[1])
+            r[same], old = rq[same], old | same
+        seen.append((p, r))
+        hits = np.count_nonzero(old)
+        if hits < old.size:
+            at, hand = ~old if hits else (), None  # (): every row; frees the last jets
+            hand = k, front.jets(pu[at], pv[at], 2, 1)
+            lam, lu, lv = _lambda_blocks(*hand[1], 1)
+            r[at] = lam / (lu * n0[at] + lv * n1[at])
+            hand = None if hits else hand  # a call on some rows hands nothing back
+        mu, last = mu - r, mu
         if mu.tobytes() == last.tobytes():
-            return mu, jets
-        del jets, lam, lu, lv  # so that no two steps' jets are held at once
+            break
+    landed = (u + mu * n0).view(np.int64), (v + mu * n1).view(np.int64)
+    if hand and all((a == b).all() for a, b in zip(seen[hand[0]][0], landed)):
+        return mu, hand[1]
     return mu, None
 
 

@@ -1,12 +1,10 @@
 """Test oracle: the projection onto lambda = 0 with every Newton step taken.
 
-This is `frontlab.singular._project` without its return at a bitwise
-fixed point: `steps` Newton steps (`_PROJECT_ITERS` by default) on
-lambda(X + mu N) = 0 from mu = 0, on the whole batch, always all of them.
-Once mu repeats bit for bit every later step repeats it too, and at one
-point the library's ratios kept by the bytes of X + mu N are the ones a
-step would compute again, so the two agree bit for bit, in value and in
-type.
+This is `frontlab.singular._project` before it returned at a bitwise
+fixed point, froze rows and reused Newton ratios: `steps` Newton steps
+(`_PROJECT_ITERS` by default) on lambda(X + mu N) = 0 from mu = 0, on the
+whole batch, always all of them.  The library's early returns are exact,
+so the two agree bit for bit, in value and in type.
 """
 
 import numpy as np
