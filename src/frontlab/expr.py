@@ -44,7 +44,8 @@ import linecache
 import math
 import re
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,167 +75,119 @@ IDENT = "ident"
 OP = "op"
 END = "end"
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+Token = namedtuple("Token", "kind text pos")
 
-
-class Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.pos})"
+# one alternative per token kind, named after it, and any other character
+# but whitespace, which the search skips
+_TOKEN_RE = re.compile(
+    rf"(?P<{NUMBER}>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    rf"|(?P<{IDENT}>[A-Za-z_][A-Za-z_0-9]*)|(?P<{OP}>[-+*/^(),])|(?P<bad>\S)"
+)
 
 
 def _tokenize(source):
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(Token(NUMBER, m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(Token(IDENT, m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(Token(OP, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(END, "", n))
+    for m in _TOKEN_RE.finditer(source):
+        tok = Token(m.lastgroup, m[0], m.start())
+        if tok.kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
+        tokens.append(tok)
+    tokens.append(Token(END, "", len(source)))
     return tokens
 
 
 # --- syntax tree --------------------------------------------------------
+#
+# Nodes are plain data: equal, and of one hash, when their compared fields
+# are (all but the source offset `pos`; a `Num` compares its value's bits),
+# and printed as their class and those fields.
+
+_node = dataclass(slots=True, unsafe_hash=True, repr=False)
 
 
 class Node:
-    __slots__ = ("pos",)
-
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
+    __slots__ = ()
 
     def __repr__(self):
-        return f"{type(self).__name__}{self._key()!r}"
+        return type(self).__name__ + repr(
+            tuple(getattr(self, f.name) for f in fields(self) if f.compare))
 
 
+@_node
 class Num(Node):
-    __slots__ = ("value",)
+    """A number literal."""
+    value: float = field(compare=False)
+    pos: int = field(compare=False)
+    # compared by bit pattern, as the tape keys constants: 0.0 and -0.0 give
+    # jets of different signs, and a NaN constant must equal itself
+    bits: bytes = field(init=False)
 
-    def __init__(self, value, pos):
-        self.value = float(value)
-        self.pos = pos
-
-    def _key(self):
-        # by bit pattern, as the tape keys constants: 0.0 and -0.0 give
-        # jets of different signs, and a NaN constant must equal itself
-        return (_bits(self.value),)
+    def __post_init__(self):
+        self.value = float(self.value)
+        self.bits = _bits(self.value)
 
     def __repr__(self):
         return f"Num({self.value!r})"
 
 
+@_node
 class Param(Node):
-    __slots__ = ("name",)
-
-    def __init__(self, name, pos):
-        self.name = name
-        self.pos = pos
-
-    def _key(self):
-        return (self.name,)
+    """A parameter name, bound to its value by `Expr.params`."""
+    name: str
+    pos: int = field(compare=False)
 
 
+@_node
 class Var(Node):
-    __slots__ = ("name", "index")
+    """A chart variable, u or v."""
+    name: str
+    pos: int = field(compare=False)
 
-    def __init__(self, name, pos):
-        self.name = name
-        self.index = VARIABLES.index(name)
-        self.pos = pos
-
-    def _key(self):
-        return (self.name,)
+    @property
+    def index(self):
+        return VARIABLES.index(self.name)
 
 
+@_node
 class Call(Node):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg, pos):
-        self.fn = fn
-        self.arg = arg
-        self.pos = pos
-
-    def _key(self):
-        return (self.fn, self.arg)
+    """fn(arg), fn one of `taylor.FUNCTION_NAMES`."""
+    fn: str
+    arg: Node
+    pos: int = field(compare=False)
 
 
+@_node
 class Neg(Node):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg, pos):
-        self.arg = arg
-        self.pos = pos
-
-    def _key(self):
-        return (self.arg,)
+    """-arg."""
+    arg: Node
+    pos: int = field(compare=False)
 
 
+@_node
 class BinOp(Node):
-    __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op, lhs, rhs, pos):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.pos = pos
-
-    def _key(self):
-        return (self.op, self.lhs, self.rhs)
+    """lhs op rhs, op one of + - * /."""
+    op: str
+    lhs: Node
+    rhs: Node
+    pos: int = field(compare=False)
 
 
+@_node
 class PowOp(Node):
     """base ^ constant; the exponent is folded to a float at parse time."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base, exponent, pos):
-        self.base = base
-        self.exponent = float(exponent)
-        self.pos = pos
-
-    def _key(self):
-        return (self.base, self.exponent)
+    base: Node
+    exponent: float
+    pos: int = field(compare=False)
 
 
+@_node
 class Vector(Node):
-    __slots__ = ("components",)
+    """The components of a vector expression, which is always the root."""
+    components: tuple
+    pos: int = field(compare=False)
 
-    def __init__(self, components, pos):
-        self.components = tuple(components)
-        self.pos = pos
-
-    def _key(self):
-        return (self.components,)
+    def __post_init__(self):
+        self.components = tuple(self.components)
 
 
 @dataclass(frozen=True)
@@ -243,7 +196,7 @@ class Expr:
 
     root: Node
     params: tuple  # sorted (name, value) pairs
-    source: str
+    source: str = field(compare=False)  # equality is blind to the spelling
 
     @property
     def ncomponents(self):
@@ -251,14 +204,6 @@ class Expr:
 
     def param_dict(self):
         return dict(self.params)
-
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self.root == other.root and self.params == other.params
-
-    def __hash__(self):  # like __eq__, blind to the source spelling
-        return hash((self.root, self.params))
 
     @cached_property
     def tape(self):
@@ -290,8 +235,8 @@ class _Parser:
         return tok
 
     def match_op(self, *ops):
-        tok = self.peek()
-        if tok.kind == OP and tok.text in ops:
+        tok = self.tokens[self.i]
+        if tok.text in ops:  # only an op token has such a text
             self.i += 1
             return tok
         return None
@@ -309,11 +254,11 @@ class _Parser:
 
     def parse_root(self):
         first = self.peek()
-        if first.kind == OP and first.text == "(":
+        if first.text == "(":
             mark = self.i
             self.advance()
             head = self.parse_sum()
-            if self.peek().kind == OP and self.peek().text == ",":
+            if self.peek().text == ",":
                 comps = [head]
                 while self.match_op(","):
                     comps.append(self.parse_sum())
@@ -334,21 +279,19 @@ class _Parser:
         if tok.kind != END:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.pos)
 
+    def _chain(self, operand, ops):
+        """operand (op operand)*, grouped to the left."""
+        node = operand()
+        while (tok := self.tokens[self.i]).text in ops:  # match_op, one call less
+            self.i += 1
+            node = BinOp(tok.text, node, operand(), tok.pos)
+        return node
+
     def parse_sum(self):
-        node = self.parse_prod()
-        while True:
-            tok = self.match_op("+", "-")
-            if tok is None:
-                return node
-            node = BinOp(tok.text, node, self.parse_prod(), tok.pos)
+        return self._chain(self.parse_prod, ("+", "-"))
 
     def parse_prod(self):
-        node = self.parse_unary()
-        while True:
-            tok = self.match_op("*", "/")
-            if tok is None:
-                return node
-            node = BinOp(tok.text, node, self.parse_unary(), tok.pos)
+        return self._chain(self.parse_unary, ("*", "/"))
 
     def parse_unary(self):
         tok = self.match_op("-")
@@ -377,14 +320,14 @@ class _Parser:
                 arg = self.parse_sum()
                 self.expect_op(")")
                 return Call(name, arg, tok.pos)
-            if self.peek().kind == OP and self.peek().text == "(":
+            if self.peek().text == "(":
                 raise ParseError(f"'{name}' is not a function", tok.pos)
             if name in VARIABLES:
                 return Var(name, tok.pos)
             if name in self.params:
                 return Param(name, tok.pos)
             raise ParseError(f"unknown identifier '{name}'", tok.pos)
-        if tok.kind == OP and tok.text == "(":
+        if tok.text == "(":
             self.advance()
             inner = self.parse_sum()
             self.expect_op(")")
@@ -1022,16 +965,11 @@ def join(*exprs):
 
 def _inline(node, values):
     """`node` with each parameter named in `values` replaced by its value."""
-    if not values or isinstance(node, (Num, Var)):
+    if not values:
         return node
-    if isinstance(node, Param):
-        return Num(values[node.name], node.pos) if node.name in values else node
-    if isinstance(node, Neg):
-        return Neg(_inline(node.arg, values), node.pos)
-    if isinstance(node, Call):
-        return Call(node.fn, _inline(node.arg, values), node.pos)
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _inline(node.lhs, values), _inline(node.rhs, values), node.pos)
-    if isinstance(node, PowOp):
-        return PowOp(_inline(node.base, values), node.exponent, node.pos)
-    return Vector([_inline(c, values) for c in node.components], node.pos)
+    if isinstance(node, Param) and node.name in values:
+        return Num(values[node.name], node.pos)
+    if isinstance(node, Vector):
+        return Vector([_inline(c, values) for c in node.components], node.pos)
+    return replace(node, **{f.name: _inline(getattr(node, f.name), values) for f in fields(node)
+                            if isinstance(getattr(node, f.name), Node)})

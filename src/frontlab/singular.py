@@ -357,6 +357,14 @@ def _project(front, X, N):
     that call took every row.  The line rule projects its Gauss nodes with
     it, `trace` the midpoints of its gaps and transversality brackets, and
     `singular_curvature` its chart offsets along the curve.
+
+    One point keeps a loop of its own because the batch loop serves it
+    worse.  Through the batch loop, 8 `singular_curvature` calls (4 on the
+    swallowtail flank, 4 on the parabola axis) took 40% longer on a 2-vCPU
+    x86 host.  And where mu 2-cycles, as 27 of the 144 chart offsets of
+    the benchmark's `singular_curvature` jobs at seed 7 do, the point it
+    lands on was evaluated before the last step, so the batch loop, which
+    keeps only the last call's jets, would hand none back.
     """
     if X.ndim == 1:  # floats, and each point's ratio and jets by its bytes
         (u, v), (n0, n1), mu, memo = X, N, np.zeros(()), {}
@@ -705,7 +713,8 @@ def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
     curve.  One masked bisection serves every sign change, one round per
     call (each projected midpoint depends on the one before, so it takes
     no end values): each round projects the midpoints onto the curve along
-    the chord normals and evaluates det(T, eta) there, until |det| <= 1e-10
+    the chord normals, wraps them into the chart (a periodic seam may lie
+    between the ends) and evaluates det(T, eta) there, until |det| <= 1e-10
     or 60 rounds.  Only the brackets that closed so, away from both end
     samples, are inserted.
     """
@@ -754,7 +763,7 @@ def _insert_swallowtails(front, dom, P, sizes, closed, grad, eta):
                 "in the chart: no chord to project its midpoint along"
             )
         M, N = a + 0.5 * D, _chord_normals(D)
-        return M + _project(front, M, N)[0][:, None] * N
+        return _wrap(dom, M + _project(front, M, N)[0][:, None] * N)
 
     a_neg = (_cross2(T0[i].T, eta[i].T) < 0)[:, None]  # det at P[i], as `det` has it
     neg, pos = _bisect(

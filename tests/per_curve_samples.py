@@ -61,8 +61,8 @@ def _insert_swallowtails(front, dom, P, closed):
     sign along the curve.  One masked bisection then serves every sign
     change, one round per call (each projected midpoint depends on the
     one before, so it takes no end values): each round projects the
-    brackets' midpoints onto the curve along their chord normals and
-    evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad
+    brackets' midpoints onto the curve along their chord normals, wraps
+    them into the chart and evaluates det(T, eta) there with T = (lambda_v, -lambda_u)/|grad
     lambda|, until |det| <= 1e-10 or 60 rounds.  Only the brackets that
     closed so, away from both end samples, are inserted.
     """
@@ -106,7 +106,7 @@ def _insert_swallowtails(front, dom, P, closed):
                 "in the chart: no chord to project its midpoint along"
             )
         M, N = a + 0.5 * D, _chord_normals(D)
-        return M + _project(front, M, N)[0][:, None] * N
+        return _wrap(dom, M + _project(front, M, N)[0][:, None] * N)
 
     a_neg = (det(P[i], np.arange(len(i))) < 0)[:, None]
     neg, pos = _bisect(

@@ -17,7 +17,7 @@ from frontlab import (
     parse,
     to_source,
 )
-from frontlab.expr import BinOp, Num, Var, Vector
+from frontlab.expr import BinOp, Call, Neg, Num, Param, PowOp, Var, Vector, join
 from frontlab.front import stack
 
 # expressions in the shape of the built-in surface gallery
@@ -125,6 +125,61 @@ class TestParse:
             parse("(u, v, 0)", {"u": 1.0})
         with pytest.raises(ValueError, match="collides"):
             parse("(u, v, 0)", {"sin": 1.0})
+
+
+# each node kind, built at a source offset `pos`
+NODE_KINDS = {
+    "Num": lambda pos: Num(1.5, pos),
+    "Param": lambda pos: Param("a", pos),
+    "Var": lambda pos: Var("u", pos),
+    "Call": lambda pos: Call("sin", Var("u", pos), pos),
+    "Neg": lambda pos: Neg(Var("v", pos), pos),
+    "BinOp": lambda pos: BinOp("*", Num(2.0, pos), Var("u", pos), pos),
+    "PowOp": lambda pos: PowOp(Var("u", pos), 3.0, pos),
+    "Vector": lambda pos: Vector([Var("u", pos), Num(-0.0, pos)], pos),
+}
+
+
+class TestTree:
+    """Syntax trees are plain data: compared, hashed and printed by their
+    fields, never by the source offsets they were parsed at."""
+
+    def test_repr_of_every_node_kind_and_of_an_expr(self):
+        e = parse("(sin(u)*a - -v^2.5, 3e-1, -0.0)", {"a": 2})
+        assert repr(e) == (
+            "Expr(root=Vector((BinOp('-', BinOp('*', Call('sin', Var('u',)), Param('a',)), "
+            "Neg(PowOp(Var('v',), 2.5),)), Num(0.3), Neg(Num(0.0),)),), "
+            "params=(('a', 2.0),), source='(sin(u)*a - -v^2.5, 3e-1, -0.0)')")
+        assert [repr(make(0)) for make in NODE_KINDS.values()] == [
+            "Num(1.5)", "Param('a',)", "Var('u',)", "Call('sin', Var('u',))",
+            "Neg(Var('v',),)", "BinOp('*', Num(2.0), Var('u',))", "PowOp(Var('u',), 3.0)",
+            "Vector((Var('u',), Num(-0.0)),)"]
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_equality_and_hash_ignore_the_offset(self, kind):
+        a, b = NODE_KINDS[kind](0), NODE_KINDS[kind](7)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Param("w", 0)
+
+    def test_vector_from_a_list_equals_one_from_a_tuple(self):
+        items = [Var("u", 1), Num(2.0, 4)]
+        a, b = Vector(items, 0), Vector(tuple(items), 0)
+        assert a == b and hash(a) == hash(b)
+        assert isinstance(a.components, tuple)
+
+    def test_join_inlines_a_clashing_parameter_through_every_node_kind(self):
+        first = parse("(a*u, v)", {"a": 2.0})
+        second = parse("(-a^2 + sin(a*v)/a, (a))", {"a": 3.0, "b": 1.0})
+        joined = join(first, second)
+        assert joined.params == (("a", 2.0), ("b", 1.0))
+        assert joined.root == parse("(a*u, v, -3.0^2 + sin(3.0*v)/3.0, 3.0)", {"a": 2.0}).root
+
+    def test_bad_character_offset_after_tabs_and_newlines(self):
+        source = "(u,\n\tv,\t\r\n  0 @ 1)"
+        with pytest.raises(ParseError, match="unexpected character '@'") as info:
+            parse(source)
+        assert info.value.position == source.index("@") == 14
 
 
 class TestPrintRoundTrip:

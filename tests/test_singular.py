@@ -853,6 +853,24 @@ class TestProjection:
         assert mu.tobytes() == np.float64(0.0).tobytes()
         _assert_matches_all_steps([(front, X, N, mu, jets)])
 
+    def test_point_handback_in_a_two_cycle(self):
+        """One chart offset of `singular_curvature` on the swallowtail
+        flank: its 8 steps visit the points 0, 1, 2, 3, 2, 3, 2, 3 and land
+        on point 2, last evaluated two steps before the end; the jets
+        handed back are the jets at that point."""
+        front = gallery("standard_swallowtail")
+        X = np.array([0.40163163403289603, -0.9678318433579011])
+        N = np.array([0.9789804197376051, 0.20395425411200102])
+        points = [(X + fixed_step_project.project(front, X, N, k) * N).tobytes()
+                  for k in range(9)]
+        visits = [list(dict.fromkeys(points)).index(p) for p in points]
+        assert visits == [0, 1, 2, 3, 2, 3, 2, 3, 2]
+        mu, jets = singular._project(front, X, N)
+        Q = X + mu * N
+        assert Q.tobytes() == points[-1]
+        assert jets is not None
+        assert _jet_bits(jets) == _jet_bits(front.jets(Q[0], Q[1], 2, 1))
+
     def test_jet_calls_on_the_parabola_axis(self, monkeypatch):
         """Each chart offset takes one Newton step, whose jets serve its
         landing."""
@@ -908,6 +926,49 @@ class TestInvariance:
         p0 = classify(front, (0.2, 0.0))
         p1 = classify(negate_normal(front), (0.2, 0.0))
         assert abs(p1.kappa_nu + p0.kappa_nu) < 1e-12
+
+
+WHOLE_TRACE_FRONTS = {
+    "kuen": ("kuen", None),
+    "ellipsoid_parallel_d2": ("ellipsoid_parallel", {"d": 2.0}),
+    "standard_swallowtail": ("standard_swallowtail", None),
+    "pseudosphere": ("pseudosphere", None),
+    "cuspidal_parabola": ("cuspidal_parabola", None),
+}
+
+
+def _trace_summary(front, flip=1):
+    """The curves of `trace(front, grid=32)` as a sorted list of (closed,
+    sorted (kind, swallowtail sign times `flip`) of its peaks), and the
+    integral of kappa_s over them."""
+    curves = trace(front, grid=32)
+    shapes = sorted(
+        (c.closed, sorted((c.samples[k].kind.value,
+                           None if c.samples[k].swallowtail_sign is None
+                           else flip * c.samples[k].swallowtail_sign) for k in c.peaks))
+        for c in curves)
+    return shapes, integrate_kappa_s(front, curves)
+
+
+class TestWholeTraceInvariance:
+    """Whole traces at grid 32 under the changes that keep the singular
+    set: the curves, their peaks and the integral of kappa_s ds stay, and
+    a swallowtail's sign flips with lambda's (a flipped normal or an
+    orientation-reversing chart change)."""
+
+    @pytest.mark.parametrize("variant", [
+        "rotation", "scale 1e-3", "scale 1e3", "flipped normal", "u<->v", "u->-u",
+        pytest.param("scale 1e-6", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: every sample comes out DEGENERATE")),
+    ])
+    @pytest.mark.parametrize("case", WHOLE_TRACE_FRONTS)
+    def test_curves_peaks_and_integral(self, case, variant):
+        front = gallery(*WHOLE_TRACE_FRONTS[case])
+        changed, _, k = tail_variant(front, variant)
+        shapes, integral = _trace_summary(front, flip=k)
+        changed_shapes, changed_integral = _trace_summary(changed)
+        assert changed_shapes == shapes
+        assert changed_integral == pytest.approx(integral, rel=1e-12, abs=0.0)
 
 
 class TestMeasureAndNormalCurvature:
