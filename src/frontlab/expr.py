@@ -98,33 +98,41 @@ def _tokenize(source):
 
 # --- syntax tree --------------------------------------------------------
 #
-# Nodes are plain data: equal, and of one hash, when their compared fields
-# are (all but the source offset `pos`; a `Num` compares its value's bits),
-# and printed as their class and those fields.
+# Nodes are plain data: equal, and of one hash, when they are of one class
+# and their compared fields are (all but the source offset `pos`; a `Num`
+# compares its value's bits), and printed as their class and those fields.
+# The one `__eq__` and `__hash__` are `Node`'s, so the dataclass decorator
+# writes only each class's `__init__`.
 
-_node = dataclass(slots=True, unsafe_hash=True, repr=False)
+_node = dataclass(slots=True, eq=False, repr=False)
 
 
 class Node:
     __slots__ = ()
 
+    def _key(self):
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __repr__(self):
-        return type(self).__name__ + repr(
-            tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        return type(self).__name__ + repr(self._key())
 
 
 @_node
 class Num(Node):
     """A number literal."""
-    value: float = field(compare=False)
+    value: float
     pos: int = field(compare=False)
-    # compared by bit pattern, as the tape keys constants: 0.0 and -0.0 give
-    # jets of different signs, and a NaN constant must equal itself
-    bits: bytes = field(init=False)
 
-    def __post_init__(self):
-        self.value = float(self.value)
-        self.bits = _bits(self.value)
+    def _key(self):
+        # by bit pattern, as the tape keys constants: 0.0 and -0.0 give
+        # jets of different signs, and a NaN constant must equal itself
+        return (_bits(self.value),)
 
     def __repr__(self):
         return f"Num({self.value!r})"
@@ -226,14 +234,6 @@ class _Parser:
         self.i = 0
         self.params = params
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def match_op(self, *ops):
         tok = self.tokens[self.i]
         if tok.text in ops:  # only an op token has such a text
@@ -244,7 +244,7 @@ class _Parser:
     def expect_op(self, op):
         tok = self.match_op(op)
         if tok is None:
-            bad = self.peek()
+            bad = self.tokens[self.i]
             raise ParseError(
                 f"unexpected {bad.text!r}" if bad.kind != END else "unexpected end of input",
                 bad.pos,
@@ -253,12 +253,12 @@ class _Parser:
         return tok
 
     def parse_root(self):
-        first = self.peek()
+        first = self.tokens[self.i]
         if first.text == "(":
             mark = self.i
-            self.advance()
+            self.i += 1
             head = self.parse_sum()
-            if self.peek().text == ",":
+            if self.tokens[self.i].text == ",":
                 comps = [head]
                 while self.match_op(","):
                     comps.append(self.parse_sum())
@@ -275,7 +275,7 @@ class _Parser:
         return node
 
     def _expect_end(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != END:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.pos)
 
@@ -308,19 +308,18 @@ class _Parser:
         return PowOp(base, self._const_value(exponent, tok.pos), tok.pos)
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok.kind == NUMBER:
-            self.advance()
-            return Num(tok.text, tok.pos)
+            return Num(float(tok.text), tok.pos)
         if tok.kind == IDENT:
-            self.advance()
             name = tok.text
             if name in taylor.FUNCTION_NAMES:
                 self.expect_op("(")
                 arg = self.parse_sum()
                 self.expect_op(")")
                 return Call(name, arg, tok.pos)
-            if self.peek().text == "(":
+            if self.tokens[self.i].text == "(":
                 raise ParseError(f"'{name}' is not a function", tok.pos)
             if name in VARIABLES:
                 return Var(name, tok.pos)
@@ -328,7 +327,6 @@ class _Parser:
                 return Param(name, tok.pos)
             raise ParseError(f"unknown identifier '{name}'", tok.pos)
         if tok.text == "(":
-            self.advance()
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
