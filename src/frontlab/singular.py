@@ -919,26 +919,20 @@ def kappa_s_measure(front, curve):
     Density = kappa_s * |image speed| with respect to the chart-unit-speed
     curve parameter, as the curvature kernel left it on each cuspidal
     sample; finite and continuous across non-degenerate peaks, where the
-    stored samples carry no value and the neighbor average fills in.  An
-    open curve's end samples have one neighbour; a closed curve wraps.
+    stored samples carry no value and the average of the neighbours' stored
+    values fills in (NaN if neither has one).  An open curve's end samples
+    have one neighbour; a closed curve wraps.
     """
-    vals = [
+    out = np.array([
         p.density if p.kind == SingularClass.CUSPIDAL_EDGE else math.nan
         for p in curve.samples
-    ]
-    out = np.array(vals)
-    n = len(out)
-    for i in range(n):
-        if math.isnan(out[i]):
-            near = (i - 1, i + 1)
-            if curve.closed:
-                near = [j % n for j in near]
-            neighbors = [
-                out[j] for j in near if 0 <= j < n and not math.isnan(out[j])
-            ]
-            if neighbors:
-                out[i] = float(np.mean(neighbors))
-    return out
+    ])
+    prev, nxt = np.roll(out, 1), np.roll(out, -1)
+    if not curve.closed:
+        prev[:1] = nxt[-1:] = math.nan
+    fill = np.where(np.isnan(prev), nxt,
+                    np.where(np.isnan(nxt), prev, 0.5 * (prev + nxt)))
+    return np.where(np.isnan(out), fill, out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -987,7 +981,8 @@ def half_space_signs(front, point, side):
 
     `side` is +1 for the side the rotated tangent (-T_v, T_u) points into,
     -1 for the other; at a swallowtail +1 means the tail side.  Requires the
-    point to be generic (nonvanishing second fundamental form data).  At a
+    point to be generic (nonvanishing second fundamental form data; at a
+    cuspidal edge, `limiting_normal_curvature` generic).  At a
     cuspidal edge sgn_Delta is the sign of the second form along the null
     direction stepping into the side; at a swallowtail it is the limit of
     that sign from the cuspidal edges beside it, which one order-3 jet
@@ -996,9 +991,10 @@ def half_space_signs(front, point, side):
     if side not in (1, -1):
         raise ValueError(f"side must be +1 or -1, got {side}")
     if point.kind == SingularClass.CUSPIDAL_EDGE:
-        if abs(point.kappa_nu) < 1e-10:
+        if not limiting_normal_curvature(front, point).generic:
             raise InapplicableError(
-                "cuspidal edge is not generic: limiting normal curvature is 0"
+                "cuspidal edge is not generic: limiting normal curvature is "
+                f"{point.kappa_nu:.3g}"
             )
         sgn_0 = 1 if point.kappa_nu > 0 else -1
         sgn_d = _edge_sign_delta(front, point, side)

@@ -17,9 +17,12 @@ tangent to the null direction.  The surface letter rule has the opposite sign
 routines on purpose and are reconciled only through the winding-number
 equality, never letter by letter.
 
+`zigzag_plane(pf)` and `zigzag_surface(front, loop)` are the entry points:
+each returns the word, its reduced k and the winding in one `ZigzagResult`.
+
 One routine checks a crossing (`_crossing`).  `null_loop` finds and checks
-a loop's crossings; the word routines check them again, since a `NullLoop`
-can be built by hand, and refuse one whose crossings are None (unrecorded).
+a loop's crossings; `zigzag_surface` checks them again, since a `NullLoop`
+can be built by hand, and refuses one whose crossings are None (unrecorded).
 
 Each loop is evaluated once on a closed scan of `SAMPLES` intervals, read by
 the contract check, the sign scan for cusps or crossings and every winding.
@@ -44,6 +47,7 @@ from .singular import SingularClass, _bisect, _cross2, _dot2, classify, lambda_j
 
 TWO_PI = 2.0 * math.pi
 SAMPLES = 512  # intervals of a loop's closed scan, linspace(0, period, SAMPLES + 1)
+WINDING_BUDGET = 1 << 16  # samples a winding may refine its scan to
 
 # Letters of the word monoid: `a` marks a zig, `b` a zag.
 ZIG = "a"
@@ -54,6 +58,21 @@ def _jet(source, t, order):
     """Jet of a one-parameter expression; the parameter rides the u-slot."""
     t = np.asarray(t, dtype=float)
     return eval_jet(source, t, np.zeros_like(t), order)
+
+
+def _check_traversal(loop):
+    """The orientation and period that a plane front and a null loop share."""
+    if loop.orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    if not (loop.period > 0 and math.isfinite(loop.period)):
+        raise ValueError("period must be positive and finite")
+
+
+def _reversed(loop, **changes):
+    """`loop` traversed backwards (parameter t -> -t), relabelled."""
+    return replace(loop, orientation=-loop.orientation,
+                   label=(loop.label + " (reversed)") if loop.label else "(reversed)",
+                   **changes)
 
 
 def _balance(x, y):
@@ -90,10 +109,7 @@ class PlaneFront:
         curve = {"gamma": self.gamma, "gamma_prime": self.gamma_prime}
         require_expr("PlaneFront", normal=self.normal,
                      **{k: e for k, e in curve.items() if e is not None})
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        if not (self.period > 0 and math.isfinite(self.period)):
-            raise ValueError("period must be positive and finite")
+        _check_traversal(self)
 
     @cached_property
     def joint(self):
@@ -104,8 +120,7 @@ class PlaneFront:
 
 def mirror_plane_front(pf):
     """The same curve traversed backwards (parameter t -> -t)."""
-    return replace(pf, orientation=-pf.orientation,
-                   label=(pf.label + " (reversed)") if pf.label else "(reversed)")
+    return _reversed(pf)
 
 
 def _plane_jets(pf, t, second=True):
@@ -234,12 +249,13 @@ def _simple_roots(fn, t, vals, what):
 # winding numbers by continuous angle lifting
 
 
-def _winding(angle_at, t, a, mod, max_step, what, budget=1 << 16):
+def _winding(angle_at, t, a, mod, max_step, what):
     """Winding, in units of `mod`, of the angle `a` on the closed scan `t`.
 
     Steps (modulo `mod`) of `max_step` or more are bisected, `angle_at`
-    evaluated at the new midpoints only.  The steps sum to a(end) - a(0)
-    modulo `mod` under any sampling, so a non-integer is final.
+    evaluated at the new midpoints only, up to `WINDING_BUDGET` samples.
+    The steps sum to a(end) - a(0) modulo `mod` under any sampling, so a
+    non-integer is final.
     """
     for _ in range(48):
         d = a[1:] - a[:-1]
@@ -251,7 +267,7 @@ def _winding(angle_at, t, a, mod, max_step, what, budget=1 << 16):
                 raise FrontlabError(
                     f"{what}: winding {w!r} is not an integer within 1e-6")
             return int(round(w))
-        if t.size > budget:
+        if t.size > WINDING_BUDGET:
             raise FrontlabError(
                 f"{what}: angle steps stay above {max_step:.3f} rad after "
                 f"refining to {t.size} samples")
@@ -267,6 +283,8 @@ def _winding(angle_at, t, a, mod, max_step, what, budget=1 << 16):
 
 
 def _plane_cusps(pf, scan):
+    """(t, letter) of each cusp, ordered by parameter: zig (`a`) where
+    lambda' g0(gamma'', nu') < 0, zag (`b`) where it is positive."""
     t, (g1, _, n0, _) = scan
 
     def lam(m):
@@ -296,15 +314,6 @@ def _plane_cusps(pf, scan):
                 "the normal is stationary at the cusp")
         cusps.append((r, ZIG if crit < 0.0 else ZAG))
     return cusps
-
-
-def classify_cusps_plane(pf):
-    """Word over {a, b} of the cusps of a plane front, ordered by parameter.
-
-    Zig (`a`) where lambda' g0(gamma'', nu') < 0, zag (`b`) where it is
-    positive.
-    """
-    return "".join(letter for _, letter in _plane_cusps(pf, _plane_scan(pf)))
 
 
 def _curvature_angle(jets, k, window):
@@ -361,21 +370,6 @@ def _plane_winding(pf, scan):
     return _half_turns_to_rotation(half, "plane curvature map")
 
 
-def rotation_number_plane(pf):
-    """|winding| of the curvature map in P^1; equals the reduced word's k."""
-    return abs(_plane_winding(pf, _plane_scan(pf)))
-
-
-def _normal_index(pf, scan):
-    return _plane_turns(pf, scan, lambda j: np.arctan2(j[2][1], j[2][0]),
-                        TWO_PI, 0.5 * math.pi, "plane normal field")
-
-
-def normal_rotation_index(pf):
-    """Rotation index of the unit normal as a map into the circle."""
-    return _normal_index(pf, _plane_scan(pf))
-
-
 # ---------------------------------------------------------------------------
 # null loops on surface fronts
 
@@ -398,19 +392,14 @@ class NullLoop:
 
     def __post_init__(self):
         require_expr("NullLoop", path=self.path)
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        if not (self.period > 0 and math.isfinite(self.period)):
-            raise ValueError("period must be positive and finite")
+        _check_traversal(self)
 
 
 def reverse_loop(loop):
     """The same loop traversed backwards (parameter t -> -t)."""
     flipped = None if loop.crossings is None else tuple(
         sorted((loop.period - t) % loop.period for t in loop.crossings))
-    return replace(loop, orientation=-loop.orientation, crossings=flipped,
-                   label=(loop.label + " (reversed)") if loop.label
-                   else "(reversed)")
+    return _reversed(loop, crossings=flipped)
 
 
 def _loop_jets(loop, t, order=1):
@@ -480,6 +469,10 @@ def null_loop(front, path, period=TWO_PI, label=""):
 
 
 def _surface_crossings(front, loop):
+    """(t, chart point, letter) of each recorded crossing, ordered along the
+    loop: zig (`a`) where lambda_hat' g(sigma_hat'', nu_hat') > 0, zag (`b`)
+    where it is negative.  The sign is opposite to the plane-front rule; the
+    two are reconciled through winding numbers, not letters."""
     if loop.crossings is None:
         raise FrontlabError(
             "the loop's crossings were never validated: build it with null_loop")
@@ -498,17 +491,7 @@ def _surface_crossings(front, loop):
     return letters
 
 
-def classify_crossings_surface(front, loop):
-    """Word over {a, b} of a null loop's crossings, ordered along the loop.
-
-    Zig (`a`) where lambda_hat' g(sigma_hat'', nu_hat') > 0, zag (`b`) where
-    it is negative.  Note the sign is opposite to the plane-front rule; the
-    two are reconciled through winding numbers, not letters.
-    """
-    return "".join(letter for _, _, letter in _surface_crossings(front, loop))
-
-
-def rotation_number_surface(front, loop):
+def _surface_winding(front, loop):
     """|winding| of the normal curvature map along a null loop.
 
     The homogeneous pair [g(sigma_hat', sigma_hat') : g(sigma_hat', nu_hat')]
@@ -582,7 +565,8 @@ class ZigzagResult:
 
 def zigzag_plane(pf):
     """Word, reduced k, curvature-map winding, and normal index of a plane
-    front, bundled with the cusp positions."""
+    front, bundled with the cusp positions.  The normal index is the
+    rotation index of the unit normal as a map into the circle."""
     scan = _plane_scan(pf)
     cusps = _plane_cusps(pf, scan)
     word = "".join(letter for _, letter in cusps)
@@ -591,10 +575,11 @@ def zigzag_plane(pf):
         Crossing(t=t, uv=(float(p[0]), float(p[1])), letter=letter)
         for (t, letter), p in zip(cusps, positions))
     w = _plane_winding(pf, scan)
+    m = _plane_turns(pf, scan, lambda j: np.arctan2(j[2][1], j[2][0]),
+                     TWO_PI, 0.5 * math.pi, "plane normal field")
     return ZigzagResult(word=word, reduced_k=reduce_word(word),
                         rotation_number=abs(w), signed_winding=w,
-                        crossings=crossings,
-                        m_rotation=_normal_index(pf, scan))
+                        crossings=crossings, m_rotation=m)
 
 
 def zigzag_surface(front, loop):
@@ -603,7 +588,7 @@ def zigzag_surface(front, loop):
     word = "".join(letter for _, _, letter in detail)
     crossings = tuple(Crossing(t=t, uv=uv, letter=letter)
                       for t, uv, letter in detail)
-    rot = rotation_number_surface(front, loop)
+    rot = _surface_winding(front, loop)
     return ZigzagResult(word=word, reduced_k=reduce_word(word),
                         rotation_number=rot, signed_winding=rot,
                         crossings=crossings, m_rotation=None)
@@ -675,13 +660,15 @@ _LOOP_BUILDERS = {
 }
 
 
-def plane_gallery(name):
+def _lookup(table, what, name):
     try:
-        builder = _PLANE_BUILDERS[name]
+        return table[name]
     except KeyError:
-        known = ", ".join(sorted(_PLANE_BUILDERS))
-        raise KeyError(f"unknown plane front {name!r}; known: {known}")
-    return builder()
+        raise KeyError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}")
+
+
+def plane_gallery(name):
+    return _lookup(_PLANE_BUILDERS, "plane front", name)()
 
 
 def plane_gallery_names():
@@ -690,14 +677,9 @@ def plane_gallery_names():
 
 def loop_gallery(name):
     """(front, validated null loop) pair for a named gallery loop."""
-    try:
-        front_name, center, radii = _LOOP_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_LOOP_BUILDERS))
-        raise KeyError(f"unknown null loop {name!r}; known: {known}")
+    front_name, center, radii = _lookup(_LOOP_BUILDERS, "null loop", name)
     front = gallery(front_name)
-    loop = null_loop(front, axis_loop(center, radii), label=name)
-    return front, loop
+    return front, null_loop(front, axis_loop(center, radii), label=name)
 
 
 def loop_gallery_names():

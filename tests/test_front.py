@@ -703,6 +703,11 @@ class TestGallery:
         with pytest.raises(FrontlabError):
             gallery("sphere", {"radius": 2.0})
 
+    @pytest.mark.parametrize("r", [-1, 0])
+    def test_sphere_radius_must_be_positive(self, r):
+        with pytest.raises(FrontlabError, match="^sphere radius must be positive$"):
+            gallery("sphere", {"r": r})
+
     def test_cone_needs_tilt(self):
         with pytest.raises(FrontlabError):
             gallery("cone", {"a": 0.0})

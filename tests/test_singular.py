@@ -1011,11 +1011,18 @@ class TestMeasureAndNormalCurvature:
         ((1.0, 5.0, math.nan), False, [1.0, 5.0, 5.0]),
         ((math.nan, 1.0, 5.0), True, [3.0, 1.0, 5.0]),
         ((1.0, 5.0, math.nan), True, [1.0, 5.0, 3.0]),
+        ((1.0, math.nan, math.nan, 5.0), False, [1.0, 1.0, 5.0, 5.0]),
+        ((math.nan, math.nan, 1.0, 5.0), True, [5.0, 1.0, 1.0, 5.0]),
+        ((2.0, math.nan, math.nan, math.nan, 6.0), True, [2.0, 2.0, math.nan, 6.0, 6.0]),
     ])
     def test_peak_fill_uses_only_curve_neighbours(self, densities, closed, want):
-        # an open curve's end has one neighbour; a closed curve wraps around
-        curve = self._curve(densities, closed)
-        assert kappa_s_measure(None, curve).tolist() == want
+        # an open curve's end has one neighbour; a closed curve wraps around.
+        # Adjacent peaks read their neighbours' stored values, not values
+        # filled in before them, so reversing the curve reverses the measure
+        got = kappa_s_measure(None, self._curve(densities, closed))
+        np.testing.assert_array_equal(got, want)
+        backwards = kappa_s_measure(None, self._curve(densities[::-1], closed))
+        np.testing.assert_array_equal(backwards, got[::-1])
 
     def test_limiting_normal_curvature_generic(self):
         front = gallery("cuspidal_parabola")
@@ -1120,6 +1127,22 @@ class TestHalfSpaceSigns:
         front = gallery("standard_cuspidal_edge")
         with pytest.raises(InapplicableError, match="not generic"):
             half_space_signs(front, classify(front, (0.0, 0.3)), side=1)
+
+    @pytest.mark.parametrize("kappa_nu,generic", [
+        (5e-9, False), (-5e-9, False), (math.nan, False), (-2e-8, True),
+    ])
+    def test_edge_refused_where_normal_curvature_is_not_generic(self, kappa_nu, generic):
+        # one genericity rule: half_space_signs refuses a cuspidal edge
+        # exactly where limiting_normal_curvature calls it non-generic
+        front = gallery("cuspidal_parabola")
+        p = dataclasses.replace(classify(front, (0.3, 0.0)), kappa_nu=kappa_nu)
+        assert limiting_normal_curvature(front, p).generic is generic
+        for side in (1, -1):
+            if generic:
+                assert half_space_signs(front, p, side).sgn_0 == -1
+                continue
+            with pytest.raises(InapplicableError, match="not generic"):
+                half_space_signs(front, p, side)
 
     def test_degenerate_point_inapplicable(self):
         # the double swallowtail's two singular lines cross at the origin

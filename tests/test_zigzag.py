@@ -13,13 +13,10 @@ from frontlab import (
     NullLoop,
     PlaneFront,
     axis_loop,
-    classify_crossings_surface,
-    classify_cusps_plane,
     gallery,
     loop_gallery,
     loop_gallery_names,
     mirror_plane_front,
-    normal_rotation_index,
     null_loop,
     parse,
     plane_gallery,
@@ -27,7 +24,6 @@ from frontlab import (
     plane_position,
     reduce_word,
     reverse_loop,
-    rotation_number_plane,
     zigzag_plane,
     zigzag_surface,
     zigzag_to_dict,
@@ -198,14 +194,14 @@ class TestPlaneContract:
         pf = PlaneFront(gamma=parse("(cos(u), sin(u))"),
                         normal=parse("(2*cos(u), 2*sin(u))"))
         with pytest.raises(FrontContractError, match="unit"):
-            classify_cusps_plane(pf)
+            zigzag_plane(pf)
 
     def test_normal_must_be_orthogonal(self):
         # unit field tilted 0.3 rad off the radial direction
         pf = PlaneFront(gamma=parse("(cos(u), sin(u))"),
                         normal=parse("(cos(u + 0.3), sin(u + 0.3))"))
         with pytest.raises(FrontContractError, match="orthogonal"):
-            classify_cusps_plane(pf)
+            zigzag_plane(pf)
 
     def test_curve_data_required(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -229,14 +225,14 @@ class TestPlaneDegeneracies:
                 "((1 - cos(u - 0.005))*(-sin(u)), (1 - cos(u - 0.005))*cos(u))"),
             normal=parse("(cos(u), sin(u))"))
         with pytest.raises(FrontlabError, match="double zero"):
-            classify_cusps_plane(pf)
+            zigzag_plane(pf)
 
     def test_touching_zero_on_a_sample(self):
         pf = PlaneFront(
             gamma_prime=parse("((1 - cos(u))*(-sin(u)), (1 - cos(u))*cos(u))"),
             normal=parse("(cos(u), sin(u))"))
         with pytest.raises(FrontlabError, match="gamma''"):
-            classify_cusps_plane(pf)
+            zigzag_plane(pf)
 
 
 class TestMirroredCurves:
@@ -248,7 +244,7 @@ class TestMirroredCurves:
          ("rose_one_pair", "ab"), ("rose_two_pairs", "abab")],
     )
     def test_mirrored_words(self, name, mirrored_word):
-        word = classify_cusps_plane(mirror_plane_front(plane_gallery(name)))
+        word = zigzag_plane(mirror_plane_front(plane_gallery(name))).word
         assert word == mirrored_word, (
             f"{name} mirrored: {word!r} != {mirrored_word!r}")
 
@@ -266,7 +262,7 @@ class TestMirroredCurves:
 
 class TestRotationNumberPlane:
     def test_circle_curvature_map_never_vertical(self):
-        assert rotation_number_plane(plane_gallery("circle")) == 0
+        assert zigzag_plane(plane_gallery("circle")).rotation_number == 0
 
     def test_one_zig_one_zag_gives_one(self, plane_results):
         # a curve with exactly one zig and one zag and no other cusps
@@ -275,7 +271,7 @@ class TestRotationNumberPlane:
         assert res.rotation_number == 1
 
     def test_circle_normal_index(self):
-        assert normal_rotation_index(plane_gallery("circle")) == 1
+        assert zigzag_plane(plane_gallery("circle")).m_rotation == 1
 
     def test_doubling_adds_windings(self):
         # the same rose traversed twice: words concatenate and windings add
@@ -352,17 +348,15 @@ class TestNullLoopConstruction:
         fake = NullLoop(path=axis_loop((1.0, 1.0), (0.3, 0.3)),
                         crossings=(0.5 * math.pi,))
         with pytest.raises(FrontlabError, match="cuspidal edge"):
-            classify_crossings_surface(gallery("cone"), fake)
-
+            zigzag_surface(gallery("cone"), fake)
 
     def test_hand_built_loop_refused(self, loop_results):
         # a NullLoop built without null_loop carries no crossings (None),
         # where an empty tuple would read as a loop that meets no edge
         front, loop, res = loop_results["parabola_band"]
         bare = NullLoop(path=loop.path)
-        for word_of in (classify_crossings_surface, zigzag_surface):
-            with pytest.raises(FrontlabError, match="null_loop"):
-                word_of(front, bare)
+        with pytest.raises(FrontlabError, match="null_loop"):
+            zigzag_surface(front, bare)
         assert res.word == "bb" and bare.crossings is None
         assert reverse_loop(bare).crossings is None
 
@@ -373,9 +367,8 @@ class TestNullLoopConstruction:
         t0 = math.pi - math.atan(0.25)
         loop = NullLoop(path=parse("(0.3 + 0.25*cos(u), 0.4*sin(u) + 0.1*cos(u))"),
                         crossings=(t0, t0 + math.pi))
-        for word_of in (classify_crossings_surface, zigzag_surface):
-            with pytest.raises(FrontContractError, match="null direction"):
-                word_of(front, loop)
+        with pytest.raises(FrontContractError, match="null direction"):
+            zigzag_surface(front, loop)
 
 
 class TestSurfaceWords:
@@ -613,11 +606,12 @@ class TestWinding:
         points = np.concatenate([self.t] + asked)
         assert np.unique(points).size == points.size
 
-    def test_refinement_budget(self):
+    def test_refinement_budget(self, monkeypatch):
         _, angle_at = self._recorded(300.0)
+        monkeypatch.setattr(zigzag, "WINDING_BUDGET", 600)
         with pytest.raises(FrontlabError, match="stay above"):
             zigzag._winding(angle_at, self.t, 300.0 * self.t, 2.0 * math.pi,
-                            0.5 * math.pi, "test angle", budget=600)
+                            0.5 * math.pi, "test angle")
 
     def test_non_integer_after_refinement(self):
         asked, angle_at = self._recorded(300.5)
