@@ -34,11 +34,16 @@ def test_diff_exit_status(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(job_digests, "seed_lines", lambda seeds: PARENT[:2] + ["7 combined cd"])
     assert job_digests.main(["--diff", str(parent)]) == 1
     assert capsys.readouterr().out.splitlines()[:2] == ["- 7 combined cc", "+ 7 combined cd"]
+    # the library section names no seed
+    parent.write_text("\n".join(PARENT + ["library dd kappa_s_measure z"]) + "\n")
+    monkeypatch.setattr(job_digests, "seed_lines", lambda seeds: asked.append(seeds) or PARENT)
+    assert job_digests.main(["--diff", str(parent)]) == 1
+    assert asked[-1] == [7]
 
 
 def test_every_job_output_keeps_its_committed_bits():
-    """Every benchmark job's output at seeds 7 and 12345 has the digest that
-    `job_digests.txt` records.  A change that moves a number on purpose
+    """Every benchmark job's output at seeds 7 and 12345, and every output of
+    the library section, has the digest that `job_digests.txt` records.  A change that moves a number on purpose
     regenerates the file (`PYTHONPATH=src python tests/job_digests.py >
     tests/job_digests.txt`) and says so.  The run is a fresh interpreter,
     so no state of this test session reaches the jobs."""
