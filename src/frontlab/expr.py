@@ -46,7 +46,7 @@ import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -453,10 +453,13 @@ class Jet2:
     also an attribute: `value`, `f_u`, `f_v`, `f_uu`, `f_uv`, `f_vv`,
     `f_uuu`, ....  Asking for one above `order` raises ValueError.  Each
     partial is the tuple of its components as the jet program computed
-    them: a float (a structural zero or constant, or any component of a
-    scalar jet), the caller's own u or v, or an array broadcastable to
-    broadcast(u, v), such as the column a component depending on u alone
-    keeps when u is a column and v a row.  Components are shared, never
+    them.  At a point given as floats (numpy float64 and 0-d float64
+    arrays included: `eval_jet` turns them into Python floats) every
+    component is a float: a Python float, or a numpy float64 where a
+    derivative table's numpy function made it.  On arrays a component is
+    a float (a structural zero or constant) or an array broadcastable to
+    broadcast(u, v), such as the caller's own u or v, or the column a
+    component depending on u alone keeps when u is a column and v a row.  Components are shared, never
     copied, so nothing may write into one.  `abs_hits` flags, per
     component, an abs whose argument was exactly 0 (empty: none was).
     """
@@ -465,8 +468,7 @@ class Jet2:
         self.blocks = blocks
         self.order = len(blocks) - 1
         self.abs_hits = abs_hits
-        for name, partial in zip(_PARTIALS, itertools.chain.from_iterable(blocks)):
-            setattr(self, name, partial)
+        self.__dict__.update(zip(_PARTIALS, itertools.chain.from_iterable(blocks)))
 
     def __getattr__(self, name):  # reached only by a name `__init__` did not set
         degree = _PARTIALS.get(name)
@@ -903,30 +905,68 @@ def _program(tape, source):
     return program
 
 
-def eval_jet(e, u, v, order):
-    """Evaluate `e` and its exact partials up to `order` at (u, v).
-
-    u and v may be floats or broadcastable numpy arrays; with arrays,
-    domain violations surface as NaN entries rather than exceptions.
-    `order` may also be a tuple of ``(count, order)`` fields that split
-    the components, in turn, into jets of their own orders; the result is
-    then the tuple of their jets, each computed no further than its own
-    order.
-    """
-    single = not isinstance(order, tuple)
-    fields = ((e.ncomponents, order),) if single else order
+@lru_cache(maxsize=None)
+def _layout(ncomponents, fields):
+    """What `eval_jet` needs of its fields beyond the program: the order of
+    each component, the size of the program's R, and per field the slice
+    of R that holds each of its partials, the slices of `_BLOCK` that
+    group those into blocks, and its span of components.  It depends only
+    on the component count and the fields, so it is worked out once per
+    pair."""
     orders = ()
     for count, k in fields:
         if k not in range(_SPACE.order + 1):
             raise ValueError(f"order must be 0..{_SPACE.order}, got {k!r}")
-        orders += (k,) * count
+        orders += (int(k),) * count
+    nc = len(orders)
+    if nc != ncomponents:
+        raise ValueError(f"fields cover {nc} of {ncomponents} components")
+    groups = []
+    lo = 0
+    for count, k in fields:
+        k = int(k)
+        parts = tuple(slice(m * nc + lo, m * nc + lo + count) for m in range(_BLOCK[k].stop))
+        groups.append((parts, _BLOCK[:k + 1], slice(lo, lo + count)))
+        lo += count
+    return orders, _BLOCK[max(orders)].stop * nc, tuple(groups)
+
+
+def _float(x):
+    """`x` as a Python float where it is a numpy float64 or a 0-d float64
+    array (the conversion is exact), else `x` itself."""
+    if isinstance(x, np.float64) or (
+            isinstance(x, np.ndarray) and x.shape == () and x.dtype == np.float64):
+        return float(x)
+    return x
+
+
+def eval_jet(e, u, v, order):
+    """Evaluate `e` and its exact partials up to `order` at (u, v).
+
+    u and v may be floats or broadcastable numpy arrays; with arrays,
+    domain violations surface as NaN entries rather than exceptions.  A
+    numpy float64 u or v, or a 0-d float64 array, is first turned into a
+    Python float, which is exact: the program then does its arithmetic on
+    Python floats, at about half the cost of numpy scalars per operation,
+    with the same bits.  `order` may also be a tuple of ``(count, order)``
+    fields that split the components, in turn, into jets of their own
+    orders; the result is then the tuple of their jets, each computed no
+    further than its own order.
+    """
+    single = not isinstance(order, tuple)
+    fields = ((e.ncomponents, order),) if single else order
     if not isinstance(e.root, Vector):
         raise ValueError("eval_jet needs a vector-valued expression")
-    nc = len(orders)
-    if nc != e.ncomponents:
-        raise ValueError(f"fields cover {nc} of {e.ncomponents} components")
+    try:
+        orders, size, groups = _layout(e.ncomponents, fields)
+    except TypeError:  # unhashable fields: the uncached layout says what is wrong
+        orders, size, groups = _layout.__wrapped__(e.ncomponents, fields)
+    if type(u) is not float:
+        u = _float(u)
+    if type(v) is not float:
+        v = _float(v)
     run, lines = e.program
-    R = [0.0] * (_BLOCK[max(orders)].stop * nc)
+    R = [0.0] * size
     try:
         hits = run(u, v, orders, R, e.tape.constants)
     except ExprDomainError as err:
@@ -935,11 +975,9 @@ def eval_jet(e, u, v, order):
         node = e.tape.code[lines[err.__traceback__.tb_next.tb_lineno]][3]
         raise ExprDomainError(err.args[0], source=to_source(node)) from None
     jets = []
-    lo = 0
-    for count, k in fields:
-        rows = [tuple(R[m * nc + lo:m * nc + lo + count]) for m in range(_BLOCK[k].stop)]
-        jets.append(Jet2(tuple(tuple(rows[b]) for b in _BLOCK[:k + 1]), hits[lo:lo + count]))
-        lo += count
+    for parts, blocks, span in groups:
+        partials = [tuple(R[s]) for s in parts]
+        jets.append(Jet2(tuple([tuple(partials[b]) for b in blocks]), hits[span]))
     return jets[0] if single else tuple(jets)
 
 

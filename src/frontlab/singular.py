@@ -360,8 +360,9 @@ def _project(front, X, N):
 
     One point keeps a loop of its own because the batch loop serves it
     worse.  Through the batch loop, 8 `singular_curvature` calls (4 on the
-    swallowtail flank, 4 on the parabola axis) took 40% longer on a 2-vCPU
-    x86 host.  And where mu 2-cycles, as 27 of the 144 chart offsets of
+    swallowtail flank, 4 on the parabola axis) took 4.5 ms against 2.9 ms,
+    55% longer (best of 9 runs, in each of 5 processes, on a 2-vCPU x86
+    host).  And where mu 2-cycles, as 27 of the 144 chart offsets of
     the benchmark's `singular_curvature` jobs at seed 7 do, the point it
     lands on was evaluated before the last step, so the batch loop, which
     keeps only the last call's jets, would hand none back.

@@ -54,12 +54,15 @@ class JetSpace:
 # --- derivative tables --------------------------------------------------
 # Each returns [g(c), g'(c), ..., g^(n)(c)], computing no entry past n;
 # domain violations raise for scalar arguments and turn into NaN entries
-# for array arguments.  Scalar and array arguments go through the same
-# numpy functions and repeated products (Python's `**` and numpy's integer
-# `**` round differently on scalars and on arrays), so a scalar jet equals
-# the matching entry of an array jet bit for bit.  The tables of sin/cos and
-# sinh/cosh take the pair (g(c), g'(c)) instead of c, so one evaluation of
-# the pair serves both functions of one argument.
+# for array arguments.  An argument is a scalar when it is a float (numpy's
+# float64 is one) or has no dimensions (an int, a 0-d array): the float
+# test comes first because `np.ndim` costs about a microsecond on a Python
+# float, as much as the rest of a small table.  Scalar and array arguments
+# go through the same numpy functions and repeated products (Python's `**`
+# and numpy's integer `**` round differently on scalars and on arrays), so
+# a scalar jet equals the matching entry of an array jet bit for bit.  The
+# tables of sin/cos and sinh/cosh take the pair (g(c), g'(c)) instead of c,
+# so one evaluation of the pair serves both functions of one argument.
 
 
 def _d_sin(s, co, n):
@@ -111,7 +114,7 @@ _COSH_MAX = 710.4758600739439  # the largest double whose cosh is finite
 def _sech(c):
     """1 / cosh(c), exactly 0 where cosh(c) overflows, and without numpy's
     overflow warning there."""
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         return np.float64(0.0) if abs(c) > _COSH_MAX else 1.0 / np.cosh(c)
     with np.errstate(over="ignore"):
         return 1.0 / np.cosh(c)
@@ -162,7 +165,7 @@ def _d_atan(c, n):
 
 
 def _d_log(c, n):
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         if not c > 0:
             raise ExprDomainError(f"log of non-positive value {float(c)!r}")
         safe, value = c, float(np.log(c))
@@ -182,8 +185,10 @@ def _d_log(c, n):
 
 
 def _d_sqrt(c, n):
-    if np.ndim(c) == 0:
-        if c < 0 or not np.isfinite(c):
+    if isinstance(c, float) or np.ndim(c) == 0:
+        if math.isnan(c):
+            raise ExprDomainError("sqrt of NaN")
+        if c < 0:
             raise ExprDomainError(f"sqrt of negative value {float(c)!r}")
         if c == 0 and n >= 1:
             raise ExprDomainError("sqrt is not differentiable at 0")
@@ -203,7 +208,7 @@ def _d_sqrt(c, n):
 
 
 def _d_reciprocal(c, n):
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         if c == 0:
             raise ExprDomainError("division by zero")
         inv = 1.0 / c
@@ -224,7 +229,7 @@ def _d_abs(c, n):
     """abs and its right derivative at 0, the entries of the table that
     are not 0 (n of them past the value, at most 1), and whether c is
     exactly 0."""
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         hit = c == 0
         sign = 1.0 if c >= 0 else -1.0
         mag = abs(c)
@@ -236,7 +241,7 @@ def _d_abs(c, n):
 
 
 def _d_pow(c, r, n):
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         if not c > 0:
             raise ExprDomainError(f"{float(c)!r} ^ {r} needs a positive base")
         base = c

@@ -275,6 +275,10 @@ class TestEvalJet:
         with pytest.raises(ValueError, match="order must be 0..3, got 4"):
             eval_jet(parse("(u, v, 0)"), 0.5, 0.5, 4)
 
+    def test_unhashable_order_rejected(self):
+        with pytest.raises(ValueError, match=r"order must be 0..3, got \[1\]"):
+            eval_jet(parse("(u, v, 0)"), 0.5, 0.5, [1])
+
     def test_fields_must_cover_every_component(self):
         with pytest.raises(ValueError, match="fields cover 2 of 3 components"):
             eval_jet(parse("(u, v, 0)"), 0.5, 0.5, ((2, 1),))

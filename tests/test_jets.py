@@ -1,14 +1,18 @@
 """Tests for the truncated Taylor (jet) arithmetic: `taylor`'s derivative
 tables and monomial tables, through the reference `Series` arithmetic of
-the oracle `recursive_jet`."""
+the oracle `recursive_jet`, and the one-point path of the jet programs,
+which runs on Python floats."""
 
+import itertools
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from recursive_jet import _ZERO, Series, apply_abs, apply_function, const, sqrt, var
 
-from frontlab import taylor
+from frontlab import gallery, gallery_names, taylor
 from frontlab.errors import ExprDomainError
 
 
@@ -174,6 +178,100 @@ class TestDomainHandling:
             got = taylor._d_sech(x, 0)[0]
             assert type(got) is np.float64
             assert got.tobytes() == (1.0 / np.cosh(x)).tobytes(), x
+
+
+# a point given as each kind of scalar the jets take
+SCALAR_KINDS = {
+    "float": float,
+    "float64": np.float64,
+    "0-d array": np.array,
+}
+
+
+class TestScalarTables:
+    """Each derivative table takes its scalar branch for every kind of
+    scalar: float, numpy float64, int and 0-d array."""
+
+    KINDS = {**SCALAR_KINDS, "int": int}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("table,args,message", [
+        (taylor._d_log, (-1, 2), "log of non-positive value -1.0"),
+        (taylor._d_log, (0, 2), "log of non-positive value 0.0"),
+        (taylor._d_sqrt, (-1, 2), "sqrt of negative value -1.0"),
+        (taylor._d_sqrt, (0, 1), "sqrt is not differentiable at 0"),
+        (taylor._d_reciprocal, (0, 2), "division by zero"),
+        (taylor._d_pow, (-2, 0.5, 1), "-2.0 ^ 0.5 needs a positive base"),
+    ])
+    def test_domain_violations_raise(self, kind, table, args, message):
+        with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+            table(self.KINDS[kind](args[0]), *args[1:])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_abs_sign_is_a_float(self, kind):
+        for c, sign in ((-2, -1.0), (0, 1.0), (3, 1.0)):
+            (mag, got), hit = taylor._d_abs(self.KINDS[kind](c), 1)
+            assert type(got) is float and got == sign and mag == abs(c)
+            assert hit is (c == 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_far_sech_is_zero_without_warning(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = taylor._sech(self.KINDS[kind](800))
+        assert type(got) is np.float64 and got == 0.0 and not np.signbit(got)
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_sqrt_at_infinity_matches_the_array_branch(self, kind):
+        want = taylor._d_sqrt(np.array([math.inf]), 3)
+        got = taylor._d_sqrt(SCALAR_KINDS[kind](math.inf), 3)
+        assert [np.float64(x).tobytes() for x in got] == [x[0].tobytes() for x in want]
+        assert [np.float64(x).tobytes() for x in got] == [
+            np.float64(x).tobytes() for x in (math.inf, 0.0, -0.0, 0.0)]
+        for n in range(3):
+            assert taylor._d_sqrt(SCALAR_KINDS[kind](math.inf), n) == got[:n + 1]
+
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    def test_sqrt_of_nan_and_negative_infinity_raise(self, kind):
+        with pytest.raises(ExprDomainError, match="^sqrt of NaN$"):
+            taylor._d_sqrt(SCALAR_KINDS[kind](math.nan), 0)
+        with pytest.raises(ExprDomainError, match="^sqrt of negative value -inf$"):
+            taylor._d_sqrt(SCALAR_KINDS[kind](-math.inf), 0)
+
+
+# fractions of each gallery front's domain, away from its edges
+_FRACTIONS = ((0.3, 0.37), (0.61, 0.52), (0.83, 0.71))
+
+
+def _points(front):
+    d = front.domain
+    return [(d.u0 + a * (d.u1 - d.u0), d.v0 + b * (d.v1 - d.v0)) for a, b in _FRACTIONS]
+
+
+def _components(jets):
+    """Each component of each partial of each jet, in turn."""
+    return [c for jet in jets for block in jet.blocks for partial in block for c in partial]
+
+
+class TestScalarJets:
+    """A point's jets run on Python floats whatever kind of scalar gives the
+    point, and keep the bits of the matching row of an array call."""
+
+    @pytest.mark.parametrize("name", gallery_names())
+    def test_every_kind_of_point_keeps_the_array_bits(self, name):
+        front = gallery(name)
+        points = _points(front)
+        us, vs = np.array(points).T
+        for orders in itertools.product(range(taylor.MAX_ORDER + 1), repeat=2):
+            rows = _components(front.jets(us, vs, *orders))
+            for i, (u, v) in enumerate(points):
+                want = [np.broadcast_to(c, us.shape)[i].tobytes() for c in rows]
+                for kind, make in SCALAR_KINDS.items():
+                    got = _components(front.jets(make(u), make(v), *orders))
+                    assert [np.float64(c).tobytes() for c in got] == want, (name, orders, kind)
+                    assert not any(isinstance(c, np.ndarray) for c in got), (name, orders, kind)
+                    if name in ("cuspidal_parabola", "standard_swallowtail"):
+                        assert all(type(c) is float for c in got), (name, orders, kind)
 
 
 class TestJetSpace:
