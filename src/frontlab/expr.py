@@ -912,7 +912,7 @@ def _layout(ncomponents, fields):
     of R that holds each of its partials, the slices of `_BLOCK` that
     group those into blocks, and its span of components.  It depends only
     on the component count and the fields, so it is worked out once per
-    pair."""
+    pair; there are few pairs, since each order is one of 0..MAX_ORDER."""
     orders = ()
     for count, k in fields:
         if k not in range(_SPACE.order + 1):

@@ -65,6 +65,13 @@ class JetSpace:
 # so one evaluation of the pair serves both functions of one argument.
 
 
+def _ufunc(f, c, *args):
+    """numpy's `f` at c, as a Python float where c is a float (the
+    conversion is exact), so the arithmetic after it stays on Python
+    floats: numpy's scalar arithmetic costs about twice as much."""
+    return float(f(c, *args)) if isinstance(c, float) else f(c, *args)
+
+
 def _d_sin(s, co, n):
     if n == 0:
         return [s]
@@ -88,7 +95,7 @@ def _d_cos(s, co, n):
 
 
 def _d_tan(c, n):
-    t = np.tan(c)
+    t = _ufunc(np.tan, c)
     if n == 0:
         return [t]
     q = 1.0 + t * t
@@ -115,13 +122,13 @@ def _sech(c):
     """1 / cosh(c), exactly 0 where cosh(c) overflows, and without numpy's
     overflow warning there."""
     if isinstance(c, float) or np.ndim(c) == 0:
-        return np.float64(0.0) if abs(c) > _COSH_MAX else 1.0 / np.cosh(c)
+        return 0.0 if abs(c) > _COSH_MAX else 1.0 / float(np.cosh(c))
     with np.errstate(over="ignore"):
         return 1.0 / np.cosh(c)
 
 
 def _d_tanh(c, n):
-    t = np.tanh(c)
+    t = _ufunc(np.tanh, c)
     if n == 0:
         return [t]
     s = _sech(c)
@@ -138,7 +145,7 @@ def _d_sech(c, n):
     s = _sech(c)
     if n == 0:
         return [s]
-    t = np.tanh(c)
+    t = _ufunc(np.tanh, c)
     d = [s, -s * t]
     if n >= 2:
         d.append(s * (2.0 * t * t - 1.0))
@@ -148,15 +155,16 @@ def _d_sech(c, n):
 
 
 def _d_exp(c, n):
-    e = np.exp(c)
+    e = _ufunc(np.exp, c)
     return [e] * (n + 1)
 
 
 def _d_atan(c, n):
+    a = _ufunc(np.arctan, c)
     if n == 0:
-        return [np.arctan(c)]
+        return [a]
     q = 1.0 / (1.0 + c * c)
-    d = [np.arctan(c), q]
+    d = [a, q]
     if n >= 2:
         d.append(-2.0 * c * q * q)
     if n >= 3:
@@ -248,11 +256,11 @@ def _d_pow(c, r, n):
     else:
         with np.errstate(invalid="ignore"):
             base = np.where(c > 0, c, np.nan)
-    out = [np.power(base, r)]
+    out = [_ufunc(np.power, base, r)]
     coef = 1.0
     for k in range(1, n + 1):
         coef *= r - (k - 1)
-        out.append(coef * np.power(base, r - k))
+        out.append(coef * _ufunc(np.power, base, r - k))
     return out
 
 
@@ -284,6 +292,7 @@ def pair_kind(name):
 
 def pair_values(kind, c):
     """(sin c, cos c) or (sinh c, cosh c) for `pair_kind` `kind`."""
-    if kind == "sincos":
-        return np.sin(c), np.cos(c)
-    return np.sinh(c), np.cosh(c)
+    f, g = (np.sin, np.cos) if kind == "sincos" else (np.sinh, np.cosh)
+    if isinstance(c, float):  # as `_ufunc` does, written out on this hot path
+        return float(f(c)), float(g(c))
+    return f(c), g(c)
