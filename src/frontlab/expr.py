@@ -455,13 +455,13 @@ class Jet2:
     partial is the tuple of its components as the jet program computed
     them.  At a point given as floats (numpy float64 and 0-d float64
     arrays included: `eval_jet` turns them into Python floats) every
-    component is a float: a Python float, or a numpy float64 where a
-    derivative table's numpy function made it.  On arrays a component is
-    a float (a structural zero or constant) or an array broadcastable to
+    component is a Python float.  On arrays a component is a float (a
+    structural zero or constant) or an array broadcastable to
     broadcast(u, v), such as the caller's own u or v, or the column a
-    component depending on u alone keeps when u is a column and v a row.  Components are shared, never
-    copied, so nothing may write into one.  `abs_hits` flags, per
-    component, an abs whose argument was exactly 0 (empty: none was).
+    component depending on u alone keeps when u is a column and v a row.
+    Components are shared, never copied, so nothing may write into one.
+    `abs_hits` flags, per component, an abs whose argument was exactly 0
+    (empty: none was).
     """
 
     def __init__(self, blocks, abs_hits=()):

@@ -60,9 +60,12 @@ class JetSpace:
 # float, as much as the rest of a small table.  Scalar and array arguments
 # go through the same numpy functions and repeated products (Python's `**`
 # and numpy's integer `**` round differently on scalars and on arrays), so
-# a scalar jet equals the matching entry of an array jet bit for bit.  The
-# tables of sin/cos and sinh/cosh take the pair (g(c), g'(c)) instead of c,
-# so one evaluation of the pair serves both functions of one argument.
+# a scalar jet equals the matching entry of an array jet bit for bit.  At a
+# float, what a numpy function returns is turned into a Python float
+# (`_ufunc`), which is exact, so a point's program runs on Python floats
+# throughout.  The tables of sin/cos and sinh/cosh take the pair
+# (g(c), g'(c)) instead of c, so one evaluation of the pair serves both
+# functions of one argument.
 
 
 def _ufunc(f, c, *args):
